@@ -13,10 +13,11 @@ from .function_space import (GridFunction, ZonalProfile, ZonalSpectral,
                              lp_norm_grid, lp_norm_zonal, lp_norms_batch,
                              make_corpus, surface_area, zonal_project,
                              zonal_synthesis)
-from .kernel import (KernelSpec, MultiplierSequence, alpha_voronovskaya,
-                     kernel_norm_constant, kernel_spec, lemma_integral,
-                     multiplier_sequence, multiplier_via_quadrature,
-                     multiplier_weight, vpm_kernel_eval)
+from .kernel import (ConvergenceError, KernelSpec, MultiplierSequence,
+                     alpha_voronovskaya, kernel_norm_constant, kernel_spec,
+                     lemma_integral, multiplier_sequence,
+                     multiplier_via_quadrature, multiplier_weight,
+                     vpm_kernel_eval)
 from .operators import (OperatorDescriptor, apply_multiplier, laplace_beltrami,
                         translate_direct, translate_spectral, vpm_grid,
                         vpm_iterated, vpm_means, zonal_point_function)

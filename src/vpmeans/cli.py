@@ -20,6 +20,7 @@ from .experiments import (config_hash, measure_envelope_constant,
                           run_multiplier_identity_suite, run_selftest_suite,
                           run_voronovskaya_suite)
 from .function_space import corpus_ids
+from .memo import clear_run_memos, run_memo_stats
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "dispatch", "main"]
 
@@ -266,6 +267,7 @@ def _write_summary(config, reports, path):
         "config": config.snapshot(),
         "suites": {r.suite: {"passed": r.passed, "measured": r.measured} for r in reports},
         "constants": constants,
+        "diagnostics": {"caches": run_memo_stats()},
     }
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -282,7 +284,9 @@ def _write_summary(config, reports, path):
 
 def dispatch(config, suite):
     """Run one suite (or 'all'), write CSV + summary.json under out_dir, and
-    return the process exit code."""
+    return the process exit code.  The run memos start empty, so each
+    spectral quantity is computed once per run and no value outlives it."""
+    clear_run_memos()
     try:
         os.makedirs(config.out_dir, exist_ok=True)
     except OSError as exc:

@@ -288,10 +288,9 @@ def run_voronovskaya_suite(d, n_list, k_max_rule=None, window=3.0,
 
 def _operator_error_norms(f, degrees, p, d, order=None):
     """||V_n f - f||_p for a batch of operator degrees n."""
-    cols = np.column_stack([
-        f.coeffs * (multiplier_sequence(n, f.lam, f.band_limit) - 1.0)
-        for n in degrees
-    ])
+    cols = np.empty((f.band_limit + 1, len(degrees)))
+    for j, n in enumerate(degrees):
+        cols[:, j] = f.coeffs * (multiplier_sequence(n, f.lam, f.band_limit) - 1.0)
     return lp_norms_batch(cols, f.lam, p, d, order=order)
 
 

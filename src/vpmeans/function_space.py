@@ -38,6 +38,11 @@ INF = float("inf")
 # number of colatitude samples behind every sup-norm evaluation
 DENSE_GRID_SIZE = 4096
 
+# columns that lp_norms_batch and zonal_project process at once: their
+# temporaries stay at (grid size) x 64 doubles, 2 MiB on the dense grid,
+# instead of growing with the number of functions or degrees
+BLOCK_COLUMNS = 64
+
 
 def surface_area(d):
     """Surface area of the unit sphere S^{d-1}: 2 pi^(d/2) / Gamma(d/2)."""
@@ -163,8 +168,9 @@ def zonal_project(profile, k_max, lam, order=None):
 
         a_k = integral g Q_k sin^(2 lam) / integral Q_k^2 sin^(2 lam),
 
-    both integrals on the same mapped Gauss rule.  The relative L^2 residual
-    of the reconstruction is attached to the result.
+    both integrals on the same mapped Gauss rule, the denominators in blocks
+    of BLOCK_COLUMNS degrees.  The relative L^2 residual of the
+    reconstruction is attached to the result.
     """
     g = _profile_callable(profile)
     if g is None:
@@ -174,7 +180,10 @@ def zonal_project(profile, k_max, lam, order=None):
     ctx = synthesis_context(lam, k_max, "gauss", order)
     gv = np.asarray(g(ctx.theta), dtype=float)
     num = ctx.q_matrix.T @ (ctx.weights * gv)
-    den = (ctx.q_matrix ** 2).T @ ctx.weights
+    den = np.empty(k_max + 1)
+    for start in range(0, k_max + 1, BLOCK_COLUMNS):
+        block = slice(start, start + BLOCK_COLUMNS)
+        den[block] = (ctx.q_matrix[:, block] ** 2).T @ ctx.weights
     coeffs = num / den
     recon = ctx.q_matrix @ coeffs
     ref = math.sqrt(float(ctx.weights @ gv ** 2))
@@ -225,6 +234,9 @@ def lp_norms_batch(coeff_matrix, lam, p, d, order=None):
     `coeff_matrix` has one coefficient vector per column; returns one norm per
     column.  This is the workhorse behind the modulus and K-functional sweeps,
     where hundreds of coefficient vectors share the same synthesis table.
+    Columns are synthesised in blocks of BLOCK_COLUMNS, with `abs` and
+    the power taken in place, so the working set does not grow with the
+    number of columns.
     """
     if p != INF and p < 1:
         raise ValueError(f"p must satisfy 1 <= p <= inf, got {p}")
@@ -234,11 +246,22 @@ def lp_norms_batch(coeff_matrix, lam, p, d, order=None):
     k_max = coeff_matrix.shape[0] - 1
     if p == INF:
         ctx = synthesis_context(lam, k_max, "dense", DENSE_GRID_SIZE)
-        return np.max(np.abs(ctx.q_matrix @ coeff_matrix), axis=0)
-    size = order if order is not None else 2 * k_max + 32
-    ctx = synthesis_context(lam, k_max, "gauss", size)
-    vals = np.abs(ctx.q_matrix @ coeff_matrix) ** p
-    return (surface_area(d - 1) * (ctx.weights @ vals)) ** (1.0 / p)
+    else:
+        size = order if order is not None else 2 * k_max + 32
+        ctx = synthesis_context(lam, k_max, "gauss", size)
+    out = np.empty(coeff_matrix.shape[1])
+    for start in range(0, coeff_matrix.shape[1], BLOCK_COLUMNS):
+        block = slice(start, start + BLOCK_COLUMNS)
+        vals = ctx.q_matrix @ coeff_matrix[:, block]
+        np.abs(vals, out=vals)
+        if p == INF:
+            out[block] = np.max(vals, axis=0)
+        else:
+            vals **= p
+            out[block] = ctx.weights @ vals
+    if p == INF:
+        return out
+    return (surface_area(d - 1) * out) ** (1.0 / p)
 
 
 def lp_norm_grid(f, p):

@@ -12,10 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .memo import RunMemo
 from .quadrature import gauss_legendre, integrate_theta, mapped_rule
 from .special import log_gamma, q_normalized
 
 __all__ = [
+    "ConvergenceError",
     "KernelSpec",
     "MultiplierSequence",
     "kernel_spec",
@@ -33,6 +35,17 @@ __all__ = [
 # polynomials of degree ~ n + k; 32 extra nodes cover the non-polynomial
 # weights that appear at odd 2*lam.
 ORDER_PAD = 32
+
+
+class ConvergenceError(ArithmeticError):
+    """A refinement loop ran out of budget before two successive iterates
+    agreed.  `previous` is None when the budget allowed no refinement."""
+
+    def __init__(self, n, d, kind, order, previous, last):
+        self.n, self.d, self.kind, self.order = n, d, kind, order
+        self.previous, self.last = previous, last
+        super().__init__(f"{kind} did not converge at n={n}, d={d}: order {order} "
+                         f"gave {last!r} after {previous!r}")
 
 
 def default_order(n, k=0):
@@ -107,9 +120,25 @@ def multiplier_weight(n, k, lam):
                     + (log_gamma(n + 2.0 * lam + 1.0) - log_gamma(n + k + 2.0 * lam + 1.0)))
 
 
+_PREFIXES = RunMemo("multiplier_prefix")
+
+
 def multiplier_sequence(n, lam, k_max):
-    """Array of multiplier weights for k = 0..k_max."""
-    return np.array([multiplier_weight(n, k, lam) for k in range(k_max + 1)])
+    """Array of multiplier weights for k = 0..k_max.
+
+    Only k <= min(n, k_max) runs through the closed form of
+    `multiplier_weight`; the tail k > n holds the exact zeros it returns
+    there.  The closed-form prefix is memoised per (n, lam) and prefix length
+    for the current run (see `vpmeans.memo`); every call returns a new array.
+    """
+    if n < 0:
+        raise ValueError("multiplier_sequence requires n >= 0")
+    top = min(n, k_max)
+    prefix = _PREFIXES.lookup((n, float(lam), top), lambda: np.array(
+        [multiplier_weight(n, k, lam) for k in range(top + 1)]))
+    out = np.zeros(k_max + 1)
+    out[:top + 1] = prefix
+    return out
 
 
 def multiplier_via_quadrature(n, k, d, order=None):
@@ -162,19 +191,26 @@ def alpha_voronovskaya(n, d, order=None, rtol=1e-9, max_refinements=8):
                    integral_0^t sin^(2 lam) u du.
 
     The outer rule is doubled until two successive refinements agree to
-    `rtol` relative.  alpha(n) ~ 1/n; at d = 3 it is exactly 1/(n+1).
+    `rtol` relative; ConvergenceError is raised when `max_refinements`
+    doublings do not get there.  alpha(n) ~ 1/n; at d = 3 it is exactly 1/(n+1).
     """
     if n < 1:
         raise ValueError(f"alpha_voronovskaya requires n >= 1, got {n}")
     base = order if order is not None else default_order(n) + 32
-    prev = _alpha_at_order(n, d, base)
+    return _refine(lambda o: _alpha_at_order(n, d, o), base, rtol, max_refinements,
+                   n, d, "alpha_voronovskaya")
+
+
+def _refine(evaluate, order, rtol, max_refinements, n, d, kind):
+    """Double `order` until two successive evaluate(order) agree to `rtol`
+    relative; raise ConvergenceError when the budget runs out first."""
+    prev, cur = None, evaluate(order)
     for _ in range(max_refinements):
-        base *= 2
-        cur = _alpha_at_order(n, d, base)
+        order *= 2
+        prev, cur = cur, evaluate(order)
         if abs(cur - prev) <= rtol * abs(cur):
             return cur
-        prev = cur
-    return cur
+    raise ConvergenceError(n, d, kind, order, prev, cur)
 
 
 _LEMMA_KINDS = ("neg_lambda", "neg_two_over_m", "fourth_moment")
@@ -186,8 +222,9 @@ def lemma_integral(n, d, kind, m=None, order=None, rtol=1e-8, max_refinements=8)
     kind selects the exponent s: "neg_lambda" -> -lam (grows like n^(lam/2)),
     "neg_two_over_m" -> -2/m (grows like n^(1/m)), "fourth_moment" -> 4
     (decays like n^-2).  The mapped Gauss rule is doubled until two successive
-    refinements agree to `rtol` relative; the combined integrand is continuous
-    at 0 because theta^(-lam) sin^(2 lam) theta ~ theta^lam.
+    refinements agree to `rtol` relative, else ConvergenceError is raised;
+    the combined integrand is continuous at 0 because
+    theta^(-lam) sin^(2 lam) theta ~ theta^lam.
     """
     if n < 1:
         raise ValueError(f"lemma_integral requires n >= 1, got {n}")
@@ -204,11 +241,5 @@ def lemma_integral(n, d, kind, m=None, order=None, rtol=1e-8, max_refinements=8)
         raise ValueError(f"unknown lemma_integral kind {kind!r}; expected one of {_LEMMA_KINDS}")
     spec = kernel_spec(n, d)
     base = order if order is not None else default_order(n) + 32
-    prev = integrate_theta(lambda t: t ** s * vpm_kernel_eval(spec, t), lam, base)
-    for _ in range(max_refinements):
-        base *= 2
-        cur = integrate_theta(lambda t: t ** s * vpm_kernel_eval(spec, t), lam, base)
-        if abs(cur - prev) <= rtol * abs(cur):
-            return cur
-        prev = cur
-    return cur
+    return _refine(lambda o: integrate_theta(lambda t: t ** s * vpm_kernel_eval(spec, t), lam, o),
+                   base, rtol, max_refinements, n, d, kind)

@@ -1,0 +1,54 @@
+"""Per-run memo tables with hit and miss counters.
+
+The spectral layers are asked for the same quantity many times in one `vpm`
+run: the same multiplier prefix, the same modulus cell omega(f, n^(-1/2))_p,
+the same theta-scan table.  Each such layer keeps one RunMemo.  The CLI clears
+all of them when a run starts, so they live for one run, and reports their
+traffic in summary.json.  A memo only ever returns what was stored for an
+identical key, so a hit is exactly what recomputation would give.
+"""
+
+__all__ = ["RunMemo", "clear_run_memos", "run_memo_stats"]
+
+_REGISTRY = {}
+
+
+class RunMemo:
+    """Named key -> value table.  Values are handed out as stored, so callers
+    store immutable values or read-only arrays."""
+
+    def __init__(self, name):
+        self._values = {}
+        self.hits = 0
+        self.misses = 0
+        _REGISTRY[name] = self
+
+    def lookup(self, key, compute):
+        """The stored value for `key`, or compute(), stored, on a miss."""
+        value = self._values.get(key)
+        if value is None:
+            self.misses += 1
+            value = compute()
+            self._values[key] = value
+        else:
+            self.hits += 1
+        return value
+
+    def clear(self):
+        self._values.clear()
+        self.hits = 0
+        self.misses = 0
+
+    def stats(self):
+        return {"entries": len(self._values), "hits": self.hits, "misses": self.misses}
+
+
+def clear_run_memos():
+    """Empty every run memo and reset its counters."""
+    for memo in _REGISTRY.values():
+        memo.clear()
+
+
+def run_memo_stats():
+    """{memo name: {"entries", "hits", "misses"}} for every run memo."""
+    return {name: memo.stats() for name, memo in sorted(_REGISTRY.items())}

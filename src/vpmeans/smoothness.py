@@ -15,6 +15,7 @@ import numpy as np
 
 from .function_space import lp_norms_batch
 from .kernel import multiplier_sequence
+from .memo import RunMemo
 from .special import q_table
 
 __all__ = [
@@ -67,23 +68,48 @@ def _theta_scan(t, size):
     return grid[grid < np.pi]
 
 
+_DAMPING = RunMemo("theta_scan")
+_MODULUS = RunMemo("modulus")
+
+
+def _damping_table(k_max, lam, thetas):
+    """Read-only (T, k_max+1) table 1 - Q_k(cos theta), memoised per run on
+    (k_max, lam, theta grid); for `modulus` the grid is fixed by t and the
+    grid size."""
+    def compute():
+        table = 1.0 - q_table(k_max, lam, thetas)
+        table.setflags(write=False)
+        return table
+    return _DAMPING.lookup((k_max, float(lam), thetas.tobytes()), compute)
+
+
 def translation_error_norms(f, thetas, p, d, order=None):
     """||f - S_theta f||_p for a batch of translation steps theta."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     if np.any((thetas <= 0.0) | (thetas >= np.pi)):
         raise ValueError("translation steps must lie in (0, pi)")
-    damp = 1.0 - q_table(f.band_limit, f.lam, thetas)      # (T, K+1)
+    damp = _damping_table(f.band_limit, f.lam, thetas)     # (T, K+1)
     cols = f.coeffs[:, None] * damp.T
     return lp_norms_batch(cols, f.lam, p, d, order=order)
 
 
 def modulus(f, t, p, d, theta_grid_size=64, order=None):
     """Modulus of smoothness omega(f, t)_p of a zonal spectral function:
-    max over a geometric grid of theta in (0, t] of ||f - S_theta f||_p."""
+    max over a geometric grid of theta in (0, t] of ||f - S_theta f||_p.
+
+    The value is memoised for the current run (see `vpmeans.memo`) on the
+    exact coefficient bytes and every argument, so the suites that meet the
+    same cell omega(f, n^(-1/2))_p compute it once.
+    """
     if not 0.0 < t <= np.pi:
         raise ValueError(f"modulus scale must be in (0, pi], got {t}")
-    thetas = _theta_scan(t, theta_grid_size)
-    return float(np.max(translation_error_norms(f, thetas, p, d, order=order)))
+    key = (f.coeffs.dtype.str, f.coeffs.shape, f.coeffs.tobytes(), float(f.lam),
+           float(t), float(p), int(d), int(theta_grid_size), order)
+
+    def compute():
+        thetas = _theta_scan(t, theta_grid_size)
+        return float(np.max(translation_error_norms(f, thetas, p, d, order=order)))
+    return _MODULUS.lookup(key, compute)
 
 
 def default_candidate_degrees(t):

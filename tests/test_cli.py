@@ -2,9 +2,24 @@ import json
 
 import pytest
 
+import vpmeans.cli
 from vpmeans.cli import ConfigError, build_parser, dispatch, main, parse_config
 
 INF = float("inf")
+SPECTRAL_SUITES = ("converse", "delayed-max", "modulus")
+SMALL_RUN = ["--n-list", "4,8,16"]
+
+
+def _csv_bodies(out, names):
+    """CSV text below the timestamp comment, per suite."""
+    return {name: (out / f"{name}.csv").read_text().split("\n", 1)[1] for name in names}
+
+
+@pytest.fixture(scope="module")
+def small_all_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("all")
+    assert main(["all", *SMALL_RUN, "--out", str(out)]) == 0
+    return out
 
 
 def test_defaults():
@@ -185,3 +200,31 @@ def test_parser_lists_all_suites():
     for suite in ("multipliers", "lemmas", "voronovskaya", "converse",
                   "delayed-max", "modulus", "selftest", "all"):
         assert suite in text
+
+
+def test_shared_cells_leave_csv_bodies_unchanged(tmp_path, small_all_run):
+    # each suite alone computes its own omega cells; `all` shares them
+    separate = {}
+    for name in SPECTRAL_SUITES:
+        assert main([name, *SMALL_RUN, "--out", str(tmp_path / name)]) == 0
+        separate.update(_csv_bodies(tmp_path / name, (name,)))
+    assert _csv_bodies(small_all_run, SPECTRAL_SUITES) == separate
+
+
+def test_memo_keys_separate_corpus_seeds(tmp_path, monkeypatch):
+    names = ("multipliers", "lemmas", "voronovskaya") + SPECTRAL_SUITES + ("selftest",)
+    assert main(["all", *SMALL_RUN, "--seed", "7", "--out", str(tmp_path / "fresh")]) == 0
+    assert main(["all", *SMALL_RUN, "--seed", "42", "--out", str(tmp_path / "s42")]) == 0
+    # keep the seed-42 memos: only their keys can tell the corpora apart
+    monkeypatch.setattr(vpmeans.cli, "clear_run_memos", lambda: None)
+    assert main(["all", *SMALL_RUN, "--seed", "7", "--out", str(tmp_path / "after")]) == 0
+    assert _csv_bodies(tmp_path / "after", names) == _csv_bodies(tmp_path / "fresh", names)
+
+
+def test_summary_reports_cache_traffic(small_all_run):
+    summary = json.loads((small_all_run / "summary.json").read_text())
+    caches = summary["diagnostics"]["caches"]
+    assert set(caches) == {"multiplier_prefix", "modulus", "theta_scan"}
+    for stats in caches.values():
+        assert stats["hits"] > 0
+        assert stats["entries"] == stats["misses"] > 0

@@ -3,10 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from vpmeans.kernel import (alpha_voronovskaya, default_order,
-                            kernel_norm_constant, kernel_spec, lemma_integral,
-                            multiplier_sequence, multiplier_via_quadrature,
-                            multiplier_weight, vpm_kernel_eval)
+import vpmeans.kernel
+from vpmeans.experiments import run_delayed_max_suite
+from vpmeans.kernel import (ConvergenceError, alpha_voronovskaya,
+                            default_order, kernel_norm_constant, kernel_spec,
+                            lemma_integral, multiplier_sequence,
+                            multiplier_via_quadrature, multiplier_weight,
+                            vpm_kernel_eval)
+from vpmeans.memo import clear_run_memos
 from vpmeans.quadrature import integrate_theta
 
 
@@ -88,6 +92,44 @@ def test_multiplier_monotonicity():
         assert np.all(np.diff(vals) > 0)
 
 
+@pytest.mark.parametrize("lam", [0.5, 1.0, 1.5])
+def test_multiplier_sequence_equals_scalar_closed_form(lam):
+    # the memoised prefix and the zero tail reproduce the scalar closed form
+    # bit for bit, below, at and beyond n, on a miss and on a hit
+    clear_run_memos()
+    for n in (0, 1, 9, 64):
+        for k_max in (max(n - 3, 0), n, n + 7):
+            expect = [multiplier_weight(n, k, lam) for k in range(k_max + 1)]
+            for _ in range(2):
+                assert np.array_equal(multiplier_sequence(n, lam, k_max), expect)
+
+
+def test_multiplier_sequence_returns_fresh_arrays():
+    first = multiplier_sequence(12, 0.5, 20)
+    expect = first.copy()
+    first[:] = -1.0
+    assert np.array_equal(multiplier_sequence(12, 0.5, 20), expect)
+
+
+def test_multiplier_sequence_weight_traffic(monkeypatch):
+    # each distinct degree evaluates its k <= n prefix once, however many
+    # (function, p) pairs of the suite ask for it
+    calls = []
+    scalar = vpmeans.kernel.multiplier_weight
+
+    def counted(n, k, lam):
+        calls.append(n)
+        return scalar(n, k, lam)
+
+    monkeypatch.setattr(vpmeans.kernel, "multiplier_weight", counted)
+    clear_run_memos()
+    n_list, k_cap = (4, 8), 24
+    run_delayed_max_suite(("bump", "randband:seed42"), (2.0, float("inf")), n_list, k_cap, 3)
+    degrees = set(calls)
+    assert degrees == set(range(min(n_list), k_cap + 1))
+    assert len(calls) <= sum(n + 1 for n in degrees)
+
+
 def test_multiplier_via_quadrature_values():
     assert multiplier_via_quadrature(9, 0, 4) == pytest.approx(1.0, abs=1e-12)
     assert multiplier_via_quadrature(2, 1, 3) == pytest.approx(0.5, abs=1e-10)
@@ -124,6 +166,36 @@ def test_alpha_tends_to_inverse_degree_d4():
 def test_alpha_domain():
     with pytest.raises(ValueError):
         alpha_voronovskaya(0, 3)
+
+
+def test_refinement_without_budget_raises():
+    # one iterate cannot show convergence
+    with pytest.raises(ConvergenceError) as info:
+        alpha_voronovskaya(8, 3, max_refinements=0)
+    err = info.value
+    assert (err.n, err.d, err.kind, err.order) == (8, 3, "alpha_voronovskaya", 72)
+    assert err.previous is None and err.last == pytest.approx(1.0 / 9.0, rel=1e-12)
+    with pytest.raises(ConvergenceError) as info:
+        lemma_integral(8, 5, "neg_lambda", max_refinements=0)
+    assert (info.value.kind, info.value.previous) == ("neg_lambda", None)
+
+
+def test_refinement_budget_exhausted_raises():
+    # successive iterates differ by a few ulp (alpha) and by ~5e-9 relative
+    # (the d = 5 inverse moment), so a tighter rtol exhausts one doubling
+    with pytest.raises(ConvergenceError) as info:
+        alpha_voronovskaya(8, 3, rtol=1e-17, max_refinements=1)
+    err = info.value
+    assert (err.n, err.d, err.order) == (8, 3, 144)
+    assert err.previous != err.last
+    assert isinstance(err, ArithmeticError)
+    with pytest.raises(ConvergenceError) as info:
+        lemma_integral(8, 5, "neg_lambda", rtol=1e-12, max_refinements=1)
+    err = info.value
+    assert (err.n, err.d, err.kind, err.order) == (8, 5, "neg_lambda", 144)
+    assert abs(err.last - err.previous) > 1e-12 * abs(err.last)
+    # the same call converges within the default budget
+    assert lemma_integral(8, 5, "neg_lambda", rtol=1e-12) == pytest.approx(err.last, rel=1e-8)
 
 
 def test_lemma_integral_kinds_and_errors():

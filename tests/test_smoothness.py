@@ -5,6 +5,7 @@ import pytest
 
 from vpmeans.experiments import Workspace
 from vpmeans.function_space import INF, ZonalSpectral, lp_norm_zonal
+from vpmeans.memo import clear_run_memos, run_memo_stats
 from vpmeans.smoothness import (KFunctionalQuery, ModulusQuery,
                                 default_candidate_degrees, equivalence_rows,
                                 k_functional_estimate, modulus,
@@ -72,6 +73,23 @@ def test_modulus_grid_refinement_stable(ws):
         m1 = modulus(f, 0.25, INF, 3, theta_grid_size=64)
         m2 = modulus(f, 0.25, INF, 3, theta_grid_size=128)
         assert abs(m1 - m2) <= 0.01 * m2
+
+
+def test_modulus_memo_hit_is_recomputation(ws):
+    f = ws.spectral("cusp:0.5")
+    clear_run_memos()
+    first = modulus(f, 0.2, 1.0, 3)
+    # equal coefficient bytes in a new object meet the same cell; p = 2
+    # shares the theta-scan table
+    hit = modulus(ZonalSpectral(lam=f.lam, coeffs=f.coeffs.copy()), 0.2, 1.0, 3)
+    modulus(f, 0.2, 2.0, 3)
+    stats = run_memo_stats()
+    assert (stats["modulus"]["hits"], stats["modulus"]["misses"]) == (1, 2)
+    assert (stats["theta_scan"]["hits"], stats["theta_scan"]["misses"]) == (1, 1)
+    clear_run_memos()
+    assert modulus(f, 0.2, 1.0, 3) == first == hit
+    other = ZonalSpectral(lam=f.lam, coeffs=f.coeffs * (1.0 + 1e-9))
+    assert modulus(other, 0.2, 1.0, 3) != first
 
 
 def test_modulus_domain():
