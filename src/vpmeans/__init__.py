@@ -9,23 +9,20 @@ equivalence between operator error and modulus at the scale n^(-1/2)).
 """
 
 from .function_space import (GridFunction, ZonalProfile, ZonalSpectral,
-                             corpus_ids, corpus_member, eval_zonal,
-                             lp_norm_grid, lp_norm_zonal, lp_norms_batch,
-                             make_corpus, surface_area, zonal_project,
-                             zonal_synthesis)
+                             corpus_ids, corpus_member, lp_norm_grid,
+                             lp_norm_zonal, lp_norms_batch, make_corpus,
+                             surface_area, zonal_project, zonal_synthesis)
 from .kernel import (ConvergenceError, KernelSpec, MultiplierSequence,
                      alpha_voronovskaya, kernel_norm_constant, kernel_spec,
                      lemma_integral, multiplier_sequence,
                      multiplier_via_quadrature, multiplier_weight,
                      vpm_kernel_eval)
-from .operators import (OperatorDescriptor, apply_multiplier, laplace_beltrami,
-                        translate_direct, translate_spectral, vpm_grid,
-                        vpm_iterated, vpm_means, zonal_point_function)
+from .operators import (apply_multiplier, laplace_beltrami, translate_direct,
+                        translate_spectral, vpm_grid, vpm_iterated, vpm_means,
+                        zonal_point_function)
 from .quadrature import (QuadratureRule, SphereGrid, gauss_legendre,
                          integrate_grid, integrate_theta, sphere_grid)
-from .smoothness import (KFunctionalQuery, ModulusQuery, equivalence_rows,
-                         k_functional_estimate, modulus)
-from .special import (gegenbauer_p, harmonic_dim, log_gamma, q_envelope,
-                      q_normalized)
+from .smoothness import k_functional_estimate, modulus
+from .special import harmonic_dim, q_envelope, q_normalized, q_table
 
 __version__ = "0.1.0"

@@ -107,27 +107,15 @@ def _parse_quad_order(text):
     return value
 
 
-_FIELD_PARSERS = {
-    "d": int,
+# every RunConfig field is a configuration key; its type parses its value
+# unless the field needs the list or "auto" syntax below
+_SYNTAX_PARSERS = {
     "n_list": _parse_int_list,
     "p_list": _parse_p_list,
     "corpus": lambda text: tuple(part.strip() for part in str(text).split(",") if part.strip()),
     "quadrature_order": _parse_quad_order,
-    "theta_grid_size": int,
-    "seed": int,
-    "out_dir": str,
-    "n_max": int,
-    "k_cap": int,
-    "band_budget": int,
-    "multiplier_tol": float,
-    "lemma_window": float,
-    "voronovskaya_window": float,
-    "alpha_low": float,
-    "alpha_high": float,
-    "converse_window": float,
-    "delayed_window": float,
-    "equivalence_window": float,
 }
+_FIELD_PARSERS = {f.name: _SYNTAX_PARSERS.get(f.name, f.type) for f in fields(RunConfig)}
 
 
 def _read_config_file(path):
@@ -335,10 +323,9 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    overrides = {key: getattr(args, key) for key in
-                 ("d", "n_list", "p_list", "corpus", "seed", "out_dir",
-                  "quadrature_order", "n_max", "k_cap", "theta_grid_size")
-                 if getattr(args, key) is not None}
+    # the flags carry the RunConfig field names as their dest
+    overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+                 if getattr(args, f.name, None) is not None}
     try:
         config = parse_config(path=args.config, overrides=overrides)
         return dispatch(config, args.suite)

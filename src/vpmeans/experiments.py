@@ -294,6 +294,46 @@ def _operator_error_norms(f, degrees, p, d, order=None):
     return lp_norms_batch(cols, f.lam, p, d, order=order)
 
 
+def _ratio_sweep(ws, corpus, p_list, n_list, theta_grid_size, window, numerators):
+    """The ratio loop shared by the converse and delayed-max suites.
+
+    For each corpus function f and p, numerators(f, p) gives one value per n
+    of n_list, which is divided by omega(f, n^(-1/2))_p.  A cell whose
+    modulus is numerically zero (a constant) is degenerate: its ratio is NaN
+    and it stays out of the max/min window of its (f, p) pair.  Returns the
+    cells (function_id, p, n, numerator, w_n, ratio, degenerate), the windows
+    keyed "function_id|p=p", and whether every window has min > 0 and
+    max/min <= window.
+    """
+    cells = []
+    windows = {}
+    passed = True
+    for fid in corpus:
+        f = ws.spectral(fid)
+        for p in p_list:
+            ratios = []
+            for n, num in zip(n_list, numerators(f, p)):
+                w_n = modulus(f, n ** -0.5, p, ws.d, theta_grid_size=theta_grid_size)
+                degenerate = w_n <= DEGENERATE_FLOOR
+                ratio = float("nan") if degenerate else num / w_n
+                cells.append((fid, p, n, num, w_n, ratio, degenerate))
+                if not degenerate:
+                    ratios.append(ratio)
+            if ratios:
+                lo, hi, ratio = _window(ratios)
+                windows[f"{fid}|p={p}"] = {"min": lo, "max": hi, "ratio": ratio}
+                passed = passed and lo > 0 and ratio <= window
+    return cells, windows, passed
+
+
+def _modulus_grid_check(f, t, p, d, theta_grid_size):
+    """Refinement self-check: omega(f, t)_p on a doubled theta grid may move
+    the grid max by a grid-resolution amount (2 %) only."""
+    w1 = modulus(f, t, p, d, theta_grid_size=theta_grid_size)
+    w2 = modulus(f, t, p, d, theta_grid_size=2 * theta_grid_size)
+    return abs(w1 - w2) <= 0.02 * max(abs(w2), DEGENERATE_FLOOR)
+
+
 def run_converse_suite(corpus, p_list, n_list, d, window=25.0, seed=42,
                        theta_grid_size=64, chain_powers=(2, 7),
                        chain_slack=1e-8, config=None):
@@ -305,30 +345,18 @@ def run_converse_suite(corpus, p_list, n_list, d, window=25.0, seed=42,
     checked along the way."""
     ws = Workspace(d, max(n_list), seed=seed)
     n_list = sorted(n_list)
-    rows = []
-    ratio_windows = {}
+    cells, ratio_windows, passed = _ratio_sweep(
+        ws, corpus, p_list, n_list, theta_grid_size, window,
+        lambda f, p: [float(e) for e in _operator_error_norms(f, n_list, p, d)])
+    rows = [{"function_id": fid, "p": p, "n": n, "e_n": e_n, "w_n": w_n,
+             "ratio": ratio, "flag": "degenerate" if degenerate else "ok"}
+            for fid, p, n, e_n, w_n, ratio, degenerate in cells]
+    # chain bound at the median degree
     chain_worst = -math.inf
-    passed = True
+    n_mid = n_list[len(n_list) // 2]
     for fid in corpus:
         f = ws.spectral(fid)
         for p in p_list:
-            errs = _operator_error_norms(f, n_list, p, d)
-            ratios = []
-            for n, e_n in zip(n_list, errs):
-                w_n = modulus(f, n ** -0.5, p, d, theta_grid_size=theta_grid_size)
-                degenerate = w_n <= DEGENERATE_FLOOR
-                ratio = float("nan") if degenerate else float(e_n) / w_n
-                rows.append({"function_id": fid, "p": p, "n": n,
-                             "e_n": float(e_n), "w_n": w_n, "ratio": ratio,
-                             "flag": "degenerate" if degenerate else "ok"})
-                if not degenerate:
-                    ratios.append(ratio)
-            if ratios:
-                lo, hi, ratio = _window(ratios)
-                ratio_windows[f"{fid}|p={p}"] = {"min": lo, "max": hi, "ratio": ratio}
-                passed = passed and lo > 0 and ratio <= window
-            # chain bound at the median degree
-            n_mid = n_list[len(n_list) // 2]
             base = _operator_error_norms(f, [n_mid], p, d)[0]
             w = multiplier_sequence(n_mid, f.lam, f.band_limit)
             for m in chain_powers:
@@ -336,18 +364,14 @@ def run_converse_suite(corpus, p_list, n_list, d, window=25.0, seed=42,
                 excess = float(lhs - m * base)
                 chain_worst = max(chain_worst, excess)
                 passed = passed and excess <= chain_slack
-    # refinement self-check: the largest-ratio cell recomputed with a denser
-    # modulus grid; the grid max may only move by a grid-resolution amount
+    # refinement self-check on the largest-ratio cell
     refine_ok = True
     if ratio_windows:
         worst_key = max(ratio_windows, key=lambda k: ratio_windows[k]["ratio"])
         fid, p_part = worst_key.split("|p=")
         p = float(p_part) if p_part != "inf" else INF
-        f = ws.spectral(fid)
-        n_top = n_list[-1]
-        w1 = modulus(f, n_top ** -0.5, p, d, theta_grid_size=theta_grid_size)
-        w2 = modulus(f, n_top ** -0.5, p, d, theta_grid_size=2 * theta_grid_size)
-        refine_ok = abs(w1 - w2) <= 0.02 * abs(w2)
+        refine_ok = _modulus_grid_check(ws.spectral(fid), n_list[-1] ** -0.5, p, d,
+                                        theta_grid_size)
         passed = passed and refine_ok
     meta = _metadata(config)
     meta["refinement_check"] = refine_ok
@@ -372,37 +396,23 @@ def run_delayed_max_suite(corpus, p_list, n_list, k_cap, d, window=25.0,
     # so the band limit tracks the modulus scales, not k_cap
     ws = Workspace(d, max(n_list), seed=seed)
     n_list = sorted(n_list)
-    rows = []
-    windows = {}
-    passed = True
-    for fid in corpus:
-        f = ws.spectral(fid)
-        for p in p_list:
-            degrees = list(range(min(n_list), k_cap + 1))
-            errs = np.asarray(_operator_error_norms(f, degrees, p, d))
-            # suffix maxima: max over k >= n within the cap
-            suffix = np.maximum.accumulate(errs[::-1])[::-1]
-            ratios = []
-            for n in n_list:
-                m_n = float(suffix[n - degrees[0]])
-                w_n = modulus(f, n ** -0.5, p, d, theta_grid_size=theta_grid_size)
-                degenerate = w_n <= DEGENERATE_FLOOR
-                ratio = float("nan") if degenerate else m_n / w_n
-                flag = "TRUNCATED;degenerate" if degenerate else "TRUNCATED"
-                rows.append({"function_id": fid, "p": p, "n": n, "k_cap": k_cap,
-                             "max_err": m_n, "w_n": w_n, "ratio": ratio, "flag": flag})
-                if not degenerate:
-                    ratios.append(ratio)
-            if ratios:
-                lo, hi, ratio = _window(ratios)
-                windows[f"{fid}|p={p}"] = {"min": lo, "max": hi, "ratio": ratio}
-                passed = passed and lo > 0 and ratio <= window
+    degrees = list(range(n_list[0], k_cap + 1))
+
+    def max_errors(f, p):
+        errs = np.asarray(_operator_error_norms(f, degrees, p, d))
+        # suffix maxima: max over k >= n within the cap
+        suffix = np.maximum.accumulate(errs[::-1])[::-1]
+        return [float(suffix[n - degrees[0]]) for n in n_list]
+
+    cells, windows, passed = _ratio_sweep(ws, corpus, p_list, n_list, theta_grid_size,
+                                          window, max_errors)
+    rows = [{"function_id": fid, "p": p, "n": n, "k_cap": k_cap, "max_err": m_n,
+             "w_n": w_n, "ratio": ratio,
+             "flag": "TRUNCATED;degenerate" if degenerate else "TRUNCATED"}
+            for fid, p, n, m_n, w_n, ratio, degenerate in cells]
     # refinement self-check: the modulus of the last cell on a doubled grid
-    f = ws.spectral(corpus[-1])
-    t = max(n_list) ** -0.5
-    w1 = modulus(f, t, p_list[-1], d, theta_grid_size=theta_grid_size)
-    w2 = modulus(f, t, p_list[-1], d, theta_grid_size=2 * theta_grid_size)
-    refine_ok = abs(w1 - w2) <= 0.02 * max(abs(w2), DEGENERATE_FLOOR)
+    refine_ok = _modulus_grid_check(ws.spectral(corpus[-1]), n_list[-1] ** -0.5,
+                                    p_list[-1], d, theta_grid_size)
     passed = passed and refine_ok
     meta = _metadata(config)
     meta["refinement_check"] = refine_ok
@@ -441,12 +451,8 @@ def run_modulus_suite(corpus, p_list, n_list, d, window=50.0, seed=42,
                     worst["high"] = max(worst["high"], ratio)
                     passed = passed and (1.0 / window) <= ratio <= window
     # refinement self-check: the modulus grid is doubled at the last cell
-    fid = corpus[-1]
-    f = ws.spectral(fid)
-    t = min(n_list) ** -0.5
-    m1 = modulus(f, t, 2.0, d, theta_grid_size=theta_grid_size)
-    m2 = modulus(f, t, 2.0, d, theta_grid_size=2 * theta_grid_size)
-    refine_ok = abs(m1 - m2) <= 0.02 * max(abs(m2), DEGENERATE_FLOOR)
+    refine_ok = _modulus_grid_check(ws.spectral(corpus[-1]), min(n_list) ** -0.5, 2.0, d,
+                                    theta_grid_size)
     passed = passed and refine_ok
     meta = _metadata(config)
     meta["refinement_check"] = refine_ok

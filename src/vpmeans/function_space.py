@@ -13,15 +13,15 @@ from typing import Callable
 
 import numpy as np
 
+from .memo import RunMemo
 from .quadrature import SphereGrid, mapped_rule
-from .special import q_table
+from .special import _q_steps, q_table
 
 __all__ = [
     "ZonalSpectral",
     "ZonalProfile",
     "GridFunction",
     "surface_area",
-    "eval_zonal",
     "zonal_synthesis",
     "synthesis_context",
     "zonal_project",
@@ -92,36 +92,19 @@ class GridFunction:
 def zonal_synthesis(coeffs, lam, x):
     """Evaluate sum_k coeffs[k] Q_k^lam(x) by accumulating the recurrence."""
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    k_max = len(coeffs) - 1
+    steps = _q_steps(len(coeffs) - 1, lam, xa)
+    next(steps)
     acc = np.full_like(xa, float(coeffs[0]))
-    if k_max == 0:
-        return acc
-    p = 2.0 * lam * xa
-    p_prev = np.ones_like(xa)
-    one = 2.0 * lam
-    one_prev = 1.0
-    acc += coeffs[1] * (p / one)
-    for j in range(1, k_max):
-        p, p_prev = (2.0 * (lam + j) * xa * p - (2.0 * lam + j - 1.0) * p_prev) / (j + 1.0), p
-        one, one_prev = (2.0 * (lam + j) * one - (2.0 * lam + j - 1.0) * one_prev) / (j + 1.0), one
-        acc += coeffs[j + 1] * (p / one)
+    for c, q in zip(coeffs[1:], steps):
+        acc += c * q
     return acc
 
 
-def eval_zonal(f, cos_gamma):
-    """Value of a ZonalSpectral at cosine of the polar angle."""
-    xa = np.asarray(cos_gamma, dtype=float)
-    if np.any(np.abs(xa) > 1.0):
-        raise ValueError("eval_zonal requires |cos_gamma| <= 1")
-    vals = zonal_synthesis(f.coeffs, f.lam, xa)
-    return float(vals[0]) if xa.ndim == 0 else vals
-
-
 # ---------------------------------------------------------------------------
-# synthesis caches: Q_k tables over the quadrature nodes used by norms and
-# projections, keyed by (lam, band limit, grid kind, size)
+# synthesis contexts: Q_k tables over the quadrature nodes used by norms and
+# projections, memoised per run on (lam, band limit, grid kind, size)
 
-_CTX_CACHE: dict = {}
+_CONTEXTS = RunMemo("synthesis_context")
 
 
 @dataclass(frozen=True)
@@ -132,27 +115,24 @@ class _SynthesisContext:
 
 
 def synthesis_context(lam, k_max, kind, size):
-    """Cached Q-table context; kind is "gauss" (mapped rule on [0, pi], with
-    sin^(2 lam)-weighted quadrature weights) or "dense" (uniform colatitudes
-    including the endpoints, no weights)."""
-    key = (float(lam), int(k_max), kind, int(size))
-    ctx = _CTX_CACHE.get(key)
-    if ctx is not None:
-        return ctx
-    if kind == "gauss":
-        theta, w = mapped_rule(0.0, np.pi, size)
-        weights = w * np.sin(theta) ** (2.0 * lam)
-    elif kind == "dense":
-        theta = np.linspace(0.0, np.pi, size)
-        weights = None
-    else:
+    """Q-table context, memoised per run (see `vpmeans.memo`); kind is "gauss"
+    (mapped rule on [0, pi], with sin^(2 lam)-weighted quadrature weights) or
+    "dense" (uniform colatitudes including the endpoints, no weights)."""
+    if kind not in ("gauss", "dense"):
         raise ValueError(f"unknown synthesis grid kind {kind!r}")
-    q = q_table(k_max, lam, theta)
-    for arr in (theta, q) + (() if weights is None else (weights,)):
-        arr.setflags(write=False)
-    ctx = _SynthesisContext(theta=theta, weights=weights, q_matrix=q)
-    _CTX_CACHE[key] = ctx
-    return ctx
+
+    def compute():
+        if kind == "gauss":
+            theta, w = mapped_rule(0.0, np.pi, size)
+            weights = w * np.sin(theta) ** (2.0 * lam)
+        else:
+            theta = np.linspace(0.0, np.pi, size)
+            weights = None
+        q = q_table(k_max, lam, theta)
+        for arr in (theta, q) + (() if weights is None else (weights,)):
+            arr.setflags(write=False)
+        return _SynthesisContext(theta=theta, weights=weights, q_matrix=q)
+    return _CONTEXTS.lookup((float(lam), int(k_max), kind, int(size)), compute)
 
 
 def _profile_callable(f):
@@ -193,17 +173,14 @@ def zonal_project(profile, k_max, lam, order=None):
     return ZonalSpectral(lam=lam, coeffs=coeffs, projection_residual=rel)
 
 
-def _norm_from_samples(vals, weights, p, d):
-    area = surface_area(d - 1)
-    return float((area * np.dot(weights, np.abs(vals) ** p)) ** (1.0 / p))
-
-
 def lp_norm_zonal(f, p, d, order=None):
     """L^p(S^{d-1}) norm of a zonal function (spectral or profile form).
 
     For p < infinity this is the unnormalized surface integral reduced to one
     dimension, (|S^{d-2}| integral_0^pi |g|^p sin^(d-2) theta dtheta)^(1/p);
-    for p = infinity, the max of |g| over a dense colatitude grid.
+    for p = infinity, the max of |g| over a dense colatitude grid.  Spectral
+    input goes through `lp_norms_batch`; the profile route samples g directly
+    and serves as its oracle.
     """
     if p != INF and p < 1:
         raise ValueError(f"p must satisfy 1 <= p <= inf, got {p}")
@@ -211,12 +188,7 @@ def lp_norm_zonal(f, p, d, order=None):
     if isinstance(f, ZonalSpectral):
         if abs(f.lam - lam) > 1e-12:
             raise ValueError(f"function has lam={f.lam}, inconsistent with d={d}")
-        if p == INF:
-            ctx = synthesis_context(lam, f.band_limit, "dense", DENSE_GRID_SIZE)
-            return float(np.max(np.abs(ctx.q_matrix @ f.coeffs)))
-        size = order if order is not None else 2 * f.band_limit + 32
-        ctx = synthesis_context(lam, f.band_limit, "gauss", size)
-        return _norm_from_samples(ctx.q_matrix @ f.coeffs, ctx.weights, p, d)
+        return float(lp_norms_batch(f.coeffs, lam, p, d, order=order)[0])
     g = _profile_callable(f)
     if g is None:
         raise TypeError("lp_norm_zonal expects a ZonalSpectral, ZonalProfile, or callable")
@@ -225,7 +197,8 @@ def lp_norm_zonal(f, p, d, order=None):
         return float(np.max(np.abs(np.asarray(g(theta), dtype=float))))
     theta, w = mapped_rule(0.0, np.pi, order if order is not None else DENSE_GRID_SIZE)
     vals = np.asarray(g(theta), dtype=float)
-    return _norm_from_samples(vals, w * np.sin(theta) ** (2.0 * lam), p, d)
+    weights = w * np.sin(theta) ** (2.0 * lam)
+    return float((surface_area(d - 1) * np.dot(weights, np.abs(vals) ** p)) ** (1.0 / p))
 
 
 def lp_norms_batch(coeff_matrix, lam, p, d, order=None):

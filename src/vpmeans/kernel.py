@@ -14,7 +14,7 @@ import numpy as np
 
 from .memo import RunMemo
 from .quadrature import gauss_legendre, integrate_theta, mapped_rule
-from .special import log_gamma, q_normalized
+from .special import q_normalized
 
 __all__ = [
     "ConvergenceError",
@@ -81,8 +81,8 @@ def kernel_norm_constant(n, d):
     if d < 3:
         raise ValueError(f"dimension must be >= 3, got {d}")
     lam = (d - 2) / 2.0
-    return (2.0 * lam * math.log(2.0) + log_gamma(lam + 0.5)
-            + log_gamma(n + lam + 0.5) - log_gamma(n + 2.0 * lam + 1.0))
+    return (2.0 * lam * math.log(2.0) + math.lgamma(lam + 0.5)
+            + math.lgamma(n + lam + 0.5) - math.lgamma(n + 2.0 * lam + 1.0))
 
 
 def kernel_spec(n, d):
@@ -116,8 +116,8 @@ def multiplier_weight(n, k, lam):
     if k > n:
         return 0.0
     # paired differences cancel exactly at k = 0, where the weight must be 1
-    return math.exp((log_gamma(n + 1.0) - log_gamma(n - k + 1.0))
-                    + (log_gamma(n + 2.0 * lam + 1.0) - log_gamma(n + k + 2.0 * lam + 1.0)))
+    return math.exp((math.lgamma(n + 1.0) - math.lgamma(n - k + 1.0))
+                    + (math.lgamma(n + 2.0 * lam + 1.0) - math.lgamma(n + k + 2.0 * lam + 1.0)))
 
 
 _PREFIXES = RunMemo("multiplier_prefix")

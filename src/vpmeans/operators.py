@@ -7,7 +7,6 @@ averages and dense grid convolution) that serve as independent oracles.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +15,6 @@ from .kernel import MultiplierSequence, kernel_spec, multiplier_sequence
 from .special import q_table
 
 __all__ = [
-    "OperatorDescriptor",
     "vpm_multipliers",
     "vpm_power_multipliers",
     "translation_multipliers",
@@ -65,31 +63,6 @@ def laplace_multipliers(lam, k_max, power=1):
     eig = -k * (k + 2.0 * lam)
     name = "laplace_beltrami" if power == 1 else "laplace_beltrami_squared"
     return MultiplierSequence(values=eig ** power, source=name)
-
-
-@dataclass(frozen=True)
-class OperatorDescriptor:
-    """Names one spectral operator: kind in {vpm, vpm_power, translation,
-    laplace_beltrami, laplace_beltrami_squared} with its parameters."""
-    kind: str
-    d: int
-    n: int | None = None
-    m: int | None = None
-    theta: float | None = None
-
-    def multipliers(self, k_max):
-        lam = (self.d - 2) / 2.0
-        if self.kind == "vpm":
-            return vpm_multipliers(self.n, lam, k_max)
-        if self.kind == "vpm_power":
-            return vpm_power_multipliers(self.n, self.m, lam, k_max)
-        if self.kind == "translation":
-            return translation_multipliers(self.theta, lam, k_max)
-        if self.kind == "laplace_beltrami":
-            return laplace_multipliers(lam, k_max, power=1)
-        if self.kind == "laplace_beltrami_squared":
-            return laplace_multipliers(lam, k_max, power=2)
-        raise ValueError(f"unknown operator kind {self.kind!r}")
 
 
 def apply_multiplier(f, mult):

@@ -5,9 +5,12 @@ read-only) and cached by order, so repeated sweeps over (n, k) grids reuse
 the same nodes.
 """
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+
+from .special import _gegenbauer_steps
 
 __all__ = [
     "QuadratureRule",
@@ -33,11 +36,9 @@ _GRID_CACHE: dict[int, "SphereGrid"] = {}
 
 
 def _legendre_and_derivative(n, x):
-    """P_n(x) and P_n'(x) by the standard recurrence, for interior |x| < 1."""
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    for j in range(2, n + 1):
-        p, p_prev = ((2.0 * j - 1.0) * x * p - (j - 1.0) * p_prev) / j, p
+    """P_n(x) and P_n'(x) for interior |x| < 1, from the Gegenbauer recurrence
+    at lam = 1/2 (n >= 1)."""
+    p_prev, p = deque(_gegenbauer_steps(n, 0.5, x), maxlen=2)
     dp = n * (x * p - p_prev) / (x * x - 1.0)
     return p, dp
 
@@ -91,17 +92,15 @@ def integrate_theta(g, lam, order):
 
         integral_0^pi g(theta) sin(theta)^(2 lam) dtheta
 
-    by the `order`-point Gauss-Legendre rule mapped to [0, pi].  `g` should
-    accept an ndarray of angles; scalar-only callables are handled by a
-    per-node fallback.  Accuracy is the caller's responsibility via `order`.
+    by the `order`-point Gauss-Legendre rule mapped to [0, pi].  `g` must map
+    the ndarray of nodes to an ndarray of the same shape; anything else raises.
+    Accuracy is the caller's responsibility via `order`.
     """
     theta, w = mapped_rule(0.0, np.pi, order)
-    try:
-        vals = np.asarray(g(theta), dtype=float)
-        if vals.shape != theta.shape:
-            raise TypeError
-    except TypeError:
-        vals = np.array([g(t) for t in theta], dtype=float)
+    vals = np.asarray(g(theta), dtype=float)
+    if vals.shape != theta.shape:
+        raise ValueError(f"integrate_theta: g returned shape {vals.shape}, "
+                         f"expected the node shape {theta.shape}")
     return float(np.sum(w * vals * np.sin(theta) ** (2.0 * lam)))
 
 

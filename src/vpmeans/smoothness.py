@@ -9,7 +9,6 @@ the estimate, never invalidate it.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,46 +18,14 @@ from .memo import RunMemo
 from .special import q_table
 
 __all__ = [
-    "ModulusQuery",
-    "KFunctionalQuery",
     "modulus",
     "translation_error_norms",
     "k_functional_estimate",
     "default_candidate_degrees",
-    "equivalence_rows",
 ]
 
 # iterated-operator powers always offered as K-functional candidates
 CANDIDATE_POWERS = (1, 2, 7)
-
-
-@dataclass(frozen=True)
-class ModulusQuery:
-    """One modulus evaluation: corpus function id, scale t, norm index p."""
-    function_id: str
-    t: float
-    p: float
-    theta_grid_size: int = 64
-    d: int = 3
-
-    def __post_init__(self):
-        if not 0.0 < self.t <= np.pi:
-            raise ValueError(f"modulus scale must be in (0, pi], got {self.t}")
-
-
-@dataclass(frozen=True)
-class KFunctionalQuery:
-    """One K-functional estimate: corpus function id, scale t, norm index p,
-    and the smoothing degrees whose means are offered as candidates."""
-    function_id: str
-    t: float
-    p: float
-    candidate_degrees: tuple = ()
-    d: int = 3
-
-    def __post_init__(self):
-        if self.candidate_degrees and min(self.candidate_degrees) < 1:
-            raise ValueError("candidate degrees must all be >= 1")
 
 
 def _theta_scan(t, size):
@@ -148,16 +115,3 @@ def k_functional_estimate(f, t, p, d, candidate_degrees=None, order=None):
     laps = lp_norms_batch(np.column_stack(lap_cols), f.lam, p, d, order=order)
     return float(np.min(diffs + t * t * laps))
 
-
-def equivalence_rows(f, function_id, p, t_list, d, theta_grid_size=64, order=None):
-    """Per-scale rows (function_id, p, t, omega, k_estimate, ratio) comparing
-    the modulus with the K-functional estimate; the ratio is NaN when both
-    quantities vanish (constants)."""
-    rows = []
-    for t in t_list:
-        om = modulus(f, t, p, d, theta_grid_size=theta_grid_size, order=order)
-        kf = k_functional_estimate(f, t, p, d, order=order)
-        ratio = om / kf if kf > 1e-12 else float("nan")
-        rows.append({"function_id": function_id, "p": p, "t": t,
-                     "omega": om, "k_estimate": kf, "ratio": ratio})
-    return rows

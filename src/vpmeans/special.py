@@ -1,5 +1,5 @@
-"""Scalar special functions: log-Gamma, Gegenbauer polynomials, and the
-oscillation envelope used in the multiplier estimates.
+"""Scalar special functions: Gegenbauer polynomials, harmonic dimensions, and
+the oscillation envelope used in the multiplier estimates.
 
 Everything here is a pure function of its arguments.  Gegenbauer polynomials
 are evaluated by the upward three-term recurrence with seeds P_0 = 1 and
@@ -7,9 +7,9 @@ P_1(x) = 2*lam*x, the normalization fixed by the generating function
 
     (1 - 2 r x + r^2)^(-lam) = sum_k r^k P_k(x).
 
-All factorial-type quantities are formed from log-Gamma differences and a
-single exponentiation; direct factorial products overflow long before the
-degrees used here.
+The recurrence lives in one place, `_gegenbauer_steps`; the normalized table
+Q_k = P_k / P_k(1), the synthesis of zonal functions and the Legendre
+evaluation behind the Gauss rules all consume its stream.
 """
 
 import math
@@ -17,26 +17,11 @@ import math
 import numpy as np
 
 __all__ = [
-    "log_gamma",
     "harmonic_dim",
-    "gegenbauer_p",
-    "gegenbauer_table",
-    "log_gegenbauer_at_one",
     "q_normalized",
     "q_table",
     "q_envelope",
 ]
-
-
-def log_gamma(x):
-    """ln Gamma(x) for x > 0.
-
-    Relative error is a few ulp across the whole positive axis, comfortably
-    below 1e-13 on (0, 1e6].
-    """
-    if x <= 0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def harmonic_dim(k, d):
@@ -55,60 +40,32 @@ def harmonic_dim(k, d):
     return math.comb(k + d - 2, k) + math.comb(k + d - 3, k - 1)
 
 
-def _check_gegenbauer_args(k, lam, x):
-    if k < 0:
-        raise ValueError(f"polynomial degree must be >= 0, got {k}")
-    if lam < 0.5:
-        raise ValueError(f"gegenbauer index lam must be >= 1/2, got {lam}")
-    if np.any(np.abs(x) > 1.0):
-        raise ValueError("gegenbauer argument must satisfy |x| <= 1")
-
-
-def gegenbauer_p(k, lam, x):
-    """Gegenbauer (ultraspherical) polynomial P_k^lam(x) on [-1, 1].
-
-    Upward recurrence (j+1) P_{j+1} = 2(lam+j) x P_j - (2 lam + j - 1) P_{j-1};
-    lam = 1/2 yields the Legendre polynomials.
-    """
-    xa = np.asarray(x, dtype=float)
-    _check_gegenbauer_args(k, lam, xa)
-    p_prev = np.ones_like(xa)
-    if k == 0:
-        return float(p_prev) if xa.ndim == 0 else p_prev
-    p = 2.0 * lam * xa
-    for j in range(1, k):
-        p, p_prev = (2.0 * (lam + j) * xa * p - (2.0 * lam + j - 1.0) * p_prev) / (j + 1.0), p
-    return float(p) if xa.ndim == 0 else p
-
-
-def gegenbauer_table(k_max, lam, x):
-    """All P_k^lam(x) for k = 0..k_max; shape (len(x), k_max+1)."""
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    _check_gegenbauer_args(k_max, lam, xa)
-    out = np.empty((xa.size, k_max + 1))
-    out[:, 0] = 1.0
+def _gegenbauer_steps(k_max, lam, x):
+    """Yield P_0^lam(x), ..., P_k_max^lam(x) by the upward recurrence
+    (j+1) P_{j+1} = 2(lam+j) x P_j - (2 lam + j - 1) P_{j-1}; lam = 1/2
+    yields the Legendre polynomials.  `x` is an ndarray or a float; P_0 is
+    the float 1.0, which broadcasts against either."""
+    p_prev = 1.0
+    yield p_prev
     if k_max == 0:
-        return out
-    out[:, 1] = 2.0 * lam * xa
+        return
+    p = 2.0 * lam * x
+    yield p
     for j in range(1, k_max):
-        out[:, j + 1] = (2.0 * (lam + j) * xa * out[:, j]
-                         - (2.0 * lam + j - 1.0) * out[:, j - 1]) / (j + 1.0)
-    return out
+        p, p_prev = (2.0 * (lam + j) * x * p - (2.0 * lam + j - 1.0) * p_prev) / (j + 1.0), p
+        yield p
 
 
-def log_gegenbauer_at_one(k, lam):
-    """ln P_k^lam(1) = ln Gamma(k+2 lam) - ln k! - ln Gamma(2 lam)."""
-    if k == 0:
-        return 0.0
-    return math.lgamma(k + 2.0 * lam) - math.lgamma(k + 1.0) - math.lgamma(2.0 * lam)
+def _q_steps(k_max, lam, x):
+    """Yield Q_k^lam(x) = P_k^lam(x) / P_k^lam(1) for k = 0..k_max.  The
+    numerator and the value at 1 run through the same recurrence, which makes
+    Q exactly 1 at x = 1."""
+    for p, one in zip(_gegenbauer_steps(k_max, lam, x), _gegenbauer_steps(k_max, lam, 1.0)):
+        yield p / one
 
 
 def q_normalized(k, lam, theta):
-    """Q_k^lam(cos theta) = P_k^lam(cos theta) / P_k^lam(1), so Q_k(1) = 1.
-
-    The numerator and the value at 1 run through the same recurrence, which
-    makes Q exactly 1 at theta = 0.
-    """
+    """Q_k^lam(cos theta) = P_k^lam(cos theta) / P_k^lam(1), so Q_k(1) = 1."""
     ta = np.asarray(theta, dtype=float)
     if np.any((ta < 0.0) | (ta > np.pi)):
         raise ValueError("q_normalized requires theta in [0, pi]")
@@ -119,22 +76,15 @@ def q_normalized(k, lam, theta):
 
 def q_table(k_max, lam, theta):
     """All Q_k^lam(cos theta) for k = 0..k_max; shape (len(theta), k_max+1)."""
+    if k_max < 0:
+        raise ValueError(f"polynomial degree must be >= 0, got {k_max}")
+    if lam < 0.5:
+        raise ValueError(f"gegenbauer index lam must be >= 1/2, got {lam}")
     ta = np.atleast_1d(np.asarray(theta, dtype=float))
     xa = np.cos(ta)
-    _check_gegenbauer_args(k_max, lam, xa)
     out = np.empty((ta.size, k_max + 1))
-    out[:, 0] = 1.0
-    if k_max == 0:
-        return out
-    p = 2.0 * lam * xa
-    p_prev = np.ones_like(xa)
-    one = 2.0 * lam
-    one_prev = 1.0
-    out[:, 1] = p / one
-    for j in range(1, k_max):
-        p, p_prev = (2.0 * (lam + j) * xa * p - (2.0 * lam + j - 1.0) * p_prev) / (j + 1.0), p
-        one, one_prev = (2.0 * (lam + j) * one - (2.0 * lam + j - 1.0) * one_prev) / (j + 1.0), one
-        out[:, j + 1] = p / one
+    for k, q in enumerate(_q_steps(k_max, lam, xa)):
+        out[:, k] = q
     return out
 
 

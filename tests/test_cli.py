@@ -224,7 +224,7 @@ def test_memo_keys_separate_corpus_seeds(tmp_path, monkeypatch):
 def test_summary_reports_cache_traffic(small_all_run):
     summary = json.loads((small_all_run / "summary.json").read_text())
     caches = summary["diagnostics"]["caches"]
-    assert set(caches) == {"multiplier_prefix", "modulus", "theta_scan"}
+    assert set(caches) == {"multiplier_prefix", "modulus", "theta_scan", "synthesis_context"}
     for stats in caches.values():
         assert stats["hits"] > 0
         assert stats["entries"] == stats["misses"] > 0

@@ -5,11 +5,12 @@ import pytest
 
 from vpmeans.function_space import (INF, GridFunction,
                                     ZonalSpectral, corpus_ids, corpus_member,
-                                    eval_zonal, lp_norm_grid, lp_norm_zonal,
+                                    lp_norm_grid, lp_norm_zonal,
                                     lp_norms_batch, make_corpus, surface_area,
                                     zonal_project, zonal_synthesis)
 from vpmeans.operators import sample_zonal_on_grid
 from vpmeans.quadrature import integrate_theta, sphere_grid
+from vpmeans.special import q_table
 
 
 def unit(k, size):
@@ -25,19 +26,26 @@ def test_surface_area():
 
 
 def test_eval_zonal_basics():
-    const = ZonalSpectral(lam=0.5, coeffs=np.array([3.0]))
-    assert eval_zonal(const, 0.2) == 3.0
+    assert np.all(zonal_synthesis(np.array([3.0]), 0.5, [0.2, -1.0]) == 3.0)
     for k in (0, 2, 9):
-        f = ZonalSpectral(lam=1.0, coeffs=unit(k, 10))
-        assert eval_zonal(f, 1.0) == pytest.approx(1.0, rel=1e-14)
-    f1 = ZonalSpectral(lam=0.8, coeffs=unit(1, 4))
-    assert eval_zonal(f1, math.cos(math.pi / 3)) == pytest.approx(0.5, rel=1e-14)
+        assert zonal_synthesis(unit(k, 10), 1.0, 1.0)[0] == pytest.approx(1.0, rel=1e-14)
+    val = zonal_synthesis(unit(1, 4), 0.8, math.cos(math.pi / 3))[0]
+    assert val == pytest.approx(0.5, rel=1e-14)
 
 
-def test_eval_zonal_domain():
-    f = ZonalSpectral(lam=0.5, coeffs=np.ones(3))
-    with pytest.raises(ValueError):
-        eval_zonal(f, 1.2)
+@pytest.mark.parametrize("lam", [0.5, 1.0, 1.5])
+def test_zonal_synthesis_matches_q_table(lam):
+    coeffs = np.random.default_rng(3).uniform(-1.0, 1.0, 41)
+    theta = np.linspace(0.0, np.pi, 97)
+    ref = q_table(40, lam, theta) @ coeffs
+    got = zonal_synthesis(coeffs, lam, np.cos(theta))
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # summed degree by degree in the same order, the two agree exactly
+    tab = q_table(40, lam, theta)
+    acc = np.full(theta.size, coeffs[0])
+    for k in range(1, 41):
+        acc += coeffs[k] * tab[:, k]
+    assert np.array_equal(got, acc)
 
 
 def test_project_constant_and_cosine():

@@ -4,11 +4,13 @@ import pytest
 from vpmeans.function_space import (INF, ZonalSpectral, corpus_member,
                                     lp_norm_zonal)
 from vpmeans.kernel import MultiplierSequence, kernel_spec, multiplier_sequence
-from vpmeans.operators import (OperatorDescriptor, apply_multiplier,
-                               laplace_beltrami, orthonormal_completion,
+from vpmeans.operators import (apply_multiplier, laplace_beltrami,
+                               laplace_multipliers, orthonormal_completion,
                                sample_zonal_on_grid, translate_direct,
-                               translate_spectral, vpm_grid, vpm_iterated,
-                               vpm_means, zonal_point_function)
+                               translate_spectral, translation_multipliers,
+                               vpm_grid, vpm_iterated, vpm_means,
+                               vpm_multipliers, vpm_power_multipliers,
+                               zonal_point_function)
 from vpmeans.quadrature import sphere_grid
 from vpmeans.special import q_normalized, q_table
 
@@ -231,28 +233,27 @@ def test_vpm_grid_requires_d3():
         vpm_grid(gf, 4, spec=kernel_spec(4, 5))
 
 
-def test_operator_descriptor_sequences():
+def test_operator_multiplier_sequences():
     k_max = 9
     lam = 0.5
     f = random_spectral(size=k_max + 1)
     cases = [
-        (OperatorDescriptor(kind="vpm", d=3, n=5), multiplier_sequence(5, lam, k_max)),
-        (OperatorDescriptor(kind="vpm_power", d=3, n=5, m=3),
-         multiplier_sequence(5, lam, k_max) ** 3),
-        (OperatorDescriptor(kind="translation", d=3, theta=0.6),
-         q_table(k_max, lam, 0.6)[0]),
-        (OperatorDescriptor(kind="laplace_beltrami", d=3),
+        (vpm_multipliers(5, lam, k_max), multiplier_sequence(5, lam, k_max)),
+        (vpm_power_multipliers(5, 3, lam, k_max), multiplier_sequence(5, lam, k_max) ** 3),
+        (translation_multipliers(0.6, lam, k_max), q_table(k_max, lam, 0.6)[0]),
+        (laplace_multipliers(lam, k_max, power=1),
          -np.arange(k_max + 1.0) * (np.arange(k_max + 1.0) + 1.0)),
-        (OperatorDescriptor(kind="laplace_beltrami_squared", d=3),
+        (laplace_multipliers(lam, k_max, power=2),
          (np.arange(k_max + 1.0) * (np.arange(k_max + 1.0) + 1.0)) ** 2),
     ]
-    for descriptor, expect in cases:
-        got = descriptor.multipliers(k_max).values
-        assert np.max(np.abs(got - expect)) <= 1e-12
-        applied = apply_multiplier(f, descriptor.multipliers(k_max)).coeffs
+    for mult, expect in cases:
+        assert np.max(np.abs(mult.values - expect)) <= 1e-12
+        applied = apply_multiplier(f, mult).coeffs
         assert np.max(np.abs(applied - f.coeffs * expect)) <= 1e-12
     with pytest.raises(ValueError):
-        OperatorDescriptor(kind="fourier", d=3).multipliers(4)
+        vpm_power_multipliers(5, 0, lam, k_max)
+    with pytest.raises(ValueError):
+        laplace_multipliers(lam, k_max, power=3)
 
 
 def test_bernstein_multiplier_window():

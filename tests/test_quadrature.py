@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from vpmeans.quadrature import (gauss_legendre, integrate_grid, integrate_theta,
-                                mapped_rule, sphere_grid)
+from vpmeans.quadrature import (_legendre_and_derivative, gauss_legendre,
+                                integrate_grid, integrate_theta, mapped_rule,
+                                sphere_grid)
 from vpmeans.special import q_table
 
 
@@ -35,6 +36,19 @@ def test_rule_matches_numpy(order):
     ref_x, ref_w = np.polynomial.legendre.leggauss(order)
     assert np.max(np.abs(rule.nodes - ref_x)) < 1e-13
     assert np.max(np.abs(rule.weights - ref_w)) < 1e-13
+
+
+def test_legendre_bit_identical_to_loop():
+    # the Legendre loop the Gauss rules ran before sharing the Gegenbauer
+    # recurrence at lam = 1/2; the rules must not move by a single ulp
+    x = np.linspace(-0.99, 0.99, 57)
+    for n in (1, 2, 7, 64, 257):
+        p_prev, p = np.ones_like(x), x.copy()
+        for j in range(2, n + 1):
+            p, p_prev = ((2.0 * j - 1.0) * x * p - (j - 1.0) * p_prev) / j, p
+        got_p, got_dp = _legendre_and_derivative(n, x)
+        assert np.array_equal(got_p, p)
+        assert np.array_equal(got_dp, n * (x * p - p_prev) / (x * x - 1.0))
 
 
 def test_rule_invariants():
@@ -75,8 +89,11 @@ def test_integrate_theta_constant_profiles():
 
 
 def test_integrate_theta_scalar_callable():
-    val = integrate_theta(lambda t: float(np.cos(t)) ** 2, 0.5, 16)
-    assert val == pytest.approx(2.0 / 3.0, abs=1e-13)
+    # callables must accept the node array; a scalar-only one fails loudly
+    with pytest.raises(TypeError):
+        integrate_theta(lambda t: float(np.cos(t)) ** 2, 0.5, 16)
+    with pytest.raises(ValueError, match=r"expected the node shape \(16,\)"):
+        integrate_theta(lambda t: 1.0, 0.5, 16)
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])

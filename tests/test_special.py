@@ -4,37 +4,7 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
-from vpmeans.special import (gegenbauer_p, gegenbauer_table, harmonic_dim,
-                             log_gamma, log_gegenbauer_at_one, q_envelope,
-                             q_normalized, q_table)
-
-
-def test_log_gamma_known_values():
-    assert log_gamma(1.0) == 0.0
-    assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-15)
-    # Gamma(1/2) = sqrt(pi)
-    assert log_gamma(0.5) == pytest.approx(0.5723649429247001, abs=1e-14)
-
-
-def test_log_gamma_matches_scipy():
-    x = np.logspace(-2, 6, 200)
-    ours = np.array([log_gamma(v) for v in x])
-    ref = sps.gammaln(x)
-    denom = np.maximum(np.abs(ref), 1.0)
-    assert np.max(np.abs(ours - ref) / denom) < 1e-13
-
-
-def test_log_gamma_recurrence():
-    for x in np.logspace(-1, 6, 60):
-        lhs = log_gamma(x + 1.0)
-        rhs = log_gamma(x) + math.log(x)
-        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
-
-
-def test_log_gamma_domain():
-    for bad in (0.0, -1.0, -0.5):
-        with pytest.raises(ValueError):
-            log_gamma(bad)
+from vpmeans.special import harmonic_dim, q_envelope, q_normalized, q_table
 
 
 def test_harmonic_dim_d3_is_2k_plus_1():
@@ -66,37 +36,33 @@ def test_harmonic_dim_domain():
 
 
 def test_gegenbauer_seeds_and_values():
-    assert gegenbauer_p(0, 0.7, 0.3) == 1.0
+    theta = np.array([0.0, 0.4, np.pi / 2, np.pi])
+    # seeds: Q_0 = 1 and Q_1(x) = 2 lam x / (2 lam) = x
+    tab = q_table(1, 0.7, theta)
+    assert np.all(tab[:, 0] == 1.0)
+    assert np.allclose(tab[:, 1], np.cos(theta), atol=1e-15)
     # lam = 1/2 gives Legendre; P_2(0) = -1/2 from the recurrence by hand
-    assert gegenbauer_p(2, 0.5, 0.0) == pytest.approx(-0.5, abs=1e-15)
-    # P_3^1(1) = Gamma(5)/(3! Gamma(2)) = 4
-    assert gegenbauer_p(3, 1.0, 1.0) == pytest.approx(4.0, rel=1e-14)
+    assert q_table(2, 0.5, np.pi / 2)[0, 2] == pytest.approx(-0.5, abs=1e-15)
+    # P_3^1(x) = 8x^3 - 4x and P_3^1(1) = 4, so Q_3^1(1/2) = (1 - 2) / 4
+    assert q_table(3, 1.0, np.pi / 3)[0, 3] == pytest.approx(-0.25, abs=1e-15)
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 1.5, 2.5])
 def test_gegenbauer_matches_scipy(lam):
-    x = np.linspace(-1.0, 1.0, 41)
+    theta = np.linspace(0.0, np.pi, 41)
+    tab = q_table(40, lam, theta)
     for k in range(0, 41, 4):
-        ref = sps.eval_gegenbauer(k, lam, x)
-        ours = gegenbauer_p(k, lam, x)
+        ref = sps.eval_gegenbauer(k, lam, np.cos(theta))
+        ours = tab[:, k] * sps.eval_gegenbauer(k, lam, 1.0)
         scale = np.maximum(np.abs(ref), 1.0)
         assert np.max(np.abs(ours - ref) / scale) < 1e-11
 
 
-def test_gegenbauer_at_one_log_form():
-    for lam in (0.5, 1.0, 1.5):
-        for k in (0, 1, 5, 40):
-            direct = gegenbauer_p(k, lam, 1.0)
-            assert math.exp(log_gegenbauer_at_one(k, lam)) == pytest.approx(direct, rel=1e-12)
-
-
 def test_gegenbauer_domain():
     with pytest.raises(ValueError):
-        gegenbauer_p(3, 0.5, 1.5)
+        q_table(-1, 0.5, 0.3)
     with pytest.raises(ValueError):
-        gegenbauer_p(-1, 0.5, 0.0)
-    with pytest.raises(ValueError):
-        gegenbauer_p(3, 0.3, 0.0)
+        q_table(3, 0.3, 0.3)
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.5])
@@ -107,8 +73,9 @@ def test_generating_function(lam, r):
     closed = (1.0 - 2.0 * r * x + r * r) ** (-lam)
     errs = []
     for kmax in (10, 20, 40):
-        tab = gegenbauer_table(kmax, lam, x)
-        partial = tab @ (r ** np.arange(kmax + 1))
+        # P_k(x) = Q_k(x) P_k(1), with P_k(1) from scipy
+        at_one = sps.eval_gegenbauer(np.arange(kmax + 1), lam, 1.0)
+        partial = q_table(kmax, lam, theta) @ (at_one * r ** np.arange(kmax + 1))
         errs.append(np.max(np.abs(partial - closed)))
     # geometric decay until the rounding floor
     assert errs[1] < errs[0]
@@ -144,6 +111,28 @@ def test_q_normalized_domain():
         q_normalized(3, 0.5, -0.1)
     with pytest.raises(ValueError):
         q_normalized(3, 0.5, 3.2)
+
+
+def _two_stream_q_table(k_max, lam, theta):
+    # the separate numerator and value-at-1 loops that q_table ran before the
+    # recurrence moved into one generator; the stored benchmark outputs hold
+    # rounding-level cells, so the merged form must match it bit for bit
+    x = np.cos(theta)
+    out = np.empty((x.size, k_max + 1))
+    out[:, 0] = 1.0
+    p, p_prev, one, one_prev = 2.0 * lam * x, np.ones_like(x), 2.0 * lam, 1.0
+    out[:, 1] = p / one
+    for j in range(1, k_max):
+        p, p_prev = (2.0 * (lam + j) * x * p - (2.0 * lam + j - 1.0) * p_prev) / (j + 1.0), p
+        one, one_prev = (2.0 * (lam + j) * one - (2.0 * lam + j - 1.0) * one_prev) / (j + 1.0), one
+        out[:, j + 1] = p / one
+    return out
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 1.5, 2.5])
+def test_q_table_bit_identical_to_two_stream_loop(lam):
+    theta = np.linspace(0.0, np.pi, 129)
+    assert np.array_equal(q_table(300, lam, theta), _two_stream_q_table(300, lam, theta))
 
 
 def test_q_envelope_branches():
