@@ -12,14 +12,12 @@ from .function_space import (GridFunction, ZonalProfile, ZonalSpectral,
                              corpus_ids, corpus_member, lp_norm_grid,
                              lp_norm_zonal, lp_norms_batch, make_corpus,
                              surface_area, zonal_project, zonal_synthesis)
-from .kernel import (ConvergenceError, KernelSpec, MultiplierSequence,
-                     alpha_voronovskaya, kernel_norm_constant, kernel_spec,
-                     lemma_integral, multiplier_sequence,
-                     multiplier_via_quadrature, multiplier_weight,
-                     vpm_kernel_eval)
-from .operators import (apply_multiplier, laplace_beltrami, translate_direct,
-                        translate_spectral, vpm_grid, vpm_iterated, vpm_means,
-                        zonal_point_function)
+from .kernel import (ConvergenceError, KernelSpec, alpha_voronovskaya,
+                     kernel_norm_constant, kernel_spec, lemma_integral,
+                     multiplier_sequence, multiplier_via_quadrature,
+                     multiplier_weight, vpm_kernel_eval)
+from .operators import (laplace_beltrami, translate_direct, translate_spectral,
+                        vpm_grid, vpm_iterated, vpm_means, zonal_point_function)
 from .quadrature import (QuadratureRule, SphereGrid, gauss_legendre,
                          integrate_grid, integrate_theta, sphere_grid)
 from .smoothness import k_functional_estimate, modulus

@@ -8,13 +8,14 @@ Configuration comes from a flat key=value file plus flags; flags win.
 
 import argparse
 import datetime
+import hashlib
 import json
 import os
 import sys
 import tempfile
 from dataclasses import dataclass, fields, replace
 
-from .experiments import (config_hash, measure_envelope_constant,
+from .experiments import (measure_envelope_constant,
                           run_converse_suite, run_delayed_max_suite,
                           run_lemma_suite, run_modulus_suite,
                           run_multiplier_identity_suite, run_selftest_suite,
@@ -22,7 +23,7 @@ from .experiments import (config_hash, measure_envelope_constant,
 from .function_space import corpus_ids
 from .memo import clear_run_memos, run_memo_stats
 
-__all__ = ["RunConfig", "ConfigError", "parse_config", "dispatch", "main"]
+__all__ = ["RunConfig", "ConfigError", "config_hash", "parse_config", "dispatch", "main"]
 
 INF = float("inf")
 
@@ -61,7 +62,8 @@ class RunConfig:
     equivalence_window: float = 50.0
 
     def snapshot(self):
-        """Stringified mapping used for hashing and report metadata."""
+        """Stringified mapping recorded in summary.json and hashed into
+        `config_hash`."""
         out = {}
         for f in fields(self):
             value = getattr(self, f.name)
@@ -69,6 +71,12 @@ class RunConfig:
                 value = ",".join(str(v) for v in value)
             out[f.name] = str(value)
         return out
+
+
+def config_hash(config_mapping):
+    """Short stable hash of a flat configuration mapping."""
+    canon = ";".join(f"{k}={config_mapping[k]}" for k in sorted(config_mapping))
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
 
 
 def _parse_int_list(text):
@@ -137,6 +145,10 @@ def _read_config_file(path):
 def _validate(config):
     if config.d < 3:
         raise ConfigError(f"d must be >= 3, got {config.d}")
+    if config.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {config.seed}")
+    if config.n_max < 0:
+        raise ConfigError(f"n_max must be >= 0, got {config.n_max}")
     known = set(corpus_ids(config.seed))
     for fid in config.corpus:
         if fid not in known:
@@ -191,44 +203,53 @@ def _auto_order(config):
 
 
 def _run_one(config, suite):
-    snapshot = config.snapshot()
     if suite == "multipliers":
         return run_multiplier_identity_suite(config.d, config.n_max,
                                              tol=config.multiplier_tol,
-                                             order=_auto_order(config), config=snapshot)
+                                             order=_auto_order(config))
     if suite == "lemmas":
-        return run_lemma_suite(config.d, config.n_list, window=config.lemma_window,
-                               config=snapshot)
+        return run_lemma_suite(config.d, config.n_list, window=config.lemma_window)
     if suite == "voronovskaya":
         return run_voronovskaya_suite(config.d, config.n_list,
                                       window=config.voronovskaya_window,
-                                      alpha_bounds=(config.alpha_low, config.alpha_high),
-                                      config=snapshot)
+                                      alpha_bounds=(config.alpha_low, config.alpha_high))
     if suite == "converse":
         return run_converse_suite(config.corpus, config.p_list, config.n_list,
                                   config.d, window=config.converse_window,
                                   seed=config.seed,
-                                  theta_grid_size=config.theta_grid_size,
-                                  config=snapshot)
+                                  theta_grid_size=config.theta_grid_size)
     if suite == "delayed-max":
         k_cap = config.k_cap or 2 * max(config.n_list)
         return run_delayed_max_suite(config.corpus, config.p_list, config.n_list,
                                      k_cap, config.d, window=config.delayed_window,
                                      seed=config.seed,
-                                     theta_grid_size=config.theta_grid_size,
-                                     config=snapshot)
+                                     theta_grid_size=config.theta_grid_size)
     if suite == "modulus":
         return run_modulus_suite(config.corpus, config.p_list, config.n_list,
                                  config.d, window=config.equivalence_window,
                                  seed=config.seed,
-                                 theta_grid_size=config.theta_grid_size,
-                                 config=snapshot)
+                                 theta_grid_size=config.theta_grid_size)
     if suite == "selftest":
-        return run_selftest_suite(seed=config.seed, config=snapshot)
+        return run_selftest_suite(seed=config.seed)
     raise ConfigError(f"unknown suite: {suite!r}")
 
 
-def _write_summary(config, reports, path):
+def _write_atomic(path, text):
+    """Write `text` to a temp file in the target directory and rename it over
+    `path`, so a reader never sees a partial file."""
+    directory = os.path.dirname(os.path.abspath(path)) or "."
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _summary(config, snapshot, digest, reports):
     constants = {
         "envelope_c5": None,
         "n_alpha_window": None,
@@ -249,31 +270,22 @@ def _write_summary(config, reports, path):
         # cheap variant so the summary always reports the measured constant
         constants["envelope_c5"] = measure_envelope_constant(
             d_list=(config.d,), k_max=128, grid_size=512)
-    payload = {
-        "config_hash": config_hash(config.snapshot()),
+    return {
+        "config_hash": digest,
         "generated": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "config": config.snapshot(),
+        "config": snapshot,
         "suites": {r.suite: {"passed": r.passed, "measured": r.measured} for r in reports},
         "constants": constants,
         "diagnostics": {"caches": run_memo_stats()},
     }
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True, default=str)
-            handle.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def dispatch(config, suite):
     """Run one suite (or 'all'), write CSV + summary.json under out_dir, and
-    return the process exit code.  The run memos start empty, so each
-    spectral quantity is computed once per run and no value outlives it."""
+    return the process exit code.  Every CSV starts with a comment line
+    `# suite=<name> config_hash=<hash> generated=<UTC ISO time>` whose hash
+    is the summary's.  The run memos start empty, so each spectral quantity
+    is computed once per run and no value outlives it."""
     clear_run_memos()
     try:
         os.makedirs(config.out_dir, exist_ok=True)
@@ -281,15 +293,22 @@ def dispatch(config, suite):
         print(f"error: cannot create output directory {config.out_dir!r}: {exc}",
               file=sys.stderr)
         return 2
+    snapshot = config.snapshot()
+    digest = config_hash(snapshot)
     names = SUITES if suite == "all" else (suite,)
     reports = []
     for name in names:
         report = _run_one(config, name)
-        report.write_csv(os.path.join(config.out_dir, f"{name}.csv"))
+        generated = datetime.datetime.now(datetime.timezone.utc).isoformat()
+        _write_atomic(os.path.join(config.out_dir, f"{name}.csv"),
+                      f"# suite={name} config_hash={digest} generated={generated}\n"
+                      + report.csv_body())
         reports.append(report)
         status = "pass" if report.passed else "FAIL"
         print(f"[{status}] {name}: {len(report.rows)} rows")
-    _write_summary(config, reports, os.path.join(config.out_dir, "summary.json"))
+    summary = _summary(config, snapshot, digest, reports)
+    _write_atomic(os.path.join(config.out_dir, "summary.json"),
+                  json.dumps(summary, indent=2, sort_keys=True, default=str) + "\n")
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -8,20 +8,17 @@ for constants that are never pinned down analytically, so the windows are
 generous and live in configuration rather than in the math.
 """
 
-import datetime
-import hashlib
 import math
-import os
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .function_space import (INF, ZonalSpectral, lp_norms_batch, make_corpus,
+from .function_space import (INF, ZonalSpectral, corpus_member, lp_norms_batch,
                              zonal_project, zonal_synthesis)
 from .kernel import (alpha_voronovskaya, kernel_norm_constant, kernel_spec,
                      lemma_integral, multiplier_sequence, multiplier_via_quadrature,
                      multiplier_weight, vpm_kernel_eval)
+from .memo import RunMemo
 from .operators import (sample_zonal_on_grid, translate_direct, vpm_grid,
                         zonal_point_function)
 from .quadrature import gauss_legendre, integrate_theta, sphere_grid
@@ -39,16 +36,9 @@ __all__ = [
     "run_modulus_suite",
     "run_selftest_suite",
     "measure_envelope_constant",
-    "config_hash",
 ]
 
 DEGENERATE_FLOOR = 1e-12
-
-
-def config_hash(config_mapping):
-    """Short stable hash of a flat configuration mapping."""
-    canon = ";".join(f"{k}={config_mapping[k]}" for k in sorted(config_mapping))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
 
 
 def _fmt(value):
@@ -62,13 +52,12 @@ class ExperimentReport:
     """Tabular result of one suite run.
 
     The CSV body (header plus rows) is deterministic for a fixed
-    configuration; the generation timestamp lives in a leading comment line
-    so that byte-identity of reruns can be checked on everything below it.
+    configuration.  Suites that re-run a cell at a finer resolution record
+    that verdict as measured["refinement_check"]; it is part of `passed`.
     """
     suite: str
     columns: list
     rows: list
-    metadata: dict
     passed: bool
     measured: dict = field(default_factory=dict)
 
@@ -77,34 +66,6 @@ class ExperimentReport:
         for row in self.rows:
             lines.append(",".join(_fmt(row[c]) for c in self.columns))
         return "\n".join(lines) + "\n"
-
-    def write_csv(self, path):
-        """Atomic write: compose to a temp file in the target directory and
-        rename over the destination."""
-        header = (f"# suite={self.suite} config_hash={self.metadata.get('config_hash', '')} "
-                  f"generated={self.metadata.get('generated', '')}\n")
-        directory = os.path.dirname(os.path.abspath(path)) or "."
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(header)
-                handle.write(self.csv_body())
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-
-
-def _metadata(config=None):
-    from . import __version__
-    cfg = dict(config or {})
-    return {
-        "config_hash": config_hash(cfg),
-        "generated": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "version": __version__,
-        "config": cfg,
-    }
 
 
 def _window(values):
@@ -118,49 +79,41 @@ def _window(values):
 # workspace: corpus functions in spectral form at a fixed dimension
 
 
+_CORPUS_SPECTRAL = RunMemo("corpus_spectral")
+
+
 class Workspace:
     """Prepared corpus at one dimension: every function id resolved to a
     spectral representation on a shared band limit K = 4 n_max + 64, with
     exact coefficients for band-limited members and quadrature projection
-    for the rest."""
+    for the rest.  Representations are memoised per run on (d, K, seed,
+    function id), so the suites of one run share each projection."""
 
-    def __init__(self, d, n_max, seed=42, band_limit=None, projection_order=None):
+    def __init__(self, d, n_max, seed=42, band_limit=None):
         self.d = d
         self.lam = (d - 2) / 2.0
         self.seed = seed
         self.band_limit = band_limit if band_limit is not None else 4 * n_max + 64
-        self.projection_order = projection_order or (2 * self.band_limit + 32)
-        self._profiles = {m.tag: m for m in make_corpus(d, seed=seed)}
-        self._spectral = {}
-
-    def profile(self, function_id):
-        try:
-            return self._profiles[function_id]
-        except KeyError:
-            raise LookupError(f"unknown corpus function id: {function_id!r}") from None
 
     def spectral(self, function_id):
-        cached = self._spectral.get(function_id)
-        if cached is not None:
-            return cached
-        member = self.profile(function_id)
+        return _CORPUS_SPECTRAL.lookup((self.d, self.band_limit, self.seed, function_id),
+                                       lambda: self._resolve(function_id))
+
+    def _resolve(self, function_id):
+        member = corpus_member(self.d, function_id, seed=self.seed)
         if member.coeffs is not None:
             coeffs = np.zeros(self.band_limit + 1)
             coeffs[:len(member.coeffs)] = member.coeffs
             coeffs.setflags(write=False)
-            out = ZonalSpectral(lam=self.lam, coeffs=coeffs, projection_residual=0.0)
-        else:
-            out = zonal_project(member, self.band_limit, self.lam,
-                                order=self.projection_order)
-        self._spectral[function_id] = out
-        return out
+            return ZonalSpectral(lam=self.lam, coeffs=coeffs, projection_residual=0.0)
+        return zonal_project(member, self.band_limit, self.lam)
 
 
 # ---------------------------------------------------------------------------
 # suites
 
 
-def run_multiplier_identity_suite(d, n_max, tol=1e-9, order=None, config=None):
+def run_multiplier_identity_suite(d, n_max, tol=1e-9, order=None):
     """Closed-form multiplier weights against their quadrature route for all
     n <= n_max and k <= n + 4, including the exact zeros at k > n."""
     lam = (d - 2) / 2.0
@@ -183,20 +136,19 @@ def run_multiplier_identity_suite(d, n_max, tol=1e-9, order=None, config=None):
         refine_ok = abs(doubled - multiplier_weight(n, k, lam)) <= tol
     max_diff = max(r["abs_diff"] for r in rows)
     passed = max_diff <= tol and refine_ok
-    meta = _metadata(config)
-    meta["refinement_check"] = refine_ok
     return ExperimentReport(
         suite="multipliers",
         columns=["d", "n", "k", "closed_form", "quadrature", "abs_diff"],
-        rows=rows, metadata=meta, passed=passed,
-        measured={"max_abs_diff": max_diff, "tolerance": tol},
+        rows=rows, passed=passed,
+        measured={"max_abs_diff": max_diff, "tolerance": tol,
+                  "refinement_check": refine_ok},
     )
 
 
 _LEMMA_QUANTITIES = ("fourth_moment", "neg_lambda", "neg_two_over_m_7", "norm_constant")
 
 
-def run_lemma_suite(d, n_list, window=2.0, config=None):
+def run_lemma_suite(d, n_list, window=2.0):
     """Kernel moment scalings: n^2 * fourth moment, n^(-lam/2) * inverse-power
     moment, n^(-1/7) * the m = 7 variant, and n^((d-1)/2) * I_{n,d}.  Each
     normalized sequence must stay in a max/min window over the upper half of
@@ -230,18 +182,17 @@ def run_lemma_suite(d, n_list, window=2.0, config=None):
     fine = lemma_integral(n_top, d, "neg_lambda", order=4 * (n_top + 64))
     refine_ok = abs(fine - coarse) <= 1e-6 * abs(coarse)
     passed = passed and refine_ok
-    meta = _metadata(config)
-    meta["refinement_check"] = refine_ok
     return ExperimentReport(
         suite="lemmas",
         columns=["d", "n", "quantity", "value", "normalized"],
-        rows=rows, metadata=meta, passed=passed,
-        measured={"windows": windows, "window_bound": window},
+        rows=rows, passed=passed,
+        measured={"windows": windows, "window_bound": window,
+                  "refinement_check": refine_ok},
     )
 
 
 def run_voronovskaya_suite(d, n_list, k_max_rule=None, window=3.0,
-                           alpha_bounds=(0.5, 2.0), config=None):
+                           alpha_bounds=(0.5, 2.0)):
     """Second-order expansion of the means on single harmonics: the residual
 
         |omega_{n,k} - 1 + alpha(n) k (k+d-2)|
@@ -274,15 +225,14 @@ def run_voronovskaya_suite(d, n_list, k_max_rule=None, window=3.0,
     a2 = alpha_voronovskaya(n_top, d, rtol=1e-11)
     refine_ok = abs(a1 - a2) <= 1e-6 * abs(a2)
     passed = ratio <= window and alpha_ok and refine_ok
-    meta = _metadata(config)
-    meta["refinement_check"] = refine_ok
     return ExperimentReport(
         suite="voronovskaya",
         columns=["d", "n", "k", "alpha_n", "n_alpha", "residual", "normalized"],
-        rows=rows, metadata=meta, passed=passed,
+        rows=rows, passed=passed,
         measured={"normalized_window": {"min": lo, "max": hi, "ratio": ratio},
                   "n_alpha": {str(n): v for n, v in sorted(n_alpha.items())},
-                  "window_bound": window, "alpha_bounds": list(alpha_bounds)},
+                  "window_bound": window, "alpha_bounds": list(alpha_bounds),
+                  "refinement_check": refine_ok},
     )
 
 
@@ -336,7 +286,7 @@ def _modulus_grid_check(f, t, p, d, theta_grid_size):
 
 def run_converse_suite(corpus, p_list, n_list, d, window=25.0, seed=42,
                        theta_grid_size=64, chain_powers=(2, 7),
-                       chain_slack=1e-8, config=None):
+                       chain_slack=1e-8):
     """Operator error against the modulus at the matched scale: for each
     corpus function and p, r_n = ||V_n f - f||_p / omega(f, n^(-1/2))_p must
     stay positive with max r / min r <= window over n_list.  Functions whose
@@ -373,20 +323,18 @@ def run_converse_suite(corpus, p_list, n_list, d, window=25.0, seed=42,
         refine_ok = _modulus_grid_check(ws.spectral(fid), n_list[-1] ** -0.5, p, d,
                                         theta_grid_size)
         passed = passed and refine_ok
-    meta = _metadata(config)
-    meta["refinement_check"] = refine_ok
     return ExperimentReport(
         suite="converse",
         columns=["function_id", "p", "n", "e_n", "w_n", "ratio", "flag"],
         rows=sorted(rows, key=lambda r: (r["function_id"], r["p"], r["n"])),
-        metadata=meta, passed=passed,
+        passed=passed,
         measured={"ratio_windows": ratio_windows, "window_bound": window,
-                  "chain_excess": chain_worst},
+                  "chain_excess": chain_worst, "refinement_check": refine_ok},
     )
 
 
 def run_delayed_max_suite(corpus, p_list, n_list, k_cap, d, window=25.0,
-                          seed=42, theta_grid_size=64, config=None):
+                          seed=42, theta_grid_size=64):
     """Truncated delayed-maximum comparison: max over k in [n, k_cap] of
     ||V_k f - f||_p against omega(f, n^(-1/2))_p.  The untruncated statement
     maximizes over all k >= n, so every row is flagged TRUNCATED."""
@@ -414,19 +362,18 @@ def run_delayed_max_suite(corpus, p_list, n_list, k_cap, d, window=25.0,
     refine_ok = _modulus_grid_check(ws.spectral(corpus[-1]), n_list[-1] ** -0.5,
                                     p_list[-1], d, theta_grid_size)
     passed = passed and refine_ok
-    meta = _metadata(config)
-    meta["refinement_check"] = refine_ok
     return ExperimentReport(
         suite="delayed-max",
         columns=["function_id", "p", "n", "k_cap", "max_err", "w_n", "ratio", "flag"],
         rows=sorted(rows, key=lambda r: (r["function_id"], r["p"], r["n"])),
-        metadata=meta, passed=passed,
-        measured={"ratio_windows": windows, "window_bound": window},
+        passed=passed,
+        measured={"ratio_windows": windows, "window_bound": window,
+                  "refinement_check": refine_ok},
     )
 
 
 def run_modulus_suite(corpus, p_list, n_list, d, window=50.0, seed=42,
-                      theta_grid_size=64, config=None):
+                      theta_grid_size=64):
     """Modulus versus K-functional estimate at the scales t = n^(-1/2):
     their ratio must stay inside [1/window, window] wherever both are
     nonzero."""
@@ -454,14 +401,13 @@ def run_modulus_suite(corpus, p_list, n_list, d, window=50.0, seed=42,
     refine_ok = _modulus_grid_check(ws.spectral(corpus[-1]), min(n_list) ** -0.5, 2.0, d,
                                     theta_grid_size)
     passed = passed and refine_ok
-    meta = _metadata(config)
-    meta["refinement_check"] = refine_ok
     return ExperimentReport(
         suite="modulus",
         columns=["function_id", "p", "t", "omega", "k_estimate", "ratio", "flag"],
         rows=sorted(rows, key=lambda r: (r["function_id"], r["p"], -r["t"])),
-        metadata=meta, passed=passed,
-        measured={"ratio_range": worst, "window_bound": window},
+        passed=passed,
+        measured={"ratio_range": worst, "window_bound": window,
+                  "refinement_check": refine_ok},
     )
 
 
@@ -485,7 +431,7 @@ def measure_envelope_constant(d_list=(3, 4, 5), k_max=512, grid_size=2048):
     return worst
 
 
-def run_selftest_suite(seed=42, config=None):
+def run_selftest_suite(seed=42):
     """Quick battery over the structural invariants of every module: rule
     exactness, orthogonality, kernel normalization, the closed-form collapse
     of alpha at d = 3, operator laws, the two-pathway oracles at d = 3, and
@@ -562,11 +508,9 @@ def run_selftest_suite(seed=42, config=None):
     record("envelope_constant", c5, 10.0, c5 <= 10.0)
 
     passed = all(c["passed"] for c in checks)
-    meta = _metadata(config)
-    meta["refinement_check"] = True
     return ExperimentReport(
         suite="selftest",
         columns=["check", "value", "bound", "passed"],
-        rows=checks, metadata=meta, passed=passed,
+        rows=checks, passed=passed,
         measured={"envelope_constant": c5},
     )

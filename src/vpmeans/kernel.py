@@ -19,7 +19,6 @@ from .special import q_normalized
 __all__ = [
     "ConvergenceError",
     "KernelSpec",
-    "MultiplierSequence",
     "kernel_spec",
     "kernel_norm_constant",
     "vpm_kernel_eval",
@@ -61,14 +60,6 @@ class KernelSpec:
     d: int
     lam: float
     log_norm: float
-
-
-@dataclass(frozen=True)
-class MultiplierSequence:
-    """Diagonal action of a spectral operator: values[k] scales the degree-k
-    harmonic component.  `source` identifies the operator for reports."""
-    values: np.ndarray
-    source: str
 
 
 def kernel_norm_constant(n, d):

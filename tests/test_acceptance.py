@@ -247,9 +247,8 @@ def test_c12_modulus_k_equivalence(ws3):
 
 
 def test_c13_determinism():
-    cfg = {"d": "3", "n_max": "8"}
-    a = run_multiplier_identity_suite(3, 8, config=cfg)
-    b = run_multiplier_identity_suite(3, 8, config=cfg)
+    a = run_multiplier_identity_suite(3, 8)
+    b = run_multiplier_identity_suite(3, 8)
     small = ("cusp:1.0", "harmonic:4")
     c = run_converse_suite(small, (2.0,), (4, 8), 3)
     d = run_converse_suite(small, (2.0,), (4, 8), 3)

@@ -1,9 +1,12 @@
+import datetime
 import json
+import re
 
 import pytest
 
 import vpmeans.cli
-from vpmeans.cli import ConfigError, build_parser, dispatch, main, parse_config
+from vpmeans.cli import SUITES, ConfigError, build_parser, dispatch, main, parse_config
+from vpmeans.experiments import run_multiplier_identity_suite
 
 INF = float("inf")
 SPECTRAL_SUITES = ("converse", "delayed-max", "modulus")
@@ -93,6 +96,10 @@ def test_invalid_values_rejected():
         parse_config(overrides={"quadrature_order": "-4"})
     with pytest.raises(ConfigError):
         parse_config(overrides={"n_list": "a,b"})
+    with pytest.raises(ConfigError, match="n_max"):
+        parse_config(overrides={"n_max": "-1"})
+    with pytest.raises(ConfigError, match="seed"):
+        parse_config(overrides={"seed": "-3"})
 
 
 def test_p_list_parsing():
@@ -119,6 +126,9 @@ def test_main_usage_errors(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "band budget" in err
+    # a negative value is a usage error, not a traceback from deep inside a suite
+    assert main(["multipliers", "--n-max", "-1", "--out", str(tmp_path)]) == 2
+    assert "n_max must be >= 0" in capsys.readouterr().err
 
 
 def test_main_selftest_roundtrip(tmp_path):
@@ -224,7 +234,36 @@ def test_memo_keys_separate_corpus_seeds(tmp_path, monkeypatch):
 def test_summary_reports_cache_traffic(small_all_run):
     summary = json.loads((small_all_run / "summary.json").read_text())
     caches = summary["diagnostics"]["caches"]
-    assert set(caches) == {"multiplier_prefix", "modulus", "theta_scan", "synthesis_context"}
+    assert set(caches) == {"multiplier_prefix", "modulus", "theta_scan", "synthesis_context",
+                           "corpus_spectral"}
     for stats in caches.values():
         assert stats["hits"] > 0
         assert stats["entries"] == stats["misses"] > 0
+
+
+def test_summary_reports_refinement_checks(small_all_run):
+    suites = json.loads((small_all_run / "summary.json").read_text())["suites"]
+    assert set(suites) == set(SUITES)
+    for name, info in suites.items():
+        if name != "selftest":
+            assert isinstance(info["measured"]["refinement_check"], bool)
+
+
+def test_report_csv_write_atomic(small_all_run):
+    digest = json.loads((small_all_run / "summary.json").read_text())["config_hash"]
+    for name in SUITES:
+        header = (small_all_run / f"{name}.csv").read_text().split("\n", 1)[0]
+        match = re.fullmatch(r"# suite=(\S+) config_hash=([0-9a-f]{12}) generated=(\S+)", header)
+        assert match and match.group(1) == name and match.group(2) == digest
+        assert datetime.datetime.fromisoformat(match.group(3)).tzinfo is not None
+    # no temp files left behind
+    assert sorted(p.name for p in small_all_run.iterdir()) == sorted(
+        [f"{name}.csv" for name in SUITES] + ["summary.json"])
+
+
+def test_report_csv_floats_have_full_precision(tmp_path):
+    assert main(["multipliers", "--n-max", "4", "--out", str(tmp_path)]) == 0
+    last = (tmp_path / "multipliers.csv").read_text().splitlines()[-1].split(",")
+    expect = run_multiplier_identity_suite(3, 4).rows[-1]
+    assert float(last[3]) == expect["closed_form"]
+    assert float(last[4]) == expect["quadrature"]

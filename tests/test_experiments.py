@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from vpmeans.experiments import (Workspace, config_hash,
-                                 measure_envelope_constant,
+from vpmeans.cli import config_hash
+from vpmeans.experiments import (Workspace, measure_envelope_constant,
                                  run_converse_suite, run_delayed_max_suite,
                                  run_lemma_suite, run_modulus_suite,
                                  run_multiplier_identity_suite,
@@ -42,7 +42,7 @@ def test_lemma_suite_structure():
     quantities = {row["quantity"] for row in report.rows}
     assert quantities == {"fourth_moment", "neg_lambda", "neg_two_over_m_7", "norm_constant"}
     assert set(report.measured["windows"]) == quantities
-    assert report.metadata["refinement_check"] is True
+    assert report.measured["refinement_check"] is True
 
 
 def test_voronovskaya_suite_residuals():
@@ -142,34 +142,14 @@ def test_workspace_resolution():
     finer = Workspace(3, 16, band_limit=512).spectral("cusp:0.5")
     assert finer.projection_residual < cusp.projection_residual
     assert ws.spectral("cusp:0.5") is cusp
+    # the same id, band limit and seed at another dimension is another function
+    assert Workspace(5, 16).spectral("cusp:0.5").lam == 1.5
     with pytest.raises(LookupError):
         ws.spectral("unknown:1")
 
 
 def test_report_determinism_in_memory():
-    a = run_multiplier_identity_suite(3, 5, config={"d": "3", "n_max": "5"})
-    b = run_multiplier_identity_suite(3, 5, config={"d": "3", "n_max": "5"})
+    a = run_multiplier_identity_suite(3, 5)
+    b = run_multiplier_identity_suite(3, 5)
     assert a.csv_body() == b.csv_body()
-    assert a.metadata["config_hash"] == b.metadata["config_hash"]
 
-
-def test_report_csv_write_atomic(tmp_path):
-    report = run_multiplier_identity_suite(3, 4)
-    path = tmp_path / "multipliers.csv"
-    report.write_csv(path)
-    text = path.read_text().splitlines()
-    assert text[0].startswith("# suite=multipliers")
-    assert text[1] == "d,n,k,closed_form,quadrature,abs_diff"
-    assert len(text) == 2 + len(report.rows)
-    # no temp files left behind
-    assert list(tmp_path.iterdir()) == [path]
-
-
-def test_report_csv_floats_have_full_precision(tmp_path):
-    report = run_multiplier_identity_suite(3, 4)
-    path = tmp_path / "m.csv"
-    report.write_csv(path)
-    body = path.read_text().splitlines()[2:]
-    row = body[-1].split(",")
-    reparsed = float(row[3])
-    assert reparsed == report.rows[-1]["closed_form"]

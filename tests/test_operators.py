@@ -3,14 +3,11 @@ import pytest
 
 from vpmeans.function_space import (INF, ZonalSpectral, corpus_member,
                                     lp_norm_zonal)
-from vpmeans.kernel import MultiplierSequence, kernel_spec, multiplier_sequence
-from vpmeans.operators import (apply_multiplier, laplace_beltrami,
-                               laplace_multipliers, orthonormal_completion,
+from vpmeans.kernel import multiplier_sequence
+from vpmeans.operators import (laplace_beltrami, orthonormal_completion,
                                sample_zonal_on_grid, translate_direct,
-                               translate_spectral, translation_multipliers,
-                               vpm_grid, vpm_iterated, vpm_means,
-                               vpm_multipliers, vpm_power_multipliers,
-                               zonal_point_function)
+                               translate_spectral, vpm_grid, vpm_iterated,
+                               vpm_means, zonal_point_function)
 from vpmeans.quadrature import sphere_grid
 from vpmeans.special import q_normalized, q_table
 
@@ -26,28 +23,6 @@ def unit(k, size):
 def random_spectral(size=13, lam=0.5, seed=5):
     rng = np.random.default_rng(seed)
     return ZonalSpectral(lam=lam, coeffs=rng.uniform(-1, 1, size))
-
-
-def test_apply_multiplier_identity_zero_composition():
-    f = random_spectral()
-    ident = MultiplierSequence(values=np.ones(13), source="identity")
-    assert np.array_equal(apply_multiplier(f, ident).coeffs, f.coeffs)
-    zero = MultiplierSequence(values=np.zeros(13), source="zero")
-    assert np.all(apply_multiplier(f, zero).coeffs == 0.0)
-    rng = np.random.default_rng(0)
-    m1 = MultiplierSequence(values=rng.uniform(0, 1, 13), source="a")
-    m2 = MultiplierSequence(values=rng.uniform(0, 1, 13), source="b")
-    left = apply_multiplier(apply_multiplier(f, m1), m2).coeffs
-    prod = MultiplierSequence(values=m1.values * m2.values, source="ab")
-    right = apply_multiplier(f, prod).coeffs
-    assert np.max(np.abs(left - right)) <= 1e-15
-
-
-def test_apply_multiplier_length_check():
-    f = random_spectral(size=13)
-    short = MultiplierSequence(values=np.ones(4), source="short")
-    with pytest.raises(ValueError):
-        apply_multiplier(f, short)
 
 
 def test_vpm_means_basics():
@@ -226,34 +201,23 @@ def test_vpm_grid_degree_zero_projects_to_mean():
     assert np.max(np.abs(out.values - mean)) <= 1e-12
 
 
-def test_vpm_grid_requires_d3():
-    grid = sphere_grid(8)
-    gf = sample_zonal_on_grid(lambda t: np.ones_like(t), grid)
-    with pytest.raises(ValueError):
-        vpm_grid(gf, 4, spec=kernel_spec(4, 5))
-
-
 def test_operator_multiplier_sequences():
     k_max = 9
     lam = 0.5
     f = random_spectral(size=k_max + 1)
+    eig = -np.arange(k_max + 1.0) * (np.arange(k_max + 1.0) + 1.0)
     cases = [
-        (vpm_multipliers(5, lam, k_max), multiplier_sequence(5, lam, k_max)),
-        (vpm_power_multipliers(5, 3, lam, k_max), multiplier_sequence(5, lam, k_max) ** 3),
-        (translation_multipliers(0.6, lam, k_max), q_table(k_max, lam, 0.6)[0]),
-        (laplace_multipliers(lam, k_max, power=1),
-         -np.arange(k_max + 1.0) * (np.arange(k_max + 1.0) + 1.0)),
-        (laplace_multipliers(lam, k_max, power=2),
-         (np.arange(k_max + 1.0) * (np.arange(k_max + 1.0) + 1.0)) ** 2),
+        (vpm_means(f, 5), multiplier_sequence(5, lam, k_max)),
+        (vpm_iterated(f, 5, 3), multiplier_sequence(5, lam, k_max) ** 3),
+        (translate_spectral(f, 0.6), q_table(k_max, lam, 0.6)[0]),
+        (laplace_beltrami(f, power=1), eig),
+        (laplace_beltrami(f, power=2), eig ** 2),
     ]
-    for mult, expect in cases:
-        assert np.max(np.abs(mult.values - expect)) <= 1e-12
-        applied = apply_multiplier(f, mult).coeffs
-        assert np.max(np.abs(applied - f.coeffs * expect)) <= 1e-12
+    for applied, expect in cases:
+        assert applied.lam == lam
+        assert np.max(np.abs(applied.coeffs - f.coeffs * expect)) <= 1e-12
     with pytest.raises(ValueError):
-        vpm_power_multipliers(5, 0, lam, k_max)
-    with pytest.raises(ValueError):
-        laplace_multipliers(lam, k_max, power=3)
+        vpm_iterated(f, 5, 0)
 
 
 def test_bernstein_multiplier_window():

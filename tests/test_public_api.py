@@ -17,3 +17,20 @@ def test_no_public_generator_functions(short):
               and obj.__module__ == module.__name__}
     assert public
     assert [name for name, obj in public.items() if inspect.isgeneratorfunction(obj)] == []
+
+
+@pytest.mark.parametrize("short", TRACED_MODULES + ("memo",))
+def test_exports_resolve(short):
+    module = importlib.import_module(f"vpmeans.{short}")
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
+    assert len(set(module.__all__)) == len(module.__all__)
+
+
+def test_package_reexports_only_module_exports():
+    import vpmeans
+    modules = [importlib.import_module(f"vpmeans.{short}") for short in TRACED_MODULES + ("memo",)]
+    exported = {id(getattr(module, name)) for module in modules for name in module.__all__}
+    stale = [name for name, obj in vars(vpmeans).items()
+             if not name.startswith("_") and not inspect.ismodule(obj)
+             and id(obj) not in exported]
+    assert stale == []
