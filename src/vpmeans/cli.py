@@ -62,8 +62,9 @@ class RunConfig:
     equivalence_window: float = 50.0
 
     def snapshot(self):
-        """Stringified mapping recorded in summary.json and hashed into
-        `config_hash`."""
+        """Stringified mapping recorded in summary.json; all of it but
+        `out_dir` is hashed into `config_hash`, so the hash names the
+        computation, not where its output went."""
         out = {}
         for f in fields(self):
             value = getattr(self, f.name)
@@ -294,7 +295,7 @@ def dispatch(config, suite):
               file=sys.stderr)
         return 2
     snapshot = config.snapshot()
-    digest = config_hash(snapshot)
+    digest = config_hash({k: v for k, v in snapshot.items() if k != "out_dir"})
     names = SUITES if suite == "all" else (suite,)
     reports = []
     for name in names:

@@ -210,6 +210,12 @@ def lp_norms_batch(coeff_matrix, lam, p, d, order=None):
     Columns are synthesised in blocks of BLOCK_COLUMNS, with `abs` and
     the power taken in place, so the working set does not grow with the
     number of columns.
+
+    The quadrature grid is fixed by the input shape: the band limit is
+    `coeff_matrix.shape[0] - 1` and the Gauss order defaults to
+    2 * band limit + 32.  Within each block, the trailing rows whose entries
+    are all exact zeros are skipped in the synthesis product, since they add
+    only zeros; a NaN or inf entry keeps its row.
     """
     if p != INF and p < 1:
         raise ValueError(f"p must satisfy 1 <= p <= inf, got {p}")
@@ -225,7 +231,9 @@ def lp_norms_batch(coeff_matrix, lam, p, d, order=None):
     out = np.empty(coeff_matrix.shape[1])
     for start in range(0, coeff_matrix.shape[1], BLOCK_COLUMNS):
         block = slice(start, start + BLOCK_COLUMNS)
-        vals = ctx.q_matrix @ coeff_matrix[:, block]
+        live = np.flatnonzero(np.any(coeff_matrix[:, block] != 0.0, axis=1))
+        rows = live[-1] + 1 if live.size else 0
+        vals = ctx.q_matrix[:, :rows] @ coeff_matrix[:rows, block]
         np.abs(vals, out=vals)
         if p == INF:
             out[block] = np.max(vals, axis=0)

@@ -8,6 +8,10 @@ traffic in summary.json.  A memo only ever returns what was stored for an
 identical key, so a hit is exactly what recomputation would give.
 """
 
+from dataclasses import fields, is_dataclass
+
+import numpy as np
+
 __all__ = ["RunMemo", "clear_run_memos", "run_memo_stats"]
 
 _REGISTRY = {}
@@ -40,7 +44,18 @@ class RunMemo:
         self.misses = 0
 
     def stats(self):
-        return {"entries": len(self._values), "hits": self.hits, "misses": self.misses}
+        return {"entries": len(self._values), "hits": self.hits, "misses": self.misses,
+                "bytes": sum(_array_bytes(value) for value in self._values.values())}
+
+
+def _array_bytes(value):
+    """Bytes of the ndarrays a stored value holds: the array itself, or the
+    ndarray fields of a dataclass value; 0 for scalars."""
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if is_dataclass(value):
+        return sum(_array_bytes(getattr(value, f.name)) for f in fields(value))
+    return 0
 
 
 def clear_run_memos():
@@ -50,5 +65,5 @@ def clear_run_memos():
 
 
 def run_memo_stats():
-    """{memo name: {"entries", "hits", "misses"}} for every run memo."""
+    """{memo name: {"entries", "hits", "misses", "bytes"}} for every run memo."""
     return {name: memo.stats() for name, memo in sorted(_REGISTRY.items())}

@@ -239,6 +239,8 @@ def test_summary_reports_cache_traffic(small_all_run):
     for stats in caches.values():
         assert stats["hits"] > 0
         assert stats["entries"] == stats["misses"] > 0
+        assert isinstance(stats["bytes"], int) and stats["bytes"] >= 0
+    assert caches["synthesis_context"]["bytes"] > 0
 
 
 def test_summary_reports_refinement_checks(small_all_run):
@@ -259,6 +261,22 @@ def test_report_csv_write_atomic(small_all_run):
     # no temp files left behind
     assert sorted(p.name for p in small_all_run.iterdir()) == sorted(
         [f"{name}.csv" for name in SUITES] + ["summary.json"])
+
+
+def test_config_hash_ignores_out_dir(tmp_path):
+    # the hash names the computation; summary.json still records the directory
+    digests = set()
+    for name in ("a", "b"):
+        config = parse_config(overrides={"n_list": "4,8", "corpus": "cusp:1.0,harmonic:4",
+                                         "out_dir": str(tmp_path / name)})
+        assert dispatch(config, "all") == 0
+        summary = json.loads((tmp_path / name / "summary.json").read_text())
+        assert summary["config"]["out_dir"] == str(tmp_path / name)
+        digests.add(summary["config_hash"])
+        for suite in SUITES:
+            header = (tmp_path / name / f"{suite}.csv").read_text().split("\n", 1)[0]
+            digests.add(re.search(r"config_hash=(\S+)", header).group(1))
+    assert len(digests) == 1
 
 
 def test_report_csv_floats_have_full_precision(tmp_path):

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vpmeans.function_space import (INF, GridFunction,
-                                    ZonalSpectral, corpus_ids, corpus_member,
-                                    lp_norm_grid, lp_norm_zonal,
+from vpmeans.function_space import (BLOCK_COLUMNS, DENSE_GRID_SIZE, INF,
+                                    GridFunction, ZonalSpectral, corpus_ids,
+                                    corpus_member, lp_norm_grid, lp_norm_zonal,
                                     lp_norms_batch, make_corpus, surface_area,
-                                    zonal_project, zonal_synthesis)
+                                    synthesis_context, zonal_project,
+                                    zonal_synthesis)
+from vpmeans.memo import clear_run_memos, run_memo_stats
 from vpmeans.operators import sample_zonal_on_grid
 from vpmeans.quadrature import integrate_theta, sphere_grid
 from vpmeans.special import q_table
@@ -123,6 +127,63 @@ def test_lp_norms_batch_matches_single():
         for j in range(5):
             single = lp_norm_zonal(ZonalSpectral(lam=0.5, coeffs=cols[:, j]), p, 3)
             assert batch[j] == pytest.approx(single, rel=1e-12)
+
+
+def untrimmed_norms(padded, p, d):
+    """The norms from the full synthesis product over every padded row."""
+    lam = (d - 2) / 2.0
+    k_max = padded.shape[0] - 1
+    if p == INF:
+        ctx = synthesis_context(lam, k_max, "dense", DENSE_GRID_SIZE)
+        return np.max(np.abs(ctx.q_matrix @ padded), axis=0)
+    ctx = synthesis_context(lam, k_max, "gauss", 2 * k_max + 32)
+    sums = ctx.weights @ np.abs(ctx.q_matrix @ padded) ** p
+    return (surface_area(d - 1) * sums) ** (1.0 / p)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(d=st.sampled_from([3, 4]), support=st.integers(0, 40),
+       columns=st.integers(1, 2 * BLOCK_COLUMNS + 2), k_max=st.sampled_from([64, 300]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_lp_norms_batch_trimmed_matches_full_product(d, support, columns, k_max, seed):
+    # each column is nonzero up to its own degree <= support and exactly zero
+    # above it, up to the padded band limit k_max
+    rng = np.random.default_rng(seed)
+    padded = np.zeros((k_max + 1, columns))
+    padded[:support + 1] = rng.uniform(-1.0, 1.0, (support + 1, columns))
+    tops = rng.integers(0, support + 1, columns)
+    padded[np.arange(k_max + 1)[:, None] > tops] = 0.0
+    for p in (1.0, 2.0, INF):
+        np.testing.assert_allclose(lp_norms_batch(padded, (d - 2) / 2.0, p, d),
+                                   untrimmed_norms(padded, p, d), rtol=1e-13, atol=0.0)
+
+
+def test_lp_norms_batch_zero_and_nan_rows():
+    padded = np.zeros((65, 3))
+    for p in (1.0, 2.0, INF):
+        assert np.array_equal(lp_norms_batch(padded, 0.5, p, 3), np.zeros(3))
+    padded[:5, 0] = 1.0
+    padded[:9, 2] = -0.5
+    for p in (1.0, 2.0, INF):
+        out = lp_norms_batch(padded, 0.5, p, 3)
+        assert out[1] == 0.0 and out[0] > 0.0 and out[2] > 0.0
+    # a NaN in the last row is not trimmed away
+    padded[-1, 1] = np.nan
+    for p in (1.0, 2.0, INF):
+        out = lp_norms_batch(padded, 0.5, p, 3)
+        assert np.isnan(out[1]) and np.all(np.isfinite(out[[0, 2]]))
+
+
+def test_lp_norms_batch_grid_follows_input_shape():
+    # the quadrature grid is the one of the full padded band limit, however
+    # few rows hold nonzero coefficients
+    padded = np.zeros((301, 2))
+    padded[:3] = 1.0
+    clear_run_memos()
+    lp_norms_batch(padded, 0.5, 2.0, 3)
+    synthesis_context(0.5, 300, "gauss", 2 * 300 + 32)
+    stats = run_memo_stats()["synthesis_context"]
+    assert (stats["entries"], stats["hits"], stats["misses"]) == (1, 1, 1)
 
 
 @pytest.mark.parametrize("d", [3, 4])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vpmeans.kernel
 from vpmeans.experiments import run_delayed_max_suite
@@ -90,6 +92,14 @@ def test_multiplier_monotonicity():
     for k in (1, 3, 7):
         vals = [multiplier_weight(n, k, 1.0) for n in (8, 16, 32, 64)]
         assert np.all(np.diff(vals) > 0)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(n=st.integers(0, 300), d=st.integers(3, 12), k_max=st.integers(0, 400))
+def test_multiplier_sequence_in_unit_interval_nonincreasing(n, d, k_max):
+    seq = multiplier_sequence(n, (d - 2) / 2.0, k_max)
+    assert np.all((seq >= 0.0) & (seq <= 1.0))
+    assert np.all(np.diff(seq) <= 0.0)
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 1.5])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vpmeans.function_space import (INF, ZonalSpectral, corpus_member,
                                     lp_norm_zonal)
@@ -58,6 +60,18 @@ def test_chain_bound_on_corpus(p):
             iterated = vpm_iterated(f, 16, m)
             lhs = lp_norm_zonal(ZonalSpectral(lam=f.lam, coeffs=f.coeffs - iterated.coeffs), p, 3)
             assert lhs <= m * base + 1e-8
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(d=st.sampled_from([3, 4, 5]), band=st.integers(0, 40), pad=st.integers(0, 64),
+       n=st.integers(0, 256), p=st.sampled_from([1.0, 2.0, INF]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_vpm_means_contraction_property(d, band, pad, n, p, seed):
+    # V_n is convolution with a nonnegative kernel of unit mass
+    coeffs = np.zeros(band + pad + 1)
+    coeffs[:band + 1] = np.random.default_rng(seed).uniform(-1.0, 1.0, band + 1)
+    f = ZonalSpectral(lam=(d - 2) / 2.0, coeffs=coeffs)
+    assert lp_norm_zonal(vpm_means(f, n), p, d) <= lp_norm_zonal(f, p, d) * (1.0 + 1e-12)
 
 
 def test_translate_spectral_diagonal_action():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vpmeans.experiments import Workspace
 from vpmeans.function_space import INF, ZonalSpectral, lp_norm_zonal
@@ -120,6 +122,18 @@ def test_k_estimate_upper_bounds(ws):
     for p in (1.0, 2.0, INF):
         norm = lp_norm_zonal(f, p, 3)
         assert k_functional_estimate(f, 0.2, p, 3) <= norm + 1e-12
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(d=st.sampled_from([3, 4, 5]), band=st.integers(0, 40), pad=st.integers(0, 64),
+       t=st.floats(0.05, math.pi), p=st.sampled_from([1.0, 2.0, INF]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_k_estimate_bounded_by_norm_property(d, band, pad, t, p, seed):
+    # g = 0 is a candidate, so the estimate never exceeds ||f||_p
+    coeffs = np.zeros(band + pad + 1)
+    coeffs[:band + 1] = np.random.default_rng(seed).uniform(-1.0, 1.0, band + 1)
+    f = ZonalSpectral(lam=(d - 2) / 2.0, coeffs=coeffs)
+    assert k_functional_estimate(f, t, p, d) <= lp_norm_zonal(f, p, d) * (1.0 + 1e-12)
 
 
 def test_k_estimate_constant_is_zero():

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.special as sps
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vpmeans.special import harmonic_dim, q_envelope, q_normalized, q_table
 
@@ -97,6 +99,14 @@ def test_q_normalized_bounded_by_one():
     for lam in (0.5, 1.0, 1.5):
         tab = q_table(64, lam, theta)
         assert np.max(np.abs(tab)) <= 1.0 + 1e-12
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(k_max=st.integers(0, 500), d=st.integers(3, 12),
+       theta=st.lists(st.floats(0.0, math.pi), min_size=1, max_size=40))
+def test_q_table_bounded_by_one_property(k_max, d, theta):
+    tab = q_table(k_max, (d - 2) / 2.0, np.array(theta))
+    assert np.max(np.abs(tab)) <= 1.0 + 1e-12
 
 
 def test_q_table_matches_scalar_route():
