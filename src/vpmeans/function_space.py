@@ -3,6 +3,8 @@
 Two pathways coexist: zonal spectral coefficients against the normalized
 Gegenbauer system Q_k (any d >= 3), and raw samples on the S^2 product grid
 (d = 3 only), which serve as an independent oracle for the spectral route.
+Spectral L^2 norms come from Parseval; other L^p norms synthesise the even
+and odd degrees on half of a grid symmetric about pi/2 and mirror them.
 The test corpus (harmonics, geodesic cusps, a smooth bump, a seeded random
 band-limited function) lives here as well.
 """
@@ -109,15 +111,18 @@ _CONTEXTS = RunMemo("synthesis_context")
 
 @dataclass(frozen=True)
 class _SynthesisContext:
-    theta: np.ndarray        # colatitude samples
+    theta: np.ndarray        # colatitude samples, the full grid
     weights: np.ndarray | None  # polar quadrature weights incl. sin^(d-2), or None for dense grids
-    q_matrix: np.ndarray     # (len(theta), k_max+1) table of Q_k(cos theta)
+    even: np.ndarray         # (ceil(N/2), k_max//2 + 1) Q_0, Q_2, ... on the nodes theta <= pi/2
+    odd: np.ndarray          # (ceil(N/2), (k_max+1)//2) Q_1, Q_3, ... on the same nodes
 
 
 def synthesis_context(lam, k_max, kind, size):
     """Q-table context, memoised per run (see `vpmeans.memo`); kind is "gauss"
     (mapped rule on [0, pi], with sin^(2 lam)-weighted quadrature weights) or
-    "dense" (uniform colatitudes including the endpoints, no weights)."""
+    "dense" (uniform colatitudes including the endpoints, no weights).  Both
+    grids are symmetric about pi/2, so the Q tables cover only the ceil(size/2)
+    nodes with theta <= pi/2, split by the parity of k."""
     if kind not in ("gauss", "dense"):
         raise ValueError(f"unknown synthesis grid kind {kind!r}")
 
@@ -128,10 +133,14 @@ def synthesis_context(lam, k_max, kind, size):
         else:
             theta = np.linspace(0.0, np.pi, size)
             weights = None
-        q = q_table(k_max, lam, theta)
-        for arr in (theta, q) + (() if weights is None else (weights,)):
+        x = np.cos(theta[:(size + 1) // 2])
+        even = np.empty((x.size, k_max // 2 + 1))
+        odd = np.empty((x.size, (k_max + 1) // 2))
+        for k, q in enumerate(_q_steps(k_max, lam, x)):
+            (odd if k % 2 else even)[:, k // 2] = q
+        for arr in (theta, even, odd) + (() if weights is None else (weights,)):
             arr.setflags(write=False)
-        return _SynthesisContext(theta=theta, weights=weights, q_matrix=q)
+        return _SynthesisContext(theta=theta, weights=weights, even=even, odd=odd)
     return _CONTEXTS.lookup((float(lam), int(k_max), kind, int(size)), compute)
 
 
@@ -150,7 +159,8 @@ def zonal_project(profile, k_max, lam, order=None):
 
     both integrals on the same mapped Gauss rule, the denominators in blocks
     of BLOCK_COLUMNS degrees.  The relative L^2 residual of the
-    reconstruction is attached to the result.
+    reconstruction is attached to the result.  The full Q table is built
+    here and dropped: a parity-folded projection would round differently.
     """
     g = _profile_callable(profile)
     if g is None:
@@ -158,14 +168,15 @@ def zonal_project(profile, k_max, lam, order=None):
     if order is None:
         order = 2 * k_max + 32
     ctx = synthesis_context(lam, k_max, "gauss", order)
+    q = q_table(k_max, lam, ctx.theta)
     gv = np.asarray(g(ctx.theta), dtype=float)
-    num = ctx.q_matrix.T @ (ctx.weights * gv)
+    num = q.T @ (ctx.weights * gv)
     den = np.empty(k_max + 1)
     for start in range(0, k_max + 1, BLOCK_COLUMNS):
         block = slice(start, start + BLOCK_COLUMNS)
-        den[block] = (ctx.q_matrix[:, block] ** 2).T @ ctx.weights
+        den[block] = (q[:, block] ** 2).T @ ctx.weights
     coeffs = num / den
-    recon = ctx.q_matrix @ coeffs
+    recon = q @ coeffs
     ref = math.sqrt(float(ctx.weights @ gv ** 2))
     resid = math.sqrt(max(float(ctx.weights @ (gv - recon) ** 2), 0.0))
     rel = resid / ref if ref > 0 else resid
@@ -206,13 +217,17 @@ def lp_norms_batch(coeff_matrix, lam, p, d, order=None):
 
     `coeff_matrix` has one coefficient vector per column; returns one norm per
     column.  This is the workhorse behind the modulus and K-functional sweeps,
-    where hundreds of coefficient vectors share the same synthesis table.
-    Columns are synthesised in blocks of BLOCK_COLUMNS, with `abs` and
-    the power taken in place, so the working set does not grow with the
-    number of columns.
+    where hundreds of coefficient vectors share the same synthesis tables.
 
-    The quadrature grid is fixed by the input shape: the band limit is
-    `coeff_matrix.shape[0] - 1` and the Gauss order defaults to
+    p = 2 is Parseval, ||g||_2^2 = |S^{d-1}| sum_k a_k^2 / N_k (N_k the
+    dimension of the degree-k harmonics): no grid, `order` unused.  Other p
+    synthesise blocks of BLOCK_COLUMNS columns, abs and power in place: the
+    even- and odd-degree parts E and O on the half grid theta_i <= pi/2, E + O
+    there and E - O at the mirrored points pi - theta_i (an odd grid's middle
+    node has none), where the p = inf sup is also taken.
+
+    The grid is fixed by the input shape: the band limit is
+    `coeff_matrix.shape[0] - 1`; `order`, for finite p != 2 only, defaults to
     2 * band limit + 32.  Within each block, the trailing rows whose entries
     are all exact zeros are skipped in the synthesis product, since they add
     only zeros; a NaN or inf entry keeps its row.
@@ -223,17 +238,24 @@ def lp_norms_batch(coeff_matrix, lam, p, d, order=None):
     if coeff_matrix.ndim == 1:
         coeff_matrix = coeff_matrix[:, None]
     k_max = coeff_matrix.shape[0] - 1
+    if p == 2:
+        return np.sqrt(surface_area(d) * (_inverse_dims(k_max, lam) @ coeff_matrix ** 2))
     if p == INF:
         ctx = synthesis_context(lam, k_max, "dense", DENSE_GRID_SIZE)
     else:
         size = order if order is not None else 2 * k_max + 32
         ctx = synthesis_context(lam, k_max, "gauss", size)
+    n_mirrored = ctx.theta.size // 2   # node size-1-i is pi - theta_i
     out = np.empty(coeff_matrix.shape[1])
     for start in range(0, coeff_matrix.shape[1], BLOCK_COLUMNS):
         block = slice(start, start + BLOCK_COLUMNS)
         live = np.flatnonzero(np.any(coeff_matrix[:, block] != 0.0, axis=1))
         rows = live[-1] + 1 if live.size else 0
-        vals = ctx.q_matrix[:, :rows] @ coeff_matrix[:rows, block]
+        even = ctx.even[:, :(rows + 1) // 2] @ coeff_matrix[0:rows:2, block]
+        odd = ctx.odd[:, :rows // 2] @ coeff_matrix[1:rows:2, block]
+        vals = np.empty((ctx.theta.size, even.shape[1]))
+        np.add(even, odd, out=vals[:len(even)])
+        np.subtract(even[:n_mirrored], odd[:n_mirrored], out=vals[::-1][:n_mirrored])
         np.abs(vals, out=vals)
         if p == INF:
             out[block] = np.max(vals, axis=0)
@@ -243,6 +265,14 @@ def lp_norms_batch(coeff_matrix, lam, p, d, order=None):
     if p == INF:
         return out
     return (surface_area(d - 1) * out) ** (1.0 / p)
+
+
+def _inverse_dims(k_max, lam):
+    """1 / N_k, k = 0..k_max, by N_{k+1}/N_k = (k+2 lam)(2k+2 lam+2)/((k+1)(2k+2 lam)):
+    `harmonic_dim`'s exact binomials overflow a float at large d."""
+    k = np.arange(k_max, dtype=float)
+    ratio = (k + 1.0) * (2.0 * k + 2.0 * lam) / ((k + 2.0 * lam) * (2.0 * k + 2.0 * lam + 2.0))
+    return np.concatenate(([1.0], np.cumprod(ratio)))
 
 
 def lp_norm_grid(f, p):

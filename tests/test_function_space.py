@@ -6,15 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vpmeans.function_space import (BLOCK_COLUMNS, DENSE_GRID_SIZE, INF,
-                                    GridFunction, ZonalSpectral, corpus_ids,
-                                    corpus_member, lp_norm_grid, lp_norm_zonal,
-                                    lp_norms_batch, make_corpus, surface_area,
-                                    synthesis_context, zonal_project,
-                                    zonal_synthesis)
+                                    GridFunction, ZonalSpectral, _inverse_dims,
+                                    corpus_ids, corpus_member, lp_norm_grid,
+                                    lp_norm_zonal, lp_norms_batch, make_corpus,
+                                    surface_area, synthesis_context,
+                                    zonal_project, zonal_synthesis)
 from vpmeans.memo import clear_run_memos, run_memo_stats
 from vpmeans.operators import sample_zonal_on_grid
-from vpmeans.quadrature import integrate_theta, sphere_grid
-from vpmeans.special import q_table
+from vpmeans.quadrature import integrate_theta, mapped_rule, sphere_grid
+from vpmeans.special import harmonic_dim, q_table
 
 
 def unit(k, size):
@@ -129,33 +129,84 @@ def test_lp_norms_batch_matches_single():
             assert batch[j] == pytest.approx(single, rel=1e-12)
 
 
-def untrimmed_norms(padded, p, d):
-    """The norms from the full synthesis product over every padded row."""
+def untrimmed_norms(padded, p, d, order=None):
+    """The norms by the slow route: the full Q table over every node of the
+    grid, times every padded row, with no parity folding and no Parseval."""
     lam = (d - 2) / 2.0
     k_max = padded.shape[0] - 1
     if p == INF:
-        ctx = synthesis_context(lam, k_max, "dense", DENSE_GRID_SIZE)
-        return np.max(np.abs(ctx.q_matrix @ padded), axis=0)
-    ctx = synthesis_context(lam, k_max, "gauss", 2 * k_max + 32)
-    sums = ctx.weights @ np.abs(ctx.q_matrix @ padded) ** p
+        theta = np.linspace(0.0, np.pi, DENSE_GRID_SIZE)
+        return np.max(np.abs(q_table(k_max, lam, theta) @ padded), axis=0)
+    theta, w = mapped_rule(0.0, np.pi, order if order is not None else 2 * k_max + 32)
+    sums = (w * np.sin(theta) ** (2.0 * lam)) @ np.abs(q_table(k_max, lam, theta) @ padded) ** p
     return (surface_area(d - 1) * sums) ** (1.0 / p)
 
 
-@settings(max_examples=30, deadline=None, database=None)
-@given(d=st.sampled_from([3, 4]), support=st.integers(0, 40),
-       columns=st.integers(1, 2 * BLOCK_COLUMNS + 2), k_max=st.sampled_from([64, 300]),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_lp_norms_batch_trimmed_matches_full_product(d, support, columns, k_max, seed):
-    # each column is nonzero up to its own degree <= support and exactly zero
-    # above it, up to the padded band limit k_max
-    rng = np.random.default_rng(seed)
+def banded_columns(rng, k_max, support, columns):
+    """Columns nonzero up to their own degree <= support and exactly zero
+    above it, up to the padded band limit k_max."""
     padded = np.zeros((k_max + 1, columns))
     padded[:support + 1] = rng.uniform(-1.0, 1.0, (support + 1, columns))
     tops = rng.integers(0, support + 1, columns)
     padded[np.arange(k_max + 1)[:, None] > tops] = 0.0
-    for p in (1.0, 2.0, INF):
-        np.testing.assert_allclose(lp_norms_batch(padded, (d - 2) / 2.0, p, d),
-                                   untrimmed_norms(padded, p, d), rtol=1e-13, atol=0.0)
+    return padded
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(d=st.sampled_from([3, 4, 5]), support=st.integers(0, 40),
+       columns=st.integers(1, 2 * BLOCK_COLUMNS + 2), k_max=st.sampled_from([64, 300]),
+       odd_order=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_lp_norms_batch_trimmed_matches_full_product(d, support, columns, k_max, odd_order, seed):
+    # an odd Gauss order has a middle node at pi/2, which is not mirrored
+    padded = banded_columns(np.random.default_rng(seed), k_max, support, columns)
+    order = 2 * k_max + 33 if odd_order else None
+    for p in (1.0, INF):
+        np.testing.assert_allclose(lp_norms_batch(padded, (d - 2) / 2.0, p, d, order=order),
+                                   untrimmed_norms(padded, p, d, order=order),
+                                   rtol=1e-13, atol=0.0)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(d=st.sampled_from([3, 4, 5]), support=st.integers(0, 300),
+       columns=st.integers(1, 2 * BLOCK_COLUMNS + 2), k_max=st.sampled_from([64, 300]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_lp_norms_batch_parseval_matches_gauss(d, support, columns, k_max, seed):
+    padded = banded_columns(np.random.default_rng(seed), k_max, min(support, k_max), columns)
+    np.testing.assert_allclose(lp_norms_batch(padded, (d - 2) / 2.0, 2.0, d),
+                               untrimmed_norms(padded, 2.0, d), rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 7])
+def test_inverse_dims_match_harmonic_dim(d):
+    k_max = 2048
+    exact = np.array([1.0 / harmonic_dim(k, d) for k in range(k_max + 1)])
+    np.testing.assert_allclose(_inverse_dims(k_max, (d - 2) / 2.0), exact, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("kind, size", [("gauss", 133), ("gauss", 134), ("dense", 97),
+                                        ("dense", DENSE_GRID_SIZE)])
+@pytest.mark.parametrize("k_max", [0, 1, 64, 65])
+def test_synthesis_context_half_grid_tables(kind, size, k_max):
+    lam = 1.5
+    ctx = synthesis_context(lam, k_max, kind, size)
+    half = (size + 1) // 2
+    assert ctx.theta.size == size and ctx.even.shape == (half, k_max // 2 + 1)
+    assert ctx.odd.shape == (half, (k_max + 1) // 2)
+    assert ctx.even.flags.c_contiguous and ctx.odd.flags.c_contiguous
+    assert np.all(ctx.theta[:half] <= np.pi / 2) and np.all(ctx.theta[half:] > np.pi / 2)
+    assert (ctx.weights is None) == (kind == "dense")
+    full = q_table(k_max, lam, ctx.theta[:half])
+    assert np.array_equal(ctx.even, full[:, 0::2]) and np.array_equal(ctx.odd, full[:, 1::2])
+
+
+def test_zonal_project_equals_full_table_reference():
+    lam, k_max = 1.0, 40
+    profile = lambda t: np.exp(-4.0 * t ** 2)
+    theta, w = mapped_rule(0.0, np.pi, 2 * k_max + 32)
+    weights = w * np.sin(theta) ** (2.0 * lam)
+    q = q_table(k_max, lam, theta)
+    ref = (q.T @ (weights * profile(theta))) / ((q ** 2).T @ weights)
+    assert np.array_equal(zonal_project(profile, k_max, lam).coeffs, ref)
 
 
 def test_lp_norms_batch_zero_and_nan_rows():
@@ -176,11 +227,13 @@ def test_lp_norms_batch_zero_and_nan_rows():
 
 def test_lp_norms_batch_grid_follows_input_shape():
     # the quadrature grid is the one of the full padded band limit, however
-    # few rows hold nonzero coefficients
+    # few rows hold nonzero coefficients; p = 2 builds no grid at all
     padded = np.zeros((301, 2))
     padded[:3] = 1.0
     clear_run_memos()
     lp_norms_batch(padded, 0.5, 2.0, 3)
+    assert run_memo_stats()["synthesis_context"]["entries"] == 0
+    lp_norms_batch(padded, 0.5, 1.0, 3)
     synthesis_context(0.5, 300, "gauss", 2 * 300 + 32)
     stats = run_memo_stats()["synthesis_context"]
     assert (stats["entries"], stats["hits"], stats["misses"]) == (1, 1, 1)

@@ -34,3 +34,20 @@ def test_package_reexports_only_module_exports():
              if not name.startswith("_") and not inspect.ismodule(obj)
              and id(obj) not in exported]
     assert stale == []
+
+
+# the per-layer benchmark tracer binds these calls' arguments by name to
+# derive its counts; a renamed parameter must fail here before it breaks it
+TRACER_BOUND_SIGNATURES = {
+    "kernel.multiplier_sequence": ("n", "lam", "k_max"),
+    "special.q_table": ("k_max", "lam", "theta"),
+    "function_space.synthesis_context": ("lam", "k_max", "kind", "size"),
+    "function_space.lp_norms_batch": ("coeff_matrix", "lam", "p", "d", "order"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACER_BOUND_SIGNATURES))
+def test_tracer_bound_parameter_names(name):
+    short, attr = name.split(".")
+    func = getattr(importlib.import_module(f"vpmeans.{short}"), attr)
+    assert tuple(inspect.signature(func).parameters) == TRACER_BOUND_SIGNATURES[name]
