@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .memo import RunMemo
-from .quadrature import gauss_legendre, integrate_theta, mapped_rule
+from .quadrature import ConvergenceError, gauss_legendre, integrate_theta, mapped_rule
 from .special import q_normalized
 
 __all__ = [
@@ -34,17 +34,6 @@ __all__ = [
 # polynomials of degree ~ n + k; 32 extra nodes cover the non-polynomial
 # weights that appear at odd 2*lam.
 ORDER_PAD = 32
-
-
-class ConvergenceError(ArithmeticError):
-    """A refinement loop ran out of budget before two successive iterates
-    agreed.  `previous` is None when the budget allowed no refinement."""
-
-    def __init__(self, n, d, kind, order, previous, last):
-        self.n, self.d, self.kind, self.order = n, d, kind, order
-        self.previous, self.last = previous, last
-        super().__init__(f"{kind} did not converge at n={n}, d={d}: order {order} "
-                         f"gave {last!r} after {previous!r}")
 
 
 def default_order(n, k=0):

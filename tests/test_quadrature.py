@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
 
-from vpmeans.quadrature import (_legendre_and_derivative, gauss_legendre,
-                                integrate_grid, integrate_theta, mapped_rule,
-                                sphere_grid)
+from vpmeans import quadrature
+from vpmeans.experiments import run_multiplier_identity_suite, run_selftest_suite
+from vpmeans.memo import clear_run_memos
+from vpmeans.quadrature import (_J0_ZEROS, _NEWTON_X_MAX_ORDER, ConvergenceError,
+                                _legendre_and_derivative, _newton_x_rule,
+                                gauss_legendre, integrate_grid, integrate_theta,
+                                mapped_rule, sphere_grid)
 from vpmeans.special import q_table
+
+# the Newton-in-x rule at and just past the switch, both parities, and the
+# orders the refinement ladders and the synthesis grids build
+ORACLE_ORDERS = [192, 193, 256, 257, 1121, 2208, 4480]
+EPS = np.finfo(float).eps
 
 
 def test_order_one_rule():
@@ -52,21 +61,99 @@ def test_legendre_bit_identical_to_loop():
 
 
 def test_rule_invariants():
-    for order in (1, 2, 7, 40, 200):
+    for order in [1, 2, 7, 40] + ORACLE_ORDERS:
         rule = gauss_legendre(order)
         assert rule.order == order
         assert len(rule.nodes) == len(rule.weights) == order
         assert np.all(np.diff(rule.nodes) > 0)
         assert np.all(rule.weights > 0)
-        assert abs(float(rule.weights.sum()) - 2.0) <= 1e-12
+        assert abs(float(rule.weights.sum()) - 2.0) <= 1e-14
+        # bitwise mirror symmetry; the middle node of an odd order is exactly 0
+        assert np.array_equal(rule.nodes, -rule.nodes[::-1])
+        assert np.array_equal(rule.weights, rule.weights[::-1])
+        if order % 2:
+            assert rule.nodes[order // 2] == 0.0
+        for j in range(min(60, 2 * order)):
+            exact = 0.0 if j % 2 else 2.0 / (j + 1)
+            assert abs(float(np.dot(rule.weights, rule.nodes ** j)) - exact) <= 1e-14
+
+
+def _longdouble_weights(order, x):
+    """Weights at the nodes `x` from Newton in x at np.longdouble: a reference
+    with 11 more bits for the weights next to x = +-1."""
+    x = np.asarray(x, dtype=np.longdouble)
+    for _ in range(2):
+        p, dp = _legendre_and_derivative(order, x)
+        x = x - p / dp
+    _, dp = _legendre_and_derivative(order, x)
+    return (2 / ((1 - x) * (1 + x) * dp * dp)).astype(float)
+
+
+@pytest.mark.parametrize("order", ORACLE_ORDERS)
+def test_rule_matches_newton_oracle(order):
+    rule = gauss_legendre(order)
+    x, w = _newton_x_rule(order)
+    assert np.max(np.abs(rule.nodes - x)) <= 4.5e-16
+    # Next to x = +-1 the Newton weights carry the rounding of x and lose up
+    # to ~0.04 n eps / (1 - x^2) relative (measured at orders 1121-4480);
+    # elsewhere the rules agree to 1e-13.
+    slack = EPS / (1.0 - x * x)
+    assert np.all(np.abs(rule.weights / w - 1.0) <= 1e-13 + 0.1 * order * slack)
+    if np.finfo(np.longdouble).nmant < 63:
+        pytest.skip("np.longdouble has no extended precision here")
+    # the 64 outermost weights (the rule is mirror symmetric), where the
+    # double-precision oracle is weakest, to eps / (1 - x^2) of the reference
+    edge = slice(0, 64)
+    ref = _longdouble_weights(order, rule.nodes[edge])
+    assert np.all(np.abs(rule.weights[edge] / ref - 1.0) <= 1e-13 + slack[edge])
+    # the outermost weight, where the rounding of x costs most: the recurrence
+    # runs at the rounded x and dP/dtheta is taken at arccos of that x (the
+    # Newton weight at order 4480 is 1.9e-10 off)
+    assert abs(rule.weights[0] / ref[0] - 1.0) <= 1e-11
+
+
+def test_tabulated_bessel_zeros():
+    special = pytest.importorskip("scipy.special")
+    zeros = special.jn_zeros(0, len(_J0_ZEROS) + 1)
+    np.testing.assert_allclose(_J0_ZEROS, zeros[:-1], rtol=4e-16)
+    # exactly the zeros below 30, the edge of the Stieltjes series
+    assert _J0_ZEROS[-1] < 30.0 < zeros[-1]
+
+
+@pytest.mark.parametrize("order", [10, 500])
+def test_newton_budget_exhausted_raises(monkeypatch, order):
+    # order 10 runs the Newton-in-x loop, order 500 the loops in theta
+    monkeypatch.setattr(quadrature, "_NEWTON_BUDGET", 1)
+    monkeypatch.setattr(quadrature, "_RULE_CACHE", {})
+    with pytest.raises(ConvergenceError, match="gauss_legendre"):
+        gauss_legendre(order)
+
+
+def test_rounding_noise_cells_read_newton_rules_only(monkeypatch):
+    # The selftest and multipliers cells at rounding level stay byte-identical
+    # only while every rule they read comes from Newton in x.  A suite change
+    # that reads a larger rule must fail here, not as benchmark drift.
+    monkeypatch.setattr(quadrature, "_RULE_CACHE", {})
+    monkeypatch.setattr(quadrature, "_GRID_CACHE", {})
+    clear_run_memos()
+    run_selftest_suite()
+    run_multiplier_identity_suite(3, 32)
+    run_multiplier_identity_suite(5, 64)
+    assert max(quadrature._RULE_CACHE) <= _NEWTON_X_MAX_ORDER
+    for order in range(1, _NEWTON_X_MAX_ORDER + 1):
+        x, w = _newton_x_rule(order)
+        rule = gauss_legendre(order)
+        assert np.array_equal(rule.nodes, x) and np.array_equal(rule.weights, w)
 
 
 def test_rule_cache_and_immutability():
-    a = gauss_legendre(17)
-    b = gauss_legendre(17)
-    assert a is b
-    with pytest.raises(ValueError):
-        a.nodes[0] = 0.0
+    for order in (17, 4480):
+        a = gauss_legendre(order)
+        assert gauss_legendre(order) is a
+        with pytest.raises(ValueError):
+            a.nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            a.weights[0] = 0.0
 
 
 def test_order_zero_rejected():
