@@ -21,6 +21,7 @@ from .experiments import (measure_envelope_constant,
                           run_multiplier_identity_suite, run_selftest_suite,
                           run_voronovskaya_suite)
 from .function_space import corpus_ids
+from .kernel import _RUNGS
 from .memo import clear_run_memos, run_memo_stats
 
 __all__ = ["RunConfig", "ConfigError", "config_hash", "parse_config", "dispatch", "main"]
@@ -277,7 +278,7 @@ def _summary(config, snapshot, digest, reports):
         "config": snapshot,
         "suites": {r.suite: {"passed": r.passed, "measured": r.measured} for r in reports},
         "constants": constants,
-        "diagnostics": {"caches": run_memo_stats()},
+        "diagnostics": {"caches": run_memo_stats(), "refinements": _RUNGS.log},
     }
 
 

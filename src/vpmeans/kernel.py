@@ -101,24 +101,54 @@ def multiplier_weight(n, k, lam):
 
 
 _PREFIXES = RunMemo("multiplier_prefix")
+_LGAMMA = RunMemo("lgamma_table")
+
+
+def _lgamma_table(shift, size):
+    """Read-only lgamma((m + shift) + 1.0) for m below `size` rounded up to a
+    power of two, memoised per run on (shift, rounded size)."""
+    size = 1 << (size - 1).bit_length()
+
+    def build():
+        table = np.array([math.lgamma((m + shift) + 1.0) for m in range(size)])
+        table.setflags(write=False)
+        return table
+    return _LGAMMA.lookup((shift, size), build)
+
+
+def _closed_form_prefix(n, lam, top):
+    """multiplier_weight(n, k, lam) for k = 0..top <= n, bit for bit: the same
+    lgamma arguments, read from tables, and the same float operations."""
+    fact = _lgamma_table(0.0, n + 1)                       # lgamma(j + 1.0)
+    shifted = _lgamma_table(float(2.0 * lam), n + top + 1)  # lgamma((m + 2 lam) + 1.0)
+    logs = (fact[n] - fact[n - top:n + 1][::-1]) + (shifted[n] - shifted[n:n + top + 1])
+    # math.exp per entry: np.exp differs from it in the last bit on some
+    return np.array([math.exp(v) for v in logs.tolist()])
 
 
 def multiplier_sequence(n, lam, k_max):
     """Array of multiplier weights for k = 0..k_max.
 
     Only k <= min(n, k_max) runs through the closed form of
-    `multiplier_weight`; the tail k > n holds the exact zeros it returns
-    there.  The closed-form prefix is memoised per (n, lam) and prefix length
-    for the current run (see `vpmeans.memo`); every call returns a new array.
+    `multiplier_weight`, with its lgamma values read from per-run tables; the
+    tail k > n holds the exact zeros it returns there.  The closed-form
+    prefix is memoised per (n, lam) and prefix length for the current run
+    (see `vpmeans.memo`); every call returns a new array.
     """
     if n < 0:
         raise ValueError("multiplier_sequence requires n >= 0")
     top = min(n, k_max)
-    prefix = _PREFIXES.lookup((n, float(lam), top), lambda: np.array(
-        [multiplier_weight(n, k, lam) for k in range(top + 1)]))
+    prefix = _PREFIXES.lookup((n, float(lam), top), lambda: _closed_form_prefix(n, lam, top))
     out = np.zeros(k_max + 1)
     out[:top + 1] = prefix
     return out
+
+
+def _multiplier_integral(n, d, order, q_k):
+    """integral_0^pi v_n Q_k sin^(2 lam) by the `order`-point rule mapped to
+    [0, pi]; q_k holds Q_k at the rule's nodes."""
+    spec = kernel_spec(n, d)
+    return integrate_theta(lambda t: vpm_kernel_eval(spec, t) * q_k, spec.lam, order)
 
 
 def multiplier_via_quadrature(n, k, d, order=None):
@@ -128,12 +158,10 @@ def multiplier_via_quadrature(n, k, d, order=None):
 
     This is the oracle against which the closed form is checked.
     """
-    lam = (d - 2) / 2.0
-    spec = kernel_spec(n, d)
     if order is None:
         order = default_order(n, k)
-    return integrate_theta(lambda t: vpm_kernel_eval(spec, t) * q_normalized(k, lam, t),
-                           lam, order)
+    theta, _ = mapped_rule(0.0, np.pi, order)
+    return _multiplier_integral(n, d, order, q_normalized(k, (d - 2) / 2.0, theta))
 
 
 # fixed inner/middle Gauss orders for the nested integrals; both integrands
@@ -181,16 +209,33 @@ def alpha_voronovskaya(n, d, order=None, rtol=1e-9, max_refinements=8):
                    n, d, "alpha_voronovskaya")
 
 
-def _refine(evaluate, order, rtol, max_refinements, n, d, kind):
+_RUNGS = RunMemo("refinement")
+
+
+def _refine(evaluate, order, rtol, max_refinements, n, d, kind, s=None):
     """Double `order` until two successive evaluate(order) agree to `rtol`
-    relative; raise ConvergenceError when the budget runs out first."""
-    prev, cur = None, evaluate(order)
+    relative; raise ConvergenceError when the budget runs out first.  Rungs
+    are memoised per run on (kind, n, d, lemma exponent s, order), and every
+    ladder, converged or not, is appended to the memo's log."""
+    hits, misses = _RUNGS.hits, _RUNGS.misses
+
+    def rung(o):
+        return _RUNGS.lookup((kind, n, d, s, o), lambda: evaluate(o))
+
+    prev, cur = None, rung(order)
+    converged = False
     for _ in range(max_refinements):
         order *= 2
-        prev, cur = cur, evaluate(order)
-        if abs(cur - prev) <= rtol * abs(cur):
-            return cur
-    raise ConvergenceError(n, d, kind, order, prev, cur)
+        prev, cur = cur, rung(order)
+        converged = abs(cur - prev) <= rtol * abs(cur)
+        if converged:
+            break
+    _RUNGS.log.append({"kind": kind, "n": n, "d": d, "s": s, "order": order,
+                       "evaluated": _RUNGS.misses - misses, "memo_hits": _RUNGS.hits - hits,
+                       "previous": prev, "last": cur, "converged": converged})
+    if not converged:
+        raise ConvergenceError(n, d, kind, order, prev, cur)
+    return cur
 
 
 _LEMMA_KINDS = ("neg_lambda", "neg_two_over_m", "fourth_moment")
@@ -222,4 +267,4 @@ def lemma_integral(n, d, kind, m=None, order=None, rtol=1e-8, max_refinements=8)
     spec = kernel_spec(n, d)
     base = order if order is not None else default_order(n) + 32
     return _refine(lambda o: integrate_theta(lambda t: t ** s * vpm_kernel_eval(spec, t), lam, o),
-                   base, rtol, max_refinements, n, d, kind)
+                   base, rtol, max_refinements, n, d, kind, s)

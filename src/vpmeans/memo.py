@@ -5,7 +5,8 @@ run: the same multiplier prefix, the same modulus cell omega(f, n^(-1/2))_p,
 the same theta-scan table.  Each such layer keeps one RunMemo.  The CLI clears
 all of them when a run starts, so they live for one run, and reports their
 traffic in summary.json.  A memo only ever returns what was stored for an
-identical key, so a hit is exactly what recomputation would give.
+identical key, so a hit is exactly what recomputation would give.  A memo's
+`log` holds run-scoped records a layer appends; it is cleared with the values.
 """
 
 from dataclasses import fields, is_dataclass
@@ -22,7 +23,11 @@ class RunMemo:
     store immutable values or read-only arrays."""
 
     def __init__(self, name):
+        if name in _REGISTRY:
+            # a replaced memo would never be cleared per run nor reported
+            raise ValueError(f"a run memo named {name!r} already exists")
         self._values = {}
+        self.log = []
         self.hits = 0
         self.misses = 0
         _REGISTRY[name] = self
@@ -40,6 +45,7 @@ class RunMemo:
 
     def clear(self):
         self._values.clear()
+        self.log.clear()
         self.hits = 0
         self.misses = 0
 

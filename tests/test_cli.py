@@ -235,12 +235,29 @@ def test_summary_reports_cache_traffic(small_all_run):
     summary = json.loads((small_all_run / "summary.json").read_text())
     caches = summary["diagnostics"]["caches"]
     assert set(caches) == {"multiplier_prefix", "modulus", "theta_scan", "synthesis_context",
-                           "corpus_spectral"}
+                           "corpus_spectral", "lgamma_table", "refinement"}
     for stats in caches.values():
         assert stats["hits"] > 0
         assert stats["entries"] == stats["misses"] > 0
         assert isinstance(stats["bytes"], int) and stats["bytes"] >= 0
     assert caches["synthesis_context"]["bytes"] > 0
+
+
+def test_summary_reports_refinement_ladders(small_all_run):
+    summary = json.loads((small_all_run / "summary.json").read_text())
+    ladders = summary["diagnostics"]["refinements"]
+    assert {rec["kind"] for rec in ladders} == {
+        "alpha_voronovskaya", "neg_lambda", "neg_two_over_m", "fourth_moment"}
+    for rec in ladders:
+        assert set(rec) == {"kind", "n", "d", "s", "order", "evaluated", "memo_hits",
+                            "previous", "last", "converged"}
+        assert rec["converged"] and rec["d"] == 3
+        assert abs(rec["last"] - rec["previous"]) <= 1e-8 * abs(rec["last"])
+    # the self-checks replay the rungs of the sweep
+    assert sum(rec["memo_hits"] for rec in ladders) == summary["diagnostics"]["caches"][
+        "refinement"]["hits"] > 0
+    assert sum(rec["evaluated"] for rec in ladders) == summary["diagnostics"]["caches"][
+        "refinement"]["misses"]
 
 
 def test_summary_reports_refinement_checks(small_all_run):

@@ -7,7 +7,7 @@ from vpmeans.experiments import (Workspace, measure_envelope_constant,
                                  run_lemma_suite, run_modulus_suite,
                                  run_multiplier_identity_suite,
                                  run_selftest_suite, run_voronovskaya_suite)
-from vpmeans.kernel import multiplier_weight
+from vpmeans.kernel import multiplier_via_quadrature, multiplier_weight
 
 SMALL_CORPUS = ("harmonic:4", "cusp:1.0")
 SMALL_N = (4, 8, 16)
@@ -34,6 +34,17 @@ def test_multiplier_suite_rows_and_pass():
     k1n2 = [r for r in report.rows if r["n"] == 2 and r["k"] == 1][0]
     assert k1n2["closed_form"] == pytest.approx(0.5, rel=1e-13)
     assert k1n2["quadrature"] == pytest.approx(0.5, abs=1e-10)
+
+
+@pytest.mark.parametrize("order", [None, 80])
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_multiplier_suite_quadrature_equals_per_cell_oracle(d, order):
+    # one Q table per Gauss order gives the per-cell oracle's value exactly
+    report = run_multiplier_identity_suite(d, 16, order=order)
+    assert [(r["n"], r["k"]) for r in report.rows] == [
+        (n, k) for n in range(17) for k in range(n + 5)]
+    for row in report.rows:
+        assert row["quadrature"] == multiplier_via_quadrature(row["n"], row["k"], d, order)
 
 
 def test_lemma_suite_structure():

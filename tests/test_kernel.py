@@ -102,13 +102,13 @@ def test_multiplier_sequence_in_unit_interval_nonincreasing(n, d, k_max):
     assert np.all(np.diff(seq) <= 0.0)
 
 
-@pytest.mark.parametrize("lam", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("lam", [0.5, 1.0, 1.5, 2.5, 3.7])
 def test_multiplier_sequence_equals_scalar_closed_form(lam):
-    # the memoised prefix and the zero tail reproduce the scalar closed form
-    # bit for bit, below, at and beyond n, on a miss and on a hit
+    # the table-driven, memoised prefix and the zero tail reproduce the scalar
+    # closed form bit for bit, below, at and beyond n, on a miss and on a hit
     clear_run_memos()
-    for n in (0, 1, 9, 64):
-        for k_max in (max(n - 3, 0), n, n + 7):
+    for n in (0, 1, 9, 64, 255, 496, 1000, 2047):
+        for k_max in (max(n - 3, 0), n, min(n + 7, 2048)):
             expect = [multiplier_weight(n, k, lam) for k in range(k_max + 1)]
             for _ in range(2):
                 assert np.array_equal(multiplier_sequence(n, lam, k_max), expect)
@@ -122,22 +122,22 @@ def test_multiplier_sequence_returns_fresh_arrays():
 
 
 def test_multiplier_sequence_weight_traffic(monkeypatch):
-    # each distinct degree evaluates its k <= n prefix once, however many
+    # each distinct degree builds its k <= n prefix once, however many
     # (function, p) pairs of the suite ask for it
-    calls = []
-    scalar = vpmeans.kernel.multiplier_weight
+    built = []
+    build = vpmeans.kernel._closed_form_prefix
 
-    def counted(n, k, lam):
-        calls.append(n)
-        return scalar(n, k, lam)
+    def counted(n, lam, top):
+        built.append(n)
+        return build(n, lam, top)
 
-    monkeypatch.setattr(vpmeans.kernel, "multiplier_weight", counted)
+    monkeypatch.setattr(vpmeans.kernel, "_closed_form_prefix", counted)
     clear_run_memos()
     n_list, k_cap = (4, 8), 24
     run_delayed_max_suite(("bump", "randband:seed42"), (2.0, float("inf")), n_list, k_cap, 3)
-    degrees = set(calls)
-    assert degrees == set(range(min(n_list), k_cap + 1))
-    assert len(calls) <= sum(n + 1 for n in degrees)
+    assert sorted(built) == list(range(min(n_list), k_cap + 1))
+    prefixes = vpmeans.kernel._PREFIXES
+    assert prefixes.misses == len(built) and prefixes.hits > 0
 
 
 def test_multiplier_via_quadrature_values():
@@ -206,6 +206,85 @@ def test_refinement_budget_exhausted_raises():
     assert abs(err.last - err.previous) > 1e-12 * abs(err.last)
     # the same call converges within the default budget
     assert lemma_integral(8, 5, "neg_lambda", rtol=1e-12) == pytest.approx(err.last, rel=1e-8)
+
+
+def _ladders():
+    return [
+        lambda: alpha_voronovskaya(8, 3),
+        lambda: alpha_voronovskaya(8, 5),
+        lambda: alpha_voronovskaya(16, 5),
+        lambda: lemma_integral(8, 3, "neg_two_over_m", m=3),
+        lambda: lemma_integral(8, 3, "neg_two_over_m", m=7),
+        lambda: lemma_integral(8, 5, "neg_two_over_m", m=7),
+        lambda: lemma_integral(8, 5, "neg_lambda"),
+        lambda: lemma_integral(16, 5, "neg_lambda"),
+        lambda: lemma_integral(8, 5, "fourth_moment"),
+    ]
+
+
+def test_refinement_memo_keys_separate_kind_n_d_and_m():
+    fresh = []
+    for ladder in _ladders():
+        clear_run_memos()
+        fresh.append(ladder())
+    assert len(set(fresh)) == len(fresh)
+    # one after the other, every ladder still gets its own rungs
+    clear_run_memos()
+    assert [ladder() for ladder in _ladders()] == fresh
+    assert [ladder() for ladder in _ladders()] == fresh
+    log = vpmeans.kernel._RUNGS.log
+    assert len(log) == 2 * len(fresh)
+    assert all(rec["evaluated"] == 0 and rec["memo_hits"] > 0 for rec in log[len(fresh):])
+
+
+def test_refinement_memo_evaluates_only_new_orders(monkeypatch):
+    orders = []
+    evaluate = vpmeans.kernel._alpha_at_order
+
+    def counted(n, d, order):
+        orders.append(order)
+        return evaluate(n, d, order)
+
+    monkeypatch.setattr(vpmeans.kernel, "_alpha_at_order", counted)
+    clear_run_memos()
+    coarse = alpha_voronovskaya(32, 4)
+    first = list(orders)
+    fine = alpha_voronovskaya(32, 4, rtol=1e-11)
+    assert alpha_voronovskaya(32, 4) == coarse
+    assert len(set(orders)) == len(orders)
+    assert min(orders[len(first):], default=math.inf) > max(first)
+    clear_run_memos()
+    assert alpha_voronovskaya(32, 4, rtol=1e-11) == fine
+    log = vpmeans.kernel._RUNGS.log
+    assert [rec["converged"] for rec in log] == [True]
+    assert log[0]["last"] == fine and log[0]["evaluated"] == len(set(orders))
+
+
+def _convergence_fields(call):
+    with pytest.raises(ConvergenceError) as info:
+        call()
+    err = info.value
+    return err.n, err.d, err.kind, err.order, err.previous, err.last
+
+
+@pytest.mark.parametrize("call", [
+    lambda: alpha_voronovskaya(8, 3, max_refinements=0),
+    lambda: alpha_voronovskaya(8, 3, rtol=1e-17, max_refinements=1),
+    lambda: lemma_integral(8, 5, "neg_lambda", max_refinements=0),
+    lambda: lemma_integral(8, 5, "neg_lambda", rtol=1e-12, max_refinements=1),
+])
+def test_refinement_raises_when_every_rung_is_a_memo_hit(call):
+    clear_run_memos()
+    fresh = _convergence_fields(call)
+    # the default ladders pass through the same orders first
+    clear_run_memos()
+    alpha_voronovskaya(8, 3)
+    lemma_integral(8, 5, "neg_lambda")
+    assert _convergence_fields(call) == fresh
+    last = vpmeans.kernel._RUNGS.log[-1]
+    assert (last["converged"], last["evaluated"], last["order"]) == (False, 0, fresh[3])
+    assert (last["previous"], last["last"]) == fresh[4:]
+    assert last["memo_hits"] == (1 if fresh[4] is None else 2)
 
 
 def test_lemma_integral_kinds_and_errors():

@@ -1,0 +1,34 @@
+import numpy as np
+import pytest
+
+import vpmeans.memo
+from vpmeans.memo import RunMemo, clear_run_memos, run_memo_stats
+
+
+@pytest.fixture
+def registry(monkeypatch):
+    # memos made here stay out of the package's registry
+    monkeypatch.setattr(vpmeans.memo, "_REGISTRY", dict(vpmeans.memo._REGISTRY))
+    return vpmeans.memo._REGISTRY
+
+
+def test_duplicate_memo_name_raises(registry):
+    memo = RunMemo("test_memo")
+    with pytest.raises(ValueError, match="test_memo"):
+        RunMemo("test_memo")
+    assert registry["test_memo"] is memo
+    with pytest.raises(ValueError, match="refinement"):
+        RunMemo("refinement")
+
+
+def test_memo_traffic_and_clear(registry):
+    memo = RunMemo("test_memo")
+    calls = []
+    for _ in range(3):
+        value = memo.lookup(("key", 1), lambda: calls.append(1) or np.ones(4))
+    assert calls == [1] and np.array_equal(value, np.ones(4))
+    memo.log.append({"note": 1})
+    assert run_memo_stats()["test_memo"] == {"entries": 1, "hits": 2, "misses": 1, "bytes": 32}
+    clear_run_memos()
+    assert run_memo_stats()["test_memo"] == {"entries": 0, "hits": 0, "misses": 0, "bytes": 0}
+    assert memo.log == []
