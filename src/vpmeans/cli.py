@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import tempfile
+import time
 from dataclasses import dataclass, fields, replace
 
 from .experiments import (measure_envelope_constant,
@@ -22,7 +23,7 @@ from .experiments import (measure_envelope_constant,
                           run_voronovskaya_suite)
 from .function_space import corpus_ids
 from .kernel import _RUNGS
-from .memo import clear_run_memos, run_memo_stats
+from .memo import run_memo_stats, run_scope
 
 __all__ = ["RunConfig", "ConfigError", "config_hash", "parse_config", "dispatch", "main"]
 
@@ -251,13 +252,9 @@ def _write_atomic(path, text):
         raise
 
 
-def _summary(config, snapshot, digest, reports):
-    constants = {
-        "envelope_c5": None,
-        "n_alpha_window": None,
-        "lemma_windows": None,
-        "converse_ratio_windows": None,
-    }
+def _summary(config, snapshot, digest, reports, wall):
+    constants = dict.fromkeys(("envelope_c5", "n_alpha_window", "lemma_windows",
+                               "converse_ratio_windows"))
     for report in reports:
         if report.suite == "selftest":
             constants["envelope_c5"] = report.measured.get("envelope_constant")
@@ -278,7 +275,8 @@ def _summary(config, snapshot, digest, reports):
         "config": snapshot,
         "suites": {r.suite: {"passed": r.passed, "measured": r.measured} for r in reports},
         "constants": constants,
-        "diagnostics": {"caches": run_memo_stats(), "refinements": _RUNGS.log},
+        "diagnostics": {"caches": run_memo_stats(), "refinements": _RUNGS.log,
+                        "suites": {name: {"wall_s": s} for name, s in wall.items()}},
     }
 
 
@@ -286,32 +284,34 @@ def dispatch(config, suite):
     """Run one suite (or 'all'), write CSV + summary.json under out_dir, and
     return the process exit code.  Every CSV starts with a comment line
     `# suite=<name> config_hash=<hash> generated=<UTC ISO time>` whose hash
-    is the summary's.  The run memos start empty, so each spectral quantity
-    is computed once per run and no value outlives it."""
-    clear_run_memos()
-    try:
-        os.makedirs(config.out_dir, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot create output directory {config.out_dir!r}: {exc}",
-              file=sys.stderr)
-        return 2
-    snapshot = config.snapshot()
-    digest = config_hash({k: v for k, v in snapshot.items() if k != "out_dir"})
-    names = SUITES if suite == "all" else (suite,)
-    reports = []
-    for name in names:
-        report = _run_one(config, name)
-        generated = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        _write_atomic(os.path.join(config.out_dir, f"{name}.csv"),
-                      f"# suite={name} config_hash={digest} generated={generated}\n"
-                      + report.csv_body())
-        reports.append(report)
-        status = "pass" if report.passed else "FAIL"
-        print(f"[{status}] {name}: {len(report.rows)} rows")
-    summary = _summary(config, snapshot, digest, reports)
-    _write_atomic(os.path.join(config.out_dir, "summary.json"),
-                  json.dumps(summary, indent=2, sort_keys=True, default=str) + "\n")
-    return 0 if all(r.passed for r in reports) else 1
+    is the summary's.  The run is one `run_scope`: each spectral quantity is
+    computed once per run, and no memo entry outlives the summary."""
+    with run_scope():
+        try:
+            os.makedirs(config.out_dir, exist_ok=True)
+        except OSError as exc:
+            print(f"error: cannot create output directory {config.out_dir!r}: {exc}",
+                  file=sys.stderr)
+            return 2
+        snapshot = config.snapshot()
+        digest = config_hash({k: v for k, v in snapshot.items() if k != "out_dir"})
+        names = SUITES if suite == "all" else (suite,)
+        reports, wall = [], {}
+        for name in names:
+            start = time.perf_counter()
+            report = _run_one(config, name)
+            wall[name] = time.perf_counter() - start
+            generated = datetime.datetime.now(datetime.timezone.utc).isoformat()
+            _write_atomic(os.path.join(config.out_dir, f"{name}.csv"),
+                          f"# suite={name} config_hash={digest} generated={generated}\n"
+                          + report.csv_body())
+            reports.append(report)
+            status = "pass" if report.passed else "FAIL"
+            print(f"[{status}] {name}: {len(report.rows)} rows")
+        summary = _summary(config, snapshot, digest, reports, wall)
+        _write_atomic(os.path.join(config.out_dir, "summary.json"),
+                      json.dumps(summary, indent=2, sort_keys=True, default=str) + "\n")
+        return 0 if all(r.passed for r in reports) else 1
 
 
 def build_parser():

@@ -27,6 +27,7 @@ __all__ = [
     "zonal_synthesis",
     "synthesis_context",
     "zonal_project",
+    "zonal_project_many",
     "lp_norm_zonal",
     "lp_norms_batch",
     "lp_norm_grid",
@@ -152,36 +153,47 @@ def _profile_callable(f):
     return None
 
 
-def zonal_project(profile, k_max, lam, order=None):
-    """Project a zonal profile onto Q_0..Q_{k_max}:
-
-        a_k = integral g Q_k sin^(2 lam) / integral Q_k^2 sin^(2 lam),
-
-    both integrals on the same mapped Gauss rule, the denominators in blocks
-    of BLOCK_COLUMNS degrees.  The relative L^2 residual of the
-    reconstruction is attached to the result.  The full Q table is built
-    here and dropped: a parity-folded projection would round differently.
-    """
-    g = _profile_callable(profile)
-    if g is None:
-        raise TypeError("zonal_project expects a ZonalProfile or a callable profile")
-    if order is None:
-        order = 2 * k_max + 32
-    ctx = synthesis_context(lam, k_max, "gauss", order)
+def _projection_table(k_max, lam, order):
+    """Synthesis context, full Q table and denominators of a projection."""
+    ctx = synthesis_context(lam, k_max, "gauss", 2 * k_max + 32 if order is None else order)
     q = q_table(k_max, lam, ctx.theta)
-    gv = np.asarray(g(ctx.theta), dtype=float)
-    num = q.T @ (ctx.weights * gv)
     den = np.empty(k_max + 1)
     for start in range(0, k_max + 1, BLOCK_COLUMNS):
         block = slice(start, start + BLOCK_COLUMNS)
         den[block] = (q[:, block] ** 2).T @ ctx.weights
-    coeffs = num / den
+    return ctx, q, den
+
+
+def zonal_project(profile, k_max, lam, order=None, table=None):
+    """Project a zonal profile onto Q_0..Q_{k_max}:
+
+        a_k = integral g Q_k sin^(2 lam) / integral Q_k^2 sin^(2 lam),
+
+    both integrals on the mapped Gauss rule of `order` (2 k_max + 32) nodes,
+    the denominators in blocks of BLOCK_COLUMNS degrees.  The relative L^2
+    residual of the reconstruction is attached to the result.  The full Q
+    table, built here unless a `zonal_project_many` batch passes its `table`,
+    is then dropped: a parity-folded projection would round differently.
+    """
+    g = _profile_callable(profile)
+    if g is None:
+        raise TypeError("zonal_project expects a ZonalProfile or a callable profile")
+    ctx, q, den = _projection_table(k_max, lam, order) if table is None else table
+    gv = np.asarray(g(ctx.theta), dtype=float)
+    coeffs = (q.T @ (ctx.weights * gv)) / den
     recon = q @ coeffs
     ref = math.sqrt(float(ctx.weights @ gv ** 2))
     resid = math.sqrt(max(float(ctx.weights @ (gv - recon) ** 2), 0.0))
     rel = resid / ref if ref > 0 else resid
     coeffs.setflags(write=False)
     return ZonalSpectral(lam=lam, coeffs=coeffs, projection_residual=rel)
+
+
+def zonal_project_many(profiles, k_max, lam, order=None):
+    """`zonal_project` of each profile of a sequence, bit for bit, with one Q
+    table and one set of denominators for all; an empty one builds nothing."""
+    table = _projection_table(k_max, lam, order) if len(profiles) else None
+    return [zonal_project(profile, k_max, lam, order, table=table) for profile in profiles]
 
 
 def lp_norm_zonal(f, p, d, order=None):
@@ -212,50 +224,51 @@ def lp_norm_zonal(f, p, d, order=None):
     return float((surface_area(d - 1) * np.dot(weights, np.abs(vals) ** p)) ** (1.0 / p))
 
 
-def lp_norms_batch(coeff_matrix, lam, p, d, order=None):
+def lp_norms_batch(coeff_matrix, lam, p, d, order=None, reference=None):
     """L^p norms of many zonal spectral functions at once.
 
     `coeff_matrix` has one coefficient vector per column; returns one norm per
-    column.  This is the workhorse behind the modulus and K-functional sweeps,
-    where hundreds of coefficient vectors share the same synthesis tables.
+    column, or with a `reference` coefficient vector R, that of R minus each
+    column.  This is the workhorse behind the modulus and K-functional sweeps.
 
     p = 2 is Parseval, ||g||_2^2 = |S^{d-1}| sum_k a_k^2 / N_k (N_k the
     dimension of the degree-k harmonics): no grid, `order` unused.  Other p
     synthesise blocks of BLOCK_COLUMNS columns, abs and power in place: the
     even- and odd-degree parts E and O on the half grid theta_i <= pi/2, E + O
     there and E - O at the mirrored points pi - theta_i (an odd grid's middle
-    node has none), where the p = inf sup is also taken.
+    node has none), where the p = inf sup is also taken.  R is synthesised
+    once and each block subtracted from it, so a column V_n f costs n + 1
+    rows; this loses eps ||R|| / ||R - g|| relative, so pass g near R as R - g.
 
     The grid is fixed by the input shape: the band limit is
     `coeff_matrix.shape[0] - 1`; `order`, for finite p != 2 only, defaults to
-    2 * band limit + 32.  Within each block, the trailing rows whose entries
-    are all exact zeros are skipped in the synthesis product, since they add
-    only zeros; a NaN or inf entry keeps its row.
+    2 * band limit + 32.  Within each block, entries below NEGLIGIBLE are
+    dropped and the trailing rows left all zero are skipped in the synthesis
+    product; a NaN or inf entry keeps its row.
     """
     if p != INF and p < 1:
         raise ValueError(f"p must satisfy 1 <= p <= inf, got {p}")
     coeff_matrix = np.asarray(coeff_matrix, dtype=float)
     if coeff_matrix.ndim == 1:
         coeff_matrix = coeff_matrix[:, None]
+    reference = None if reference is None else np.asarray(reference, dtype=float)[:, None]
     k_max = coeff_matrix.shape[0] - 1
     if p == 2:
-        return np.sqrt(surface_area(d) * (_inverse_dims(k_max, lam) @ coeff_matrix ** 2))
+        diff = coeff_matrix if reference is None else reference - coeff_matrix
+        squares = diff ** 2 if reference is None else np.multiply(diff, diff, out=diff)
+        return np.sqrt(surface_area(d) * (_inverse_dims(k_max, lam) @ squares))
     if p == INF:
         ctx = synthesis_context(lam, k_max, "dense", DENSE_GRID_SIZE)
     else:
         size = order if order is not None else 2 * k_max + 32
         ctx = synthesis_context(lam, k_max, "gauss", size)
-    n_mirrored = ctx.theta.size // 2   # node size-1-i is pi - theta_i
+    ref_vals = None if reference is None else _synthesise(ctx, reference)
     out = np.empty(coeff_matrix.shape[1])
     for start in range(0, coeff_matrix.shape[1], BLOCK_COLUMNS):
         block = slice(start, start + BLOCK_COLUMNS)
-        live = np.flatnonzero(np.any(coeff_matrix[:, block] != 0.0, axis=1))
-        rows = live[-1] + 1 if live.size else 0
-        even = ctx.even[:, :(rows + 1) // 2] @ coeff_matrix[0:rows:2, block]
-        odd = ctx.odd[:, :rows // 2] @ coeff_matrix[1:rows:2, block]
-        vals = np.empty((ctx.theta.size, even.shape[1]))
-        np.add(even, odd, out=vals[:len(even)])
-        np.subtract(even[:n_mirrored], odd[:n_mirrored], out=vals[::-1][:n_mirrored])
+        vals = _synthesise(ctx, coeff_matrix[:, block])
+        if ref_vals is not None:
+            np.subtract(ref_vals, vals, out=vals)
         np.abs(vals, out=vals)
         if p == INF:
             out[block] = np.max(vals, axis=0)
@@ -265,6 +278,28 @@ def lp_norms_batch(coeff_matrix, lam, p, d, order=None):
     if p == INF:
         return out
     return (surface_area(d - 1) * out) ** (1.0 / p)
+
+
+# below 2^-960 a coefficient moves no synthesised value (|Q_k| <= 1); as a
+# subnormal (multiplier weights near k = n) it slows a BLAS product severalfold
+NEGLIGIBLE = 2.0 ** -960
+
+
+def _synthesise(ctx, coeffs):
+    """The columns of `coeffs` on the full grid of `ctx`, from their live rows."""
+    small = np.abs(coeffs) < NEGLIGIBLE          # False for NaN: its row stays
+    live = np.flatnonzero(~np.all(small, axis=1))
+    rows = live[-1] + 1 if live.size else 0
+    coeffs, small = coeffs[:rows], small[:rows]
+    if np.any(small & (coeffs != 0.0)):
+        coeffs = np.where(small, 0.0, coeffs)
+    even = ctx.even[:, :(rows + 1) // 2] @ coeffs[0::2]
+    odd = ctx.odd[:, :rows // 2] @ coeffs[1::2]
+    n_mirrored = ctx.theta.size // 2   # node size-1-i is pi - theta_i
+    vals = np.empty((ctx.theta.size, even.shape[1]))
+    np.add(even, odd, out=vals[:len(even)])
+    np.subtract(even[:n_mirrored], odd[:n_mirrored], out=vals[::-1][:n_mirrored])
+    return vals
 
 
 def _inverse_dims(k_max, lam):

@@ -2,18 +2,19 @@
 
 The spectral layers are asked for the same quantity many times in one `vpm`
 run: the same multiplier prefix, the same modulus cell omega(f, n^(-1/2))_p,
-the same theta-scan table.  Each such layer keeps one RunMemo.  The CLI clears
-all of them when a run starts, so they live for one run, and reports their
-traffic in summary.json.  A memo only ever returns what was stored for an
-identical key, so a hit is exactly what recomputation would give.  A memo's
+the same theta-scan table.  Each such layer keeps one RunMemo.  A CLI run is
+one `run_scope`, which clears them all when it starts and ends, and reports
+their traffic in summary.json.  A memo only ever returns what was stored for
+an identical key, so a hit is exactly what recomputation would give.  A memo's
 `log` holds run-scoped records a layer appends; it is cleared with the values.
 """
 
+from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 
 import numpy as np
 
-__all__ = ["RunMemo", "clear_run_memos", "run_memo_stats"]
+__all__ = ["RunMemo", "clear_run_memos", "run_memo_stats", "run_scope"]
 
 _REGISTRY = {}
 
@@ -43,6 +44,9 @@ class RunMemo:
             self.hits += 1
         return value
 
+    def __contains__(self, key):
+        return key in self._values
+
     def clear(self):
         self._values.clear()
         self.log.clear()
@@ -68,6 +72,16 @@ def clear_run_memos():
     """Empty every run memo and reset its counters."""
     for memo in _REGISTRY.values():
         memo.clear()
+
+
+@contextmanager
+def run_scope():
+    """One run: every run memo is emptied on entry and again on exit."""
+    clear_run_memos()
+    try:
+        yield
+    finally:
+        clear_run_memos()
 
 
 def run_memo_stats():

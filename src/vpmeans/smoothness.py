@@ -37,6 +37,11 @@ def _theta_scan(t, size):
 
 _DAMPING = RunMemo("theta_scan")
 _MODULUS = RunMemo("modulus")
+_CANDIDATES = RunMemo("k_candidates")
+
+
+def _function_key(f):
+    return (f.coeffs.dtype.str, f.coeffs.shape, f.coeffs.tobytes(), float(f.lam))
 
 
 def _damping_table(k_max, lam, thetas):
@@ -70,8 +75,7 @@ def modulus(f, t, p, d, theta_grid_size=64, order=None):
     """
     if not 0.0 < t <= np.pi:
         raise ValueError(f"modulus scale must be in (0, pi], got {t}")
-    key = (f.coeffs.dtype.str, f.coeffs.shape, f.coeffs.tobytes(), float(f.lam),
-           float(t), float(p), int(d), int(theta_grid_size), order)
+    key = _function_key(f) + (float(t), float(p), int(d), int(theta_grid_size), order)
 
     def compute():
         thetas = _theta_scan(t, theta_grid_size)
@@ -83,35 +87,42 @@ def default_candidate_degrees(t):
     """Dyadic degrees 1, 2, 4, ... up to 4*ceil(1/t^2), the scale at which
     the means resolve features of size t."""
     top = 4 * math.ceil(1.0 / (t * t))
-    degrees = []
-    m = 1
-    while m <= top:
-        degrees.append(m)
-        m *= 2
-    if degrees[-1] != top:
-        degrees.append(top)
-    return tuple(degrees)
+    return tuple(dict.fromkeys([2 ** i for i in range(top.bit_length())] + [top]))
 
 
 def k_functional_estimate(f, t, p, d, candidate_degrees=None, order=None):
     """Upper estimate of the K-functional K(f, t)_p = inf_g {||f-g||_p +
     t^2 ||Dg||_p}: the minimum of the objective over g = 0 and over the
-    means candidates V_m f, V_m^2 f, V_m^7 f."""
+    means candidates V_m f, V_m^2 f, V_m^7 f.
+
+    The candidate norms ||f - g||_p and ||Dg||_p do not depend on t: each
+    degree's are memoised per run (see `vpmeans.memo`) on f's bytes, p, d,
+    order and m, so a sweep over scales computes each once, in one batch."""
     if candidate_degrees is None:
         candidate_degrees = default_candidate_degrees(t)
     if len(candidate_degrees) == 0 or min(candidate_degrees) < 1:
         raise ValueError("candidate degrees must be a nonempty set of integers >= 1")
-    k = np.arange(f.band_limit + 1, dtype=float)
-    eig = k * (k + d - 2.0)
-    diff_cols = [f.coeffs]                 # g = 0: objective is ||f||_p
-    lap_cols = [np.zeros_like(f.coeffs)]
-    for m in candidate_degrees:
-        w = multiplier_sequence(m, f.lam, f.band_limit)
-        for j in CANDIDATE_POWERS:
-            g = f.coeffs * w ** j
-            diff_cols.append(f.coeffs - g)
-            lap_cols.append(g * eig)
-    diffs = lp_norms_batch(np.column_stack(diff_cols), f.lam, p, d, order=order)
-    laps = lp_norms_batch(np.column_stack(lap_cols), f.lam, p, d, order=order)
-    return float(np.min(diffs + t * t * laps))
+    key = _function_key(f) + (float(p), int(d), order)
+    degrees = (0,) + tuple(dict.fromkeys(candidate_degrees))     # 0 stands for g = 0
+    missing = [m for m in degrees if key + (m,) not in _CANDIDATES]
+    computed = dict(zip(missing, _candidate_norms(f, missing, p, d, order))) if missing else {}
+    norms = np.hstack([_CANDIDATES.lookup(key + (m,), lambda: computed[m]) for m in degrees])
+    return float(np.min(norms[0] + t * t * norms[1]))
 
+
+def _candidate_norms(f, degrees, p, d, order):
+    """Per degree m, the (2, j) array of ||f - g||_p and ||Dg||_p over the
+    candidates g = V_m^j f, j in CANDIDATE_POWERS; m = 0 stands for g = 0."""
+    k = np.arange(f.band_limit + 1, dtype=float)
+    cols, sizes = [], []
+    for m in degrees:
+        w = multiplier_sequence(m, f.lam, f.band_limit) if m else np.zeros_like(f.coeffs)
+        powers = CANDIDATE_POWERS if m else (1,)
+        cols.extend(f.coeffs * w ** j for j in powers)
+        sizes.append(len(powers))
+    cols = np.column_stack(cols)
+    norms = np.stack([lp_norms_batch(cols, f.lam, p, d, order=order, reference=f.coeffs),
+                      lp_norms_batch(cols * (k * (k + d - 2.0))[:, None], f.lam, p, d,
+                                     order=order)])
+    norms.setflags(write=False)
+    return np.split(norms, np.cumsum(sizes)[:-1], axis=1)

@@ -5,6 +5,7 @@ import re
 import pytest
 
 import vpmeans.cli
+import vpmeans.memo
 from vpmeans.cli import SUITES, ConfigError, build_parser, dispatch, main, parse_config
 from vpmeans.experiments import run_multiplier_identity_suite
 
@@ -224,9 +225,9 @@ def test_shared_cells_leave_csv_bodies_unchanged(tmp_path, small_all_run):
 def test_memo_keys_separate_corpus_seeds(tmp_path, monkeypatch):
     names = ("multipliers", "lemmas", "voronovskaya") + SPECTRAL_SUITES + ("selftest",)
     assert main(["all", *SMALL_RUN, "--seed", "7", "--out", str(tmp_path / "fresh")]) == 0
-    assert main(["all", *SMALL_RUN, "--seed", "42", "--out", str(tmp_path / "s42")]) == 0
     # keep the seed-42 memos: only their keys can tell the corpora apart
-    monkeypatch.setattr(vpmeans.cli, "clear_run_memos", lambda: None)
+    monkeypatch.setattr(vpmeans.memo, "clear_run_memos", lambda: None)
+    assert main(["all", *SMALL_RUN, "--seed", "42", "--out", str(tmp_path / "s42")]) == 0
     assert main(["all", *SMALL_RUN, "--seed", "7", "--out", str(tmp_path / "after")]) == 0
     assert _csv_bodies(tmp_path / "after", names) == _csv_bodies(tmp_path / "fresh", names)
 
@@ -235,12 +236,24 @@ def test_summary_reports_cache_traffic(small_all_run):
     summary = json.loads((small_all_run / "summary.json").read_text())
     caches = summary["diagnostics"]["caches"]
     assert set(caches) == {"multiplier_prefix", "modulus", "theta_scan", "synthesis_context",
-                           "corpus_spectral", "lgamma_table", "refinement"}
+                           "corpus_spectral", "lgamma_table", "refinement", "k_candidates"}
     for stats in caches.values():
         assert stats["hits"] > 0
         assert stats["entries"] == stats["misses"] > 0
         assert isinstance(stats["bytes"], int) and stats["bytes"] >= 0
     assert caches["synthesis_context"]["bytes"] > 0
+
+
+def test_summary_reports_suite_wall_times(small_all_run):
+    summary = json.loads((small_all_run / "summary.json").read_text())
+    assert set(summary["diagnostics"]) == {"caches", "refinements", "suites"}
+    suites = summary["diagnostics"]["suites"]
+    assert set(suites) == set(SUITES)
+    for info in suites.values():
+        assert set(info) == {"wall_s"} and isinstance(info["wall_s"], float)
+        assert info["wall_s"] > 0.0
+    assert set(summary["constants"]) == {"envelope_c5", "n_alpha_window",
+                                         "lemma_windows", "converse_ratio_windows"}
 
 
 def test_summary_reports_refinement_ladders(small_all_run):

@@ -1,13 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import vpmeans.function_space
 from vpmeans.cli import config_hash
 from vpmeans.experiments import (Workspace, measure_envelope_constant,
                                  run_converse_suite, run_delayed_max_suite,
                                  run_lemma_suite, run_modulus_suite,
                                  run_multiplier_identity_suite,
                                  run_selftest_suite, run_voronovskaya_suite)
+from vpmeans.function_space import corpus_ids, q_table, zonal_project
 from vpmeans.kernel import multiplier_via_quadrature, multiplier_weight
+from vpmeans.memo import clear_run_memos
 
 SMALL_CORPUS = ("harmonic:4", "cusp:1.0")
 SMALL_N = (4, 8, 16)
@@ -157,6 +162,31 @@ def test_workspace_resolution():
     assert Workspace(5, 16).spectral("cusp:0.5").lam == 1.5
     with pytest.raises(LookupError):
         ws.spectral("unknown:1")
+
+
+def test_workspace_prepare_projects_once_and_builds_nothing_when_memoised(monkeypatch):
+    calls = []
+    monkeypatch.setattr(vpmeans.function_space, "q_table",
+                        lambda *args: calls.append(args) or q_table(*args))
+    clear_run_memos()
+    ws = Workspace(3, 128)          # K = 576: one projection table is 5.2 MiB
+    corpus = corpus_ids()
+    first = ws.prepare(corpus)
+    assert len(calls) == 1          # the four projected members share one table
+    for fid, f in zip(corpus, first):
+        if f.projection_residual:
+            single = zonal_project(vpmeans.function_space.corpus_member(3, fid), 576, 0.5)
+            assert np.array_equal(f.coeffs, single.coeffs)
+    calls.clear()
+    tracemalloc.start()
+    try:
+        again = ws.prepare(corpus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == [] and peak < 2 ** 20
+    assert all(a is b for a, b in zip(first, again))
+    clear_run_memos()
 
 
 def test_report_determinism_in_memory():

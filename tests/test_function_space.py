@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vpmeans.function_space import (BLOCK_COLUMNS, DENSE_GRID_SIZE, INF,
-                                    GridFunction, ZonalSpectral, _inverse_dims,
-                                    corpus_ids, corpus_member, lp_norm_grid,
-                                    lp_norm_zonal, lp_norms_batch, make_corpus,
-                                    surface_area, synthesis_context,
-                                    zonal_project, zonal_synthesis)
+import vpmeans.function_space
+from vpmeans.function_space import (BLOCK_COLUMNS, DENSE_GRID_SIZE, INF, NEGLIGIBLE,
+                                    GridFunction, ZonalProfile, ZonalSpectral,
+                                    _inverse_dims, corpus_ids, corpus_member,
+                                    lp_norm_grid, lp_norm_zonal, lp_norms_batch,
+                                    make_corpus, surface_area, synthesis_context,
+                                    zonal_project, zonal_project_many, zonal_synthesis)
 from vpmeans.memo import clear_run_memos, run_memo_stats
 from vpmeans.operators import sample_zonal_on_grid
 from vpmeans.quadrature import integrate_theta, mapped_rule, sphere_grid
@@ -207,6 +208,83 @@ def test_zonal_project_equals_full_table_reference():
     q = q_table(k_max, lam, theta)
     ref = (q.T @ (weights * profile(theta))) / ((q ** 2).T @ weights)
     assert np.array_equal(zonal_project(profile, k_max, lam).coeffs, ref)
+
+
+def counting_q_table(monkeypatch):
+    """Route function_space's q_table through a call log; returns the log."""
+    calls = []
+    monkeypatch.setattr(vpmeans.function_space, "q_table",
+                        lambda *args: calls.append(args) or q_table(*args))
+    return calls
+
+
+def test_zonal_project_many_equals_single_projections(monkeypatch):
+    lam, k_max = 1.0, 40
+    profiles = [lambda t: np.exp(-4.0 * t ** 2), lambda t: t ** 0.5,
+                ZonalProfile(g=lambda t: np.cos(3.0 * t), tag="cos3")]
+    calls = counting_q_table(monkeypatch)
+    batch = zonal_project_many(profiles, k_max, lam)
+    assert len(calls) == 1
+    for profile, out in zip(profiles, batch):
+        single = zonal_project(profile, k_max, lam)
+        assert np.array_equal(out.coeffs, single.coeffs)
+        assert out.projection_residual == single.projection_residual
+    calls.clear()
+    assert zonal_project_many([], k_max, lam) == [] and calls == []
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(d=st.sampled_from([3, 5]), support=st.integers(0, 64),
+       columns=st.integers(1, 2 * BLOCK_COLUMNS + 2), k_max=st.sampled_from([64, 300]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_lp_norms_batch_reference_matches_full_band(d, support, columns, k_max, seed):
+    # ||R - g|| as a difference of syntheses against the synthesis of R - g;
+    # near R the difference loses eps ||R|| / ||R - g||, so such cells are
+    # compared only where ||R - g|| >= 1e-3 ||R||
+    rng = np.random.default_rng(seed)
+    lam = (d - 2) / 2.0
+    ref = rng.uniform(-1.0, 1.0, k_max + 1)
+    cols = banded_columns(rng, k_max, support, columns)
+    near = rng.random(columns) < 0.3
+    cols[:, near] = ref[:, None] * (1.0 - rng.uniform(0.0, 1e-2, near.sum()))
+    for p in (1.0, 2.0, INF):
+        got = lp_norms_batch(cols, lam, p, d, reference=ref)
+        want = lp_norms_batch(ref[:, None] - cols, lam, p, d)
+        keep = want >= 1e-3 * lp_norms_batch(ref, lam, p, d)[0]
+        np.testing.assert_allclose(got[keep], want[keep], rtol=1e-12, atol=0.0)
+
+
+def test_lp_norms_batch_negligible_entries_nan_and_zero_columns():
+    rng = np.random.default_rng(5)
+    ref = rng.uniform(-1.0, 1.0, 65)
+    cols = np.zeros((65, 4))
+    cols[:20, 1] = rng.uniform(-1.0, 1.0, 20)
+    cols[:31, 2] = rng.uniform(-1.0, 1.0, 31)
+    # subnormal tails, as the multiplier weights leave near k = n, are zeros
+    tiny = cols.copy()
+    tiny[20:40, 1] = 5e-324
+    tiny[50, 2] = -5e-324
+    tiny[64, 3] = 5e-324
+    for reference in (None, ref):
+        for p in (1.0, 2.0, INF):
+            assert np.array_equal(lp_norms_batch(tiny, 0.5, p, 3, reference=reference),
+                                  lp_norms_batch(cols, 0.5, p, 3, reference=reference))
+    # all-zero columns give ||R||
+    for p in (1.0, 2.0, INF):
+        np.testing.assert_allclose(lp_norms_batch(np.zeros((65, 3)), 0.5, p, 3, reference=ref),
+                                   lp_norms_batch(ref, 0.5, p, 3)[0], rtol=1e-15, atol=0.0)
+    # an entry of 2^-960 keeps its row; the next float below it is dropped
+    edge = np.zeros((65, 2))
+    edge[40, 0] = NEGLIGIBLE
+    edge[40, 1] = np.nextafter(NEGLIGIBLE, 0.0)
+    for p in (1.0, INF):
+        out = lp_norms_batch(edge, 0.5, p, 3)
+        assert out[0] > 0.0 and out[1] == 0.0
+    # a NaN row propagates through the reference form as well
+    cols[64, 3] = np.nan
+    for p in (1.0, 2.0, INF):
+        out = lp_norms_batch(cols, 0.5, p, 3, reference=ref)
+        assert np.isnan(out[3]) and np.all(np.isfinite(out[:3]))
 
 
 def test_lp_norms_batch_zero_and_nan_rows():

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import vpmeans.memo
-from vpmeans.memo import RunMemo, clear_run_memos, run_memo_stats
+from vpmeans.experiments import run_modulus_suite, run_voronovskaya_suite
+from vpmeans.kernel import _RUNGS
+from vpmeans.memo import RunMemo, clear_run_memos, run_memo_stats, run_scope
 
 
 @pytest.fixture
@@ -28,7 +30,21 @@ def test_memo_traffic_and_clear(registry):
         value = memo.lookup(("key", 1), lambda: calls.append(1) or np.ones(4))
     assert calls == [1] and np.array_equal(value, np.ones(4))
     memo.log.append({"note": 1})
+    assert ("key", 1) in memo and ("key", 2) not in memo
     assert run_memo_stats()["test_memo"] == {"entries": 1, "hits": 2, "misses": 1, "bytes": 32}
     clear_run_memos()
     assert run_memo_stats()["test_memo"] == {"entries": 0, "hits": 0, "misses": 0, "bytes": 0}
     assert memo.log == []
+
+
+def test_run_scope_leaves_every_memo_empty():
+    empty = {"entries": 0, "hits": 0, "misses": 0, "bytes": 0}
+    run_voronovskaya_suite(3, [4])
+    with run_scope():
+        assert all(stats == empty for stats in run_memo_stats().values())
+        run_modulus_suite(["cusp:1.0"], [2.0], [4, 8], 3)
+        run_voronovskaya_suite(3, [4, 8])
+        stats = run_memo_stats()
+        assert stats["k_candidates"]["entries"] > 0 and stats["refinement"]["entries"] > 0
+    assert all(stats == empty for stats in run_memo_stats().values())
+    assert _RUNGS.log == []

@@ -42,7 +42,7 @@ TRACER_BOUND_SIGNATURES = {
     "kernel.multiplier_sequence": ("n", "lam", "k_max"),
     "special.q_table": ("k_max", "lam", "theta"),
     "function_space.synthesis_context": ("lam", "k_max", "kind", "size"),
-    "function_space.lp_norms_batch": ("coeff_matrix", "lam", "p", "d", "order"),
+    "function_space.lp_norms_batch": ("coeff_matrix", "lam", "p", "d", "order", "reference"),
 }
 
 

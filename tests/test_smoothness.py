@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vpmeans.smoothness
 from vpmeans.experiments import Workspace
 from vpmeans.function_space import INF, ZonalSpectral, lp_norm_zonal
 from vpmeans.memo import clear_run_memos, run_memo_stats
@@ -108,6 +109,37 @@ def test_translation_error_norms_batch(ws):
     for theta, val in zip(thetas, vals):
         expect = (1.0 - q_normalized(4, 0.5, theta)) * lp_norm_zonal(f, 2.0, 3)
         assert val == pytest.approx(expect, rel=1e-10)
+
+
+def test_translation_errors_stay_in_coefficient_form(ws, monkeypatch):
+    # ||f - S_theta f|| / ||f|| falls to ~1e-8 at the smallest steps, where a
+    # difference of syntheses would lose ~1e-8 relative
+    references = []
+    batch = vpmeans.smoothness.lp_norms_batch
+    monkeypatch.setattr(vpmeans.smoothness, "lp_norms_batch",
+                        lambda *args, **kw: references.append(kw.get("reference")) or
+                        batch(*args, **kw))
+    translation_error_norms(ws.spectral("cusp:0.5"), [1e-3, 0.1], 1.0, 3)
+    assert references == [None]
+
+
+def test_k_estimate_shares_candidates_across_scales():
+    rng = np.random.default_rng(8)
+    decay = np.arange(1.0, 301.0) ** -1.5
+    fs = {3: ZonalSpectral(lam=0.5, coeffs=rng.uniform(-1.0, 1.0, 300) * decay),
+          5: ZonalSpectral(lam=1.5, coeffs=rng.uniform(-1.0, 1.0, 300) * decay)}
+    cells = [(d, p, n ** -0.5) for d in fs for p in (1.0, 2.0, INF) for n in (4, 8, 16, 32, 64)]
+    fresh = {}
+    for d, p, t in cells:
+        clear_run_memos()
+        fresh[d, p, t] = k_functional_estimate(fs[d], t, p, d)
+    clear_run_memos()
+    for d, p, t in cells:      # descending t within each (d, p)
+        assert k_functional_estimate(fs[d], t, p, d) == pytest.approx(fresh[d, p, t], rel=1e-13)
+    # one miss per (m, d, p); m = 0 is the candidate g = 0
+    entries = {(m, d, p) for d, p, t in cells for m in (0,) + default_candidate_degrees(t)}
+    assert run_memo_stats()["k_candidates"]["misses"] == len(entries)
+    clear_run_memos()
 
 
 def test_default_candidate_degrees():
