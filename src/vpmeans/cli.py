@@ -1,8 +1,9 @@
 """Command-line driver: `vpm <suite>` parses configuration, dispatches the
 verification suites, and writes per-suite CSV reports plus a summary.json.
 
-Exit codes: 0 when every suite passes its windows, 1 on any suite failure,
-2 on a usage error (unknown key, invalid value, band budget exceeded).
+Exit codes: 0 when every suite passes its windows, 1 on any suite failure (a
+ConvergenceError fails only its suite, which then writes no CSV), 2 on a
+usage error (unknown key, invalid value, band budget exceeded).
 Configuration comes from a flat key=value file plus flags; flags win.
 """
 
@@ -16,13 +17,13 @@ import tempfile
 import time
 from dataclasses import dataclass, fields, replace
 
-from .experiments import (measure_envelope_constant,
+from .experiments import (_CORPUS_SPECTRAL, measure_envelope_constant,
                           run_converse_suite, run_delayed_max_suite,
                           run_lemma_suite, run_modulus_suite,
                           run_multiplier_identity_suite, run_selftest_suite,
                           run_voronovskaya_suite)
 from .function_space import corpus_ids
-from .kernel import _RUNGS
+from .kernel import _RUNGS, ConvergenceError
 from .memo import run_memo_stats, run_scope
 
 __all__ = ["RunConfig", "ConfigError", "config_hash", "parse_config", "dispatch", "main"]
@@ -252,7 +253,7 @@ def _write_atomic(path, text):
         raise
 
 
-def _summary(config, snapshot, digest, reports, wall):
+def _summary(config, snapshot, digest, reports, errors, wall):
     constants = dict.fromkeys(("envelope_c5", "n_alpha_window", "lemma_windows",
                                "converse_ratio_windows"))
     for report in reports:
@@ -273,9 +274,14 @@ def _summary(config, snapshot, digest, reports, wall):
         "config_hash": digest,
         "generated": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "config": snapshot,
-        "suites": {r.suite: {"passed": r.passed, "measured": r.measured} for r in reports},
+        "suites": {**{r.suite: {"passed": r.passed, "measured": r.measured} for r in reports},
+                   **{name: {"passed": False, "error": error} for name, error in errors.items()}},
         "constants": constants,
         "diagnostics": {"caches": run_memo_stats(), "refinements": _RUNGS.log,
+                        # d|K|function id -> relative L^2 residual, 0.0 if exact
+                        "projection_residuals": {
+                            f"{d}|{k}|{fid}": spectral.projection_residual
+                            for (d, k, _, fid), spectral in _CORPUS_SPECTRAL.items()},
                         "suites": {name: {"wall_s": s} for name, s in wall.items()}},
     }
 
@@ -296,11 +302,19 @@ def dispatch(config, suite):
         snapshot = config.snapshot()
         digest = config_hash({k: v for k, v in snapshot.items() if k != "out_dir"})
         names = SUITES if suite == "all" else (suite,)
-        reports, wall = [], {}
+        reports, errors, wall = [], {}, {}
         for name in names:
             start = time.perf_counter()
-            report = _run_one(config, name)
-            wall[name] = time.perf_counter() - start
+            try:
+                report = _run_one(config, name)
+            except ConvergenceError as exc:
+                # no CSV: a partial table must not look like a result
+                errors[name] = {key: getattr(exc, key)
+                                for key in ("kind", "n", "d", "order", "previous", "last")}
+                print(f"error: {name}: {exc}", file=sys.stderr)
+                continue
+            finally:
+                wall[name] = time.perf_counter() - start
             generated = datetime.datetime.now(datetime.timezone.utc).isoformat()
             _write_atomic(os.path.join(config.out_dir, f"{name}.csv"),
                           f"# suite={name} config_hash={digest} generated={generated}\n"
@@ -308,10 +322,10 @@ def dispatch(config, suite):
             reports.append(report)
             status = "pass" if report.passed else "FAIL"
             print(f"[{status}] {name}: {len(report.rows)} rows")
-        summary = _summary(config, snapshot, digest, reports, wall)
+        summary = _summary(config, snapshot, digest, reports, errors, wall)
         _write_atomic(os.path.join(config.out_dir, "summary.json"),
                       json.dumps(summary, indent=2, sort_keys=True, default=str) + "\n")
-        return 0 if all(r.passed for r in reports) else 1
+        return 0 if all(r.passed for r in reports) and not errors else 1
 
 
 def build_parser():

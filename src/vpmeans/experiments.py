@@ -15,14 +15,14 @@ import numpy as np
 
 from .function_space import (INF, ZonalSpectral, corpus_member, lp_norms_batch,
                              zonal_project_many, zonal_synthesis)
-from .kernel import (_multiplier_integral, alpha_voronovskaya, default_order,
+from .kernel import (_multiplier_integrals, alpha_voronovskaya, default_order,
                      kernel_norm_constant, kernel_spec, lemma_integral,
                      multiplier_sequence, multiplier_via_quadrature, multiplier_weight,
                      vpm_kernel_eval)
 from .memo import RunMemo
 from .operators import (sample_zonal_on_grid, translate_direct, vpm_grid,
                         zonal_point_function)
-from .quadrature import gauss_legendre, integrate_theta, mapped_rule, sphere_grid
+from .quadrature import gauss_legendre, gauss_legendre_many, integrate_theta, sphere_grid
 from .smoothness import k_functional_estimate, modulus
 from .special import q_envelope, q_table
 
@@ -125,20 +125,19 @@ def run_multiplier_identity_suite(d, n_max, tol=1e-9, order=None):
     """Closed-form multiplier weights against their quadrature route for all
     n <= n_max and k <= n + 4, including the exact zeros at k > n.  The
     quadrature values equal multiplier_via_quadrature(n, k, d, order); the
-    cells sharing a Gauss order share one Q table, built one order at a time."""
+    Gauss rules are built in one batch, and the cells sharing a Gauss order
+    are integrated together, one order at a time."""
     lam = (d - 2) / 2.0
     by_order = {}
     for n in range(n_max + 1):
         for k in range(n + 5):
             rule_order = default_order(n, k) if order is None else order
             by_order.setdefault(rule_order, []).append((n, k))
+    gauss_legendre_many(list(by_order))
     rows = []
     for rule_order, cells in by_order.items():
-        theta, _ = mapped_rule(0.0, np.pi, rule_order)
-        table = q_table(max(k for _, k in cells), lam, theta)
-        for n, k in cells:
+        for (n, k), quad in zip(cells, _multiplier_integrals(cells, d, rule_order)):
             closed = multiplier_weight(n, k, lam)
-            quad = _multiplier_integral(n, d, rule_order, table[:, k])
             rows.append({"d": d, "n": n, "k": k, "closed_form": closed,
                          "quadrature": quad, "abs_diff": abs(closed - quad)})
     rows.sort(key=lambda r: (r["n"], r["k"]))

@@ -14,7 +14,7 @@ import numpy as np
 
 from .memo import RunMemo
 from .quadrature import ConvergenceError, gauss_legendre, integrate_theta, mapped_rule
-from .special import q_normalized
+from .special import q_table
 
 __all__ = [
     "ConvergenceError",
@@ -144,11 +144,18 @@ def multiplier_sequence(n, lam, k_max):
     return out
 
 
-def _multiplier_integral(n, d, order, q_k):
-    """integral_0^pi v_n Q_k sin^(2 lam) by the `order`-point rule mapped to
-    [0, pi]; q_k holds Q_k at the rule's nodes."""
-    spec = kernel_spec(n, d)
-    return integrate_theta(lambda t: vpm_kernel_eval(spec, t) * q_k, spec.lam, order)
+def _multiplier_integrals(cells, d, order):
+    """integral_0^pi v_n Q_k sin^(2 lam) for each (n, k) of `cells` by the
+    `order`-point rule mapped to [0, pi].  The nodes, weights, cos^2(theta/2),
+    sin^(2 lam) and the Q table are built once; each cell runs the operations
+    of integrate_theta(vpm_kernel_eval(v_n) * Q_k) in the same order."""
+    lam = (d - 2) / 2.0
+    theta, w = mapped_rule(0.0, np.pi, order)
+    s = 0.5 + 0.5 * np.cos(theta)
+    sinpow = np.sin(theta) ** (2.0 * lam)
+    table = q_table(max(k for _, k in cells), lam, theta)
+    return [float(np.sum(w * ((s ** n * math.exp(-kernel_norm_constant(n, d))) * table[:, k])
+                         * sinpow)) for n, k in cells]
 
 
 def multiplier_via_quadrature(n, k, d, order=None):
@@ -158,10 +165,7 @@ def multiplier_via_quadrature(n, k, d, order=None):
 
     This is the oracle against which the closed form is checked.
     """
-    if order is None:
-        order = default_order(n, k)
-    theta, _ = mapped_rule(0.0, np.pi, order)
-    return _multiplier_integral(n, d, order, q_normalized(k, (d - 2) / 2.0, theta))
+    return _multiplier_integrals([(n, k)], d, default_order(n, k) if order is None else order)[0]
 
 
 # fixed inner/middle Gauss orders for the nested integrals; both integrands

@@ -47,6 +47,9 @@ class RunMemo:
     def __contains__(self, key):
         return key in self._values
 
+    def items(self):
+        return list(self._values.items())
+
     def clear(self):
         self._values.clear()
         self.log.clear()

@@ -1,12 +1,14 @@
 """Gauss-Legendre rules, weighted polar integrals, and the product grid on S^2.
 
-Orders up to _NEWTON_X_MAX_ORDER come from Newton's method in x on all nodes.
-Larger orders come from Newton's method in theta on the nodes with theta <
-pi/2, mirrored by x -> -x, with P_n(cos theta) from its Stieltjes series in
-the interior and from the recurrence at the nine nodes next to theta = 0
-(Hale & Townsend, SIAM J. Sci. Comput. 35(2), 2013); the weights are
-2 / (dP_n/dtheta)^2.  A Newton loop raises ConvergenceError after
-_NEWTON_BUDGET sweeps.  Rules and grids are read-only and cached by order.
+Orders up to _NEWTON_X_MAX_ORDER come from Newton's method in x on all nodes;
+`gauss_legendre_many` builds any number of them in lock step, with one
+Legendre recurrence over the nodes of all of them per Newton sweep.  Larger
+orders come from Newton's method in theta on the nodes with theta < pi/2,
+mirrored by x -> -x, with P_n(cos theta) from its Stieltjes series in the
+interior and from the recurrence at the nine nodes next to theta = 0 (Hale &
+Townsend, SIAM J. Sci. Comput. 35(2), 2013); the weights are 2/(dP_n/dtheta)^2.
+A Newton loop raises ConvergenceError after _NEWTON_BUDGET sweeps.  Rules and
+grids are read-only and cached by order.
 """
 
 from collections import deque
@@ -20,6 +22,7 @@ __all__ = [
     "QuadratureRule",
     "SphereGrid",
     "gauss_legendre",
+    "gauss_legendre_many",
     "mapped_rule",
     "integrate_theta",
     "sphere_grid",
@@ -60,14 +63,6 @@ class QuadratureRule:
 
 _RULE_CACHE: dict[int, QuadratureRule] = {}
 _GRID_CACHE: dict[int, "SphereGrid"] = {}
-
-
-def _legendre_and_derivative(n, x):
-    """P_n(x) and P_n'(x) for interior |x| < 1, from the Gegenbauer recurrence
-    at lam = 1/2 (n >= 1)."""
-    p_prev, p = deque(_gegenbauer_steps(n, 0.5, x), maxlen=2)
-    dp = n * (x * p - p_prev) / (x * x - 1.0)
-    return p, dp
 
 
 def _legendre_theta_edge(n, theta):
@@ -115,24 +110,51 @@ def _newton(evaluate, t, converged, order):
     raise ConvergenceError(order, 3, "gauss_legendre Newton", order, previous, last)
 
 
-def _newton_x_rule(order):
-    """Newton in x from cos(pi (i - 1/4)/(order + 1/2)) until max |dx| < 1e-16
+def _newton_x_rules(orders):
+    """{n: (nodes, weights)} for the distinct `orders`, each rule as if built
+    alone: Newton in x from cos(pi (i - 1/4)/(n + 1/2)) until max |dx| < 1e-16
     (max |P_n| < 1e-15 is never met at orders 8-4480, where it ends between
-    1.3e-15 and 1.8e-10), then one more step and weights 2/((1-x^2) P_n'^2)."""
-    i = np.arange(1, order + 1)
-    x = np.cos(np.pi * (i - 0.25) / (order + 0.5))
-    evaluate = lambda t: _legendre_and_derivative(order, t)
-    x = _newton(evaluate, x, lambda p, dx: np.max(np.abs(p)) < 1e-15
-                or np.max(np.abs(dx)) < 1e-16, order)[0]
-    p, dp = evaluate(x)
-    x -= p / dp
-    _, dp = evaluate(x)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    # symmetrize: the rule is invariant under x -> -x
-    x = 0.5 * (x - x[::-1])
-    w = 0.5 * (w + w[::-1])
-    idx = np.argsort(x)
-    return x[idx], w[idx]
+    1.3e-15 and 1.8e-10), then one more step and weights 2/((1-x^2) P_n'^2).
+    The rules run in lock step: each sweep runs one recurrence over the nodes
+    of every unfinished rule and reads its P_{n-1}, P_n at its own step n; a
+    rule whose own Newton loop runs out of budget raises ConvergenceError."""
+    x = {n: np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5)) for n in sorted(orders)}
+    stage = dict.fromkeys(x, 0)   # 0: Newton, 1: the extra step, 2: the weights
+    misses = {n: [0, None, None] for n in x}   # unconverged sweeps, previous, last
+    built = {}
+    while x:
+        live = list(x)
+        bounds = np.cumsum([0] + live)
+        at = {n: slice(bounds[i], bounds[i + 1]) for i, n in enumerate(live)}
+        xs = np.concatenate([x[n] for n in live])
+        p_prev, p, last = np.empty_like(xs), np.empty_like(xs), None
+        for j, pj in enumerate(_gegenbauer_steps(live[-1], 0.5, xs)):
+            if j in at:
+                p[at[j]], p_prev[at[j]] = pj[at[j]], np.broadcast_to(last, xs.shape)[at[j]]
+            last = pj
+        dp = np.repeat(np.array(live, dtype=float), live) * (xs * p - p_prev) / (xs * xs - 1.0)
+        step = p / dp
+        p_max = np.maximum.reduceat(np.abs(p), bounds[:-1])
+        step_max = np.maximum.reduceat(np.abs(step), bounds[:-1])
+        for i, n in enumerate(live):
+            rule = at[n]
+            if stage[n] == 2:
+                xn, dpn = x.pop(n), dp[rule]
+                w = 2.0 / ((1.0 - xn * xn) * dpn * dpn)
+                # symmetrize: the rule is invariant under x -> -x
+                xn, w = 0.5 * (xn - xn[::-1]), 0.5 * (w + w[::-1])
+                idx = np.argsort(xn)
+                built[n] = xn[idx], w[idx]
+                continue
+            x[n] = xs[rule] - step[rule]
+            if stage[n] == 1 or p_max[i] < 1e-15 or step_max[i] < 1e-16:
+                stage[n] += 1
+                continue
+            miss = misses[n]
+            miss[:] = miss[0] + 1, miss[2], float(step_max[i])
+            if miss[0] == _NEWTON_BUDGET:
+                raise ConvergenceError(n, 3, "gauss_legendre Newton", n, miss[1], miss[2])
+    return built
 
 
 def _asymptotic_rule(n):
@@ -171,18 +193,25 @@ def gauss_legendre(order):
     order 192, Newton in theta above (see the module docstring).  Nodes
     increase and are mirror symmetric, the middle node of an odd order is 0.
     """
-    if order < 1:
-        raise ValueError(f"gauss_legendre requires order >= 1, got {order}")
-    cached = _RULE_CACHE.get(order)
-    if cached is not None:
-        return cached
-    build = _newton_x_rule if order <= _NEWTON_X_MAX_ORDER else _asymptotic_rule
-    x, w = build(order)
-    for arr in (x, w):
-        arr.setflags(write=False)
-    rule = QuadratureRule(nodes=x, weights=w, order=order)
-    _RULE_CACHE[order] = rule
-    return rule
+    return gauss_legendre_many([order])[0]
+
+
+def gauss_legendre_many(orders):
+    """The `gauss_legendre` rule of each of `orders`, in the order given.  The
+    missing rules up to order 192 are built together by `_newton_x_rules`,
+    those above one by one; every rule is cached."""
+    for order in orders:
+        if order < 1:
+            raise ValueError(f"gauss_legendre requires order >= 1, got {order}")
+    missing = {order for order in orders if order not in _RULE_CACHE}
+    small = [order for order in missing if order <= _NEWTON_X_MAX_ORDER]
+    built = _newton_x_rules(small) if small else {}
+    for order in sorted(missing):
+        x, w = built[order] if order in built else _asymptotic_rule(order)
+        for arr in (x, w):
+            arr.setflags(write=False)
+        _RULE_CACHE[order] = QuadratureRule(nodes=x, weights=w, order=order)
+    return [_RULE_CACHE[order] for order in orders]
 
 
 def mapped_rule(a, b, order):

@@ -7,7 +7,9 @@ import pytest
 import vpmeans.cli
 import vpmeans.memo
 from vpmeans.cli import SUITES, ConfigError, build_parser, dispatch, main, parse_config
-from vpmeans.experiments import run_multiplier_identity_suite
+from vpmeans import quadrature
+from vpmeans.experiments import Workspace, run_multiplier_identity_suite
+from vpmeans.function_space import corpus_member
 
 INF = float("inf")
 SPECTRAL_SUITES = ("converse", "delayed-max", "modulus")
@@ -193,6 +195,39 @@ def test_main_suite_failure_exit_code(tmp_path):
     assert code == 1
 
 
+def test_non_convergence_fails_only_its_suite(tmp_path, monkeypatch, capsys):
+    # every Newton loop runs out of budget: the suite fails alone, leaves no
+    # CSV, and the summary names the error
+    monkeypatch.setattr(quadrature, "_NEWTON_BUDGET", 1)
+    monkeypatch.setattr(quadrature, "_RULE_CACHE", {})
+    assert main(["multipliers", "--n-max", "4", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: multipliers: gauss_legendre Newton did not converge")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.json"]
+    suite = json.loads((tmp_path / "summary.json").read_text())["suites"]["multipliers"]
+    assert suite["passed"] is False
+    assert suite["error"]["kind"] == "gauss_legendre Newton"
+    assert set(suite["error"]) == {"kind", "n", "d", "order", "previous", "last"}
+    assert suite["error"]["n"] == suite["error"]["order"] >= 32
+
+
+def test_non_convergence_leaves_other_suites_running(tmp_path, monkeypatch, capsys):
+    def stalled(*args, **kwargs):
+        raise vpmeans.cli.ConvergenceError(8, 3, "fourth_moment", 320, 1.0, 2.0)
+    monkeypatch.setattr(vpmeans.cli, "run_lemma_suite", stalled)
+    config = parse_config(overrides={"n_list": "4,8", "corpus": "cusp:1.0",
+                                     "out_dir": str(tmp_path)})
+    assert dispatch(config, "all") == 1
+    assert capsys.readouterr().err.count("error: lemmas: fourth_moment") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [f"{name}.csv" for name in SUITES if name != "lemmas"] + ["summary.json"])
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["suites"]["lemmas"] == {"passed": False, "error": {
+        "kind": "fourth_moment", "n": 8, "d": 3, "order": 320, "previous": 1.0, "last": 2.0}}
+    assert all(summary["suites"][name]["passed"] for name in SUITES if name != "lemmas")
+
+
 def test_dispatch_rerun_byte_identical(tmp_path):
     config = parse_config(overrides={"n_list": "4,8", "corpus": "cusp:1.0",
                                      "p_list": "2", "out_dir": str(tmp_path / "a")})
@@ -246,7 +281,8 @@ def test_summary_reports_cache_traffic(small_all_run):
 
 def test_summary_reports_suite_wall_times(small_all_run):
     summary = json.loads((small_all_run / "summary.json").read_text())
-    assert set(summary["diagnostics"]) == {"caches", "refinements", "suites"}
+    assert set(summary["diagnostics"]) == {"caches", "projection_residuals", "refinements",
+                                           "suites"}
     suites = summary["diagnostics"]["suites"]
     assert set(suites) == set(SUITES)
     for info in suites.values():
@@ -271,6 +307,21 @@ def test_summary_reports_refinement_ladders(small_all_run):
         "refinement"]["hits"] > 0
     assert sum(rec["evaluated"] for rec in ladders) == summary["diagnostics"]["caches"][
         "refinement"]["misses"]
+
+
+def test_summary_reports_projection_residuals(small_all_run):
+    residuals = json.loads((small_all_run / "summary.json").read_text())[
+        "diagnostics"]["projection_residuals"]
+    corpus = parse_config().corpus
+    # one entry per corpus member, on the band limit K = 4 * 16 + 64 of SMALL_RUN
+    assert set(residuals) == {f"3|128|{fid}" for fid in corpus}
+    with vpmeans.memo.run_scope():
+        workspace = Workspace(3, 16)
+        for fid in corpus:
+            spectral = workspace.spectral(fid)
+            assert residuals[f"3|128|{fid}"] == spectral.projection_residual
+            exact = corpus_member(3, fid).coeffs is not None
+            assert (spectral.projection_residual == 0.0) == exact
 
 
 def test_summary_reports_refinement_checks(small_all_run):

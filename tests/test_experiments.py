@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import vpmeans.function_space
+from vpmeans import quadrature
 from vpmeans.cli import config_hash
 from vpmeans.experiments import (Workspace, measure_envelope_constant,
                                  run_converse_suite, run_delayed_max_suite,
@@ -50,6 +51,23 @@ def test_multiplier_suite_quadrature_equals_per_cell_oracle(d, order):
         (n, k) for n in range(17) for k in range(n + 5)]
     for row in report.rows:
         assert row["quadrature"] == multiplier_via_quadrature(row["n"], row["k"], d, order)
+
+
+def test_multiplier_suite_builds_its_rules_in_one_batch(monkeypatch):
+    # 133 Gauss orders (32-164) plus the doubled-order self-check: rules built
+    # one by one start ~6 Legendre recurrences each (817 in all), the lock-step
+    # batch one per Newton sweep
+    streams = []
+    steps = quadrature._gegenbauer_steps
+
+    def counted(*args):
+        streams.append(args[0])
+        return steps(*args)
+    monkeypatch.setattr(quadrature, "_gegenbauer_steps", counted)
+    monkeypatch.setattr(quadrature, "_RULE_CACHE", {})
+    assert run_multiplier_identity_suite(3, 64).passed
+    assert len(quadrature._RULE_CACHE) == 134
+    assert len(streams) <= 16
 
 
 def test_lemma_suite_structure():

@@ -1,3 +1,6 @@
+import random
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -5,15 +8,44 @@ from vpmeans import quadrature
 from vpmeans.experiments import run_multiplier_identity_suite, run_selftest_suite
 from vpmeans.memo import clear_run_memos
 from vpmeans.quadrature import (_J0_ZEROS, _NEWTON_X_MAX_ORDER, ConvergenceError,
-                                _legendre_and_derivative, _newton_x_rule,
-                                gauss_legendre, integrate_grid, integrate_theta,
-                                mapped_rule, sphere_grid)
-from vpmeans.special import q_table
+                                gauss_legendre, gauss_legendre_many, integrate_grid,
+                                integrate_theta, mapped_rule, sphere_grid)
+from vpmeans.special import _gegenbauer_steps, q_table
 
 # the Newton-in-x rule at and just past the switch, both parities, and the
 # orders the refinement ladders and the synthesis grids build
 ORACLE_ORDERS = [192, 193, 256, 257, 1121, 2208, 4480]
 EPS = np.finfo(float).eps
+
+
+def _legendre_and_derivative(n, x):
+    """P_n(x) and P_n'(x) for interior |x| < 1, from the Gegenbauer recurrence
+    at lam = 1/2 (n >= 1)."""
+    p_prev, p = deque(_gegenbauer_steps(n, 0.5, x), maxlen=2)
+    return p, n * (x * p - p_prev) / (x * x - 1.0)
+
+
+def _newton_x_rule(order):
+    """The Newton-in-x rule of one order, built alone: the oracle of the
+    lock-step batch.  Newton from cos(pi (i - 1/4)/(order + 1/2)) until
+    max |P_n| < 1e-15 or max |dx| < 1e-16, one more step, then weights
+    2/((1-x^2) P_n'^2), symmetrized under x -> -x and sorted."""
+    x = np.cos(np.pi * (np.arange(1, order + 1) - 0.25) / (order + 0.5))
+    for _ in range(quadrature._NEWTON_BUDGET):
+        p, dp = _legendre_and_derivative(order, x)
+        dx = p / dp
+        x = x - dx
+        if np.max(np.abs(p)) < 1e-15 or np.max(np.abs(dx)) < 1e-16:
+            break
+    else:
+        raise AssertionError(f"the oracle did not converge at order {order}")
+    p, dp = _legendre_and_derivative(order, x)
+    x -= p / dp
+    _, dp = _legendre_and_derivative(order, x)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x, w = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+    idx = np.argsort(x)
+    return x[idx], w[idx]
 
 
 def test_order_one_rule():
@@ -120,13 +152,45 @@ def test_tabulated_bessel_zeros():
     assert _J0_ZEROS[-1] < 30.0 < zeros[-1]
 
 
-@pytest.mark.parametrize("order", [10, 500])
-def test_newton_budget_exhausted_raises(monkeypatch, order):
-    # order 10 runs the Newton-in-x loop, order 500 the loops in theta
+@pytest.mark.parametrize("orders, ran_out", [
+    pytest.param([10], 10, id="10"), pytest.param([500], 500, id="500"),
+    pytest.param([500, 1, 10], 10, id="batch")])
+def test_newton_budget_exhausted_raises(monkeypatch, orders, ran_out):
+    # order 10 runs the Newton-in-x loop, order 500 the loops in theta; in the
+    # batch, order 1 converges in its first sweep and order 10 runs out
     monkeypatch.setattr(quadrature, "_NEWTON_BUDGET", 1)
     monkeypatch.setattr(quadrature, "_RULE_CACHE", {})
-    with pytest.raises(ConvergenceError, match="gauss_legendre"):
-        gauss_legendre(order)
+    with pytest.raises(ConvergenceError, match="gauss_legendre") as info:
+        gauss_legendre(*orders) if len(orders) == 1 else gauss_legendre_many(orders)
+    assert info.value.order == info.value.n == ran_out
+
+
+def test_batch_equals_rules_built_alone(monkeypatch):
+    # one lock-step batch over orders 1-192, shuffled, with duplicates and
+    # with orders past the switch, gives each rule of the oracle byte for byte
+    monkeypatch.setattr(quadrature, "_RULE_CACHE", {})
+    assert gauss_legendre_many([]) == [] and quadrature._RULE_CACHE == {}
+    orders = list(range(1, _NEWTON_X_MAX_ORDER + 1)) * 2 + [193, 500, 4480, 500]
+    random.Random(3).shuffle(orders)
+    rules = gauss_legendre_many(orders)
+    assert [rule.order for rule in rules] == orders
+    assert sorted(quadrature._RULE_CACHE) == sorted(set(orders))
+    for rule in rules:
+        if rule.order <= _NEWTON_X_MAX_ORDER:
+            x, w = _newton_x_rule(rule.order)
+            assert np.array_equal(rule.nodes, x) and np.array_equal(rule.weights, w)
+    # a second call serves the cached objects and builds nothing
+    monkeypatch.setattr(quadrature, "_newton_x_rules", None)
+    monkeypatch.setattr(quadrature, "_asymptotic_rule", None)
+    assert all(a is b for a, b in zip(gauss_legendre_many(orders), rules))
+    monkeypatch.undo()
+    # the orders past the switch are the rules gauss_legendre builds alone
+    monkeypatch.setattr(quadrature, "_RULE_CACHE", {})
+    for rule in rules:
+        if rule.order > _NEWTON_X_MAX_ORDER:
+            alone = gauss_legendre(rule.order)
+            assert np.array_equal(rule.nodes, alone.nodes)
+            assert np.array_equal(rule.weights, alone.weights)
 
 
 def test_rounding_noise_cells_read_newton_rules_only(monkeypatch):
@@ -156,9 +220,14 @@ def test_rule_cache_and_immutability():
             a.weights[0] = 0.0
 
 
-def test_order_zero_rejected():
+def test_order_zero_rejected(monkeypatch):
     with pytest.raises(ValueError):
         gauss_legendre(0)
+    # a batch checks every order before it builds any rule
+    monkeypatch.setattr(quadrature, "_RULE_CACHE", {})
+    with pytest.raises(ValueError, match="order >= 1"):
+        gauss_legendre_many([3, 0])
+    assert quadrature._RULE_CACHE == {}
 
 
 def test_mapped_rule():
