@@ -22,7 +22,7 @@ from .experiments import (_CORPUS_SPECTRAL, measure_envelope_constant,
                           run_lemma_suite, run_modulus_suite,
                           run_multiplier_identity_suite, run_selftest_suite,
                           run_voronovskaya_suite)
-from .function_space import corpus_ids
+from .function_space import _CONTEXTS, corpus_ids
 from .kernel import _RUNGS, ConvergenceError
 from .memo import run_memo_stats, run_scope
 
@@ -253,7 +253,17 @@ def _write_atomic(path, text):
         raise
 
 
-def _summary(config, snapshot, digest, reports, errors, wall):
+def _pruning(log):
+    """p -> column counts, summed over `lp_norm_maxima` records (p, synthesised, skipped)."""
+    out = {}
+    for p, synthesised, skipped in log:
+        counts = out.setdefault(str(p), {"synthesised": 0, "skipped": 0})
+        counts["synthesised"] += synthesised
+        counts["skipped"] += skipped
+    return out
+
+
+def _summary(config, snapshot, digest, reports, errors, wall, pruning):
     constants = dict.fromkeys(("envelope_c5", "n_alpha_window", "lemma_windows",
                                "converse_ratio_windows"))
     for report in reports:
@@ -282,6 +292,7 @@ def _summary(config, snapshot, digest, reports, errors, wall):
                         "projection_residuals": {
                             f"{d}|{k}|{fid}": spectral.projection_residual
                             for (d, k, _, fid), spectral in _CORPUS_SPECTRAL.items()},
+                        "pruning": {name: _pruning(log) for name, log in pruning.items()},
                         "suites": {name: {"wall_s": s} for name, s in wall.items()}},
     }
 
@@ -302,19 +313,22 @@ def dispatch(config, suite):
         snapshot = config.snapshot()
         digest = config_hash({k: v for k, v in snapshot.items() if k != "out_dir"})
         names = SUITES if suite == "all" else (suite,)
-        reports, errors, wall = [], {}, {}
+        reports, errors, wall, pruning = [], {}, {}, {}
         for name in names:
-            start = time.perf_counter()
+            start, logged = time.perf_counter(), len(_CONTEXTS.log)
             try:
                 report = _run_one(config, name)
             except ConvergenceError as exc:
                 # no CSV: a partial table must not look like a result
                 errors[name] = {key: getattr(exc, key)
                                 for key in ("kind", "n", "d", "order", "previous", "last")}
+                if errors[name]["d"] is None:     # a Gauss rule failed: report the suite's d
+                    errors[name]["d"] = config.d
                 print(f"error: {name}: {exc}", file=sys.stderr)
                 continue
             finally:
                 wall[name] = time.perf_counter() - start
+                pruning[name] = _CONTEXTS.log[logged:]     # (p, synthesised, skipped)
             generated = datetime.datetime.now(datetime.timezone.utc).isoformat()
             _write_atomic(os.path.join(config.out_dir, f"{name}.csv"),
                           f"# suite={name} config_hash={digest} generated={generated}\n"
@@ -322,7 +336,7 @@ def dispatch(config, suite):
             reports.append(report)
             status = "pass" if report.passed else "FAIL"
             print(f"[{status}] {name}: {len(report.rows)} rows")
-        summary = _summary(config, snapshot, digest, reports, errors, wall)
+        summary = _summary(config, snapshot, digest, reports, errors, wall, pruning)
         _write_atomic(os.path.join(config.out_dir, "summary.json"),
                       json.dumps(summary, indent=2, sort_keys=True, default=str) + "\n")
         return 0 if all(r.passed for r in reports) and not errors else 1

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .function_space import (INF, ZonalSpectral, corpus_member, lp_norms_batch,
-                             zonal_project_many, zonal_synthesis)
+from .function_space import (INF, ZonalSpectral, corpus_member, lp_norm_maxima,
+                             lp_norms_batch, zonal_project_many, zonal_synthesis)
 from .kernel import (_multiplier_integrals, alpha_voronovskaya, default_order,
                      kernel_norm_constant, kernel_spec, lemma_integral,
                      multiplier_sequence, multiplier_via_quadrature, multiplier_weight,
@@ -23,7 +23,7 @@ from .memo import RunMemo
 from .operators import (sample_zonal_on_grid, translate_direct, vpm_grid,
                         zonal_point_function)
 from .quadrature import gauss_legendre, gauss_legendre_many, integrate_theta, sphere_grid
-from .smoothness import k_functional_estimate, modulus
+from .smoothness import k_functional_estimate, modulus, modulus_many
 from .special import q_envelope, q_table
 
 __all__ = [
@@ -250,20 +250,39 @@ def run_voronovskaya_suite(d, n_list, k_max_rule=None, window=3.0,
     )
 
 
-def _operator_error_norms(f, degrees, p, d, order=None):
-    """||V_n f - f||_p for a batch of operator degrees n: each V_n f, of
-    n + 1 rows, is subtracted from one synthesis of f."""
+def _means_columns(f, degrees):
+    """The coefficients of V_n f, one column per operator degree n."""
     cols = np.empty((f.band_limit + 1, len(degrees)))
     for j, n in enumerate(degrees):
         cols[:, j] = f.coeffs * multiplier_sequence(n, f.lam, f.band_limit)
-    return lp_norms_batch(cols, f.lam, p, d, order=order, reference=f.coeffs)
+    return cols
+
+
+def _operator_error_norms(f, degrees, p, d, order=None):
+    """||V_n f - f||_p for a batch of operator degrees n: each V_n f, of
+    n + 1 rows, is subtracted from one synthesis of f."""
+    return lp_norms_batch(_means_columns(f, degrees), f.lam, p, d, order=order,
+                          reference=f.coeffs)
+
+
+def _delayed_maxima(f, n_list, k_cap, ps, d):
+    """Per p of ps, max over k in [n, k_cap] of ||V_k f - f||_p for each n of
+    the sorted n_list: the max of each segment [n_i, n_(i+1)) of degrees from
+    `lp_norm_maxima`, then suffix maxima over the segments."""
+    cuts = sorted(set(n_list)) + [k_cap + 1]
+    cols, out = _means_columns(f, range(cuts[0], k_cap + 1)), []
+    for p in ps:
+        segments = lp_norm_maxima(cols, np.diff(cuts), f.lam, p, d, reference=f.coeffs)
+        suffix = dict(zip(cuts, np.maximum.accumulate(segments[::-1])[::-1].tolist()))
+        out.append([suffix[n] for n in n_list])
+    return out
 
 
 def _ratio_sweep(ws, corpus, p_list, n_list, theta_grid_size, window, numerators):
     """The ratio loop shared by the converse and delayed-max suites.
 
-    For each corpus function f and p, numerators(f, p) gives one value per n
-    of n_list, which is divided by omega(f, n^(-1/2))_p.  A cell whose
+    For each corpus function f, numerators(f, p_list) gives per p one value
+    per n of n_list, which is divided by omega(f, n^(-1/2))_p.  A cell whose
     modulus is numerically zero (a constant) is degenerate: its ratio is NaN
     and it stays out of the max/min window of its (f, p) pair.  Returns the
     cells (function_id, p, n, numerator, w_n, ratio, degenerate), the windows
@@ -274,10 +293,11 @@ def _ratio_sweep(ws, corpus, p_list, n_list, theta_grid_size, window, numerators
     windows = {}
     passed = True
     for fid, f in zip(corpus, ws.prepare(corpus)):
-        for p in p_list:
+        for p, nums in zip(p_list, numerators(f, p_list)):
             ratios = []
-            for n, num in zip(n_list, numerators(f, p)):
-                w_n = modulus(f, n ** -0.5, p, ws.d, theta_grid_size=theta_grid_size)
+            moduli = modulus_many(f, [n ** -0.5 for n in n_list], p, ws.d,
+                                  theta_grid_size=theta_grid_size)
+            for n, num, w_n in zip(n_list, nums, moduli):
                 degenerate = w_n <= DEGENERATE_FLOOR
                 ratio = float("nan") if degenerate else num / w_n
                 cells.append((fid, p, n, num, w_n, ratio, degenerate))
@@ -311,7 +331,7 @@ def run_converse_suite(corpus, p_list, n_list, d, window=25.0, seed=42,
     n_list = sorted(n_list)
     cells, ratio_windows, passed = _ratio_sweep(
         ws, corpus, p_list, n_list, theta_grid_size, window,
-        lambda f, p: [float(e) for e in _operator_error_norms(f, n_list, p, d)])
+        lambda f, ps: [_operator_error_norms(f, n_list, p, d).tolist() for p in ps])
     rows = [{"function_id": fid, "p": p, "n": n, "e_n": e_n, "w_n": w_n,
              "ratio": ratio, "flag": "degenerate" if degenerate else "ok"}
             for fid, p, n, e_n, w_n, ratio, degenerate in cells]
@@ -350,23 +370,18 @@ def run_delayed_max_suite(corpus, p_list, n_list, k_cap, d, window=25.0,
                           seed=42, theta_grid_size=64):
     """Truncated delayed-maximum comparison: max over k in [n, k_cap] of
     ||V_k f - f||_p against omega(f, n^(-1/2))_p.  The untruncated statement
-    maximizes over all k >= n, so every row is flagged TRUNCATED."""
+    maximizes over all k >= n, so every row is flagged TRUNCATED.  Only the
+    degrees that can attain the max of their segment [n_i, n_(i+1)) are
+    synthesised (`_delayed_maxima`)."""
     if k_cap < max(n_list):
         raise ValueError("k_cap must be >= max(n_list)")
     # the means of any degree act exactly on a band-limited representation,
     # so the band limit tracks the modulus scales, not k_cap
     ws = Workspace(d, max(n_list), seed=seed)
     n_list = sorted(n_list)
-    degrees = list(range(n_list[0], k_cap + 1))
-
-    def max_errors(f, p):
-        errs = np.asarray(_operator_error_norms(f, degrees, p, d))
-        # suffix maxima: max over k >= n within the cap
-        suffix = np.maximum.accumulate(errs[::-1])[::-1]
-        return [float(suffix[n - degrees[0]]) for n in n_list]
-
-    cells, windows, passed = _ratio_sweep(ws, corpus, p_list, n_list, theta_grid_size,
-                                          window, max_errors)
+    cells, windows, passed = _ratio_sweep(
+        ws, corpus, p_list, n_list, theta_grid_size, window,
+        lambda f, ps: _delayed_maxima(f, n_list, k_cap, ps, d))
     rows = [{"function_id": fid, "p": p, "n": n, "k_cap": k_cap, "max_err": m_n,
              "w_n": w_n, "ratio": ratio,
              "flag": "TRUNCATED;degenerate" if degenerate else "TRUNCATED"}
@@ -394,11 +409,13 @@ def run_modulus_suite(corpus, p_list, n_list, d, window=50.0, seed=42,
     rows = []
     passed = True
     worst = {"low": math.inf, "high": -math.inf}
+    n_list = sorted(n_list)
     for fid, f in zip(corpus, ws.prepare(corpus)):
         for p in p_list:
-            for n in sorted(n_list):
+            moduli = modulus_many(f, [n ** -0.5 for n in n_list], p, d,
+                                  theta_grid_size=theta_grid_size)
+            for n, om in zip(n_list, moduli):
                 t = n ** -0.5
-                om = modulus(f, t, p, d, theta_grid_size=theta_grid_size)
                 kf = k_functional_estimate(f, t, p, d)
                 degenerate = kf <= DEGENERATE_FLOOR and om <= DEGENERATE_FLOOR
                 ratio = float("nan") if degenerate else om / max(kf, DEGENERATE_FLOOR)

@@ -30,6 +30,7 @@ __all__ = [
     "zonal_project_many",
     "lp_norm_zonal",
     "lp_norms_batch",
+    "lp_norm_maxima",
     "lp_norm_grid",
     "make_corpus",
     "corpus_member",
@@ -105,7 +106,8 @@ def zonal_synthesis(coeffs, lam, x):
 
 # ---------------------------------------------------------------------------
 # synthesis contexts: Q_k tables over the quadrature nodes used by norms and
-# projections, memoised per run on (lam, band limit, grid kind, size)
+# projections, memoised per run on (lam, band limit, grid kind, size); the
+# memo's run log holds one (p, synthesised, skipped) per lp_norm_maxima call
 
 _CONTEXTS = RunMemo("synthesis_context")
 
@@ -257,11 +259,7 @@ def lp_norms_batch(coeff_matrix, lam, p, d, order=None, reference=None):
         diff = coeff_matrix if reference is None else reference - coeff_matrix
         squares = diff ** 2 if reference is None else np.multiply(diff, diff, out=diff)
         return np.sqrt(surface_area(d) * (_inverse_dims(k_max, lam) @ squares))
-    if p == INF:
-        ctx = synthesis_context(lam, k_max, "dense", DENSE_GRID_SIZE)
-    else:
-        size = order if order is not None else 2 * k_max + 32
-        ctx = synthesis_context(lam, k_max, "gauss", size)
+    ctx = _norm_context(lam, k_max, p, order)
     ref_vals = None if reference is None else _synthesise(ctx, reference)
     out = np.empty(coeff_matrix.shape[1])
     for start in range(0, coeff_matrix.shape[1], BLOCK_COLUMNS):
@@ -278,6 +276,92 @@ def lp_norms_batch(coeff_matrix, lam, p, d, order=None, reference=None):
     if p == INF:
         return out
     return (surface_area(d - 1) * out) ** (1.0 / p)
+
+
+# relative widening of the bounds of lp_norm_maxima, see there
+PRUNE_SLACK = 1e-10
+
+
+def lp_norm_maxima(coeff_matrix, sizes, lam, p, d, order=None, reference=None):
+    """The max of `lp_norms_batch(coeff_matrix, lam, p, d, order, reference)`
+    over each run of consecutive columns, the runs of the given `sizes`.
+
+    Column a (or R - a) bounds its norm from its coefficients: ||g||_inf <=
+    sum_k |a_k|, as |Q_k| <= 1, and ||g||_1 <= |S^{d-1}|^(1/2) ||g||_2 (from
+    Parseval) by Cauchy-Schwarz on the Gauss sum.  Each run's top-bound column
+    is synthesised, then the columns whose bound exceeds their run's max.
+    The bounds hold for computed norms: they add the synthesis rounding,
+    <= (K + 1) eps (sum |R_k| + sum |a_k|), and PRUNE_SLACK covers computed
+    |Q_k| up to 1 + O(K eps) and the Gauss-Parseval ||g||_2 gap, rounding
+    only, as the rule of order 2K + 32 is exact for g^2.  Lower orders at
+    p = 1 and NaN bounds prune nothing; p = 2 is Parseval for every column.
+    Each pruned call logs (p, columns synthesised, columns skipped) in the
+    synthesis contexts' log.  The norms are those of lp_norms_batch up to
+    rounding and, computed by `_picked_norms`, do not depend on which
+    columns are synthesised together.
+    """
+    if p != INF and p < 1:
+        raise ValueError(f"p must satisfy 1 <= p <= inf, got {p}")
+    coeff_matrix = np.asarray(coeff_matrix, dtype=float)
+    k_max, columns = coeff_matrix.shape[0] - 1, coeff_matrix.shape[1]
+    starts = np.cumsum([0, *sizes])
+    if starts[-1] != columns or min(sizes, default=1) < 1:
+        raise ValueError("run sizes must be positive and add up to the column count")
+    ref = 0.0 if reference is None else np.asarray(reference, dtype=float)[:, None]
+    area, ulp = surface_area(d), (k_max + 1) * np.finfo(float).eps
+    sums, l2, mass = np.empty(columns), np.empty(columns), np.full(columns, np.sum(np.abs(ref)))
+    for start in range(0, columns, BLOCK_COLUMNS):
+        at = slice(start, start + BLOCK_COLUMNS)
+        a = np.abs(ref - coeff_matrix[:, at])
+        sums[at] = a.sum(axis=0)
+        l2[at] = np.sqrt(area * np.einsum("k,kj->j", _inverse_dims(k_max, lam), a * a))
+        mass[at] += np.abs(coeff_matrix[:, at]).sum(axis=0)
+    if p == 2:
+        return np.maximum.reduceat(l2, starts[:-1])
+    bounds = (sums + ulp * mass if p == INF else math.sqrt(area) * l2 + area * ulp * mass)
+    bounds *= 1.0 + PRUNE_SLACK
+    if p != INF and order is not None and order < 2 * k_max + 32:
+        bounds[:] = INF
+    ctx = _norm_context(lam, k_max, p, order)
+    ref_vals = None if reference is None else _synthesise(ctx, ref)
+    tops = np.array([i + np.argmax(bounds[i:j]) for i, j in zip(starts, starts[1:])], dtype=int)
+    out = np.full(columns, -INF)       # -inf: not synthesised
+    out[tops] = _picked_norms(ctx, p, d, coeff_matrix, tops, ref_vals)
+    survive = ~(bounds <= np.repeat(out[tops], sizes))     # a NaN bound survives
+    survive[tops] = False
+    rest = np.flatnonzero(survive)
+    out[rest] = _picked_norms(ctx, p, d, coeff_matrix, rest, ref_vals)
+    _CONTEXTS.log.append((p, tops.size + rest.size, columns - tops.size - rest.size))
+    return np.maximum.reduceat(out, starts[:-1])
+
+
+def _norm_context(lam, k_max, p, order):
+    """The synthesis context of an L^p norm, p != 2, at band limit k_max."""
+    if p == INF:
+        return synthesis_context(lam, k_max, "dense", DENSE_GRID_SIZE)
+    return synthesis_context(lam, k_max, "gauss", order if order is not None else 2 * k_max + 32)
+
+
+def _picked_norms(ctx, p, d, coeff_matrix, picked, ref_vals):
+    """The L^p norms of the `picked` columns (of ref_vals minus each), on the
+    grid of `ctx`, independent of which columns are picked together: they
+    are gathered C-ordered BLOCK_COLUMNS at a time and padded with zero
+    columns to a multiple of 8, as BLAS rounds a product of another width
+    (one column above all) differently, and summed row by row, as a
+    matrix-vector product does not."""
+    out = np.empty(len(picked))
+    for start in range(0, len(picked), BLOCK_COLUMNS):
+        block = np.take(coeff_matrix, picked[start:start + BLOCK_COLUMNS], axis=1)
+        width = block.shape[1]
+        vals = _synthesise(ctx, np.pad(block, ((0, 0), (0, -width % 8))))
+        if ref_vals is not None:
+            np.subtract(ref_vals, vals, out=vals)
+        np.abs(vals, out=vals)
+        if p != INF:
+            vals **= p
+        norms = np.max(vals, axis=0) if p == INF else np.einsum("i,ij->j", ctx.weights, vals)
+        out[start:start + BLOCK_COLUMNS] = norms[:width]
+    return out if p == INF else (surface_area(d - 1) * out) ** (1.0 / p)
 
 
 # below 2^-960 a coefficient moves no synthesised value (|Q_k| <= 1); as a

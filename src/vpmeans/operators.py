@@ -1,5 +1,5 @@
 """Operators on spherical functions: the smoothing means V_n and their powers
-V_n^m, the translation mean S_theta, and the Laplace-Beltrami multipliers.
+V_n^m, and the translation mean S_theta.
 
 Every operator acts diagonally on zonal spectral coefficients; at d = 3 the
 translation and the means also have direct geometric realizations (circle
@@ -19,7 +19,6 @@ __all__ = [
     "vpm_iterated",
     "translate_spectral",
     "translate_direct",
-    "laplace_beltrami",
     "vpm_grid",
     "zonal_point_function",
     "sample_zonal_on_grid",
@@ -44,22 +43,6 @@ def translate_spectral(f, theta):
     if not 0.0 < theta < np.pi:
         raise ValueError(f"translation requires 0 < theta < pi, got {theta}")
     return ZonalSpectral(f.lam, f.coeffs * q_table(f.band_limit, f.lam, theta)[0])
-
-
-def laplace_beltrami(f, power=1):
-    """Apply the Laplace-Beltrami operator (power 1) or its square (power 2):
-    a_k -> (-k(k+d-2))^power a_k with d = 2 lam + 2.
-
-    The square multiplies by the eigenvalues twice, which makes power 2
-    agree with repeated power 1 coefficient-for-coefficient."""
-    if power not in (1, 2):
-        raise ValueError(f"power must be 1 or 2, got {power}")
-    k = np.arange(f.band_limit + 1, dtype=float)
-    eig = -k * (k + 2.0 * f.lam)
-    coeffs = f.coeffs * eig
-    if power == 2:
-        coeffs = coeffs * eig
-    return ZonalSpectral(f.lam, coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ __all__ = [
     "mapped_rule",
     "integrate_theta",
     "sphere_grid",
-    "integrate_grid",
 ]
 
 # The largest order any rounding-noise cell reads (selftest <= 192, multipliers
@@ -44,13 +43,14 @@ _J0_ZEROS = np.array([2.404825557695773, 5.520078110286311, 8.653727912911013,
 class ConvergenceError(ArithmeticError):
     """A refinement loop ran out of budget before two successive iterates
     agreed, or a Newton loop before its step fell below tolerance.
-    `previous` is None when the budget allowed no refinement."""
+    `previous` is None when the budget allowed no refinement; `d` is None
+    for a Gauss rule, which has no dimension."""
 
     def __init__(self, n, d, kind, order, previous, last):
         self.n, self.d, self.kind, self.order = n, d, kind, order
         self.previous, self.last = previous, last
-        super().__init__(f"{kind} did not converge at n={n}, d={d}: order {order} "
-                         f"gave {last!r} after {previous!r}")
+        super().__init__(f"{kind} did not converge at n={n}{'' if d is None else f', d={d}'}: "
+                         f"order {order} gave {last!r} after {previous!r}")
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ def _newton(evaluate, t, converged, order):
         if converged(p, step):
             return t, p, dp, step
         previous, last = last, float(np.max(np.abs(step)))
-    raise ConvergenceError(order, 3, "gauss_legendre Newton", order, previous, last)
+    raise ConvergenceError(order, None, "gauss_legendre Newton", order, previous, last)
 
 
 def _newton_x_rules(orders):
@@ -153,7 +153,7 @@ def _newton_x_rules(orders):
             miss = misses[n]
             miss[:] = miss[0] + 1, miss[2], float(step_max[i])
             if miss[0] == _NEWTON_BUDGET:
-                raise ConvergenceError(n, 3, "gauss_legendre Newton", n, miss[1], miss[2])
+                raise ConvergenceError(n, None, "gauss_legendre Newton", n, miss[1], miss[2])
     return built
 
 
@@ -276,8 +276,3 @@ def sphere_grid(bands):
     grid = SphereGrid(polar_nodes=theta, azimuth_count=m, point_weights=w, points=pts)
     _GRID_CACHE[bands] = grid
     return grid
-
-
-def integrate_grid(grid, values):
-    """Surface integral over S^2 of point samples against the grid weights."""
-    return float(np.dot(grid.point_weights, values))

@@ -12,13 +12,14 @@ import math
 
 import numpy as np
 
-from .function_space import lp_norms_batch
+from .function_space import lp_norm_maxima, lp_norms_batch
 from .kernel import multiplier_sequence
 from .memo import RunMemo
 from .special import q_table
 
 __all__ = [
     "modulus",
+    "modulus_many",
     "translation_error_norms",
     "k_functional_estimate",
     "default_candidate_degrees",
@@ -55,14 +56,18 @@ def _damping_table(k_max, lam, thetas):
     return _DAMPING.lookup((k_max, float(lam), thetas.tobytes()), compute)
 
 
-def translation_error_norms(f, thetas, p, d, order=None):
-    """||f - S_theta f||_p for a batch of translation steps theta."""
+def translation_error_norms(f, thetas, p, d, order=None, sizes=None):
+    """||f - S_theta f||_p for a batch of translation steps theta; with
+    `sizes`, the largest of each run of consecutive steps, the runs having
+    those sizes, by `lp_norm_maxima`."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     if np.any((thetas <= 0.0) | (thetas >= np.pi)):
         raise ValueError("translation steps must lie in (0, pi)")
     damp = _damping_table(f.band_limit, f.lam, thetas)     # (T, K+1)
-    cols = f.coeffs[:, None] * damp.T
-    return lp_norms_batch(cols, f.lam, p, d, order=order)
+    cols = np.multiply(f.coeffs[:, None], damp.T, order="C")    # C order synthesises faster
+    if sizes is None:
+        return lp_norms_batch(cols, f.lam, p, d, order=order)
+    return lp_norm_maxima(cols, sizes, f.lam, p, d, order=order)
 
 
 def modulus(f, t, p, d, theta_grid_size=64, order=None):
@@ -73,14 +78,25 @@ def modulus(f, t, p, d, theta_grid_size=64, order=None):
     exact coefficient bytes and every argument, so the suites that meet the
     same cell omega(f, n^(-1/2))_p compute it once.
     """
-    if not 0.0 < t <= np.pi:
-        raise ValueError(f"modulus scale must be in (0, pi], got {t}")
-    key = _function_key(f) + (float(t), float(p), int(d), int(theta_grid_size), order)
+    return modulus_many(f, [t], p, d, theta_grid_size=theta_grid_size, order=order)[0]
 
-    def compute():
-        thetas = _theta_scan(t, theta_grid_size)
-        return float(np.max(translation_error_norms(f, thetas, p, d, order=order)))
-    return _MODULUS.lookup(key, compute)
+
+def modulus_many(f, ts, p, d, theta_grid_size=64, order=None):
+    """`modulus` at each scale of `ts`; the cells not memoised are computed in
+    one `translation_error_norms` call, one run of steps per scale."""
+    for t in ts:
+        if not 0.0 < t <= np.pi:
+            raise ValueError(f"modulus scale must be in (0, pi], got {t}")
+    keys = {t: _function_key(f) + (float(t), float(p), int(d), int(theta_grid_size), order)
+            for t in ts}
+    missing = [t for t, key in keys.items() if key not in _MODULUS]
+    computed = {}
+    if missing:
+        scans = [_theta_scan(t, theta_grid_size) for t in missing]
+        maxima = translation_error_norms(f, np.concatenate(scans), p, d, order=order,
+                                         sizes=[len(scan) for scan in scans])
+        computed = dict(zip(missing, maxima.tolist()))
+    return [_MODULUS.lookup(keys[t], lambda t=t: computed[t]) for t in ts]
 
 
 def default_candidate_degrees(t):

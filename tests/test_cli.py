@@ -212,6 +212,16 @@ def test_non_convergence_fails_only_its_suite(tmp_path, monkeypatch, capsys):
     assert suite["error"]["n"] == suite["error"]["order"] >= 32
 
 
+def test_non_convergence_reports_the_suite_dimension(tmp_path, monkeypatch, capsys):
+    # a Gauss rule has no dimension: the contained error carries the suite's
+    monkeypatch.setattr(quadrature, "_NEWTON_BUDGET", 1)
+    monkeypatch.setattr(quadrature, "_RULE_CACHE", {})
+    assert main(["multipliers", "--d", "5", "--n-max", "4", "--out", str(tmp_path)]) == 1
+    assert "d=" not in capsys.readouterr().err
+    error = json.loads((tmp_path / "summary.json").read_text())["suites"]["multipliers"]["error"]
+    assert error["d"] == 5 and error["kind"] == "gauss_legendre Newton"
+
+
 def test_non_convergence_leaves_other_suites_running(tmp_path, monkeypatch, capsys):
     def stalled(*args, **kwargs):
         raise vpmeans.cli.ConvergenceError(8, 3, "fourth_moment", 320, 1.0, 2.0)
@@ -281,8 +291,8 @@ def test_summary_reports_cache_traffic(small_all_run):
 
 def test_summary_reports_suite_wall_times(small_all_run):
     summary = json.loads((small_all_run / "summary.json").read_text())
-    assert set(summary["diagnostics"]) == {"caches", "projection_residuals", "refinements",
-                                           "suites"}
+    assert set(summary["diagnostics"]) == {"caches", "projection_residuals", "pruning",
+                                           "refinements", "suites"}
     suites = summary["diagnostics"]["suites"]
     assert set(suites) == set(SUITES)
     for info in suites.values():
@@ -290,6 +300,23 @@ def test_summary_reports_suite_wall_times(small_all_run):
         assert info["wall_s"] > 0.0
     assert set(summary["constants"]) == {"envelope_c5", "n_alpha_window",
                                          "lemma_windows", "converse_ratio_windows"}
+
+
+def test_summary_reports_pruning(small_all_run):
+    summary = json.loads((small_all_run / "summary.json").read_text())
+    pruning = summary["diagnostics"]["pruning"]
+    assert set(pruning) == set(SUITES)
+    # converse meets every omega cell first; the later suites hit the memo,
+    # and delayed-max prunes its own degree segments
+    assert set(pruning["converse"]) == set(pruning["delayed-max"]) == {"1.0", "inf"}
+    assert all(pruning[name] == {} for name in SUITES
+               if name not in ("converse", "delayed-max"))
+    for counts in (*pruning["converse"].values(), *pruning["delayed-max"].values()):
+        assert set(counts) == {"synthesised", "skipped"}
+        assert counts["synthesised"] > 0 and counts["skipped"] > 0
+    # 8 functions x 3 scales x 64 steps, plus one doubled-grid self-check cell
+    converse = pruning["converse"]
+    assert sum(converse["inf"].values()) in (8 * 3 * 64, 8 * 3 * 64 + 128)
 
 
 def test_summary_reports_refinement_ladders(small_all_run):

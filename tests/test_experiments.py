@@ -2,16 +2,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import vpmeans.function_space
 from vpmeans import quadrature
 from vpmeans.cli import config_hash
-from vpmeans.experiments import (Workspace, measure_envelope_constant,
+from vpmeans.experiments import (Workspace, _delayed_maxima, _operator_error_norms,
+                                 measure_envelope_constant,
                                  run_converse_suite, run_delayed_max_suite,
                                  run_lemma_suite, run_modulus_suite,
                                  run_multiplier_identity_suite,
                                  run_selftest_suite, run_voronovskaya_suite)
-from vpmeans.function_space import corpus_ids, q_table, zonal_project
+from vpmeans.function_space import INF, ZonalSpectral, corpus_ids, q_table, zonal_project
 from vpmeans.kernel import multiplier_via_quadrature, multiplier_weight
 from vpmeans.memo import clear_run_memos
 
@@ -136,6 +139,34 @@ def test_delayed_max_suite_band_limited_max_at_first_degree():
             (1.0 - multiplier_weight(row["n"], 4, 0.5))
             * report.rows[0]["max_err"] / (1.0 - multiplier_weight(8, 4, 0.5)),
             rel=1e-10)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(d=st.sampled_from([3, 4, 5]), support=st.integers(0, 120), pad=st.integers(0, 60),
+       n_list=st.lists(st.integers(1, 48), min_size=1, max_size=5),
+       extra=st.integers(0, 40), spike=st.sampled_from([0.0, 4.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+# f = 0.27 - 0.46 Q_1 + 4 Q_41, cap 40: f - V_k f = 4 Q_41 - 0.46 (1 - omega_{k,1}) Q_1
+# has its sup 4 - 0.46 (1 - omega_{k,1}) at both poles, which grows with k while
+# every coefficient and bound shrinks: each segment's max is at its last degree,
+# not at its top-bound first one
+@example(d=3, support=1, pad=0, n_list=[4, 16], extra=24, spike=4.0, seed=0)
+def test_delayed_maxima_equal_full_sweep(d, support, pad, n_list, extra, spike, seed):
+    # suffix maxima of the unpruned sweep over every degree are the oracle;
+    # a spike Q_(k_cap + 1), left alone by every V_k, makes some errors grow in k.
+    # The sweep's last block is rarely a multiple of 8 columns wide, which
+    # BLAS may round differently from the pruned blocks, hence no bit equality
+    n_list = sorted(n_list)
+    k_cap = n_list[-1] + extra
+    coeffs = np.zeros(max(support + pad, k_cap + 1) + 1)
+    coeffs[:support + 1] = np.random.default_rng(seed).uniform(-1.0, 1.0, support + 1)
+    coeffs[k_cap + 1] += spike
+    f = ZonalSpectral(lam=(d - 2) / 2.0, coeffs=coeffs)
+    pruned = _delayed_maxima(f, n_list, k_cap, (1.0, INF), d)
+    for p, maxima in zip((1.0, INF), pruned):
+        errs = _operator_error_norms(f, range(n_list[0], k_cap + 1), p, d)
+        suffix = np.maximum.accumulate(errs[::-1])[::-1][np.array(n_list) - n_list[0]]
+        np.testing.assert_allclose(maxima, suffix, rtol=1e-14, atol=0.0)
 
 
 def test_delayed_max_k_cap_validation():

@@ -9,7 +9,8 @@ import vpmeans.function_space
 from vpmeans.function_space import (BLOCK_COLUMNS, DENSE_GRID_SIZE, INF, NEGLIGIBLE,
                                     GridFunction, ZonalProfile, ZonalSpectral,
                                     _inverse_dims, corpus_ids, corpus_member,
-                                    lp_norm_grid, lp_norm_zonal, lp_norms_batch,
+                                    lp_norm_grid, lp_norm_maxima, lp_norm_zonal,
+                                    lp_norms_batch,
                                     make_corpus, surface_area, synthesis_context,
                                     zonal_project, zonal_project_many, zonal_synthesis)
 from vpmeans.memo import clear_run_memos, run_memo_stats
@@ -252,6 +253,51 @@ def test_lp_norms_batch_reference_matches_full_band(d, support, columns, k_max, 
         want = lp_norms_batch(ref[:, None] - cols, lam, p, d)
         keep = want >= 1e-3 * lp_norms_batch(ref, lam, p, d)[0]
         np.testing.assert_allclose(got[keep], want[keep], rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(d=st.sampled_from([3, 4, 5]), support=st.integers(0, 200),
+       sizes=st.lists(st.integers(1, 70), min_size=1, max_size=4),
+       with_reference=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_lp_norm_maxima_equal_maxima_of_every_norm(d, support, sizes, with_reference, seed):
+    # columns of mixed scale, so the bounds order them differently from the
+    # norms; the pruned norms sum row by row, lp_norms_batch by BLAS
+    rng = np.random.default_rng(seed)
+    k_max = 300
+    cols = banded_columns(rng, k_max, support, sum(sizes)) * 10.0 ** rng.uniform(-2, 2, sum(sizes))
+    ref = rng.uniform(-1.0, 1.0, k_max + 1) if with_reference else None
+    starts = np.cumsum([0] + sizes[:-1])
+    for p in (1.0, 2.0, INF):
+        full = lp_norms_batch(cols, (d - 2) / 2.0, p, d, reference=ref)
+        got = lp_norm_maxima(cols, sizes, (d - 2) / 2.0, p, d, reference=ref)
+        np.testing.assert_allclose(got, np.maximum.reduceat(full, starts), rtol=1e-14, atol=0.0)
+
+
+def test_lp_norm_maxima_prunes_logs_and_validates():
+    rng = np.random.default_rng(11)
+    cols = rng.uniform(-1.0, 1.0, (129, 100)) * np.geomspace(1.0, 1e-3, 100)
+    cols[:, 70] = np.nan
+    clear_run_memos()
+    log = vpmeans.function_space._CONTEXTS.log
+    for p in (1.0, INF):
+        full = lp_norms_batch(cols, 0.5, p, 3)
+        got = lp_norm_maxima(cols, [60, 40], 0.5, p, 3)
+        assert got[0] == pytest.approx(np.max(full[:60]), rel=1e-14) and np.isnan(got[1])
+        # the second run holds a NaN column, which is never pruned
+        assert log[-1][0] == p and sum(log[-1][1:]) == 100 and 0 < log[-1][2] < 59
+    assert lp_norm_maxima(cols[:, :60], [60], 0.5, 2.0, 3)[0] == pytest.approx(
+        np.max(lp_norms_batch(cols[:, :60], 0.5, 2.0, 3)), rel=1e-14)
+    # a Gauss order below 2K + 32 need not integrate g^2 exactly: nothing is pruned at p = 1
+    low = lp_norm_maxima(cols[:, :60], [60], 0.5, 1.0, 3, order=100)
+    assert log[-1] == (1.0, 60, 0)
+    assert low[0] == pytest.approx(np.max(lp_norms_batch(cols[:, :60], 0.5, 1.0, 3, order=100)),
+                                   rel=1e-14)
+    assert len(log) == 3       # p = 2 prunes nothing and logs nothing
+    for sizes in ([50, 49], [50, 51], [100, 0]):
+        with pytest.raises(ValueError, match="sizes"):
+            lp_norm_maxima(cols, sizes, 0.5, INF, 3)
+    with pytest.raises(ValueError, match="p must"):
+        lp_norm_maxima(cols, [100], 0.5, 0.5, 3)
 
 
 def test_lp_norms_batch_negligible_entries_nan_and_zero_columns():

@@ -6,10 +6,9 @@ from hypothesis import strategies as st
 from vpmeans.function_space import (INF, ZonalSpectral, corpus_member,
                                     lp_norm_zonal)
 from vpmeans.kernel import multiplier_sequence
-from vpmeans.operators import (laplace_beltrami, orthonormal_completion,
-                               sample_zonal_on_grid, translate_direct,
-                               translate_spectral, vpm_grid, vpm_iterated,
-                               vpm_means, zonal_point_function)
+from vpmeans.operators import (orthonormal_completion, sample_zonal_on_grid,
+                               translate_direct, translate_spectral, vpm_grid,
+                               vpm_iterated, vpm_means, zonal_point_function)
 from vpmeans.quadrature import sphere_grid
 from vpmeans.special import q_normalized, q_table
 
@@ -125,25 +124,6 @@ def test_spectral_operators_commute():
     assert np.max(np.abs(a - b)) <= 1e-15
 
 
-def test_laplace_beltrami_eigenvalues():
-    const = ZonalSpectral(lam=0.5, coeffs=np.array([4.0]))
-    assert np.all(laplace_beltrami(const).coeffs == 0.0)
-    # degree-k eigenvalue is -k(k+d-2): at k=2, d=3 that is -6
-    f = ZonalSpectral(lam=0.5, coeffs=unit(2, 4))
-    assert laplace_beltrami(f).coeffs[2] == pytest.approx(-6.0, rel=1e-15)
-    g = ZonalSpectral(lam=1.0, coeffs=unit(3, 5))
-    assert laplace_beltrami(g).coeffs[3] == pytest.approx(-15.0, rel=1e-15)
-    # power 2 equals power 1 applied twice
-    h = random_spectral()
-    assert np.array_equal(laplace_beltrami(h, power=2).coeffs,
-                          laplace_beltrami(laplace_beltrami(h)).coeffs)
-
-
-def test_laplace_power_validation():
-    with pytest.raises(ValueError):
-        laplace_beltrami(random_spectral(), power=3)
-
-
 def test_orthonormal_completion():
     for mu in (NORTH, np.array([1.0, 0.0, 0.0]),
                np.array([0.6, 0.0, 0.8]), np.array([0.1, -0.3, 0.9]) / np.linalg.norm([0.1, -0.3, 0.9])):
@@ -219,13 +199,10 @@ def test_operator_multiplier_sequences():
     k_max = 9
     lam = 0.5
     f = random_spectral(size=k_max + 1)
-    eig = -np.arange(k_max + 1.0) * (np.arange(k_max + 1.0) + 1.0)
     cases = [
         (vpm_means(f, 5), multiplier_sequence(5, lam, k_max)),
         (vpm_iterated(f, 5, 3), multiplier_sequence(5, lam, k_max) ** 3),
         (translate_spectral(f, 0.6), q_table(k_max, lam, 0.6)[0]),
-        (laplace_beltrami(f, power=1), eig),
-        (laplace_beltrami(f, power=2), eig ** 2),
     ]
     for applied, expect in cases:
         assert applied.lam == lam

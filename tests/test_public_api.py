@@ -1,7 +1,11 @@
 import importlib
 import inspect
+import json
+from pathlib import Path
 
 import pytest
+
+from vpmeans.cli import SUITES
 
 # the modules whose public functions the per-layer benchmark tracer wraps;
 # its timing wrapper cannot time a generator, so it refuses one
@@ -51,3 +55,30 @@ def test_tracer_bound_parameter_names(name):
     short, attr = name.split(".")
     func = getattr(importlib.import_module(f"vpmeans.{short}"), attr)
     assert tuple(inspect.signature(func).parameters) == TRACER_BOUND_SIGNATURES[name]
+
+
+# metrics the benchmark computes itself rather than reads from a traced layer
+BENCHMARK_OWN_METRICS = {"experiments.csv_drift_max_rel"}
+
+
+def test_benchmark_layer_metrics_name_public_functions():
+    # the traced benchmark reads each per-layer metric <module>.<function>.<stat>
+    # from the function it names (experiments.<suite>.s from the suite's
+    # runner): a rename must fail here before that metric silently reads 0
+    metrics = json.loads((Path(__file__).parents[1] / "BENCHMARK.json").read_text())["per_layer"]
+    named = {tuple(m["name"].split(".")[:2]) for m in metrics
+             if m["name"].split(".")[0] in TRACED_MODULES
+             and ".".join(m["name"].split(".")[:2]) not in BENCHMARK_OWN_METRICS}
+    assert len(named) > 10
+    unresolved = []
+    for short, attr in sorted(named):
+        module = importlib.import_module(f"vpmeans.{short}")
+        if short == "experiments":
+            ok = attr in SUITES
+        else:
+            obj = getattr(module, attr, None)
+            ok = (not attr.startswith("_") and inspect.isfunction(obj)
+                  and obj.__module__ == module.__name__)
+        if not ok:
+            unresolved.append(f"{short}.{attr}")
+    assert unresolved == []

@@ -2,15 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vpmeans.smoothness
 from vpmeans.experiments import Workspace
 from vpmeans.function_space import INF, ZonalSpectral, lp_norm_zonal
 from vpmeans.memo import clear_run_memos, run_memo_stats
-from vpmeans.smoothness import (default_candidate_degrees,
-                                k_functional_estimate, modulus,
+from vpmeans.smoothness import (_theta_scan, default_candidate_degrees,
+                                k_functional_estimate, modulus, modulus_many,
                                 translation_error_norms)
 from vpmeans.special import q_normalized
 
@@ -94,12 +94,67 @@ def test_modulus_memo_hit_is_recomputation(ws):
     assert modulus(other, 0.2, 1.0, 3) != first
 
 
+def band_limited(d, support, pad, seed):
+    """Coefficients uniform in [-1, 1] up to degree `support`, zero up to
+    the band limit support + pad."""
+    coeffs = np.zeros(support + pad + 1)
+    coeffs[:support + 1] = np.random.default_rng(seed).uniform(-1.0, 1.0, support + 1)
+    return ZonalSpectral(lam=(d - 2) / 2.0, coeffs=coeffs)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(d=st.sampled_from([3, 4, 5]), support=st.integers(0, 120), pad=st.integers(0, 60),
+       p=st.sampled_from([1.0, INF]), seed=st.integers(0, 2 ** 32 - 1),
+       t=st.floats(1e-6, math.pi))
+# steps whose norm is the max without the largest bound
+@example(d=3, support=3, pad=0, p=1.0, seed=0, t=2.0)
+@example(d=3, support=5, pad=0, p=INF, seed=1, t=3.0)
+def test_pruned_modulus_equals_full_sweep(d, support, pad, p, seed, t):
+    # the 64-step sweep of translation_error_norms is the oracle; modulus
+    # synthesises only the steps whose bound can reach the max
+    f = band_limited(d, support, pad, seed)
+    full = float(np.max(translation_error_norms(f, _theta_scan(t, 64), p, d)))
+    clear_run_memos()
+    if p == INF:
+        assert modulus(f, t, p, d) == full
+    else:
+        assert modulus(f, t, p, d) == pytest.approx(full, rel=1e-14, abs=0.0)
+
+
+def test_modulus_cells_in_a_batch_equal_cells_alone(ws):
+    ts = [n ** -0.5 for n in (4, 8, 16, 32, 64)] + [math.pi]
+    for fid in ("cusp:0.5", "bump", "randband:seed42", "harmonic:16"):
+        f = ws.spectral(fid)
+        for p in (1.0, 2.0, INF):
+            clear_run_memos()
+            batch = modulus_many(f, ts, p, 3)
+            for t, cell in zip(ts, batch):
+                clear_run_memos()
+                assert modulus(f, t, p, 3) == cell
+
+
+def test_modulus_reaches_translation_error_norms(ws, monkeypatch):
+    # the missing cells of one call are computed in one pruned sweep
+    runs = []
+    inner = vpmeans.smoothness.translation_error_norms
+    monkeypatch.setattr(vpmeans.smoothness, "translation_error_norms",
+                        lambda *args, **kw: runs.append(kw["sizes"]) or inner(*args, **kw))
+    f = ws.spectral("cusp:1.0")
+    clear_run_memos()
+    single = modulus(f, 0.3, INF, 3)
+    assert modulus_many(f, [0.5, 0.3, math.pi], INF, 3)[1] == single
+    assert runs == [[64], [64, len(_theta_scan(math.pi, 64))]]
+    assert run_memo_stats()["modulus"] == {"entries": 3, "hits": 1, "misses": 3, "bytes": 0}
+
+
 def test_modulus_domain():
     f = ZonalSpectral(lam=0.5, coeffs=np.ones(3))
     with pytest.raises(ValueError):
         modulus(f, 0.0, 2.0, 3)
     with pytest.raises(ValueError):
         modulus(f, 3.5, 2.0, 3)
+    with pytest.raises(ValueError):
+        modulus_many(f, [0.5, 0.0], 2.0, 3)
 
 
 def test_translation_error_norms_batch(ws):
