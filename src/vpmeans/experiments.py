@@ -268,14 +268,12 @@ def _operator_error_norms(f, degrees, p, d, order=None):
 def _delayed_maxima(f, n_list, k_cap, ps, d):
     """Per p of ps, max over k in [n, k_cap] of ||V_k f - f||_p for each n of
     the sorted n_list: the max of each segment [n_i, n_(i+1)) of degrees from
-    `lp_norm_maxima`, then suffix maxima over the segments."""
+    one `lp_norm_maxima` call for all p, then suffix maxima over the segments."""
     cuts = sorted(set(n_list)) + [k_cap + 1]
-    cols, out = _means_columns(f, range(cuts[0], k_cap + 1)), []
-    for p in ps:
-        segments = lp_norm_maxima(cols, np.diff(cuts), f.lam, p, d, reference=f.coeffs)
-        suffix = dict(zip(cuts, np.maximum.accumulate(segments[::-1])[::-1].tolist()))
-        out.append([suffix[n] for n in n_list])
-    return out
+    segments = lp_norm_maxima(_means_columns(f, range(cuts[0], k_cap + 1)), np.diff(cuts),
+                              f.lam, ps, d, reference=f.coeffs)
+    suffix = np.maximum.accumulate(segments[:, ::-1], axis=1)[:, ::-1]
+    return suffix[:, [cuts.index(n) for n in n_list]].tolist()
 
 
 def _ratio_sweep(ws, corpus, p_list, n_list, theta_grid_size, window, numerators):
@@ -293,10 +291,10 @@ def _ratio_sweep(ws, corpus, p_list, n_list, theta_grid_size, window, numerators
     windows = {}
     passed = True
     for fid, f in zip(corpus, ws.prepare(corpus)):
-        for p, nums in zip(p_list, numerators(f, p_list)):
+        moduli_per_p = modulus_many(f, [n ** -0.5 for n in n_list], p_list, ws.d,
+                                    theta_grid_size=theta_grid_size)
+        for p, nums, moduli in zip(p_list, numerators(f, p_list), moduli_per_p):
             ratios = []
-            moduli = modulus_many(f, [n ** -0.5 for n in n_list], p, ws.d,
-                                  theta_grid_size=theta_grid_size)
             for n, num, w_n in zip(n_list, nums, moduli):
                 degenerate = w_n <= DEGENERATE_FLOOR
                 ratio = float("nan") if degenerate else num / w_n
@@ -411,9 +409,9 @@ def run_modulus_suite(corpus, p_list, n_list, d, window=50.0, seed=42,
     worst = {"low": math.inf, "high": -math.inf}
     n_list = sorted(n_list)
     for fid, f in zip(corpus, ws.prepare(corpus)):
-        for p in p_list:
-            moduli = modulus_many(f, [n ** -0.5 for n in n_list], p, d,
-                                  theta_grid_size=theta_grid_size)
+        moduli_per_p = modulus_many(f, [n ** -0.5 for n in n_list], p_list, d,
+                                    theta_grid_size=theta_grid_size)
+        for p, moduli in zip(p_list, moduli_per_p):
             for n, om in zip(n_list, moduli):
                 t = n ** -0.5
                 kf = k_functional_estimate(f, t, p, d)

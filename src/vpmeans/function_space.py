@@ -107,7 +107,7 @@ def zonal_synthesis(coeffs, lam, x):
 # ---------------------------------------------------------------------------
 # synthesis contexts: Q_k tables over the quadrature nodes used by norms and
 # projections, memoised per run on (lam, band limit, grid kind, size); the
-# memo's run log holds one (p, synthesised, skipped) per lp_norm_maxima call
+# memo's run log holds (p, synthesised, skipped) per p != 2 of lp_norm_maxima
 
 _CONTEXTS = RunMemo("synthesis_context")
 
@@ -280,58 +280,88 @@ def lp_norms_batch(coeff_matrix, lam, p, d, order=None, reference=None):
 
 # relative widening of the bounds of lp_norm_maxima, see there
 PRUNE_SLACK = 1e-10
+ANCHOR_STRIDE = 8     # lp_norm_maxima's anchors: every 8th column left unpruned
 
 
-def lp_norm_maxima(coeff_matrix, sizes, lam, p, d, order=None, reference=None):
-    """The max of `lp_norms_batch(coeff_matrix, lam, p, d, order, reference)`
-    over each run of consecutive columns, the runs of the given `sizes`.
+def lp_norm_maxima(coeff_matrix, sizes, lam, ps, d, order=None, reference=None):
+    """For each p of `ps`, the max of `lp_norms_batch(coeff_matrix, lam, p, d,
+    order, reference)` over each run of consecutive columns, the runs of the
+    given `sizes`: one row of run maxima per p.
 
-    Column a (or R - a) bounds its norm from its coefficients: ||g||_inf <=
-    sum_k |a_k|, as |Q_k| <= 1, and ||g||_1 <= |S^{d-1}|^(1/2) ||g||_2 (from
-    Parseval) by Cauchy-Schwarz on the Gauss sum.  Each run's top-bound column
-    is synthesised, then the columns whose bound exceeds their run's max.
-    The bounds hold for computed norms: they add the synthesis rounding,
-    <= (K + 1) eps (sum |R_k| + sum |a_k|), and PRUNE_SLACK covers computed
-    |Q_k| up to 1 + O(K eps) and the Gauss-Parseval ||g||_2 gap, rounding
-    only, as the rule of order 2K + 32 is exact for g^2.  Lower orders at
-    p = 1 and NaN bounds prune nothing; p = 2 is Parseval for every column.
-    Each pruned call logs (p, columns synthesised, columns skipped) in the
-    synthesis contexts' log.  The norms are those of lp_norms_batch up to
-    rounding and, computed by `_picked_norms`, do not depend on which
-    columns are synthesised together.
+    One pass over the coefficients bounds each column's norm (p = inf:
+    sum_k |a_k|; p = 1: |S^{d-1}|^(1/2) ||g||_2) and, the same way, its step
+    to its left neighbour; the prefix sums C of the steps give the chain
+    bound ||g_i|| <= ||g_j|| + |C_i - C_j|.  Per p, three rounds synthesise
+    each run's top-bound column, then every ANCHOR_STRIDE-th column whose
+    bound exceeds its run's max, then the columns whose coefficient bound
+    and chain bound from the nearest synthesised column on either side both
+    exceed it.  The bounds add the synthesis rounding of the columns they
+    involve and of the prefix sums, times (1 + PRUNE_SLACK); see README.md.
+    Orders below 2K + 32 at p = 1, p other than 1, 2, inf, and NaN bounds
+    prune nothing; past a NaN step the coefficient bounds prune alone; p = 2
+    is Parseval.  Each p != 2 logs (p, columns synthesised, columns skipped)
+    in the synthesis contexts' log.  The norms, from `_picked_norms`, do not
+    depend on which columns are synthesised together, and are those of
+    lp_norms_batch up to rounding.
     """
-    if p != INF and p < 1:
-        raise ValueError(f"p must satisfy 1 <= p <= inf, got {p}")
+    if any(p != INF and p < 1 for p in ps):
+        raise ValueError(f"p must satisfy 1 <= p <= inf, got {list(ps)}")
     coeff_matrix = np.asarray(coeff_matrix, dtype=float)
     k_max, columns = coeff_matrix.shape[0] - 1, coeff_matrix.shape[1]
     starts = np.cumsum([0, *sizes])
     if starts[-1] != columns or min(sizes, default=1) < 1:
         raise ValueError("run sizes must be positive and add up to the column count")
     ref = 0.0 if reference is None else np.asarray(reference, dtype=float)[:, None]
-    area, ulp = surface_area(d), (k_max + 1) * np.finfo(float).eps
+    area, eps, inverse_dims = surface_area(d), np.finfo(float).eps, _inverse_dims(k_max, lam)
     sums, l2, mass = np.empty(columns), np.empty(columns), np.full(columns, np.sum(np.abs(ref)))
+    steps = {INF: np.zeros(columns), 1: np.zeros(columns)}
     for start in range(0, columns, BLOCK_COLUMNS):
-        at = slice(start, start + BLOCK_COLUMNS)
+        at, left = slice(start, start + BLOCK_COLUMNS), max(start - 1, 0)
         a = np.abs(ref - coeff_matrix[:, at])
         sums[at] = a.sum(axis=0)
-        l2[at] = np.sqrt(area * np.einsum("k,kj->j", _inverse_dims(k_max, lam), a * a))
+        l2[at] = np.sqrt(area * np.einsum("k,kj->j", inverse_dims, a * a))
         mass[at] += np.abs(coeff_matrix[:, at]).sum(axis=0)
-    if p == 2:
-        return np.maximum.reduceat(l2, starts[:-1])
-    bounds = (sums + ulp * mass if p == INF else math.sqrt(area) * l2 + area * ulp * mass)
-    bounds *= 1.0 + PRUNE_SLACK
-    if p != INF and order is not None and order < 2 * k_max + 32:
-        bounds[:] = INF
-    ctx = _norm_context(lam, k_max, p, order)
-    ref_vals = None if reference is None else _synthesise(ctx, ref)
-    tops = np.array([i + np.argmax(bounds[i:j]) for i, j in zip(starts, starts[1:])], dtype=int)
-    out = np.full(columns, -INF)       # -inf: not synthesised
-    out[tops] = _picked_norms(ctx, p, d, coeff_matrix, tops, ref_vals)
-    survive = ~(bounds <= np.repeat(out[tops], sizes))     # a NaN bound survives
-    survive[tops] = False
-    rest = np.flatnonzero(survive)
-    out[rest] = _picked_norms(ctx, p, d, coeff_matrix, rest, ref_vals)
-    _CONTEXTS.log.append((p, tops.size + rest.size, columns - tops.size - rest.size))
+        step = np.diff(coeff_matrix[:, left:at.stop], axis=1)     # a (K + 1) x 65 slice
+        steps[INF][left + 1:at.stop] = np.abs(step).sum(axis=0)
+        steps[1][left + 1:at.stop] = area * np.sqrt(np.einsum("k,kj->j", inverse_dims, step * step))
+    bounds = {INF: sums, 1: math.sqrt(area) * l2}
+    if order is not None and order < 2 * k_max + 32:
+        del bounds[1]
+    rows = []
+    for p in ps:
+        if p == 2:
+            rows.append(np.maximum.reduceat(l2, starts[:-1]))
+            continue
+        rounding = (k_max + 1) * eps * mass * (1.0 if p == INF else area)
+        prefix = np.cumsum(steps[p] if p in bounds else np.full(columns, np.nan))
+        ctx = _norm_context(lam, k_max, p, order)
+        rows.append(_pruned_maxima(
+            ctx, p, d, coeff_matrix, starts, (bounds.get(p, INF) + rounding) * (1.0 + PRUNE_SLACK),
+            prefix, rounding + columns * eps * prefix,
+            None if reference is None else _synthesise(ctx, ref)))
+    return np.array(rows)
+
+
+def _pruned_maxima(ctx, p, d, coeff_matrix, starts, bound, prefix, rounding, ref_vals):
+    """The three rounds of `lp_norm_maxima` at one p."""
+    out, done = np.full(coeff_matrix.shape[1], -INF), np.zeros(coeff_matrix.shape[1], dtype=bool)
+
+    def synthesise(picked):     # then the max of each column's run
+        out[picked], done[picked] = _picked_norms(ctx, p, d, coeff_matrix, picked, ref_vals), True
+        return np.repeat(np.maximum.reduceat(out, starts[:-1]), np.diff(starts))
+
+    run_max = synthesise(np.array([i + np.argmax(bound[i:j]) for i, j in zip(starts, starts[1:])],
+                                   dtype=int))
+    alive = np.flatnonzero(~(bound <= run_max) & ~done)      # a NaN bound stays alive
+    run_max = synthesise(alive[::ANCHOR_STRIDE])
+    alive, near = alive[~done[alive]], np.flatnonzero(done)
+    at = np.searchsorted(near, alive)
+    chain = np.fmin(*(out[j] + rounding[j] + np.abs(prefix[alive] - prefix[j])
+                      for j in (near[np.maximum(at - 1, 0)], near[np.minimum(at, near.size - 1)])))
+    # fmin: each bound holds alone, so a NaN chain leaves the coefficient bound
+    smaller = np.fmin(bound[alive], (chain + rounding[alive]) * (1.0 + PRUNE_SLACK))
+    synthesise(alive[~(smaller <= run_max[alive])])
+    _CONTEXTS.log.append((p, int(done.sum()), int(done.size - done.sum())))
     return np.maximum.reduceat(out, starts[:-1])
 
 

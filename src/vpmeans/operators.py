@@ -104,7 +104,7 @@ def translate_direct(f_eval, theta, point, circle_order):
 
 
 # rows of the vpm_grid kernel matrix formed at once, bounding its memory
-GRID_BLOCK_ROWS = 1024
+GRID_BLOCK_ROWS = 256
 
 
 def vpm_grid(f, n):

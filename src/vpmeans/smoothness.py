@@ -56,18 +56,20 @@ def _damping_table(k_max, lam, thetas):
     return _DAMPING.lookup((k_max, float(lam), thetas.tobytes()), compute)
 
 
-def translation_error_norms(f, thetas, p, d, order=None, sizes=None):
-    """||f - S_theta f||_p for a batch of translation steps theta; with
-    `sizes`, the largest of each run of consecutive steps, the runs having
-    those sizes, by `lp_norm_maxima`."""
+def translation_error_norms(f, thetas, ps, d, order=None, sizes=None):
+    """||f - S_theta f||_p for a batch of translation steps theta, one row
+    per p of the sequence `ps`; with `sizes`, the largest of each run of
+    consecutive steps, the runs having those sizes, by `lp_norm_maxima`."""
+    if np.ndim(ps) != 1:
+        raise TypeError(f"ps must be a sequence of p, got {ps!r}")
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     if np.any((thetas <= 0.0) | (thetas >= np.pi)):
         raise ValueError("translation steps must lie in (0, pi)")
     damp = _damping_table(f.band_limit, f.lam, thetas)     # (T, K+1)
     cols = np.multiply(f.coeffs[:, None], damp.T, order="C")    # C order synthesises faster
     if sizes is None:
-        return lp_norms_batch(cols, f.lam, p, d, order=order)
-    return lp_norm_maxima(cols, sizes, f.lam, p, d, order=order)
+        return np.array([lp_norms_batch(cols, f.lam, p, d, order=order) for p in ps])
+    return lp_norm_maxima(cols, sizes, f.lam, ps, d, order=order)
 
 
 def modulus(f, t, p, d, theta_grid_size=64, order=None):
@@ -78,25 +80,31 @@ def modulus(f, t, p, d, theta_grid_size=64, order=None):
     exact coefficient bytes and every argument, so the suites that meet the
     same cell omega(f, n^(-1/2))_p compute it once.
     """
-    return modulus_many(f, [t], p, d, theta_grid_size=theta_grid_size, order=order)[0]
+    return modulus_many(f, [t], [p], d, theta_grid_size=theta_grid_size, order=order)[0][0]
 
 
-def modulus_many(f, ts, p, d, theta_grid_size=64, order=None):
-    """`modulus` at each scale of `ts`; the cells not memoised are computed in
-    one `translation_error_norms` call, one run of steps per scale."""
+def modulus_many(f, ts, ps, d, theta_grid_size=64, order=None):
+    """`modulus` at each scale of `ts` for each p of `ps`: one list of cells
+    per p.  The cells not memoised are computed in one
+    `translation_error_norms` call over the p and scales they miss, one run
+    of steps per scale, so one set of translation columns and one bound pass
+    of `lp_norm_maxima` serve every p."""
     for t in ts:
         if not 0.0 < t <= np.pi:
             raise ValueError(f"modulus scale must be in (0, pi], got {t}")
-    keys = {t: _function_key(f) + (float(t), float(p), int(d), int(theta_grid_size), order)
-            for t in ts}
-    missing = [t for t, key in keys.items() if key not in _MODULUS]
+    keys = {(t, p): _function_key(f) + (float(t), float(p), int(d), int(theta_grid_size), order)
+            for t in ts for p in ps}
+    missing = [cell for cell, key in keys.items() if key not in _MODULUS]
     computed = {}
     if missing:
-        scans = [_theta_scan(t, theta_grid_size) for t in missing]
-        maxima = translation_error_norms(f, np.concatenate(scans), p, d, order=order,
+        scales, group = (list(dict.fromkeys(part)) for part in zip(*missing))
+        scans = [_theta_scan(t, theta_grid_size) for t in scales]
+        maxima = translation_error_norms(f, np.concatenate(scans), group, d, order=order,
                                          sizes=[len(scan) for scan in scans])
-        computed = dict(zip(missing, maxima.tolist()))
-    return [_MODULUS.lookup(keys[t], lambda t=t: computed[t]) for t in ts]
+        computed = {(t, p): cell for p, row in zip(group, maxima.tolist())
+                    for t, cell in zip(scales, row)}
+    return [[_MODULUS.lookup(keys[t, p], lambda cell=(t, p): computed[cell]) for t in ts]
+            for p in ps]
 
 
 def default_candidate_degrees(t):

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import vpmeans.experiments
 import vpmeans.function_space
+import vpmeans.smoothness
 from vpmeans import quadrature
 from vpmeans.cli import config_hash
 from vpmeans.experiments import (Workspace, _delayed_maxima, _operator_error_norms,
@@ -167,6 +169,28 @@ def test_delayed_maxima_equal_full_sweep(d, support, pad, n_list, extra, spike, 
         errs = _operator_error_norms(f, range(n_list[0], k_cap + 1), p, d)
         suffix = np.maximum.accumulate(errs[::-1])[::-1][np.array(n_list) - n_list[0]]
         np.testing.assert_allclose(maxima, suffix, rtol=1e-14, atol=0.0)
+
+
+def test_scale_suites_take_one_pruned_sweep_per_function(monkeypatch):
+    # every p of a function shares one lp_norm_maxima call, so one bound pass:
+    # the delayed-max segments, and the omega cells of delayed-max and modulus
+    calls = {"experiments": [], "smoothness": []}
+    for name, log in calls.items():
+        module = getattr(vpmeans, name)
+        monkeypatch.setattr(module, "lp_norm_maxima",
+                            lambda cols, sizes, lam, ps, *args, inner=module.lp_norm_maxima,
+                            log=log, **kw: log.append((len(sizes), tuple(ps)))
+                            or inner(cols, sizes, lam, ps, *args, **kw))
+    ps = (1.0, 2.0, INF)
+    clear_run_memos()
+    run_delayed_max_suite(SMALL_CORPUS, ps, SMALL_N, 40, 3)
+    assert calls["experiments"] == [(3, ps)] * len(SMALL_CORPUS)
+    # then the refinement self-check's doubled grid, at the last p only
+    assert calls["smoothness"] == [(3, ps)] * len(SMALL_CORPUS) + [(1, (INF,))]
+    clear_run_memos()
+    calls["smoothness"].clear()
+    run_modulus_suite(SMALL_CORPUS, ps, SMALL_N, 3)
+    assert calls["smoothness"] == [(3, ps)] * len(SMALL_CORPUS) + [(1, (2.0,))]
 
 
 def test_delayed_max_k_cap_validation():

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 import vpmeans.function_space
 from vpmeans.function_space import (BLOCK_COLUMNS, DENSE_GRID_SIZE, INF, NEGLIGIBLE,
                                     GridFunction, ZonalProfile, ZonalSpectral,
-                                    _inverse_dims, corpus_ids, corpus_member,
+                                    _inverse_dims, _norm_context, _picked_norms, _synthesise,
+                                    corpus_ids, corpus_member,
                                     lp_norm_grid, lp_norm_maxima, lp_norm_zonal,
                                     lp_norms_batch,
                                     make_corpus, surface_area, synthesis_context,
                                     zonal_project, zonal_project_many, zonal_synthesis)
+from vpmeans.kernel import multiplier_sequence
 from vpmeans.memo import clear_run_memos, run_memo_stats
 from vpmeans.operators import sample_zonal_on_grid
 from vpmeans.quadrature import integrate_theta, mapped_rule, sphere_grid
@@ -255,22 +257,48 @@ def test_lp_norms_batch_reference_matches_full_band(d, support, columns, k_max, 
         np.testing.assert_allclose(got[keep], want[keep], rtol=1e-12, atol=0.0)
 
 
+def unpruned_maxima(cols, sizes, lam, p, d, ref):
+    """The run maxima of every column's `_picked_norms`: the arithmetic of the
+    pruned passes, without pruning."""
+    ctx = _norm_context(lam, cols.shape[0] - 1, p, None)
+    ref_vals = None if ref is None else _synthesise(ctx, ref[:, None])
+    every = _picked_norms(ctx, p, d, cols, np.arange(cols.shape[1]), ref_vals)
+    return np.maximum.reduceat(every, np.cumsum([0] + sizes[:-1]))
+
+
 @settings(max_examples=30, deadline=None, database=None)
 @given(d=st.sampled_from([3, 4, 5]), support=st.integers(0, 200),
        sizes=st.lists(st.integers(1, 70), min_size=1, max_size=4),
-       with_reference=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-def test_lp_norm_maxima_equal_maxima_of_every_norm(d, support, sizes, with_reference, seed):
-    # columns of mixed scale, so the bounds order them differently from the
-    # norms; the pruned norms sum row by row, lp_norms_batch by BLAS
+       means=st.booleans(), with_reference=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_lp_norm_maxima_equal_maxima_of_every_norm(d, support, sizes, means, with_reference, seed):
+    # random columns of mixed scale, so the bounds order them differently from
+    # the norms, or the means V_n f of consecutive degrees, whose norms and
+    # steps change slowly along a run.  The pruned norms sum row by row and
+    # synthesise blocks padded to 8 columns, lp_norms_batch does neither, so
+    # only the unpruned sweep of the pruned path is bit-equal
     rng = np.random.default_rng(seed)
-    k_max = 300
-    cols = banded_columns(rng, k_max, support, sum(sizes)) * 10.0 ** rng.uniform(-2, 2, sum(sizes))
-    ref = rng.uniform(-1.0, 1.0, k_max + 1) if with_reference else None
-    starts = np.cumsum([0] + sizes[:-1])
-    for p in (1.0, 2.0, INF):
-        full = lp_norms_batch(cols, (d - 2) / 2.0, p, d, reference=ref)
-        got = lp_norm_maxima(cols, sizes, (d - 2) / 2.0, p, d, reference=ref)
-        np.testing.assert_allclose(got, np.maximum.reduceat(full, starts), rtol=1e-14, atol=0.0)
+    k_max, lam, columns = 300, (d - 2) / 2.0, sum(sizes)
+    if means:
+        f = rng.uniform(-1.0, 1.0, k_max + 1) / (1.0 + np.arange(k_max + 1)) ** rng.uniform(0, 2)
+        first = int(rng.integers(1, 200))
+        cols = np.column_stack([f * multiplier_sequence(n, lam, k_max)
+                                for n in range(first, first + columns)])
+        ref = f if with_reference else None
+    else:
+        cols = banded_columns(rng, k_max, support, columns) * 10.0 ** rng.uniform(-2, 2, columns)
+        ref = rng.uniform(-1.0, 1.0, k_max + 1) if with_reference else None
+    ps = (1.0, 2.0, INF, 3.0)
+    got = lp_norm_maxima(cols, sizes, lam, ps, d, reference=ref)
+    assert got.shape == (len(ps), len(sizes))
+    for p, row in zip(ps, got):
+        full = lp_norms_batch(cols, lam, p, d, reference=ref)
+        lost = 0.0      # but R - V_n f, a difference of syntheses, also loses eps ||R||
+        if means and ref is not None and p != 2.0:
+            lost = 1e-14 * lp_norms_batch(ref, lam, p, d)[0]
+        np.testing.assert_allclose(row, np.maximum.reduceat(full, np.cumsum([0] + sizes[:-1])),
+                                   rtol=1e-14, atol=lost)
+        if p != 2.0:
+            assert np.array_equal(row, unpruned_maxima(cols, sizes, lam, p, d, ref))
 
 
 def test_lp_norm_maxima_prunes_logs_and_validates():
@@ -279,25 +307,74 @@ def test_lp_norm_maxima_prunes_logs_and_validates():
     cols[:, 70] = np.nan
     clear_run_memos()
     log = vpmeans.function_space._CONTEXTS.log
-    for p in (1.0, INF):
+    got = lp_norm_maxima(cols, [60, 40], 0.5, [1.0, 2.0, INF], 3)
+    for p, row in zip((1.0, 2.0, INF), got):
         full = lp_norms_batch(cols, 0.5, p, 3)
-        got = lp_norm_maxima(cols, [60, 40], 0.5, p, 3)
-        assert got[0] == pytest.approx(np.max(full[:60]), rel=1e-14) and np.isnan(got[1])
-        # the second run holds a NaN column, which is never pruned
-        assert log[-1][0] == p and sum(log[-1][1:]) == 100 and 0 < log[-1][2] < 59
-    assert lp_norm_maxima(cols[:, :60], [60], 0.5, 2.0, 3)[0] == pytest.approx(
-        np.max(lp_norms_batch(cols[:, :60], 0.5, 2.0, 3)), rel=1e-14)
-    # a Gauss order below 2K + 32 need not integrate g^2 exactly: nothing is pruned at p = 1
-    low = lp_norm_maxima(cols[:, :60], [60], 0.5, 1.0, 3, order=100)
+        assert row[0] == pytest.approx(np.max(full[:60]), rel=1e-14) and np.isnan(row[1])
+    # one record per pruned p; the second run holds a NaN column, whose NaN
+    # bound and steps prune nothing
+    assert [rec[0] for rec in log] == [1.0, INF]
+    for p, synthesised, skipped in log:
+        assert synthesised + skipped == 100 and 0 < skipped < 59
+    # a Gauss order below 2K + 32 need not integrate g^2 exactly: neither bound prunes at p = 1
+    low = lp_norm_maxima(cols[:, :60], [60], 0.5, [1.0], 3, order=100)
     assert log[-1] == (1.0, 60, 0)
-    assert low[0] == pytest.approx(np.max(lp_norms_batch(cols[:, :60], 0.5, 1.0, 3, order=100)),
-                                   rel=1e-14)
-    assert len(log) == 3       # p = 2 prunes nothing and logs nothing
+    assert low[0, 0] == pytest.approx(
+        np.max(lp_norms_batch(cols[:, :60], 0.5, 1.0, 3, order=100)), rel=1e-14)
     for sizes in ([50, 49], [50, 51], [100, 0]):
         with pytest.raises(ValueError, match="sizes"):
-            lp_norm_maxima(cols, sizes, 0.5, INF, 3)
+            lp_norm_maxima(cols, sizes, 0.5, [INF], 3)
     with pytest.raises(ValueError, match="p must"):
-        lp_norm_maxima(cols, [100], 0.5, 0.5, 3)
+        lp_norm_maxima(cols, [100], 0.5, [INF, 0.5], 3)
+
+
+@pytest.mark.parametrize("p", [1.0, INF])
+def test_lp_norm_maxima_chain_bounds_are_tight(p):
+    # columns s Q_0 have the norm |s| ||Q_0||_p and steps |s_j - s_(j-1)| ||Q_0||_p,
+    # so the chain bound between two of them is exact.  A decoy of norm 1 but a
+    # larger coefficient bound is synthesised first; the anchors 2 and 5 follow;
+    # the max 5.5 lies next to the anchor 2, and its chain bound 2 + 3.5 is
+    # exactly its norm: any smaller step would drop it under the run max 5
+    rng = np.random.default_rng(2)
+    k_max, unit_norm = 300, (1.0 if p == INF else surface_area(3))
+    if p == INF:    # random signs: sum_k |a_k| far above the sup
+        decoy = np.concatenate(([0.0], rng.choice([-1.0, 1.0], k_max)))
+    else:           # a spike at the pole: |S^2|^(1/2) ||g||_2 far above ||g||_1
+        decoy = np.concatenate(([0.0], 2.0 * np.arange(1, k_max + 1) + 1.0))
+    decoy *= unit_norm / lp_norms_batch(decoy, 0.5, p, 3)[0]
+    scales = [2.0, 5.5] + [1.5] * 6 + [5.0]
+    cols = np.column_stack([decoy] + [s * unit(0, k_max + 1) for s in scales])
+    clear_run_memos()
+    got = lp_norm_maxima(cols, [10], 0.5, [p], 3)[0, 0]
+    assert got == pytest.approx(5.5 * unit_norm, rel=1e-14)
+    # decoy, the two anchors and the max; the 1.5 columns fall to their
+    # coefficient bounds once the anchors raise the run max to 5
+    assert vpmeans.function_space._CONTEXTS.log == [(p, 4, 6)]
+    # a NaN column in an earlier run makes every later step sum NaN: its run
+    # is synthesised whole, and the coefficient bounds alone still prune the
+    # 1.5 columns (its 8 finite columns keep the anchors of the run above)
+    nan_run = np.column_stack([np.full(k_max + 1, np.nan)] + [unit(0, k_max + 1)] * 8)
+    clear_run_memos()
+    got = lp_norm_maxima(np.hstack([nan_run, cols]), [9, 10], 0.5, [p], 3)[0]
+    assert np.isnan(got[0]) and got[1] == pytest.approx(5.5 * unit_norm, rel=1e-14)
+    assert vpmeans.function_space._CONTEXTS.log == [(p, 13, 6)]
+
+
+def test_lp_norm_maxima_bounds_cover_rounding():
+    # a_j = R (1 + eps m_j) for small integers m_j, and R_0 = 3000 sets the
+    # rounding of the syntheses: the computed norms of R - a_j are rounding,
+    # and differ between columns by more than the steps, so only the rounding
+    # terms of the bounds keep every computed max from being pruned
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        ref = rng.uniform(-1.0, 1.0, 301)
+        ref[0] = 3000.0
+        ulps = rng.integers(-2, 3, (301, 200))
+        ulps[0] = 0
+        cols = ref[:, None] * (1.0 + np.finfo(float).eps * ulps)
+        for p in (1.0, INF):
+            got = lp_norm_maxima(cols, [100, 100], 0.5, [p], 3, reference=ref)[0]
+            assert np.array_equal(got, unpruned_maxima(cols, [100, 100], 0.5, p, 3, ref))
 
 
 def test_lp_norms_batch_negligible_entries_nan_and_zero_columns():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vpmeans.operators
 from vpmeans.function_space import (INF, ZonalSpectral, corpus_member,
                                     lp_norm_zonal)
 from vpmeans.kernel import multiplier_sequence
@@ -193,6 +194,19 @@ def test_vpm_grid_degree_zero_projects_to_mean():
     out = vpm_grid(gf, 0)
     mean = float(np.dot(grid.point_weights, gf.values)) / (4 * np.pi)
     assert np.max(np.abs(out.values - mean)) <= 1e-12
+
+
+@pytest.mark.parametrize("bands", [24, 40])
+def test_vpm_grid_values_do_not_depend_on_the_row_block(bands, monkeypatch):
+    # each output row is one kernel row times the weighted values, so the
+    # block of rows formed at once bounds the memory and moves no value
+    # (observed with OpenBLAS; BLAS does not promise it)
+    gf = sample_zonal_on_grid(corpus_member(3, "randband:seed42"), sphere_grid(bands))
+    values = []
+    for rows in (1024, 256, 64):
+        monkeypatch.setattr(vpmeans.operators, "GRID_BLOCK_ROWS", rows)
+        values.append(vpm_grid(gf, 8).values)
+    assert all(np.array_equal(values[0], other) for other in values[1:])
 
 
 def test_operator_multiplier_sequences():

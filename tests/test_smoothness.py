@@ -113,7 +113,7 @@ def test_pruned_modulus_equals_full_sweep(d, support, pad, p, seed, t):
     # the 64-step sweep of translation_error_norms is the oracle; modulus
     # synthesises only the steps whose bound can reach the max
     f = band_limited(d, support, pad, seed)
-    full = float(np.max(translation_error_norms(f, _theta_scan(t, 64), p, d)))
+    full = float(np.max(translation_error_norms(f, _theta_scan(t, 64), [p], d)))
     clear_run_memos()
     if p == INF:
         assert modulus(f, t, p, d) == full
@@ -125,26 +125,30 @@ def test_modulus_cells_in_a_batch_equal_cells_alone(ws):
     ts = [n ** -0.5 for n in (4, 8, 16, 32, 64)] + [math.pi]
     for fid in ("cusp:0.5", "bump", "randband:seed42", "harmonic:16"):
         f = ws.spectral(fid)
-        for p in (1.0, 2.0, INF):
-            clear_run_memos()
-            batch = modulus_many(f, ts, p, 3)
-            for t, cell in zip(ts, batch):
+        clear_run_memos()
+        batch = modulus_many(f, ts, (1.0, 2.0, INF), 3)
+        for p, cells in zip((1.0, 2.0, INF), batch):
+            for t, cell in zip(ts, cells):
                 clear_run_memos()
                 assert modulus(f, t, p, 3) == cell
 
 
 def test_modulus_reaches_translation_error_norms(ws, monkeypatch):
-    # the missing cells of one call are computed in one pruned sweep
+    # the cells missing from the memo take one pruned sweep over all their p,
+    # so one set of translation columns and one bound pass
     runs = []
     inner = vpmeans.smoothness.translation_error_norms
     monkeypatch.setattr(vpmeans.smoothness, "translation_error_norms",
-                        lambda *args, **kw: runs.append(kw["sizes"]) or inner(*args, **kw))
+                        lambda f, thetas, ps, *args, **kw:
+                        runs.append((kw["sizes"], list(ps))) or inner(f, thetas, ps, *args, **kw))
     f = ws.spectral("cusp:1.0")
     clear_run_memos()
     single = modulus(f, 0.3, INF, 3)
-    assert modulus_many(f, [0.5, 0.3, math.pi], INF, 3)[1] == single
-    assert runs == [[64], [64, len(_theta_scan(math.pi, 64))]]
-    assert run_memo_stats()["modulus"] == {"entries": 3, "hits": 1, "misses": 3, "bytes": 0}
+    cells = modulus_many(f, [0.5, 0.3, math.pi], (1.0, 2.0, INF), 3)
+    assert cells[2][1] == single
+    scan = len(_theta_scan(math.pi, 64))
+    assert runs == [([64], [INF]), ([64, 64, scan], [1.0, 2.0, INF])]
+    assert run_memo_stats()["modulus"] == {"entries": 9, "hits": 1, "misses": 9, "bytes": 0}
 
 
 def test_modulus_domain():
@@ -154,14 +158,15 @@ def test_modulus_domain():
     with pytest.raises(ValueError):
         modulus(f, 3.5, 2.0, 3)
     with pytest.raises(ValueError):
-        modulus_many(f, [0.5, 0.0], 2.0, 3)
+        modulus_many(f, [0.5, 0.0], [2.0], 3)
 
 
 def test_translation_error_norms_batch(ws):
     f = ws.spectral("harmonic:4")
     thetas = np.array([0.05, 0.1])
-    vals = translation_error_norms(f, thetas, 2.0, 3)
-    for theta, val in zip(thetas, vals):
+    vals = translation_error_norms(f, thetas, [2.0, INF], 3)
+    assert vals.shape == (2, thetas.size)
+    for theta, val in zip(thetas, vals[0]):
         expect = (1.0 - q_normalized(4, 0.5, theta)) * lp_norm_zonal(f, 2.0, 3)
         assert val == pytest.approx(expect, rel=1e-10)
 
@@ -174,8 +179,10 @@ def test_translation_errors_stay_in_coefficient_form(ws, monkeypatch):
     monkeypatch.setattr(vpmeans.smoothness, "lp_norms_batch",
                         lambda *args, **kw: references.append(kw.get("reference")) or
                         batch(*args, **kw))
-    translation_error_norms(ws.spectral("cusp:0.5"), [1e-3, 0.1], 1.0, 3)
+    translation_error_norms(ws.spectral("cusp:0.5"), [1e-3, 0.1], [1.0], 3)
     assert references == [None]
+    with pytest.raises(TypeError, match="sequence"):
+        translation_error_norms(ws.spectral("cusp:0.5"), [0.1], 1.0, 3, sizes=[1])
 
 
 def test_k_estimate_shares_candidates_across_scales():
