@@ -17,11 +17,11 @@ from .kernel import (ConvergenceError, KernelSpec, alpha_voronovskaya,
                      kernel_norm_constant, kernel_spec, lemma_integral,
                      multiplier_sequence, multiplier_via_quadrature,
                      multiplier_weight, vpm_kernel_eval)
-from .operators import (translate_direct, translate_spectral, vpm_grid,
-                        vpm_iterated, vpm_means, zonal_point_function)
+from .operators import (means_columns, translate_direct, translate_spectral,
+                        vpm_grid, vpm_iterated, vpm_means, zonal_point_function)
 from .quadrature import (QuadratureRule, SphereGrid, gauss_legendre,
                          integrate_theta, sphere_grid)
 from .smoothness import k_functional_estimate, modulus, modulus_many
-from .special import harmonic_dim, q_envelope, q_normalized, q_table
+from .special import harmonic_dim, q_envelope, q_table
 
 __version__ = "0.1.0"

@@ -202,15 +202,11 @@ def parse_config(path=None, overrides=None):
     return _validate(config)
 
 
-def _auto_order(config):
-    return None if config.quadrature_order == "auto" else int(config.quadrature_order)
-
-
 def _run_one(config, suite):
     if suite == "multipliers":
-        return run_multiplier_identity_suite(config.d, config.n_max,
-                                             tol=config.multiplier_tol,
-                                             order=_auto_order(config))
+        order = config.quadrature_order
+        return run_multiplier_identity_suite(config.d, config.n_max, tol=config.multiplier_tol,
+                                             order=None if order == "auto" else int(order))
     if suite == "lemmas":
         return run_lemma_suite(config.d, config.n_list, window=config.lemma_window)
     if suite == "voronovskaya":

@@ -20,8 +20,8 @@ from .kernel import (_multiplier_integrals, alpha_voronovskaya, default_order,
                      multiplier_sequence, multiplier_via_quadrature, multiplier_weight,
                      vpm_kernel_eval)
 from .memo import RunMemo
-from .operators import (sample_zonal_on_grid, translate_direct, vpm_grid,
-                        zonal_point_function)
+from .operators import (means_columns, sample_zonal_on_grid, translate_direct,
+                        translate_spectral, vpm_grid, vpm_means, zonal_point_function)
 from .quadrature import gauss_legendre, gauss_legendre_many, integrate_theta, sphere_grid
 from .smoothness import k_functional_estimate, modulus, modulus_many
 from .special import q_envelope, q_table
@@ -250,19 +250,10 @@ def run_voronovskaya_suite(d, n_list, k_max_rule=None, window=3.0,
     )
 
 
-def _means_columns(f, degrees):
-    """The coefficients of V_n f, one column per operator degree n."""
-    cols = np.empty((f.band_limit + 1, len(degrees)))
-    for j, n in enumerate(degrees):
-        cols[:, j] = f.coeffs * multiplier_sequence(n, f.lam, f.band_limit)
-    return cols
-
-
-def _operator_error_norms(f, degrees, p, d, order=None):
+def _operator_error_norms(f, degrees, p, d):
     """||V_n f - f||_p for a batch of operator degrees n: each V_n f, of
     n + 1 rows, is subtracted from one synthesis of f."""
-    return lp_norms_batch(_means_columns(f, degrees), f.lam, p, d, order=order,
-                          reference=f.coeffs)
+    return lp_norms_batch(means_columns(f, degrees), f.lam, p, d, reference=f.coeffs)
 
 
 def _delayed_maxima(f, n_list, k_cap, ps, d):
@@ -270,7 +261,7 @@ def _delayed_maxima(f, n_list, k_cap, ps, d):
     the sorted n_list: the max of each segment [n_i, n_(i+1)) of degrees from
     one `lp_norm_maxima` call for all p, then suffix maxima over the segments."""
     cuts = sorted(set(n_list)) + [k_cap + 1]
-    segments = lp_norm_maxima(_means_columns(f, range(cuts[0], k_cap + 1)), np.diff(cuts),
+    segments = lp_norm_maxima(means_columns(f, range(cuts[0], k_cap + 1)), np.diff(cuts),
                               f.lam, ps, d, reference=f.coeffs)
     suffix = np.maximum.accumulate(segments[:, ::-1], axis=1)[:, ::-1]
     return suffix[:, [cuts.index(n) for n in n_list]].tolist()
@@ -337,9 +328,8 @@ def run_converse_suite(corpus, p_list, n_list, d, window=25.0, seed=42,
     chain_worst = -math.inf
     n_mid = n_list[len(n_list) // 2]
     for fid, f in zip(corpus, ws.prepare(corpus)):
+        iterates = means_columns(f, [n_mid], (1,) + chain_powers)
         for p in p_list:
-            w = multiplier_sequence(n_mid, f.lam, f.band_limit)
-            iterates = np.column_stack([f.coeffs * w ** m for m in (1,) + chain_powers])
             base, *lhs = lp_norms_batch(iterates, f.lam, p, d, reference=f.coeffs)
             for m, lhs_m in zip(chain_powers, lhs):
                 excess = float(lhs_m - m * base)
@@ -504,8 +494,9 @@ def run_selftest_suite(seed=42):
     base = lp_norms_batch(coeffs * (1.0 - w), 0.5, 2.0, 3)[0]
     chain = lp_norms_batch(coeffs * (1.0 - w ** 4), 0.5, 2.0, 3)[0]
     record("chain_bound_m4", float(chain - 4 * base), 1e-8)
+    f = ZonalSpectral(lam=0.5, coeffs=coeffs)
     norm_f = lp_norms_batch(coeffs, 0.5, 1.0, 3)[0]
-    norm_t = lp_norms_batch(coeffs * q_table(12, 0.5, 0.3)[0], 0.5, 1.0, 3)[0]
+    norm_t = lp_norms_batch(translate_spectral(f, 0.3).coeffs, 0.5, 1.0, 3)[0]
     record("translation_contraction", float(norm_t - norm_f), 1e-8)
 
     # two-pathway oracles at d = 3 (small scale)
@@ -513,15 +504,13 @@ def run_selftest_suite(seed=42):
     gf = sample_zonal_on_grid(
         lambda th: zonal_synthesis(coeffs, 0.5, np.cos(np.asarray(th, dtype=float))), grid)
     direct = vpm_grid(gf, 8)
-    spectral = ZonalSpectral(lam=0.5, coeffs=coeffs * multiplier_sequence(8, 0.5, 12))
-    fn = zonal_point_function(spectral, np.array([0.0, 0.0, 1.0]))
+    fn = zonal_point_function(vpm_means(f, 8), np.array([0.0, 0.0, 1.0]))
     sup = float(np.max(np.abs(direct.values - fn(grid.points))))
     record("vpm_two_pathway", sup, 1e-7)
     point = grid.points[len(grid.points) // 3]
-    f_eval = zonal_point_function(ZonalSpectral(lam=0.5, coeffs=coeffs),
-                                  np.array([0.0, 0.0, 1.0]))
-    direct_t = translate_direct(f_eval, 0.7, point, 64)
-    spec_t = ZonalSpectral(lam=0.5, coeffs=coeffs * q_table(12, 0.5, 0.7)[0])
+    direct_t = translate_direct(zonal_point_function(f, np.array([0.0, 0.0, 1.0])), 0.7,
+                                point, 64)
+    spec_t = translate_spectral(f, 0.7)
     spec_val = float(zonal_point_function(spec_t, np.array([0.0, 0.0, 1.0]))(point[None, :])[0])
     record("translation_two_pathway", abs(direct_t - spec_val), 1e-8)
 

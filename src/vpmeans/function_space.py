@@ -155,9 +155,9 @@ def _profile_callable(f):
     return None
 
 
-def _projection_table(k_max, lam, order):
+def _projection_table(k_max, lam):
     """Synthesis context, full Q table and denominators of a projection."""
-    ctx = synthesis_context(lam, k_max, "gauss", 2 * k_max + 32 if order is None else order)
+    ctx = synthesis_context(lam, k_max, "gauss", 2 * k_max + 32)
     q = q_table(k_max, lam, ctx.theta)
     den = np.empty(k_max + 1)
     for start in range(0, k_max + 1, BLOCK_COLUMNS):
@@ -166,12 +166,12 @@ def _projection_table(k_max, lam, order):
     return ctx, q, den
 
 
-def zonal_project(profile, k_max, lam, order=None, table=None):
+def zonal_project(profile, k_max, lam, table=None):
     """Project a zonal profile onto Q_0..Q_{k_max}:
 
         a_k = integral g Q_k sin^(2 lam) / integral Q_k^2 sin^(2 lam),
 
-    both integrals on the mapped Gauss rule of `order` (2 k_max + 32) nodes,
+    both integrals on the mapped Gauss rule of 2 k_max + 32 nodes,
     the denominators in blocks of BLOCK_COLUMNS degrees.  The relative L^2
     residual of the reconstruction is attached to the result.  The full Q
     table, built here unless a `zonal_project_many` batch passes its `table`,
@@ -180,7 +180,7 @@ def zonal_project(profile, k_max, lam, order=None, table=None):
     g = _profile_callable(profile)
     if g is None:
         raise TypeError("zonal_project expects a ZonalProfile or a callable profile")
-    ctx, q, den = _projection_table(k_max, lam, order) if table is None else table
+    ctx, q, den = _projection_table(k_max, lam) if table is None else table
     gv = np.asarray(g(ctx.theta), dtype=float)
     coeffs = (q.T @ (ctx.weights * gv)) / den
     recon = q @ coeffs
@@ -191,11 +191,11 @@ def zonal_project(profile, k_max, lam, order=None, table=None):
     return ZonalSpectral(lam=lam, coeffs=coeffs, projection_residual=rel)
 
 
-def zonal_project_many(profiles, k_max, lam, order=None):
+def zonal_project_many(profiles, k_max, lam):
     """`zonal_project` of each profile of a sequence, bit for bit, with one Q
     table and one set of denominators for all; an empty one builds nothing."""
-    table = _projection_table(k_max, lam, order) if len(profiles) else None
-    return [zonal_project(profile, k_max, lam, order, table=table) for profile in profiles]
+    table = _projection_table(k_max, lam) if len(profiles) else None
+    return [zonal_project(profile, k_max, lam, table=table) for profile in profiles]
 
 
 def lp_norm_zonal(f, p, d, order=None):
@@ -283,9 +283,9 @@ PRUNE_SLACK = 1e-10
 ANCHOR_STRIDE = 8     # lp_norm_maxima's anchors: every 8th column left unpruned
 
 
-def lp_norm_maxima(coeff_matrix, sizes, lam, ps, d, order=None, reference=None):
+def lp_norm_maxima(coeff_matrix, sizes, lam, ps, d, reference=None):
     """For each p of `ps`, the max of `lp_norms_batch(coeff_matrix, lam, p, d,
-    order, reference)` over each run of consecutive columns, the runs of the
+    reference=reference)` over each run of consecutive columns, the runs of the
     given `sizes`: one row of run maxima per p.
 
     One pass over the coefficients bounds each column's norm (p = inf:
@@ -297,12 +297,11 @@ def lp_norm_maxima(coeff_matrix, sizes, lam, ps, d, order=None, reference=None):
     and chain bound from the nearest synthesised column on either side both
     exceed it.  The bounds add the synthesis rounding of the columns they
     involve and of the prefix sums, times (1 + PRUNE_SLACK); see README.md.
-    Orders below 2K + 32 at p = 1, p other than 1, 2, inf, and NaN bounds
-    prune nothing; past a NaN step the coefficient bounds prune alone; p = 2
-    is Parseval.  Each p != 2 logs (p, columns synthesised, columns skipped)
-    in the synthesis contexts' log.  The norms, from `_picked_norms`, do not
-    depend on which columns are synthesised together, and are those of
-    lp_norms_batch up to rounding.
+    p other than 1, 2, inf and NaN bounds prune nothing; past a NaN step the
+    coefficient bounds prune alone; p = 2 is Parseval.  Each p != 2 logs
+    (p, columns synthesised, columns skipped) in the synthesis contexts' log.
+    The norms, from `_picked_norms`, do not depend on which columns are
+    synthesised together, and are those of lp_norms_batch up to rounding.
     """
     if any(p != INF and p < 1 for p in ps):
         raise ValueError(f"p must satisfy 1 <= p <= inf, got {list(ps)}")
@@ -325,8 +324,6 @@ def lp_norm_maxima(coeff_matrix, sizes, lam, ps, d, order=None, reference=None):
         steps[INF][left + 1:at.stop] = np.abs(step).sum(axis=0)
         steps[1][left + 1:at.stop] = area * np.sqrt(np.einsum("k,kj->j", inverse_dims, step * step))
     bounds = {INF: sums, 1: math.sqrt(area) * l2}
-    if order is not None and order < 2 * k_max + 32:
-        del bounds[1]
     rows = []
     for p in ps:
         if p == 2:
@@ -334,7 +331,7 @@ def lp_norm_maxima(coeff_matrix, sizes, lam, ps, d, order=None, reference=None):
             continue
         rounding = (k_max + 1) * eps * mass * (1.0 if p == INF else area)
         prefix = np.cumsum(steps[p] if p in bounds else np.full(columns, np.nan))
-        ctx = _norm_context(lam, k_max, p, order)
+        ctx = _norm_context(lam, k_max, p)
         rows.append(_pruned_maxima(
             ctx, p, d, coeff_matrix, starts, (bounds.get(p, INF) + rounding) * (1.0 + PRUNE_SLACK),
             prefix, rounding + columns * eps * prefix,
@@ -365,7 +362,7 @@ def _pruned_maxima(ctx, p, d, coeff_matrix, starts, bound, prefix, rounding, ref
     return np.maximum.reduceat(out, starts[:-1])
 
 
-def _norm_context(lam, k_max, p, order):
+def _norm_context(lam, k_max, p, order=None):
     """The synthesis context of an L^p norm, p != 2, at band limit k_max."""
     if p == INF:
         return synthesis_context(lam, k_max, "dense", DENSE_GRID_SIZE)
@@ -460,27 +457,29 @@ def make_corpus(d, seed=42):
     if d < 3:
         raise ValueError(f"make_corpus requires d >= 3, got {d}")
     lam = (d - 2) / 2.0
+    tags = iter(corpus_ids(seed))
     out = []
     for k in HARMONIC_DEGREES:
         c = np.zeros(k + 1)
         c[k] = 1.0
         c.setflags(write=False)
-        out.append(ZonalProfile(g=_harmonic_profile(k, lam), tag=f"harmonic:{k}", coeffs=c))
+        out.append(ZonalProfile(g=_harmonic_profile(k, lam), tag=next(tags), coeffs=c))
     for a in CUSP_EXPONENTS:
         out.append(ZonalProfile(g=lambda theta, a=a: np.asarray(theta, dtype=float) ** a,
-                                tag=f"cusp:{a}"))
+                                tag=next(tags)))
     out.append(ZonalProfile(g=lambda theta: np.exp(-4.0 * np.asarray(theta, dtype=float) ** 2),
-                            tag="bump"))
+                            tag=next(tags)))
     rng = np.random.default_rng(seed)
     c = rng.uniform(-1.0, 1.0, RANDBAND_LIMIT + 1)
     c.setflags(write=False)
     out.append(ZonalProfile(g=lambda theta, c=c: zonal_synthesis(c, lam, np.cos(np.asarray(theta, dtype=float))),
-                            tag=f"randband:seed{seed}", coeffs=c))
+                            tag=next(tags), coeffs=c))
     return out
 
 
 def corpus_ids(seed=42):
-    """The ids of the full corpus, in report order."""
+    """The ids of the full corpus in report order, which `make_corpus` tags its
+    members with; made without a random draw, which would import numpy.random."""
     return tuple(f"harmonic:{k}" for k in HARMONIC_DEGREES) + \
         tuple(f"cusp:{a}" for a in CUSP_EXPONENTS) + ("bump", f"randband:seed{seed}")
 

@@ -15,6 +15,7 @@ from .kernel import kernel_norm_constant, multiplier_sequence
 from .special import q_table
 
 __all__ = [
+    "means_columns",
     "vpm_means",
     "vpm_iterated",
     "translate_spectral",
@@ -26,16 +27,28 @@ __all__ = [
 ]
 
 
+def means_columns(f, degrees, powers=(1,)):
+    """The coefficients of V_n^m f, a_k -> (omega_{n,k})^m a_k, one column per
+    (n, m): degree by degree, the powers of one degree side by side."""
+    if min(powers) < 1:
+        raise ValueError(f"operator powers must be >= 1, got {tuple(powers)}")
+    cols = np.empty((f.band_limit + 1, len(degrees) * len(powers)))
+    for j, n in enumerate(degrees):
+        w = multiplier_sequence(n, f.lam, f.band_limit)
+        for i, m in enumerate(powers):
+            # w ** 1 equals w but costs a pow per entry
+            cols[:, j * len(powers) + i] = f.coeffs * (w if m == 1 else w ** m)
+    return cols
+
+
 def vpm_means(f, n):
     """Apply the degree-n means: a_k -> omega_{n,k} a_k (band-limits to n)."""
-    return ZonalSpectral(f.lam, f.coeffs * multiplier_sequence(n, f.lam, f.band_limit))
+    return vpm_iterated(f, n, 1)
 
 
 def vpm_iterated(f, n, m):
     """Apply the m-th power of the degree-n means: a_k -> (omega_{n,k})^m a_k."""
-    if m < 1:
-        raise ValueError(f"operator power must be >= 1, got {m}")
-    return ZonalSpectral(f.lam, f.coeffs * multiplier_sequence(n, f.lam, f.band_limit) ** m)
+    return ZonalSpectral(f.lam, means_columns(f, [n], (m,))[:, 0])
 
 
 def translate_spectral(f, theta):

@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "harmonic_dim",
-    "q_normalized",
     "q_table",
     "q_envelope",
 ]
@@ -62,16 +61,6 @@ def _q_steps(k_max, lam, x):
     Q exactly 1 at x = 1."""
     for p, one in zip(_gegenbauer_steps(k_max, lam, x), _gegenbauer_steps(k_max, lam, 1.0)):
         yield p / one
-
-
-def q_normalized(k, lam, theta):
-    """Q_k^lam(cos theta) = P_k^lam(cos theta) / P_k^lam(1), so Q_k(1) = 1."""
-    ta = np.asarray(theta, dtype=float)
-    if np.any((ta < 0.0) | (ta > np.pi)):
-        raise ValueError("q_normalized requires theta in [0, pi]")
-    tab = q_table(k, lam, np.atleast_1d(ta))
-    vals = tab[:, k]
-    return float(vals[0]) if ta.ndim == 0 else vals
 
 
 def q_table(k_max, lam, theta):

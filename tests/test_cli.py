@@ -36,7 +36,8 @@ def test_defaults():
     assert config.seed == 42
     assert config.theta_grid_size == 64
     assert config.quadrature_order == "auto"
-    assert "randband:seed42" in config.corpus
+    assert config.corpus == ("harmonic:1", "harmonic:4", "harmonic:16", "cusp:0.5",
+                             "cusp:1.0", "cusp:1.5", "bump", "randband:seed42")
 
 
 def test_corpus_default_follows_seed():

@@ -7,11 +7,11 @@ import vpmeans.operators
 from vpmeans.function_space import (INF, ZonalSpectral, corpus_member,
                                     lp_norm_zonal)
 from vpmeans.kernel import multiplier_sequence
-from vpmeans.operators import (orthonormal_completion, sample_zonal_on_grid,
+from vpmeans.operators import (means_columns, orthonormal_completion, sample_zonal_on_grid,
                                translate_direct, translate_spectral, vpm_grid,
                                vpm_iterated, vpm_means, zonal_point_function)
 from vpmeans.quadrature import sphere_grid
-from vpmeans.special import q_normalized, q_table
+from vpmeans.special import q_table
 
 NORTH = np.array([0.0, 0.0, 1.0])
 
@@ -80,7 +80,7 @@ def test_translate_spectral_diagonal_action():
     for k in (1, 4):
         f = ZonalSpectral(lam=1.0, coeffs=unit(k, 6))
         out = translate_spectral(f, 0.8)
-        assert out.coeffs[k] == pytest.approx(q_normalized(k, 1.0, 0.8), rel=1e-14)
+        assert out.coeffs[k] == pytest.approx(q_table(k, 1.0, 0.8)[0, k], rel=1e-14)
 
 
 def test_translate_spectral_domain():
@@ -223,6 +223,21 @@ def test_operator_multiplier_sequences():
         assert np.max(np.abs(applied.coeffs - f.coeffs * expect)) <= 1e-12
     with pytest.raises(ValueError):
         vpm_iterated(f, 5, 0)
+    with pytest.raises(ValueError):
+        means_columns(f, [5, 6], (1, 0))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(d=st.sampled_from([3, 4, 5]), band=st.integers(0, 60),
+       degrees=st.lists(st.integers(0, 80), max_size=6),
+       powers=st.lists(st.integers(1, 9), min_size=1, max_size=4), seed=st.integers(0, 2 ** 32 - 1))
+def test_means_columns_are_the_multiplier_products(d, band, degrees, powers, seed):
+    # column (n, m), degree-major, is f.coeffs * omega_n^m bit for bit
+    f = random_spectral(size=band + 1, lam=(d - 2) / 2.0, seed=seed)
+    cols = means_columns(f, degrees, powers)
+    assert cols.shape == (band + 1, len(degrees) * len(powers))
+    for j, (n, m) in enumerate((n, m) for n in degrees for m in powers):
+        assert np.array_equal(cols[:, j], f.coeffs * multiplier_sequence(n, f.lam, band) ** m)
 
 
 def test_bernstein_multiplier_window():

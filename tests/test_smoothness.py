@@ -12,7 +12,7 @@ from vpmeans.memo import clear_run_memos, run_memo_stats
 from vpmeans.smoothness import (_theta_scan, default_candidate_degrees,
                                 k_functional_estimate, modulus, modulus_many,
                                 translation_error_norms)
-from vpmeans.special import q_normalized
+from vpmeans.special import q_table
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +40,7 @@ def test_modulus_single_harmonic_closed_form(p, k):
     # theta = t for small t
     f = ZonalSpectral(lam=0.5, coeffs=unit(k, k + 1))
     t = 0.2 / k
-    expect = (1.0 - q_normalized(k, 0.5, t)) * lp_norm_zonal(f, p, 3)
+    expect = (1.0 - q_table(k, 0.5, t)[0, k]) * lp_norm_zonal(f, p, 3)
     assert modulus(f, t, p, 3) == pytest.approx(expect, rel=1e-10)
 
 
@@ -167,7 +167,7 @@ def test_translation_error_norms_batch(ws):
     vals = translation_error_norms(f, thetas, [2.0, INF], 3)
     assert vals.shape == (2, thetas.size)
     for theta, val in zip(thetas, vals[0]):
-        expect = (1.0 - q_normalized(4, 0.5, theta)) * lp_norm_zonal(f, 2.0, 3)
+        expect = (1.0 - q_table(4, 0.5, theta)[0, 4]) * lp_norm_zonal(f, 2.0, 3)
         assert val == pytest.approx(expect, rel=1e-10)
 
 

@@ -6,7 +6,7 @@ import scipy.special as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vpmeans.special import harmonic_dim, q_envelope, q_normalized, q_table
+from vpmeans.special import harmonic_dim, q_envelope, q_table
 
 
 def test_harmonic_dim_d3_is_2k_plus_1():
@@ -88,10 +88,10 @@ def test_generating_function(lam, r):
 def test_q_normalized_values():
     for lam in (0.5, 1.0, 1.5):
         for k in (0, 1, 7, 30):
-            assert q_normalized(k, lam, 0.0) == 1.0
+            assert q_table(k, lam, 0.0)[0, k] == 1.0
     theta = np.linspace(0.0, np.pi, 33)
-    assert np.allclose(q_normalized(1, 1.2, theta), np.cos(theta), atol=1e-14)
-    assert q_normalized(2, 0.5, np.pi / 2) == pytest.approx(-0.5, abs=1e-15)
+    assert np.allclose(q_table(1, 1.2, theta)[:, 1], np.cos(theta), atol=1e-14)
+    assert q_table(2, 0.5, np.pi / 2)[0, 2] == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_q_normalized_bounded_by_one():
@@ -113,14 +113,7 @@ def test_q_table_matches_scalar_route():
     theta = np.linspace(0.0, np.pi, 17)
     tab = q_table(12, 1.0, theta)
     for k in (0, 3, 12):
-        assert np.allclose(tab[:, k], q_normalized(k, 1.0, theta), atol=1e-14)
-
-
-def test_q_normalized_domain():
-    with pytest.raises(ValueError):
-        q_normalized(3, 0.5, -0.1)
-    with pytest.raises(ValueError):
-        q_normalized(3, 0.5, 3.2)
+        assert np.allclose(tab[:, k], q_table(k, 1.0, theta)[:, k], atol=1e-14)
 
 
 def _two_stream_q_table(k_max, lam, theta):
