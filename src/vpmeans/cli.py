@@ -172,8 +172,9 @@ def _validate(config):
         raise ConfigError(
             f"band budget exceeded: n_list requires a band limit of {needed} "
             f"but band_budget={config.band_budget}; lower max(n_list) or raise band_budget")
-    if config.k_cap and config.k_cap < max(config.n_list):
-        raise ConfigError(f"k_cap must be >= max(n_list), got {config.k_cap}")
+    if config.k_cap and not max(config.n_list) <= config.k_cap <= config.band_budget:
+        raise ConfigError(f"k_cap={config.k_cap} must lie in [max(n_list), band_budget] = "
+                          f"[{max(config.n_list)}, {config.band_budget}]")
     return config
 
 

@@ -15,8 +15,8 @@ import numpy as np
 
 from .function_space import (INF, ZonalSpectral, corpus_member, lp_norm_maxima,
                              lp_norms_batch, zonal_project_many, zonal_synthesis)
-from .kernel import (_multiplier_integrals, alpha_voronovskaya, default_order,
-                     kernel_norm_constant, kernel_spec, lemma_integral,
+from .kernel import (_alpha_nested, _multiplier_integrals, _refine, alpha_voronovskaya,
+                     default_order, kernel_norm_constant, kernel_spec, lemma_integral,
                      multiplier_sequence, multiplier_via_quadrature, multiplier_weight,
                      vpm_kernel_eval)
 from .memo import RunMemo
@@ -481,8 +481,9 @@ def run_selftest_suite(seed=42):
     diff = abs(multiplier_weight(8, 3, 1.5) - multiplier_via_quadrature(8, 3, 5))
     record("multiplier_identity_spot", diff, 1e-9)
 
-    # alpha collapse at d = 3
-    a = alpha_voronovskaya(32, 3)
+    # alpha collapse at d = 3, on the nested oracle's own ladder and memo kind
+    a = _refine(lambda o: _alpha_nested(32, 3, o), default_order(32) + 32, 1e-9, 8,
+                32, 3, "alpha_nested")
     record("alpha_closed_form_d3", abs(a * 33.0 - 1.0), 1e-8)
 
     # operator laws on a small random function
@@ -523,5 +524,6 @@ def run_selftest_suite(seed=42):
         suite="selftest",
         columns=["check", "value", "bound", "passed"],
         rows=checks, passed=passed,
-        measured={"envelope_constant": c5},
+        measured={"envelope_constant": c5,
+                  "alpha_route_gap": abs(alpha_voronovskaya(32, 3) - a) / a},
     )

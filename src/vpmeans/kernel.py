@@ -168,13 +168,39 @@ def multiplier_via_quadrature(n, k, d, order=None):
     return _multiplier_integrals([(n, k)], d, default_order(n, k) if order is None else order)[0]
 
 
-# fixed inner/middle Gauss orders for the nested integrals; both integrands
-# are smooth on their domains, so modest fixed orders reach machine accuracy
-# and refinement happens on the outer rule only
-_ALPHA_INNER_ORDER = 96
+# fixed Gauss orders of the smooth inner integrals (refinement is on the outer
+# rule only): the nested oracle's rules, the panel rule and panels per block
+_ALPHA_INNER_ORDER, _ALPHA_PANEL_ORDER, _ALPHA_PANEL_BLOCK = 96, 16, 64
 
 
 def _alpha_at_order(n, d, order):
+    """alpha(n) on the `order`-point outer rule.  G = int_0 sin^m and
+    F = int_0 sin^-m G, m = 2 lam, are running sums over the panels between
+    outer nodes, [theta_{i-1}, theta_i] with theta_0 = 0; G at a panel node tau
+    adds the panel rule on [theta_{i-1}, tau].  Blocks of panels keep the
+    working set fixed whatever `order` is."""
+    m = d - 2.0
+    theta, w_outer = mapped_rule(0.0, np.pi, order)
+    rule = gauss_legendre(_ALPHA_PANEL_ORDER)
+    x, c = 0.5 * (rule.nodes + 1.0), 0.5 * rule.weights   # the rule on [0, 1]
+    starts, big_f = np.concatenate(([0.0], theta[:-1])), np.empty_like(theta)
+    g_run = f_run = 0.0
+    for lo in range(0, order, _ALPHA_PANEL_BLOCK):
+        a = starts[lo:lo + _ALPHA_PANEL_BLOCK]
+        h = theta[lo:lo + _ALPHA_PANEL_BLOCK] - a
+        span = h[:, None] * x                              # tau - theta_{i-1}
+        sin_tau = np.sin(a[:, None] + span)
+        g_ends = g_run + np.cumsum(h * (sin_tau ** m @ c))
+        g_tau = (np.concatenate(([g_run], g_ends[:-1]))[:, None]
+                 + span * (np.sin(a[:, None, None] + span[:, :, None] * x) ** m @ c))
+        big_f[lo:lo + len(a)] = f_run + np.cumsum(h * ((sin_tau ** -m * g_tau) @ c))
+        g_run, f_run = g_ends[-1], big_f[lo + len(a) - 1]
+    outer = w_outer * vpm_kernel_eval(kernel_spec(n, d), theta) * np.sin(theta) ** m
+    return float(np.dot(outer, big_f))
+
+
+def _alpha_nested(n, d, order):
+    """alpha(n) by nested rules under each outer node: `_alpha_at_order`'s oracle."""
     lam = (d - 2) / 2.0
     spec = kernel_spec(n, d)
     theta, w_outer = mapped_rule(0.0, np.pi, order)
@@ -202,6 +228,8 @@ def alpha_voronovskaya(n, d, order=None, rtol=1e-9, max_refinements=8):
                    integral_0^theta sin^(-2 lam) t dt
                    integral_0^t sin^(2 lam) u du.
 
+    A rung takes the inner integrals at its outer nodes from one pass over the
+    panels between them; the nested quadrature `_alpha_nested` is its oracle.
     The outer rule is doubled until two successive refinements agree to
     `rtol` relative; ConvergenceError is raised when `max_refinements`
     doublings do not get there.  alpha(n) ~ 1/n; at d = 3 it is exactly 1/(n+1).

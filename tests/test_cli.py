@@ -89,6 +89,16 @@ def test_band_budget_validation():
     assert max(config.n_list) == 512
 
 
+def test_k_cap_bounded_by_band_budget(tmp_path):
+    budget = parse_config().band_budget
+    assert parse_config(overrides={"k_cap": str(budget)}).k_cap == budget
+    for k_cap in (budget + 1, 10 ** 8):
+        with pytest.raises(ConfigError, match=rf"k_cap={k_cap} .* = \[256, {budget}\]"):
+            parse_config(overrides={"k_cap": str(k_cap)})
+    assert main(["delayed-max", "--k-cap", str(10 ** 8), "--out", str(tmp_path)]) == 2
+    assert not any(tmp_path.iterdir())
+
+
 def test_invalid_values_rejected():
     with pytest.raises(ConfigError):
         parse_config(overrides={"d": "2"})
@@ -324,7 +334,7 @@ def test_summary_reports_refinement_ladders(small_all_run):
     summary = json.loads((small_all_run / "summary.json").read_text())
     ladders = summary["diagnostics"]["refinements"]
     assert {rec["kind"] for rec in ladders} == {
-        "alpha_voronovskaya", "neg_lambda", "neg_two_over_m", "fourth_moment"}
+        "alpha_voronovskaya", "alpha_nested", "neg_lambda", "neg_two_over_m", "fourth_moment"}
     for rec in ladders:
         assert set(rec) == {"kind", "n", "d", "s", "order", "evaluated", "memo_hits",
                             "previous", "last", "converged"}

@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vpmeans.experiments
 import vpmeans.kernel
-from vpmeans.experiments import run_delayed_max_suite
+from vpmeans.experiments import (run_delayed_max_suite, run_selftest_suite,
+                                 run_voronovskaya_suite)
 from vpmeans.kernel import (ConvergenceError, alpha_voronovskaya,
                             default_order, kernel_norm_constant, kernel_spec,
                             lemma_integral, multiplier_sequence,
@@ -176,6 +179,59 @@ def test_alpha_tends_to_inverse_degree_d4():
 def test_alpha_domain():
     with pytest.raises(ValueError):
         alpha_voronovskaya(0, 3)
+
+
+LADDER_N = (4, 8, 16, 32, 64, 128, 256, 496)   # the default and ceiling n_list
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 7])
+def test_alpha_panel_route_matches_nested_oracle(d):
+    clear_run_memos()
+    for n in LADDER_N:
+        alpha_voronovskaya(n, d, rtol=1e-11)
+    rungs = [(key[1], key[4], value) for key, value in vpmeans.kernel._RUNGS.items()]
+    assert {n for n, _, _ in rungs} == set(LADDER_N) and len(rungs) >= 2 * len(LADDER_N)
+    for n, order, value in rungs:
+        nested = vpmeans.kernel._alpha_nested(n, d, order)
+        assert abs(value - nested) <= 1e-14 * nested
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 7])
+def test_alpha_matches_harmonic_closed_form(d):
+    # alpha(n) = (H_{n+d-2} - H_n) / (d - 2), the derivative of the multiplier
+    # in k(k + d - 2) at k = 0
+    for n in LADDER_N:
+        closed = math.fsum(1.0 / (n + j) for j in range(1, d - 1)) / (d - 2)
+        assert abs(alpha_voronovskaya(n, d) - closed) <= 1e-12 * closed
+
+
+def test_alpha_rung_working_set_does_not_grow_with_order():
+    vpmeans.kernel._alpha_at_order(496, 5, 1120)   # builds and caches the rules
+    tracemalloc.start()
+    try:
+        vpmeans.kernel._alpha_at_order(496, 5, 1120)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_selftest_alpha_cell_reads_only_nested_rungs():
+    # the voronovskaya sweep stores panel rungs at the orders the selftest's
+    # nested ladder visits; the selftest cell must not be served any of them
+    clear_run_memos()
+    fresh = vpmeans.experiments._refine(
+        lambda o: vpmeans.kernel._alpha_nested(32, 3, o), default_order(32) + 32, 1e-9, 8,
+        32, 3, "alpha_nested")
+    clear_run_memos()
+    run_voronovskaya_suite(3, (32,))
+    base = default_order(32) + 32
+    panel = {key[4]: value for key, value in vpmeans.kernel._RUNGS.items()}
+    assert panel[base] != vpmeans.kernel._alpha_nested(32, 3, base)
+    report = run_selftest_suite()
+    cell = next(row for row in report.rows if row["check"] == "alpha_closed_form_d3")
+    assert cell["value"] == abs(fresh * 33.0 - 1.0)
+    assert report.measured["alpha_route_gap"] == abs(alpha_voronovskaya(32, 3) - fresh) / fresh
 
 
 def test_refinement_without_budget_raises():
