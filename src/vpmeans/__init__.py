@@ -13,9 +13,8 @@ from .function_space import (GridFunction, ZonalProfile, ZonalSpectral,
                              lp_norm_maxima, lp_norm_zonal, lp_norms_batch,
                              make_corpus, surface_area, zonal_project,
                              zonal_synthesis)
-from .kernel import (ConvergenceError, KernelSpec, alpha_voronovskaya,
-                     kernel_norm_constant, kernel_spec, lemma_integral,
-                     multiplier_sequence, multiplier_via_quadrature,
+from .kernel import (ConvergenceError, alpha_voronovskaya, kernel_norm_constant,
+                     lemma_integral, multiplier_sequence, multiplier_via_quadrature,
                      multiplier_weight, vpm_kernel_eval)
 from .operators import (means_columns, translate_direct, translate_spectral,
                         vpm_grid, vpm_iterated, vpm_means, zonal_point_function)

@@ -151,8 +151,9 @@ def _validate(config):
         raise ConfigError(f"d must be >= 3, got {config.d}")
     if config.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {config.seed}")
-    if config.n_max < 0:
-        raise ConfigError(f"n_max must be >= 0, got {config.n_max}")
+    if not 0 <= config.n_max <= config.band_budget - 4:     # the multipliers read k <= n_max + 4
+        raise ConfigError(f"n_max must be >= 0 and n_max + 4 <= band_budget="
+                          f"{config.band_budget}, got n_max={config.n_max}")
     known = set(corpus_ids(config.seed))
     for fid in config.corpus:
         if fid not in known:

@@ -13,12 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .function_space import (INF, ZonalSpectral, corpus_member, lp_norm_maxima,
-                             lp_norms_batch, zonal_project_many, zonal_synthesis)
+from .function_space import (ZonalSpectral, corpus_member, lp_norm_maxima, lp_norms_batch,
+                             zonal_project_many, zonal_synthesis)
 from .kernel import (_alpha_nested, _multiplier_integrals, _refine, alpha_voronovskaya,
-                     default_order, kernel_norm_constant, kernel_spec, lemma_integral,
-                     multiplier_sequence, multiplier_via_quadrature, multiplier_weight,
-                     vpm_kernel_eval)
+                     default_order, kernel_norm_constant, lemma_integral, multiplier_sequence,
+                     multiplier_via_quadrature, multiplier_weight, vpm_kernel_eval)
 from .memo import RunMemo
 from .operators import (means_columns, sample_zonal_on_grid, translate_direct,
                         translate_spectral, vpm_grid, vpm_means, zonal_point_function)
@@ -28,7 +27,7 @@ from .special import q_envelope, q_table
 
 __all__ = [
     "ExperimentReport",
-    "Workspace",
+    "prepare_corpus",
     "run_multiplier_identity_suite",
     "run_lemma_suite",
     "run_voronovskaya_suite",
@@ -77,44 +76,32 @@ def _window(values):
 
 
 # ---------------------------------------------------------------------------
-# workspace: corpus functions in spectral form at a fixed dimension
+# corpus functions in spectral form at a fixed dimension
 
 
 _CORPUS_SPECTRAL = RunMemo("corpus_spectral")
 
 
-class Workspace:
-    """Prepared corpus at one dimension: every function id resolved to a
-    spectral representation on a shared band limit K = 4 n_max + 64, with
-    exact coefficients for band-limited members and quadrature projection
-    for the rest.  Representations are memoised per run on (d, K, seed,
-    function id), so the suites of one run share each projection."""
-
-    def __init__(self, d, n_max, seed=42, band_limit=None):
-        self.d = d
-        self.lam = (d - 2) / 2.0
-        self.seed = seed
-        self.band_limit = band_limit if band_limit is not None else 4 * n_max + 64
-
-    def spectral(self, function_id):
-        return self.prepare([function_id])[0]
-
-    def prepare(self, corpus):
-        """The ids of `corpus` in spectral form; the members not yet memoised are
-        resolved at once, projected by `zonal_project_many` with one Q table."""
-        keys = {fid: (self.d, self.band_limit, self.seed, fid) for fid in corpus}
-        missing = [corpus_member(self.d, fid, seed=self.seed)
-                   for fid, key in keys.items() if key not in _CORPUS_SPECTRAL]
-        profiles = [member for member in missing if member.coeffs is None]
-        resolved = dict(zip([member.tag for member in profiles],
-                            zonal_project_many(profiles, self.band_limit, self.lam)))
-        for member in missing:
-            if member.coeffs is not None:
-                coeffs = np.pad(member.coeffs, (0, self.band_limit + 1 - len(member.coeffs)))
-                coeffs.setflags(write=False)
-                resolved[member.tag] = ZonalSpectral(self.lam, coeffs, projection_residual=0.0)
-        return [_CORPUS_SPECTRAL.lookup(keys[fid], lambda fid=fid: resolved[fid])
-                for fid in corpus]
+def prepare_corpus(corpus, d, n_max, seed=42):
+    """The ids of `corpus`, in order, in spectral form on the shared band limit
+    K = 4 n_max + 64: exact coefficients for band-limited members, quadrature
+    projection for the rest.  Each is memoised per run on (d, K, seed, id), so
+    the suites of one run share each projection; the members not yet memoised
+    are projected by one `zonal_project_many` call with one Q table."""
+    lam, band_limit = (d - 2) / 2.0, 4 * n_max + 64
+    keys = {fid: (d, band_limit, seed, fid) for fid in corpus}
+    missing = [corpus_member(d, fid, seed=seed)
+               for fid, key in keys.items() if key not in _CORPUS_SPECTRAL]
+    profiles = [member for member in missing if member.coeffs is None]
+    resolved = dict(zip([member.tag for member in profiles],
+                        zonal_project_many(profiles, band_limit, lam)))
+    for member in missing:
+        if member.coeffs is not None:
+            coeffs = np.pad(member.coeffs, (0, band_limit + 1 - len(member.coeffs)))
+            coeffs.setflags(write=False)
+            resolved[member.tag] = ZonalSpectral(lam, coeffs, projection_residual=0.0)
+    return [_CORPUS_SPECTRAL.lookup(keys[fid], lambda fid=fid: resolved[fid])
+            for fid in corpus]
 
 
 # ---------------------------------------------------------------------------
@@ -205,24 +192,23 @@ def run_lemma_suite(d, n_list, window=2.0):
     )
 
 
-def run_voronovskaya_suite(d, n_list, k_max_rule=None, window=3.0,
-                           alpha_bounds=(0.5, 2.0)):
+def run_voronovskaya_suite(d, n_list, window=3.0, alpha_bounds=(0.5, 2.0)):
     """Second-order expansion of the means on single harmonics: the residual
 
         |omega_{n,k} - 1 + alpha(n) k (k+d-2)|
 
     normalized by n^-2 k^2 (k+d-2)^2 must sit in a bounded window over
-    1 <= k <= k_max_rule(n), and n * alpha(n) must stay inside alpha_bounds."""
+    1 <= k <= isqrt(n), and n * alpha(n) must stay inside alpha_bounds.
+    measured["alpha_closed_form_gap"] is the relative gap of alpha(n_top) to
+    its closed form (1/(d-2)) sum_{j=1}^{d-2} 1/(n_top + j)."""
     lam = (d - 2) / 2.0
-    if k_max_rule is None:
-        k_max_rule = lambda n: math.isqrt(n)
     rows = []
     normalized_all = []
     n_alpha = {}
     for n in sorted(n_list):
         alpha = alpha_voronovskaya(n, d)
         n_alpha[n] = n * alpha
-        for k in range(k_max_rule(n) + 1):
+        for k in range(math.isqrt(n) + 1):
             eig = k * (k + d - 2)
             residual = abs(multiplier_weight(n, k, lam) - 1.0 + alpha * eig)
             normalized = residual / (n ** -2.0 * eig ** 2) if k >= 1 else 0.0
@@ -238,6 +224,7 @@ def run_voronovskaya_suite(d, n_list, k_max_rule=None, window=3.0,
     a1 = alpha_voronovskaya(n_top, d)
     a2 = alpha_voronovskaya(n_top, d, rtol=1e-11)
     refine_ok = abs(a1 - a2) <= 1e-6 * abs(a2)
+    closed = sum(1.0 / (n_top + j) for j in range(1, d - 1)) / (d - 2)
     passed = ratio <= window and alpha_ok and refine_ok
     return ExperimentReport(
         suite="voronovskaya",
@@ -246,7 +233,8 @@ def run_voronovskaya_suite(d, n_list, k_max_rule=None, window=3.0,
         measured={"normalized_window": {"min": lo, "max": hi, "ratio": ratio},
                   "n_alpha": {str(n): v for n, v in sorted(n_alpha.items())},
                   "window_bound": window, "alpha_bounds": list(alpha_bounds),
-                  "refinement_check": refine_ok},
+                  "refinement_check": refine_ok,
+                  "alpha_closed_form_gap": abs(a1 - closed) / closed},
     )
 
 
@@ -267,11 +255,12 @@ def _delayed_maxima(f, n_list, k_cap, ps, d):
     return suffix[:, [cuts.index(n) for n in n_list]].tolist()
 
 
-def _ratio_sweep(ws, corpus, p_list, n_list, theta_grid_size, window, numerators):
+def _ratio_sweep(corpus, functions, d, p_list, n_list, theta_grid_size, window, numerators):
     """The ratio loop shared by the converse and delayed-max suites.
 
-    For each corpus function f, numerators(f, p_list) gives per p one value
-    per n of n_list, which is divided by omega(f, n^(-1/2))_p.  A cell whose
+    For each corpus id and its function f of `functions`, numerators(f, p_list)
+    gives per p one value per n of n_list, which is divided by
+    omega(f, n^(-1/2))_p.  A cell whose
     modulus is numerically zero (a constant) is degenerate: its ratio is NaN
     and it stays out of the max/min window of its (f, p) pair.  Returns the
     cells (function_id, p, n, numerator, w_n, ratio, degenerate), the windows
@@ -281,8 +270,8 @@ def _ratio_sweep(ws, corpus, p_list, n_list, theta_grid_size, window, numerators
     cells = []
     windows = {}
     passed = True
-    for fid, f in zip(corpus, ws.prepare(corpus)):
-        moduli_per_p = modulus_many(f, [n ** -0.5 for n in n_list], p_list, ws.d,
+    for fid, f in zip(corpus, functions):
+        moduli_per_p = modulus_many(f, [n ** -0.5 for n in n_list], p_list, d,
                                     theta_grid_size=theta_grid_size)
         for p, nums, moduli in zip(p_list, numerators(f, p_list), moduli_per_p):
             ratios = []
@@ -307,19 +296,23 @@ def _modulus_grid_check(f, t, p, d, theta_grid_size):
     return abs(w1 - w2) <= 0.02 * max(abs(w2), DEGENERATE_FLOOR)
 
 
+# powers m of the chain bound ||f - V_n^m f||_p <= m ||f - V_n f||_p, and the
+# rounding slack it is checked with
+CHAIN_POWERS, CHAIN_SLACK = (2, 7), 1e-8
+
+
 def run_converse_suite(corpus, p_list, n_list, d, window=25.0, seed=42,
-                       theta_grid_size=64, chain_powers=(2, 7),
-                       chain_slack=1e-8):
+                       theta_grid_size=64):
     """Operator error against the modulus at the matched scale: for each
     corpus function and p, r_n = ||V_n f - f||_p / omega(f, n^(-1/2))_p must
     stay positive with max r / min r <= window over n_list.  Functions whose
     modulus is numerically zero (constants) are flagged degenerate and
     excluded.  The chain bound ||f - V_n^m f||_p <= m ||f - V_n f||_p is
     checked along the way."""
-    ws = Workspace(d, max(n_list), seed=seed)
     n_list = sorted(n_list)
+    functions = prepare_corpus(corpus, d, n_list[-1], seed=seed)
     cells, ratio_windows, passed = _ratio_sweep(
-        ws, corpus, p_list, n_list, theta_grid_size, window,
+        corpus, functions, d, p_list, n_list, theta_grid_size, window,
         lambda f, ps: [_operator_error_norms(f, n_list, p, d).tolist() for p in ps])
     rows = [{"function_id": fid, "p": p, "n": n, "e_n": e_n, "w_n": w_n,
              "ratio": ratio, "flag": "degenerate" if degenerate else "ok"}
@@ -327,22 +320,21 @@ def run_converse_suite(corpus, p_list, n_list, d, window=25.0, seed=42,
     # chain bound at the median degree
     chain_worst = -math.inf
     n_mid = n_list[len(n_list) // 2]
-    for fid, f in zip(corpus, ws.prepare(corpus)):
-        iterates = means_columns(f, [n_mid], (1,) + chain_powers)
+    for f in functions:
+        iterates = means_columns(f, [n_mid], (1,) + CHAIN_POWERS)
         for p in p_list:
             base, *lhs = lp_norms_batch(iterates, f.lam, p, d, reference=f.coeffs)
-            for m, lhs_m in zip(chain_powers, lhs):
+            for m, lhs_m in zip(CHAIN_POWERS, lhs):
                 excess = float(lhs_m - m * base)
                 chain_worst = max(chain_worst, excess)
-                passed = passed and excess <= chain_slack
+                passed = passed and excess <= CHAIN_SLACK
     # refinement self-check on the largest-ratio cell
     refine_ok = True
     if ratio_windows:
         worst_key = max(ratio_windows, key=lambda k: ratio_windows[k]["ratio"])
         fid, p_part = worst_key.split("|p=")
-        p = float(p_part) if p_part != "inf" else INF
-        refine_ok = _modulus_grid_check(ws.spectral(fid), n_list[-1] ** -0.5, p, d,
-                                        theta_grid_size)
+        refine_ok = _modulus_grid_check(functions[corpus.index(fid)], n_list[-1] ** -0.5,
+                                        float(p_part), d, theta_grid_size)
         passed = passed and refine_ok
     return ExperimentReport(
         suite="converse",
@@ -363,20 +355,20 @@ def run_delayed_max_suite(corpus, p_list, n_list, k_cap, d, window=25.0,
     synthesised (`_delayed_maxima`)."""
     if k_cap < max(n_list):
         raise ValueError("k_cap must be >= max(n_list)")
+    n_list = sorted(n_list)
     # the means of any degree act exactly on a band-limited representation,
     # so the band limit tracks the modulus scales, not k_cap
-    ws = Workspace(d, max(n_list), seed=seed)
-    n_list = sorted(n_list)
+    functions = prepare_corpus(corpus, d, n_list[-1], seed=seed)
     cells, windows, passed = _ratio_sweep(
-        ws, corpus, p_list, n_list, theta_grid_size, window,
+        corpus, functions, d, p_list, n_list, theta_grid_size, window,
         lambda f, ps: _delayed_maxima(f, n_list, k_cap, ps, d))
     rows = [{"function_id": fid, "p": p, "n": n, "k_cap": k_cap, "max_err": m_n,
              "w_n": w_n, "ratio": ratio,
              "flag": "TRUNCATED;degenerate" if degenerate else "TRUNCATED"}
             for fid, p, n, m_n, w_n, ratio, degenerate in cells]
     # refinement self-check: the modulus of the last cell on a doubled grid
-    refine_ok = _modulus_grid_check(ws.spectral(corpus[-1]), n_list[-1] ** -0.5,
-                                    p_list[-1], d, theta_grid_size)
+    refine_ok = _modulus_grid_check(functions[-1], n_list[-1] ** -0.5, p_list[-1], d,
+                                    theta_grid_size)
     passed = passed and refine_ok
     return ExperimentReport(
         suite="delayed-max",
@@ -393,12 +385,12 @@ def run_modulus_suite(corpus, p_list, n_list, d, window=50.0, seed=42,
     """Modulus versus K-functional estimate at the scales t = n^(-1/2):
     their ratio must stay inside [1/window, window] wherever both are
     nonzero."""
-    ws = Workspace(d, max(n_list), seed=seed)
     rows = []
     passed = True
     worst = {"low": math.inf, "high": -math.inf}
     n_list = sorted(n_list)
-    for fid, f in zip(corpus, ws.prepare(corpus)):
+    functions = prepare_corpus(corpus, d, n_list[-1], seed=seed)
+    for fid, f in zip(corpus, functions):
         moduli_per_p = modulus_many(f, [n ** -0.5 for n in n_list], p_list, d,
                                     theta_grid_size=theta_grid_size)
         for p, moduli in zip(p_list, moduli_per_p):
@@ -415,8 +407,7 @@ def run_modulus_suite(corpus, p_list, n_list, d, window=50.0, seed=42,
                     worst["high"] = max(worst["high"], ratio)
                     passed = passed and (1.0 / window) <= ratio <= window
     # refinement self-check: the modulus grid is doubled at the last cell
-    refine_ok = _modulus_grid_check(ws.spectral(corpus[-1]), min(n_list) ** -0.5, 2.0, d,
-                                    theta_grid_size)
+    refine_ok = _modulus_grid_check(functions[-1], n_list[0] ** -0.5, 2.0, d, theta_grid_size)
     passed = passed and refine_ok
     return ExperimentReport(
         suite="modulus",
@@ -473,8 +464,7 @@ def run_selftest_suite(seed=42):
 
     # kernel normalization at a representative pair
     for d, n in ((3, 64), (5, 128)):
-        spec = kernel_spec(n, d)
-        norm = integrate_theta(lambda t: vpm_kernel_eval(spec, t), spec.lam, n + 64)
+        norm = integrate_theta(lambda t: vpm_kernel_eval(n, d, t), (d - 2) / 2.0, n + 64)
         record(f"kernel_normalization_d{d}_n{n}", abs(norm - 1.0), 1e-10)
 
     # multiplier identity spot check

@@ -8,7 +8,6 @@ moments behind the smoothing estimates.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,8 +17,6 @@ from .special import q_table
 
 __all__ = [
     "ConvergenceError",
-    "KernelSpec",
-    "kernel_spec",
     "kernel_norm_constant",
     "vpm_kernel_eval",
     "multiplier_weight",
@@ -41,16 +38,6 @@ def default_order(n, k=0):
     return n + k + ORDER_PAD
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """Identity of one kernel: degree n, ambient dimension d, the derived
-    index lam = (d-2)/2, and log_norm = ln I_{n,d}."""
-    n: int
-    d: int
-    lam: float
-    log_norm: float
-
-
 def kernel_norm_constant(n, d):
     """ln I_{n,d} with I_{n,d} = 2^(2 lam) Gamma(lam+1/2) Gamma(n+lam+1/2) / Gamma(n+2 lam+1).
 
@@ -65,12 +52,7 @@ def kernel_norm_constant(n, d):
             + math.lgamma(n + lam + 0.5) - math.lgamma(n + 2.0 * lam + 1.0))
 
 
-def kernel_spec(n, d):
-    """Construct the KernelSpec for degree n in dimension d."""
-    return KernelSpec(n=n, d=d, lam=(d - 2) / 2.0, log_norm=kernel_norm_constant(n, d))
-
-
-def vpm_kernel_eval(spec, theta):
+def vpm_kernel_eval(n, d, theta):
     """v_n(theta) = cos(theta/2)^(2n) / I_{n,d} on [0, pi].
 
     Computed as ((1 + cos theta)/2)^n, which vanishes exactly at theta = pi
@@ -80,7 +62,7 @@ def vpm_kernel_eval(spec, theta):
     if np.any((ta < 0.0) | (ta > np.pi)):
         raise ValueError("vpm_kernel_eval requires theta in [0, pi]")
     s = 0.5 + 0.5 * np.cos(ta)          # = cos^2(theta/2), exactly 0 at pi
-    vals = s ** spec.n * math.exp(-spec.log_norm)
+    vals = s ** n * math.exp(-kernel_norm_constant(n, d))
     return float(vals) if ta.ndim == 0 else vals
 
 
@@ -195,14 +177,13 @@ def _alpha_at_order(n, d, order):
                  + span * (np.sin(a[:, None, None] + span[:, :, None] * x) ** m @ c))
         big_f[lo:lo + len(a)] = f_run + np.cumsum(h * ((sin_tau ** -m * g_tau) @ c))
         g_run, f_run = g_ends[-1], big_f[lo + len(a) - 1]
-    outer = w_outer * vpm_kernel_eval(kernel_spec(n, d), theta) * np.sin(theta) ** m
+    outer = w_outer * vpm_kernel_eval(n, d, theta) * np.sin(theta) ** m
     return float(np.dot(outer, big_f))
 
 
 def _alpha_nested(n, d, order):
     """alpha(n) by nested rules under each outer node: `_alpha_at_order`'s oracle."""
     lam = (d - 2) / 2.0
-    spec = kernel_spec(n, d)
     theta, w_outer = mapped_rule(0.0, np.pi, order)
     rule = gauss_legendre(_ALPHA_INNER_ORDER)
     half = 0.5 * (rule.nodes + 1.0)
@@ -217,11 +198,11 @@ def _alpha_nested(n, d, order):
         # sin^(-2 lam) t blows up near pi but G stays bounded and the outer
         # kernel factor kills the product; the quotient is ~ t/(2 lam + 1) at 0
         big_f[i] = (0.5 * th) * np.dot(w_in, np.sin(t) ** (-2.0 * lam) * g_inner)
-    outer = w_outer * vpm_kernel_eval(spec, theta) * np.sin(theta) ** (2.0 * lam)
+    outer = w_outer * vpm_kernel_eval(n, d, theta) * np.sin(theta) ** (2.0 * lam)
     return float(np.dot(outer, big_f))
 
 
-def alpha_voronovskaya(n, d, order=None, rtol=1e-9, max_refinements=8):
+def alpha_voronovskaya(n, d, rtol=1e-9, max_refinements=8):
     """Concentration coefficient of the second-order expansion of the means:
 
         alpha(n) = integral_0^pi v_n sin^(2 lam) theta dtheta
@@ -236,9 +217,8 @@ def alpha_voronovskaya(n, d, order=None, rtol=1e-9, max_refinements=8):
     """
     if n < 1:
         raise ValueError(f"alpha_voronovskaya requires n >= 1, got {n}")
-    base = order if order is not None else default_order(n) + 32
-    return _refine(lambda o: _alpha_at_order(n, d, o), base, rtol, max_refinements,
-                   n, d, "alpha_voronovskaya")
+    return _refine(lambda o: _alpha_at_order(n, d, o), default_order(n) + 32, rtol,
+                   max_refinements, n, d, "alpha_voronovskaya")
 
 
 _RUNGS = RunMemo("refinement")
@@ -296,7 +276,6 @@ def lemma_integral(n, d, kind, m=None, order=None, rtol=1e-8, max_refinements=8)
         s = 4.0
     else:
         raise ValueError(f"unknown lemma_integral kind {kind!r}; expected one of {_LEMMA_KINDS}")
-    spec = kernel_spec(n, d)
     base = order if order is not None else default_order(n) + 32
-    return _refine(lambda o: integrate_theta(lambda t: t ** s * vpm_kernel_eval(spec, t), lam, o),
+    return _refine(lambda o: integrate_theta(lambda t: t ** s * vpm_kernel_eval(n, d, t), lam, o),
                    base, rtol, max_refinements, n, d, kind, s)

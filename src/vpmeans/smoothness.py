@@ -115,21 +115,18 @@ def default_candidate_degrees(t):
     return tuple(dict.fromkeys([2 ** i for i in range(top.bit_length())] + [top]))
 
 
-def k_functional_estimate(f, t, p, d, candidate_degrees=None):
+def k_functional_estimate(f, t, p, d):
     """Upper estimate of the K-functional K(f, t)_p = inf_g {||f-g||_p +
     t^2 ||Dg||_p}: the minimum of the objective over g = 0 and over the
-    means candidates V_m f, V_m^2 f, V_m^7 f (from `means_columns`), the
-    norms on the grids of `lp_norms_batch` (Gauss order 2K + 32 at p = 1).
+    means candidates V_m f, V_m^2 f, V_m^7 f (from `means_columns`) for m of
+    `default_candidate_degrees(t)`, the norms on the grids of `lp_norms_batch`
+    (Gauss order 2K + 32 at p = 1).
 
     The candidate norms ||f - g||_p and ||Dg||_p do not depend on t: each
     degree's are memoised per run (see `vpmeans.memo`) on f's bytes, p, d
     and m, so a sweep over scales computes each once, in one batch."""
-    if candidate_degrees is None:
-        candidate_degrees = default_candidate_degrees(t)
-    if len(candidate_degrees) == 0 or min(candidate_degrees) < 1:
-        raise ValueError("candidate degrees must be a nonempty set of integers >= 1")
     key = _function_key(f) + (float(p), int(d))
-    degrees = (0,) + tuple(dict.fromkeys(candidate_degrees))     # 0 stands for g = 0
+    degrees = (0,) + default_candidate_degrees(t)     # 0 stands for g = 0
     missing = [m for m in degrees if key + (m,) not in _CANDIDATES]
     computed = dict(zip(missing, _candidate_norms(f, missing, p, d))) if missing else {}
     norms = np.hstack([_CANDIDATES.lookup(key + (m,), lambda: computed[m]) for m in degrees])

@@ -10,12 +10,12 @@ import math
 import numpy as np
 import pytest
 
-from vpmeans.experiments import Workspace, run_converse_suite, run_modulus_suite, \
-    run_multiplier_identity_suite
+from vpmeans.experiments import (prepare_corpus, run_converse_suite, run_modulus_suite,
+                                 run_multiplier_identity_suite)
 from vpmeans.function_space import (INF, ZonalSpectral, corpus_ids,
                                     lp_norm_grid, lp_norm_zonal, make_corpus)
 from vpmeans.kernel import (alpha_voronovskaya, kernel_norm_constant,
-                            kernel_spec, lemma_integral, multiplier_sequence,
+                            lemma_integral, multiplier_sequence,
                             multiplier_via_quadrature, multiplier_weight,
                             vpm_kernel_eval)
 from vpmeans.operators import (sample_zonal_on_grid, translate_direct,
@@ -34,11 +34,6 @@ def verdict(num, ok, detail):
     line = f"[{'PASS' if ok else 'FAIL'}] criterion {num:02d}: {detail}"
     print(line)
     assert ok, line
-
-
-@pytest.fixture(scope="module")
-def ws3():
-    return Workspace(3, 256)
 
 
 def test_c01_multiplier_identity():
@@ -61,8 +56,7 @@ def test_c02_kernel_normalization():
     for d in (3, 4, 5):
         lam = (d - 2) / 2.0
         for n in range(513):
-            spec = kernel_spec(n, d)
-            val = integrate_theta(lambda t: vpm_kernel_eval(spec, t), lam, 576)
+            val = integrate_theta(lambda t: vpm_kernel_eval(n, d, t), lam, 576)
             worst = max(worst, abs(val - 1.0))
     verdict(2, worst <= 1e-10,
             f"kernel normalization over n <= 512, d in 3..5, max dev = {worst:.3e} <= 1e-10")
@@ -198,12 +192,10 @@ def test_c09_two_pathway_oracles():
 
 
 def test_c10_operator_laws():
-    ws = Workspace(3, 16)
     semigroup_worst = 0.0
     chain_ok = True
     contraction_ok = True
-    for fid in corpus_ids():
-        f = ws.spectral(fid)
+    for f in prepare_corpus(corpus_ids(), 3, 16):
         for m, l in ((2, 3), (1, 7), (4, 4)):
             once = vpm_iterated(f, 6, m + l).coeffs
             twice = vpm_iterated(vpm_iterated(f, 6, l), 6, m).coeffs
@@ -226,7 +218,7 @@ def test_c10_operator_laws():
             f"translation contraction: {contraction_ok}")
 
 
-def test_c11_strong_converse(ws3):
+def test_c11_strong_converse():
     report = run_converse_suite(corpus_ids(), P_ALL, DYADIC_4_256, 3, window=25.0)
     windows = report.measured["ratio_windows"]
     worst = max(w["ratio"] for w in windows.values())
@@ -237,7 +229,7 @@ def test_c11_strong_converse(ws3):
             f"min ratio = {min_r:.3f} > 0")
 
 
-def test_c12_modulus_k_equivalence(ws3):
+def test_c12_modulus_k_equivalence():
     report = run_modulus_suite(corpus_ids(), P_ALL, DYADIC_4_256, 3, window=50.0)
     lo = report.measured["ratio_range"]["low"]
     hi = report.measured["ratio_range"]["high"]

@@ -8,7 +8,7 @@ import vpmeans.cli
 import vpmeans.memo
 from vpmeans.cli import SUITES, ConfigError, build_parser, dispatch, main, parse_config
 from vpmeans import quadrature
-from vpmeans.experiments import Workspace, run_multiplier_identity_suite
+from vpmeans.experiments import prepare_corpus, run_multiplier_identity_suite
 from vpmeans.function_space import corpus_member
 
 INF = float("inf")
@@ -96,6 +96,17 @@ def test_k_cap_bounded_by_band_budget(tmp_path):
         with pytest.raises(ConfigError, match=rf"k_cap={k_cap} .* = \[256, {budget}\]"):
             parse_config(overrides={"k_cap": str(k_cap)})
     assert main(["delayed-max", "--k-cap", str(10 ** 8), "--out", str(tmp_path)]) == 2
+    assert not any(tmp_path.iterdir())
+
+
+def test_n_max_bounded_by_band_budget(tmp_path):
+    # the multiplier suite reads Q_k up to k = n_max + 4
+    budget = parse_config().band_budget
+    assert parse_config(overrides={"n_max": str(budget - 4)}).n_max == budget - 4
+    for n_max in (budget - 3, 10 ** 8):
+        with pytest.raises(ConfigError, match=rf"band_budget={budget}, got n_max={n_max}$"):
+            parse_config(overrides={"n_max": str(n_max)})
+    assert main(["multipliers", "--n-max", str(10 ** 8), "--out", str(tmp_path)]) == 2
     assert not any(tmp_path.iterdir())
 
 
@@ -354,9 +365,7 @@ def test_summary_reports_projection_residuals(small_all_run):
     # one entry per corpus member, on the band limit K = 4 * 16 + 64 of SMALL_RUN
     assert set(residuals) == {f"3|128|{fid}" for fid in corpus}
     with vpmeans.memo.run_scope():
-        workspace = Workspace(3, 16)
-        for fid in corpus:
-            spectral = workspace.spectral(fid)
+        for fid, spectral in zip(corpus, prepare_corpus(corpus, 3, 16)):
             assert residuals[f"3|128|{fid}"] == spectral.projection_residual
             exact = corpus_member(3, fid).coeffs is not None
             assert (spectral.projection_residual == 0.0) == exact

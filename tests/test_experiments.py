@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,14 +11,14 @@ import vpmeans.function_space
 import vpmeans.smoothness
 from vpmeans import quadrature
 from vpmeans.cli import config_hash
-from vpmeans.experiments import (Workspace, _delayed_maxima, _operator_error_norms,
-                                 measure_envelope_constant,
+from vpmeans.experiments import (_delayed_maxima, _operator_error_norms,
+                                 measure_envelope_constant, prepare_corpus,
                                  run_converse_suite, run_delayed_max_suite,
                                  run_lemma_suite, run_modulus_suite,
                                  run_multiplier_identity_suite,
                                  run_selftest_suite, run_voronovskaya_suite)
 from vpmeans.function_space import INF, ZonalSpectral, corpus_ids, q_table, zonal_project
-from vpmeans.kernel import multiplier_via_quadrature, multiplier_weight
+from vpmeans.kernel import alpha_voronovskaya, multiplier_via_quadrature, multiplier_weight
 from vpmeans.memo import clear_run_memos
 
 SMALL_CORPUS = ("harmonic:4", "cusp:1.0")
@@ -97,12 +98,18 @@ def test_voronovskaya_suite_residuals():
             expect = abs(n / (n + 2) - 1.0 + 2.0 * row["alpha_n"])
             assert row["residual"] == pytest.approx(expect, abs=1e-12)
         assert 0.5 <= row["n_alpha"] <= 2.0
+    # the k of each n run over 0..isqrt(n)
+    assert [(row["n"], row["k"]) for row in report.rows] == [
+        (n, k) for n in (16, 32) for k in range(math.isqrt(n) + 1)]
 
 
-def test_voronovskaya_suite_custom_k_rule():
-    report = run_voronovskaya_suite(3, (16,), k_max_rule=lambda n: 2)
-    ks = sorted(row["k"] for row in report.rows)
-    assert ks == [0, 1, 2]
+def test_voronovskaya_alpha_closed_form_gap():
+    # at d = 3, alpha(n) = 1/(n+1): the gap at n_top = 496 is the lgamma
+    # cancellation of ln I_{n,d}, ~4e-13
+    report = run_voronovskaya_suite(3, (16, 496))
+    gap = report.measured["alpha_closed_form_gap"]
+    assert gap == abs(alpha_voronovskaya(496, 3) - 1.0 / 497.0) / (1.0 / 497.0)
+    assert gap <= 1e-12
 
 
 def test_converse_suite_small():
@@ -220,21 +227,21 @@ def test_envelope_constant_measurement():
 
 
 def test_workspace_resolution():
-    ws = Workspace(3, 16)
-    assert ws.band_limit == 4 * 16 + 64
-    f = ws.spectral("harmonic:4")
+    f, cusp, again = prepare_corpus(["harmonic:4", "cusp:0.5", "harmonic:4"], 3, 16)
+    assert f.band_limit == 4 * 16 + 64
     assert f.coeffs[4] == 1.0 and np.count_nonzero(f.coeffs) == 1
     assert f.projection_residual == 0.0
-    cusp = ws.spectral("cusp:0.5")
+    assert again is f               # a repeated id repeats its entry
     assert cusp.projection_residual < 1e-3
     # truncation error shrinks as the band limit grows
-    finer = Workspace(3, 16, band_limit=512).spectral("cusp:0.5")
+    finer = prepare_corpus(["cusp:0.5"], 3, 112)[0]
+    assert finer.band_limit == 512
     assert finer.projection_residual < cusp.projection_residual
-    assert ws.spectral("cusp:0.5") is cusp
+    assert prepare_corpus(["cusp:0.5"], 3, 16)[0] is cusp
     # the same id, band limit and seed at another dimension is another function
-    assert Workspace(5, 16).spectral("cusp:0.5").lam == 1.5
+    assert prepare_corpus(["cusp:0.5"], 5, 16)[0].lam == 1.5
     with pytest.raises(LookupError):
-        ws.spectral("unknown:1")
+        prepare_corpus(["unknown:1"], 3, 16)
 
 
 def test_workspace_prepare_projects_once_and_builds_nothing_when_memoised(monkeypatch):
@@ -242,9 +249,8 @@ def test_workspace_prepare_projects_once_and_builds_nothing_when_memoised(monkey
     monkeypatch.setattr(vpmeans.function_space, "q_table",
                         lambda *args: calls.append(args) or q_table(*args))
     clear_run_memos()
-    ws = Workspace(3, 128)          # K = 576: one projection table is 5.2 MiB
     corpus = corpus_ids()
-    first = ws.prepare(corpus)
+    first = prepare_corpus(corpus, 3, 128)      # K = 576: one projection table is 5.2 MiB
     assert len(calls) == 1          # the four projected members share one table
     for fid, f in zip(corpus, first):
         if f.projection_residual:
@@ -253,7 +259,7 @@ def test_workspace_prepare_projects_once_and_builds_nothing_when_memoised(monkey
     calls.clear()
     tracemalloc.start()
     try:
-        again = ws.prepare(corpus)
+        again = prepare_corpus(corpus, 3, 128)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -11,7 +11,7 @@ import vpmeans.kernel
 from vpmeans.experiments import (run_delayed_max_suite, run_selftest_suite,
                                  run_voronovskaya_suite)
 from vpmeans.kernel import (ConvergenceError, alpha_voronovskaya,
-                            default_order, kernel_norm_constant, kernel_spec,
+                            default_order, kernel_norm_constant,
                             lemma_integral, multiplier_sequence,
                             multiplier_via_quadrature, multiplier_weight,
                             vpm_kernel_eval)
@@ -45,26 +45,24 @@ def test_norm_constant_asymptotic_window(d):
 
 
 def test_kernel_eval_endpoints():
-    spec = kernel_spec(6, 3)
-    assert vpm_kernel_eval(spec, 0.0) == pytest.approx(math.exp(-spec.log_norm), rel=1e-14)
-    assert vpm_kernel_eval(spec, np.pi) == 0.0
-    flat = kernel_spec(0, 4)
-    assert vpm_kernel_eval(flat, np.pi) == pytest.approx(math.exp(-flat.log_norm), rel=1e-14)
+    peak = math.exp(-kernel_norm_constant(6, 3))
+    assert vpm_kernel_eval(6, 3, 0.0) == pytest.approx(peak, rel=1e-14)
+    assert vpm_kernel_eval(6, 3, np.pi) == 0.0
+    flat = math.exp(-kernel_norm_constant(0, 4))
+    assert vpm_kernel_eval(0, 4, np.pi) == pytest.approx(flat, rel=1e-14)
 
 
 def test_kernel_eval_domain():
-    spec = kernel_spec(3, 3)
     with pytest.raises(ValueError):
-        vpm_kernel_eval(spec, -0.1)
+        vpm_kernel_eval(3, 3, -0.1)
     with pytest.raises(ValueError):
-        vpm_kernel_eval(spec, 3.5)
+        vpm_kernel_eval(3, 3, 3.5)
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
 @pytest.mark.parametrize("n", [1, 16, 128])
 def test_kernel_normalization(d, n):
-    spec = kernel_spec(n, d)
-    val = integrate_theta(lambda t: vpm_kernel_eval(spec, t), spec.lam, default_order(n))
+    val = integrate_theta(lambda t: vpm_kernel_eval(n, d, t), (d - 2) / 2.0, default_order(n))
     assert abs(val - 1.0) <= 1e-10
 
 
@@ -375,8 +373,7 @@ def test_higher_dimension_pathway():
     # the zonal machinery is not tied to d <= 5
     d = 7
     lam = 2.5
-    spec = kernel_spec(12, d)
-    val = integrate_theta(lambda t: vpm_kernel_eval(spec, t), lam, default_order(12))
+    val = integrate_theta(lambda t: vpm_kernel_eval(12, d, t), lam, default_order(12))
     assert abs(val - 1.0) <= 1e-10
     for k in (0, 1, 3, 14):
         closed = multiplier_weight(12, k, lam)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vpmeans.operators
+from vpmeans.experiments import prepare_corpus
 from vpmeans.function_space import (INF, ZonalSpectral, corpus_member,
                                     lp_norm_zonal)
 from vpmeans.kernel import multiplier_sequence
@@ -51,10 +52,7 @@ def test_vpm_iterated_semigroup():
 
 @pytest.mark.parametrize("p", [1.0, 2.0, INF])
 def test_chain_bound_on_corpus(p):
-    from vpmeans.experiments import Workspace
-    ws = Workspace(3, 16)
-    for fid in ("cusp:1.0", "bump", "randband:seed42"):
-        f = ws.spectral(fid)
+    for f in prepare_corpus(("cusp:1.0", "bump", "randband:seed42"), 3, 16):
         base = lp_norm_zonal(ZonalSpectral(lam=f.lam, coeffs=f.coeffs - vpm_means(f, 16).coeffs), p, 3)
         for m in (2, 7):
             iterated = vpm_iterated(f, 16, m)
@@ -92,10 +90,7 @@ def test_translate_spectral_domain():
 
 @pytest.mark.parametrize("p", [1.0, 2.0, INF])
 def test_translation_contraction(p):
-    from vpmeans.experiments import Workspace
-    ws = Workspace(3, 16)
-    for fid in ("harmonic:4", "cusp:0.5", "bump"):
-        f = ws.spectral(fid)
+    for f in prepare_corpus(("harmonic:4", "cusp:0.5", "bump"), 3, 16):
         base = lp_norm_zonal(f, p, 3)
         for theta in (0.1, 0.5, 2.0):
             out = translate_spectral(f, theta)
@@ -104,10 +99,7 @@ def test_translation_contraction(p):
 
 @pytest.mark.parametrize("p", [1.0, 2.0, INF])
 def test_translation_converges_to_identity(p):
-    from vpmeans.experiments import Workspace
-    ws = Workspace(3, 16)
-    for fid in ("cusp:0.5", "bump", "randband:seed42"):
-        f = ws.spectral(fid)
+    for f in prepare_corpus(("cusp:0.5", "bump", "randband:seed42"), 3, 16):
         norm = lp_norm_zonal(f, p, 3)
         errs = []
         for j in (2, 6, 10, 14, 20):

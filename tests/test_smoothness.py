@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vpmeans.smoothness
-from vpmeans.experiments import Workspace
+from vpmeans.experiments import prepare_corpus
 from vpmeans.function_space import INF, ZonalSpectral, lp_norm_zonal
 from vpmeans.memo import clear_run_memos, run_memo_stats
 from vpmeans.smoothness import (_theta_scan, default_candidate_degrees,
@@ -16,8 +16,8 @@ from vpmeans.special import q_table
 
 
 @pytest.fixture(scope="module")
-def ws():
-    return Workspace(3, 64)
+def spectral():
+    return lambda fid: prepare_corpus([fid], 3, 64)[0]
 
 
 def unit(k, size):
@@ -44,8 +44,8 @@ def test_modulus_single_harmonic_closed_form(p, k):
     assert modulus(f, t, p, 3) == pytest.approx(expect, rel=1e-10)
 
 
-def test_modulus_monotone_in_t(ws):
-    f = ws.spectral("cusp:1.0")
+def test_modulus_monotone_in_t(spectral):
+    f = spectral("cusp:1.0")
     prev = 0.0
     for t in (0.01, 0.05, 0.2, 0.8, 3.0):
         cur = modulus(f, t, 2.0, 3)
@@ -53,15 +53,15 @@ def test_modulus_monotone_in_t(ws):
         prev = cur
 
 
-def test_modulus_bounded_by_twice_norm(ws):
+def test_modulus_bounded_by_twice_norm(spectral):
     for fid in ("harmonic:16", "cusp:0.5", "bump", "randband:seed42"):
-        f = ws.spectral(fid)
+        f = spectral(fid)
         for p in (1.0, 2.0, INF):
             assert modulus(f, 0.5, p, 3) <= 2.0 * lp_norm_zonal(f, p, 3) + 1e-10
 
 
-def test_modulus_subhomogeneous(ws):
-    f = ws.spectral("bump")
+def test_modulus_subhomogeneous(spectral):
+    f = spectral("bump")
     scaled = ZonalSpectral(lam=f.lam, coeffs=-3.5 * f.coeffs)
     for p in (1.0, INF):
         a = modulus(scaled, 0.3, p, 3)
@@ -69,16 +69,16 @@ def test_modulus_subhomogeneous(ws):
         assert a == pytest.approx(b, rel=1e-12)
 
 
-def test_modulus_grid_refinement_stable(ws):
+def test_modulus_grid_refinement_stable(spectral):
     for fid in ("cusp:0.5", "cusp:1.5"):
-        f = ws.spectral(fid)
+        f = spectral(fid)
         m1 = modulus(f, 0.25, INF, 3, theta_grid_size=64)
         m2 = modulus(f, 0.25, INF, 3, theta_grid_size=128)
         assert abs(m1 - m2) <= 0.01 * m2
 
 
-def test_modulus_memo_hit_is_recomputation(ws):
-    f = ws.spectral("cusp:0.5")
+def test_modulus_memo_hit_is_recomputation(spectral):
+    f = spectral("cusp:0.5")
     clear_run_memos()
     first = modulus(f, 0.2, 1.0, 3)
     # equal coefficient bytes in a new object meet the same cell; p = 2
@@ -121,10 +121,10 @@ def test_pruned_modulus_equals_full_sweep(d, support, pad, p, seed, t):
         assert modulus(f, t, p, d) == pytest.approx(full, rel=1e-14, abs=0.0)
 
 
-def test_modulus_cells_in_a_batch_equal_cells_alone(ws):
+def test_modulus_cells_in_a_batch_equal_cells_alone(spectral):
     ts = [n ** -0.5 for n in (4, 8, 16, 32, 64)] + [math.pi]
     for fid in ("cusp:0.5", "bump", "randband:seed42", "harmonic:16"):
-        f = ws.spectral(fid)
+        f = spectral(fid)
         clear_run_memos()
         batch = modulus_many(f, ts, (1.0, 2.0, INF), 3)
         for p, cells in zip((1.0, 2.0, INF), batch):
@@ -133,7 +133,7 @@ def test_modulus_cells_in_a_batch_equal_cells_alone(ws):
                 assert modulus(f, t, p, 3) == cell
 
 
-def test_modulus_reaches_translation_error_norms(ws, monkeypatch):
+def test_modulus_reaches_translation_error_norms(spectral, monkeypatch):
     # the cells missing from the memo take one pruned sweep over all their p,
     # so one set of translation columns and one bound pass
     runs = []
@@ -141,7 +141,7 @@ def test_modulus_reaches_translation_error_norms(ws, monkeypatch):
     monkeypatch.setattr(vpmeans.smoothness, "translation_error_norms",
                         lambda f, thetas, ps, *args, **kw:
                         runs.append((kw["sizes"], list(ps))) or inner(f, thetas, ps, *args, **kw))
-    f = ws.spectral("cusp:1.0")
+    f = spectral("cusp:1.0")
     clear_run_memos()
     single = modulus(f, 0.3, INF, 3)
     cells = modulus_many(f, [0.5, 0.3, math.pi], (1.0, 2.0, INF), 3)
@@ -161,8 +161,8 @@ def test_modulus_domain():
         modulus_many(f, [0.5, 0.0], [2.0], 3)
 
 
-def test_translation_error_norms_batch(ws):
-    f = ws.spectral("harmonic:4")
+def test_translation_error_norms_batch(spectral):
+    f = spectral("harmonic:4")
     thetas = np.array([0.05, 0.1])
     vals = translation_error_norms(f, thetas, [2.0, INF], 3)
     assert vals.shape == (2, thetas.size)
@@ -171,7 +171,7 @@ def test_translation_error_norms_batch(ws):
         assert val == pytest.approx(expect, rel=1e-10)
 
 
-def test_translation_errors_stay_in_coefficient_form(ws, monkeypatch):
+def test_translation_errors_stay_in_coefficient_form(spectral, monkeypatch):
     # ||f - S_theta f|| / ||f|| falls to ~1e-8 at the smallest steps, where a
     # difference of syntheses would lose ~1e-8 relative
     references = []
@@ -179,10 +179,10 @@ def test_translation_errors_stay_in_coefficient_form(ws, monkeypatch):
     monkeypatch.setattr(vpmeans.smoothness, "lp_norms_batch",
                         lambda *args, **kw: references.append(kw.get("reference")) or
                         batch(*args, **kw))
-    translation_error_norms(ws.spectral("cusp:0.5"), [1e-3, 0.1], [1.0], 3)
+    translation_error_norms(spectral("cusp:0.5"), [1e-3, 0.1], [1.0], 3)
     assert references == [None]
     with pytest.raises(TypeError, match="sequence"):
-        translation_error_norms(ws.spectral("cusp:0.5"), [0.1], 1.0, 3, sizes=[1])
+        translation_error_norms(spectral("cusp:0.5"), [0.1], 1.0, 3, sizes=[1])
 
 
 def test_k_estimate_shares_candidates_across_scales():
@@ -211,8 +211,8 @@ def test_default_candidate_degrees():
     assert all(b > a for a, b in zip(degrees, degrees[1:]))
 
 
-def test_k_estimate_upper_bounds(ws):
-    f = ws.spectral("cusp:1.0")
+def test_k_estimate_upper_bounds(spectral):
+    f = spectral("cusp:1.0")
     for p in (1.0, 2.0, INF):
         norm = lp_norm_zonal(f, p, 3)
         assert k_functional_estimate(f, 0.2, p, 3) <= norm + 1e-12
@@ -235,21 +235,6 @@ def test_k_estimate_constant_is_zero():
     assert k_functional_estimate(const, 0.3, 2.0, 3) == pytest.approx(0.0, abs=1e-14)
 
 
-def test_k_estimate_monotone_in_candidates(ws):
-    f = ws.spectral("cusp:0.5")
-    small = k_functional_estimate(f, 0.2, 2.0, 3, candidate_degrees=(1, 4))
-    large = k_functional_estimate(f, 0.2, 2.0, 3, candidate_degrees=(1, 2, 4, 16, 25))
-    assert large <= small + 1e-14
-
-
-def test_k_estimate_candidate_validation(ws):
-    f = ws.spectral("bump")
-    with pytest.raises(ValueError):
-        k_functional_estimate(f, 0.2, 2.0, 3, candidate_degrees=())
-    with pytest.raises(ValueError):
-        k_functional_estimate(f, 0.2, 2.0, 3, candidate_degrees=(0, 3))
-
-
 def test_equivalence_rows_constant_degenerate():
     # both sides of the equivalence vanish on a constant, so the modulus
     # suite flags such a row degenerate instead of forming the ratio
@@ -259,8 +244,8 @@ def test_equivalence_rows_constant_degenerate():
         assert k_functional_estimate(const, t, 2.0, 3) == pytest.approx(0.0, abs=1e-14)
 
 
-def test_equivalence_ratio_window_sample(ws):
-    f = ws.spectral("cusp:1.0")
+def test_equivalence_ratio_window_sample(spectral):
+    f = spectral("cusp:1.0")
     for n in (4, 16, 64):
         t = n ** -0.5
         ratio = modulus(f, t, INF, 3) / k_functional_estimate(f, t, INF, 3)
@@ -271,10 +256,9 @@ def test_cusp_modulus_rate_classification():
     # the sup-norm modulus of the geodesic cusp theta^alpha scales like
     # t^min(alpha, 1): the profile also has a Lipschitz cone at the antipode
     # (geodesic distance is not smooth there), which caps the rate at 1
-    ws_fine = Workspace(3, 256, band_limit=2048)
     ts = 2.0 ** -np.arange(2, 9)
     for alpha in (0.5, 1.0, 1.5):
-        f = ws_fine.spectral(f"cusp:{alpha}")
+        f = prepare_corpus([f"cusp:{alpha}"], 3, 496)[0]     # K = 2048
         oms = np.array([modulus(f, t, INF, 3) for t in ts])
         slope = np.polyfit(np.log(ts), np.log(oms), 1)[0]
         assert abs(slope - min(alpha, 1.0)) <= 0.15
