@@ -26,6 +26,11 @@ from .function_space import _CONTEXTS, corpus_ids
 from .kernel import _RUNGS, ConvergenceError
 from .memo import run_memo_stats, run_scope
 
+try:
+    from resource import RUSAGE_SELF, getrusage
+except ImportError:     # not on every platform: the per-suite peak RSS is then null
+    getrusage = None
+
 __all__ = ["RunConfig", "ConfigError", "config_hash", "parse_config", "dispatch", "main"]
 
 INF = float("inf")
@@ -261,7 +266,7 @@ def _pruning(log):
     return out
 
 
-def _summary(config, snapshot, digest, reports, errors, wall, pruning):
+def _summary(config, snapshot, digest, reports, errors, timings, pruning):
     constants = dict.fromkeys(("envelope_c5", "n_alpha_window", "lemma_windows",
                                "converse_ratio_windows"))
     for report in reports:
@@ -291,7 +296,7 @@ def _summary(config, snapshot, digest, reports, errors, wall, pruning):
                             f"{d}|{k}|{fid}": spectral.projection_residual
                             for (d, k, _, fid), spectral in _CORPUS_SPECTRAL.items()},
                         "pruning": {name: _pruning(log) for name, log in pruning.items()},
-                        "suites": {name: {"wall_s": s} for name, s in wall.items()}},
+                        "suites": timings},
     }
 
 
@@ -311,7 +316,7 @@ def dispatch(config, suite):
         snapshot = config.snapshot()
         digest = config_hash({k: v for k, v in snapshot.items() if k != "out_dir"})
         names = SUITES if suite == "all" else (suite,)
-        reports, errors, wall, pruning = [], {}, {}, {}
+        reports, errors, timings, pruning = [], {}, {}, {}
         for name in names:
             start, logged = time.perf_counter(), len(_CONTEXTS.log)
             try:
@@ -325,7 +330,8 @@ def dispatch(config, suite):
                 print(f"error: {name}: {exc}", file=sys.stderr)
                 continue
             finally:
-                wall[name] = time.perf_counter() - start
+                rss = getrusage(RUSAGE_SELF).ru_maxrss / 1024 if getrusage else None  # KiB on Linux
+                timings[name] = {"wall_s": time.perf_counter() - start, "peak_rss_mb": rss}
                 pruning[name] = _CONTEXTS.log[logged:]     # (p, synthesised, skipped)
             generated = datetime.datetime.now(datetime.timezone.utc).isoformat()
             _write_atomic(os.path.join(config.out_dir, f"{name}.csv"),
@@ -334,7 +340,7 @@ def dispatch(config, suite):
             reports.append(report)
             status = "pass" if report.passed else "FAIL"
             print(f"[{status}] {name}: {len(report.rows)} rows")
-        summary = _summary(config, snapshot, digest, reports, errors, wall, pruning)
+        summary = _summary(config, snapshot, digest, reports, errors, timings, pruning)
         _write_atomic(os.path.join(config.out_dir, "summary.json"),
                       json.dumps(summary, indent=2, sort_keys=True, default=str) + "\n")
         return 0 if all(r.passed for r in reports) and not errors else 1

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .function_space import (ZonalSpectral, corpus_member, lp_norm_maxima, lp_norms_batch,
-                             zonal_project_many, zonal_synthesis)
+                             zonal_project, zonal_synthesis)
 from .kernel import (_alpha_nested, _multiplier_integrals, _refine, alpha_voronovskaya,
                      default_order, kernel_norm_constant, lemma_integral, multiplier_sequence,
                      multiplier_via_quadrature, multiplier_weight, vpm_kernel_eval)
@@ -87,14 +87,15 @@ def prepare_corpus(corpus, d, n_max, seed=42):
     K = 4 n_max + 64: exact coefficients for band-limited members, quadrature
     projection for the rest.  Each is memoised per run on (d, K, seed, id), so
     the suites of one run share each projection; the members not yet memoised
-    are projected by one `zonal_project_many` call with one Q table."""
+    are projected by one `zonal_project` call, one streamed pass over Q_k in
+    degree blocks, and none when all are memoised."""
     lam, band_limit = (d - 2) / 2.0, 4 * n_max + 64
     keys = {fid: (d, band_limit, seed, fid) for fid in corpus}
     missing = [corpus_member(d, fid, seed=seed)
                for fid, key in keys.items() if key not in _CORPUS_SPECTRAL]
     profiles = [member for member in missing if member.coeffs is None]
     resolved = dict(zip([member.tag for member in profiles],
-                        zonal_project_many(profiles, band_limit, lam)))
+                        zonal_project(profiles, band_limit, lam)))
     for member in missing:
         if member.coeffs is not None:
             coeffs = np.pad(member.coeffs, (0, band_limit + 1 - len(member.coeffs)))
@@ -247,10 +248,12 @@ def _operator_error_norms(f, degrees, p, d):
 def _delayed_maxima(f, n_list, k_cap, ps, d):
     """Per p of ps, max over k in [n, k_cap] of ||V_k f - f||_p for each n of
     the sorted n_list: the max of each segment [n_i, n_(i+1)) of degrees from
-    one `lp_norm_maxima` call for all p, then suffix maxima over the segments."""
+    one `lp_norm_maxima` call for all p, then suffix maxima over the segments;
+    it asks `means_columns` for a block of degrees at a time, whatever k_cap is."""
     cuts = sorted(set(n_list)) + [k_cap + 1]
-    segments = lp_norm_maxima(means_columns(f, range(cuts[0], k_cap + 1)), np.diff(cuts),
-                              f.lam, ps, d, reference=f.coeffs)
+    degrees = range(cuts[0], k_cap + 1)
+    segments = lp_norm_maxima(lambda picked: means_columns(f, [degrees[i] for i in picked]),
+                              np.diff(cuts), f.lam, ps, d, reference=f.coeffs)
     suffix = np.maximum.accumulate(segments[:, ::-1], axis=1)[:, ::-1]
     return suffix[:, [cuts.index(n) for n in n_list]].tolist()
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .memo import RunMemo
 from .quadrature import SphereGrid, mapped_rule
-from .special import _q_steps, q_table
+from .special import _q_steps
 
 __all__ = [
     "ZonalSpectral",
@@ -27,7 +27,6 @@ __all__ = [
     "zonal_synthesis",
     "synthesis_context",
     "zonal_project",
-    "zonal_project_many",
     "lp_norm_zonal",
     "lp_norms_batch",
     "lp_norm_maxima",
@@ -152,50 +151,39 @@ def _profile_callable(f):
         return f.g
     if callable(f):
         return f
-    return None
+    raise TypeError(f"expected a zonal function or a callable profile, got {type(f).__name__}")
 
 
-def _projection_table(k_max, lam):
-    """Synthesis context, full Q table and denominators of a projection."""
-    ctx = synthesis_context(lam, k_max, "gauss", 2 * k_max + 32)
-    q = q_table(k_max, lam, ctx.theta)
-    den = np.empty(k_max + 1)
-    for start in range(0, k_max + 1, BLOCK_COLUMNS):
-        block = slice(start, start + BLOCK_COLUMNS)
-        den[block] = (q[:, block] ** 2).T @ ctx.weights
-    return ctx, q, den
-
-
-def zonal_project(profile, k_max, lam, table=None):
-    """Project a zonal profile onto Q_0..Q_{k_max}:
+def zonal_project(profiles, k_max, lam):
+    """Project each zonal profile of a sequence onto Q_0..Q_{k_max}:
 
         a_k = integral g Q_k sin^(2 lam) / integral Q_k^2 sin^(2 lam),
 
-    both integrals on the mapped Gauss rule of 2 k_max + 32 nodes,
-    the denominators in blocks of BLOCK_COLUMNS degrees.  The relative L^2
-    residual of the reconstruction is attached to the result.  The full Q
-    table, built here unless a `zonal_project_many` batch passes its `table`,
-    is then dropped: a parity-folded projection would round differently.
+    both integrals on the mapped Gauss rule of 2 k_max + 32 nodes.  One pass
+    streams Q_k in blocks of BLOCK_COLUMNS degrees, forming per block the
+    denominators, each profile's numerators by a matrix-vector product and
+    its reconstruction's part, whose relative L^2 residual is attached to
+    the result: no full Q table, and a batch equals its members alone.
     """
-    g = _profile_callable(profile)
-    if g is None:
-        raise TypeError("zonal_project expects a ZonalProfile or a callable profile")
-    ctx, q, den = _projection_table(k_max, lam) if table is None else table
-    gv = np.asarray(g(ctx.theta), dtype=float)
-    coeffs = (q.T @ (ctx.weights * gv)) / den
-    recon = q @ coeffs
-    ref = math.sqrt(float(ctx.weights @ gv ** 2))
-    resid = math.sqrt(max(float(ctx.weights @ (gv - recon) ** 2), 0.0))
-    rel = resid / ref if ref > 0 else resid
+    gs = [_profile_callable(profile) for profile in profiles]
+    if not gs:
+        return []
+    ctx = synthesis_context(lam, k_max, "gauss", 2 * k_max + 32)
+    values = [np.asarray(g(ctx.theta), dtype=float) for g in gs]
+    coeffs, recon = np.empty((len(gs), k_max + 1)), np.zeros((len(gs), ctx.theta.size))
+    steps = _q_steps(k_max, lam, np.cos(ctx.theta))
+    for start in range(0, k_max + 1, BLOCK_COLUMNS):
+        q = np.empty((ctx.theta.size, min(BLOCK_COLUMNS, k_max + 1 - start)))
+        for j, column in zip(range(q.shape[1]), steps):
+            q[:, j] = column
+        den, block = (q ** 2).T @ ctx.weights, slice(start, start + q.shape[1])
+        for c, gv, r in zip(coeffs, values, recon):
+            c[block] = (q.T @ (ctx.weights * gv)) / den
+            r += q @ c[block]
     coeffs.setflags(write=False)
-    return ZonalSpectral(lam=lam, coeffs=coeffs, projection_residual=rel)
-
-
-def zonal_project_many(profiles, k_max, lam):
-    """`zonal_project` of each profile of a sequence, bit for bit, with one Q
-    table and one set of denominators for all; an empty one builds nothing."""
-    table = _projection_table(k_max, lam) if len(profiles) else None
-    return [zonal_project(profile, k_max, lam, table=table) for profile in profiles]
+    norms = [(math.sqrt(ctx.weights @ (gv - r) ** 2), math.sqrt(ctx.weights @ gv ** 2))
+             for gv, r in zip(values, recon)]
+    return [ZonalSpectral(lam, c, resid / (ref or 1.0)) for c, (resid, ref) in zip(coeffs, norms)]
 
 
 def lp_norm_zonal(f, p, d, order=None):
@@ -215,8 +203,6 @@ def lp_norm_zonal(f, p, d, order=None):
             raise ValueError(f"function has lam={f.lam}, inconsistent with d={d}")
         return float(lp_norms_batch(f.coeffs, lam, p, d, order=order)[0])
     g = _profile_callable(f)
-    if g is None:
-        raise TypeError("lp_norm_zonal expects a ZonalSpectral, ZonalProfile, or callable")
     if p == INF:
         theta = np.linspace(0.0, np.pi, DENSE_GRID_SIZE)
         return float(np.max(np.abs(np.asarray(g(theta), dtype=float))))
@@ -283,10 +269,12 @@ PRUNE_SLACK = 1e-10
 ANCHOR_STRIDE = 8     # lp_norm_maxima's anchors: every 8th column left unpruned
 
 
-def lp_norm_maxima(coeff_matrix, sizes, lam, ps, d, reference=None):
-    """For each p of `ps`, the max of `lp_norms_batch(coeff_matrix, lam, p, d,
-    reference=reference)` over each run of consecutive columns, the runs of the
-    given `sizes`: one row of run maxima per p.
+def lp_norm_maxima(columns, sizes, lam, ps, d, reference=None):
+    """For each p of `ps`, the max of the `lp_norms_batch` norms (of
+    `reference` minus each column) over each run of consecutive columns, the
+    runs of the given `sizes`: one row of run maxima per p.  The builder
+    `columns(indices)` gives the (K + 1, len(indices)) columns of an index
+    array, at most BLOCK_COLUMNS + 1 at a time: no full matrix is made.
 
     One pass over the coefficients bounds each column's norm (p = inf:
     sum_k |a_k|; p = 1: |S^{d-1}|^(1/2) ||g||_2) and, the same way, its step
@@ -295,32 +283,36 @@ def lp_norm_maxima(coeff_matrix, sizes, lam, ps, d, reference=None):
     each run's top-bound column, then every ANCHOR_STRIDE-th column whose
     bound exceeds its run's max, then the columns whose coefficient bound
     and chain bound from the nearest synthesised column on either side both
-    exceed it.  The bounds add the synthesis rounding of the columns they
-    involve and of the prefix sums, times (1 + PRUNE_SLACK); see README.md.
-    p other than 1, 2, inf and NaN bounds prune nothing; past a NaN step the
-    coefficient bounds prune alone; p = 2 is Parseval.  Each p != 2 logs
-    (p, columns synthesised, columns skipped) in the synthesis contexts' log.
-    The norms, from `_picked_norms`, do not depend on which columns are
-    synthesised together, and are those of lp_norms_batch up to rounding.
+    exceed it, each round building only its picks.  The bounds add the
+    synthesis rounding of the columns they involve and of the prefix sums,
+    times (1 + PRUNE_SLACK); see README.md.  p other than 1, 2, inf and NaN
+    bounds prune nothing; past a NaN step the coefficient bounds prune alone;
+    p = 2 is Parseval.  Each p != 2 logs (p, columns synthesised, columns
+    skipped) in the synthesis contexts' log.  The norms, from `_picked_norms`,
+    do not depend on which columns are synthesised together, and are those
+    of lp_norms_batch up to rounding.
     """
     if any(p != INF and p < 1 for p in ps):
         raise ValueError(f"p must satisfy 1 <= p <= inf, got {list(ps)}")
-    coeff_matrix = np.asarray(coeff_matrix, dtype=float)
-    k_max, columns = coeff_matrix.shape[0] - 1, coeff_matrix.shape[1]
+    if min(sizes, default=0) < 1:
+        raise ValueError(f"run sizes must be positive, got {list(sizes)}")
     starts = np.cumsum([0, *sizes])
-    if starts[-1] != columns or min(sizes, default=1) < 1:
-        raise ValueError("run sizes must be positive and add up to the column count")
+    count = int(starts[-1])
+    block = columns(np.arange(min(BLOCK_COLUMNS, count)))
+    k_max = block.shape[0] - 1
     ref = 0.0 if reference is None else np.asarray(reference, dtype=float)[:, None]
     area, eps, inverse_dims = surface_area(d), np.finfo(float).eps, _inverse_dims(k_max, lam)
-    sums, l2, mass = np.empty(columns), np.empty(columns), np.full(columns, np.sum(np.abs(ref)))
-    steps = {INF: np.zeros(columns), 1: np.zeros(columns)}
-    for start in range(0, columns, BLOCK_COLUMNS):
-        at, left = slice(start, start + BLOCK_COLUMNS), max(start - 1, 0)
-        a = np.abs(ref - coeff_matrix[:, at])
+    sums, l2, mass = np.empty(count), np.empty(count), np.full(count, np.sum(np.abs(ref)))
+    steps = {INF: np.zeros(count), 1: np.zeros(count)}
+    for start in range(0, count, BLOCK_COLUMNS):
+        at, left = slice(start, min(start + BLOCK_COLUMNS, count)), max(start - 1, 0)
+        # each later block with its left neighbour: 65 columns
+        block = columns(np.arange(left, at.stop)) if start else block
+        a = np.abs(ref - block[:, start - left:])
         sums[at] = a.sum(axis=0)
         l2[at] = np.sqrt(area * np.einsum("k,kj->j", inverse_dims, a * a))
-        mass[at] += np.abs(coeff_matrix[:, at]).sum(axis=0)
-        step = np.diff(coeff_matrix[:, left:at.stop], axis=1)     # a (K + 1) x 65 slice
+        mass[at] += np.abs(block[:, start - left:]).sum(axis=0)
+        step = np.diff(block, axis=1)
         steps[INF][left + 1:at.stop] = np.abs(step).sum(axis=0)
         steps[1][left + 1:at.stop] = area * np.sqrt(np.einsum("k,kj->j", inverse_dims, step * step))
     bounds = {INF: sums, 1: math.sqrt(area) * l2}
@@ -330,21 +322,21 @@ def lp_norm_maxima(coeff_matrix, sizes, lam, ps, d, reference=None):
             rows.append(np.maximum.reduceat(l2, starts[:-1]))
             continue
         rounding = (k_max + 1) * eps * mass * (1.0 if p == INF else area)
-        prefix = np.cumsum(steps[p] if p in bounds else np.full(columns, np.nan))
+        prefix = np.cumsum(steps[p] if p in bounds else np.full(count, np.nan))
         ctx = _norm_context(lam, k_max, p)
         rows.append(_pruned_maxima(
-            ctx, p, d, coeff_matrix, starts, (bounds.get(p, INF) + rounding) * (1.0 + PRUNE_SLACK),
-            prefix, rounding + columns * eps * prefix,
+            ctx, p, d, columns, starts, (bounds.get(p, INF) + rounding) * (1.0 + PRUNE_SLACK),
+            prefix, rounding + count * eps * prefix,
             None if reference is None else _synthesise(ctx, ref)))
     return np.array(rows)
 
 
-def _pruned_maxima(ctx, p, d, coeff_matrix, starts, bound, prefix, rounding, ref_vals):
+def _pruned_maxima(ctx, p, d, columns, starts, bound, prefix, rounding, ref_vals):
     """The three rounds of `lp_norm_maxima` at one p."""
-    out, done = np.full(coeff_matrix.shape[1], -INF), np.zeros(coeff_matrix.shape[1], dtype=bool)
+    out, done = np.full(starts[-1], -INF), np.zeros(starts[-1], dtype=bool)
 
     def synthesise(picked):     # then the max of each column's run
-        out[picked], done[picked] = _picked_norms(ctx, p, d, coeff_matrix, picked, ref_vals), True
+        out[picked], done[picked] = _picked_norms(ctx, p, d, columns, picked, ref_vals), True
         return np.repeat(np.maximum.reduceat(out, starts[:-1]), np.diff(starts))
 
     run_max = synthesise(np.array([i + np.argmax(bound[i:j]) for i, j in zip(starts, starts[1:])],
@@ -369,16 +361,16 @@ def _norm_context(lam, k_max, p, order=None):
     return synthesis_context(lam, k_max, "gauss", order if order is not None else 2 * k_max + 32)
 
 
-def _picked_norms(ctx, p, d, coeff_matrix, picked, ref_vals):
-    """The L^p norms of the `picked` columns (of ref_vals minus each), on the
-    grid of `ctx`, independent of which columns are picked together: they
-    are gathered C-ordered BLOCK_COLUMNS at a time and padded with zero
-    columns to a multiple of 8, as BLAS rounds a product of another width
-    (one column above all) differently, and summed row by row, as a
-    matrix-vector product does not."""
+def _picked_norms(ctx, p, d, columns, picked, ref_vals):
+    """The L^p norms of the `picked` columns of the builder `columns` (of
+    ref_vals minus each), on the grid of `ctx`, independent of which columns
+    are picked together: they are built BLOCK_COLUMNS at a time, C-ordered,
+    and padded with zero columns to a multiple of 8, as BLAS rounds a product
+    of another width (one column above all) differently, and summed row by
+    row, as a matrix-vector product does not."""
     out = np.empty(len(picked))
     for start in range(0, len(picked), BLOCK_COLUMNS):
-        block = np.take(coeff_matrix, picked[start:start + BLOCK_COLUMNS], axis=1)
+        block = np.ascontiguousarray(columns(picked[start:start + BLOCK_COLUMNS]))
         width = block.shape[1]
         vals = _synthesise(ctx, np.pad(block, ((0, 0), (0, -width % 8))))
         if ref_vals is not None:

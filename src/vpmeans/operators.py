@@ -117,7 +117,7 @@ def translate_direct(f_eval, theta, point, circle_order):
 
 
 # rows of the vpm_grid kernel matrix formed at once, bounding its memory
-GRID_BLOCK_ROWS = 256
+GRID_BLOCK_ROWS = 64
 
 
 def vpm_grid(f, n):

@@ -59,17 +59,21 @@ def _damping_table(k_max, lam, thetas):
 def translation_error_norms(f, thetas, ps, d, sizes=None):
     """||f - S_theta f||_p for a batch of translation steps theta, one row
     per p of the sequence `ps`; with `sizes`, the largest of each run of
-    consecutive steps, the runs having those sizes, by `lp_norm_maxima`."""
+    consecutive steps, the runs having those sizes, by `lp_norm_maxima`, which
+    builds the columns f.coeffs * (1 - Q_k(cos theta)) of the steps it picks."""
     if np.ndim(ps) != 1:
         raise TypeError(f"ps must be a sequence of p, got {ps!r}")
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     if np.any((thetas <= 0.0) | (thetas >= np.pi)):
         raise ValueError("translation steps must lie in (0, pi)")
     damp = _damping_table(f.band_limit, f.lam, thetas)     # (T, K+1)
-    cols = np.multiply(f.coeffs[:, None], damp.T, order="C")    # C order synthesises faster
+
+    def columns(steps):     # C order synthesises faster
+        return np.multiply(f.coeffs[:, None], damp[steps].T, order="C")
     if sizes is None:
+        cols = columns(slice(None))
         return np.array([lp_norms_batch(cols, f.lam, p, d) for p in ps])
-    return lp_norm_maxima(cols, sizes, f.lam, ps, d)
+    return lp_norm_maxima(columns, sizes, f.lam, ps, d)
 
 
 def modulus(f, t, p, d, theta_grid_size=64):

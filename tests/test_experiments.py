@@ -17,7 +17,7 @@ from vpmeans.experiments import (_delayed_maxima, _operator_error_norms,
                                  run_lemma_suite, run_modulus_suite,
                                  run_multiplier_identity_suite,
                                  run_selftest_suite, run_voronovskaya_suite)
-from vpmeans.function_space import INF, ZonalSpectral, corpus_ids, q_table, zonal_project
+from vpmeans.function_space import INF, ZonalSpectral, corpus_ids, zonal_project
 from vpmeans.kernel import alpha_voronovskaya, multiplier_via_quadrature, multiplier_weight
 from vpmeans.memo import clear_run_memos
 
@@ -245,25 +245,31 @@ def test_workspace_resolution():
 
 
 def test_workspace_prepare_projects_once_and_builds_nothing_when_memoised(monkeypatch):
-    calls = []
-    monkeypatch.setattr(vpmeans.function_space, "q_table",
-                        lambda *args: calls.append(args) or q_table(*args))
+    # a projection pass streams Q_k over the 2K + 32 Gauss nodes; the synthesis
+    # contexts stream only the half grid
+    passes, inner = [], vpmeans.function_space._q_steps
+
+    def steps(k_max, lam, x):
+        if np.size(x) == 2 * k_max + 32:
+            passes.append(k_max)
+        return inner(k_max, lam, x)
+    monkeypatch.setattr(vpmeans.function_space, "_q_steps", steps)
     clear_run_memos()
     corpus = corpus_ids()
-    first = prepare_corpus(corpus, 3, 128)      # K = 576: one projection table is 5.2 MiB
-    assert len(calls) == 1          # the four projected members share one table
+    first = prepare_corpus(corpus, 3, 128)      # K = 576
+    assert passes == [576]          # the four projected members share one pass
     for fid, f in zip(corpus, first):
         if f.projection_residual:
-            single = zonal_project(vpmeans.function_space.corpus_member(3, fid), 576, 0.5)
+            single, = zonal_project([vpmeans.function_space.corpus_member(3, fid)], 576, 0.5)
             assert np.array_equal(f.coeffs, single.coeffs)
-    calls.clear()
+    passes.clear()
     tracemalloc.start()
     try:
         again = prepare_corpus(corpus, 3, 128)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert calls == [] and peak < 2 ** 20
+    assert passes == [] and peak < 2 ** 20
     assert all(a is b for a, b in zip(first, again))
     clear_run_memos()
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vpmeans.function_space
+from vpmeans.experiments import _delayed_maxima
 from vpmeans.function_space import (BLOCK_COLUMNS, DENSE_GRID_SIZE, INF, NEGLIGIBLE,
                                     GridFunction, ZonalProfile, ZonalSpectral,
                                     _inverse_dims, _norm_context, _picked_norms, _synthesise,
@@ -13,10 +15,10 @@ from vpmeans.function_space import (BLOCK_COLUMNS, DENSE_GRID_SIZE, INF, NEGLIGI
                                     lp_norm_grid, lp_norm_maxima, lp_norm_zonal,
                                     lp_norms_batch,
                                     make_corpus, surface_area, synthesis_context,
-                                    zonal_project, zonal_project_many, zonal_synthesis)
+                                    zonal_project, zonal_synthesis)
 from vpmeans.kernel import multiplier_sequence
 from vpmeans.memo import clear_run_memos, run_memo_stats
-from vpmeans.operators import sample_zonal_on_grid
+from vpmeans.operators import means_columns, sample_zonal_on_grid
 from vpmeans.quadrature import integrate_theta, mapped_rule, sphere_grid
 from vpmeans.special import harmonic_dim, q_table
 
@@ -57,10 +59,10 @@ def test_zonal_synthesis_matches_q_table(lam):
 
 
 def test_project_constant_and_cosine():
-    out = zonal_project(lambda t: np.ones_like(t), 8, 0.5)
+    out, = zonal_project([lambda t: np.ones_like(t)], 8, 0.5)
     assert out.coeffs[0] == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(out.coeffs[1:])) <= 1e-12
-    out = zonal_project(lambda t: np.cos(t), 8, 0.5)
+    out, = zonal_project([lambda t: np.cos(t)], 8, 0.5)
     assert out.coeffs[1] == pytest.approx(1.0, abs=1e-12)
     assert abs(out.coeffs[0]) <= 1e-13 and np.max(np.abs(out.coeffs[2:])) <= 1e-12
 
@@ -68,7 +70,7 @@ def test_project_constant_and_cosine():
 def test_project_single_harmonic():
     lam = 1.0
     profile = lambda t: zonal_synthesis(unit(3, 4), lam, np.cos(t))
-    out = zonal_project(profile, 9, lam)
+    out, = zonal_project([profile], 9, lam)
     assert out.coeffs[3] == pytest.approx(1.0, abs=1e-10)
     others = np.delete(out.coeffs, 3)
     assert np.max(np.abs(others)) <= 1e-10
@@ -80,7 +82,7 @@ def test_projection_round_trip_pointwise():
     lam = 1.5
     coeffs = rng.uniform(-1, 1, 13)
     profile = lambda t: zonal_synthesis(coeffs, lam, np.cos(t))
-    out = zonal_project(profile, 20, lam)
+    out, = zonal_project([profile], 20, lam)
     theta = np.linspace(0.0, np.pi, 101)
     recon = zonal_synthesis(out.coeffs, lam, np.cos(theta))
     assert np.max(np.abs(recon - profile(theta))) <= 1e-9
@@ -204,36 +206,63 @@ def test_synthesis_context_half_grid_tables(kind, size, k_max):
 
 
 def test_zonal_project_equals_full_table_reference():
-    lam, k_max = 1.0, 40
+    lam = 1.0
     profile = lambda t: np.exp(-4.0 * t ** 2)
-    theta, w = mapped_rule(0.0, np.pi, 2 * k_max + 32)
-    weights = w * np.sin(theta) ** (2.0 * lam)
-    q = q_table(k_max, lam, theta)
-    ref = (q.T @ (weights * profile(theta))) / ((q ** 2).T @ weights)
-    assert np.array_equal(zonal_project(profile, k_max, lam).coeffs, ref)
+    for k_max in (40, 200):         # one degree block, and four
+        theta, w = mapped_rule(0.0, np.pi, 2 * k_max + 32)
+        weights = w * np.sin(theta) ** (2.0 * lam)
+        q = q_table(k_max, lam, theta)
+        ref = (q.T @ (weights * profile(theta))) / ((q ** 2).T @ weights)
+        assert np.array_equal(zonal_project([profile], k_max, lam)[0].coeffs, ref)
 
 
-def counting_q_table(monkeypatch):
-    """Route function_space's q_table through a call log; returns the log."""
-    calls = []
-    monkeypatch.setattr(vpmeans.function_space, "q_table",
-                        lambda *args: calls.append(args) or q_table(*args))
-    return calls
+def counting_projection_passes(monkeypatch):
+    """Log the band limit of every streamed pass over Q_k on a projection's
+    full grid of 2 k_max + 32 nodes (the synthesis contexts stream the half
+    grid); returns the log."""
+    passes, inner = [], vpmeans.function_space._q_steps
+
+    def steps(k_max, lam, x):
+        if np.size(x) == 2 * k_max + 32:
+            passes.append(k_max)
+        return inner(k_max, lam, x)
+    monkeypatch.setattr(vpmeans.function_space, "_q_steps", steps)
+    return passes
 
 
-def test_zonal_project_many_equals_single_projections(monkeypatch):
-    lam, k_max = 1.0, 40
+def test_zonal_project_batch_equals_single_projections(monkeypatch):
+    lam, k_max = 1.0, 150
     profiles = [lambda t: np.exp(-4.0 * t ** 2), lambda t: t ** 0.5,
                 ZonalProfile(g=lambda t: np.cos(3.0 * t), tag="cos3")]
-    calls = counting_q_table(monkeypatch)
-    batch = zonal_project_many(profiles, k_max, lam)
-    assert len(calls) == 1
+    passes = counting_projection_passes(monkeypatch)
+    batch = zonal_project(profiles, k_max, lam)
+    assert passes == [k_max]        # one pass serves the whole batch
     for profile, out in zip(profiles, batch):
-        single = zonal_project(profile, k_max, lam)
+        single, = zonal_project([profile], k_max, lam)
         assert np.array_equal(out.coeffs, single.coeffs)
         assert out.projection_residual == single.projection_residual
-    calls.clear()
-    assert zonal_project_many([], k_max, lam) == [] and calls == []
+    passes.clear()
+    assert zonal_project([], k_max, lam) == [] and passes == []
+    with pytest.raises(TypeError):
+        zonal_project([np.ones(3)], k_max, lam)
+
+
+def test_zonal_project_streams_degree_blocks():
+    # with its synthesis context built, a projection at the default band limit
+    # holds O(N * BLOCK_COLUMNS) doubles, not the (N, K + 1) table of Q_k
+    lam, k_max = 0.5, 1088
+    table_bytes = (2 * k_max + 32) * (k_max + 1) * 8
+    clear_run_memos()
+    synthesis_context(lam, k_max, "gauss", 2 * k_max + 32)
+    tracemalloc.start()
+    try:
+        out, = zonal_project([lambda t: t ** 0.5], k_max, lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        clear_run_memos()
+    assert peak < table_bytes / 4
+    assert 0.0 < out.projection_residual < 1e-5
 
 
 @settings(max_examples=30, deadline=None, database=None)
@@ -257,12 +286,17 @@ def test_lp_norms_batch_reference_matches_full_band(d, support, columns, k_max, 
         np.testing.assert_allclose(got[keep], want[keep], rtol=1e-12, atol=0.0)
 
 
+def builder(cols):
+    """The column builder of `lp_norm_maxima` that reads a matrix."""
+    return lambda picked: np.take(cols, picked, axis=1)
+
+
 def unpruned_maxima(cols, sizes, lam, p, d, ref):
     """The run maxima of every column's `_picked_norms`: the arithmetic of the
     pruned passes, without pruning."""
     ctx = _norm_context(lam, cols.shape[0] - 1, p, None)
     ref_vals = None if ref is None else _synthesise(ctx, ref[:, None])
-    every = _picked_norms(ctx, p, d, cols, np.arange(cols.shape[1]), ref_vals)
+    every = _picked_norms(ctx, p, d, builder(cols), np.arange(cols.shape[1]), ref_vals)
     return np.maximum.reduceat(every, np.cumsum([0] + sizes[:-1]))
 
 
@@ -288,7 +322,7 @@ def test_lp_norm_maxima_equal_maxima_of_every_norm(d, support, sizes, means, wit
         cols = banded_columns(rng, k_max, support, columns) * 10.0 ** rng.uniform(-2, 2, columns)
         ref = rng.uniform(-1.0, 1.0, k_max + 1) if with_reference else None
     ps = (1.0, 2.0, INF, 3.0)
-    got = lp_norm_maxima(cols, sizes, lam, ps, d, reference=ref)
+    got = lp_norm_maxima(builder(cols), sizes, lam, ps, d, reference=ref)
     assert got.shape == (len(ps), len(sizes))
     for p, row in zip(ps, got):
         full = lp_norms_batch(cols, lam, p, d, reference=ref)
@@ -307,7 +341,7 @@ def test_lp_norm_maxima_prunes_logs_and_validates():
     cols[:, 70] = np.nan
     clear_run_memos()
     log = vpmeans.function_space._CONTEXTS.log
-    got = lp_norm_maxima(cols, [60, 40], 0.5, [1.0, 2.0, INF], 3)
+    got = lp_norm_maxima(builder(cols), [60, 40], 0.5, [1.0, 2.0, INF], 3)
     for p, row in zip((1.0, 2.0, INF), got):
         full = lp_norms_batch(cols, 0.5, p, 3)
         assert row[0] == pytest.approx(np.max(full[:60]), rel=1e-14) and np.isnan(row[1])
@@ -316,11 +350,11 @@ def test_lp_norm_maxima_prunes_logs_and_validates():
     assert [rec[0] for rec in log] == [1.0, INF]
     for p, synthesised, skipped in log:
         assert synthesised + skipped == 100 and 0 < skipped < 59
-    for sizes in ([50, 49], [50, 51], [100, 0]):
+    for sizes in ([100, 0], [-1, 101], []):
         with pytest.raises(ValueError, match="sizes"):
-            lp_norm_maxima(cols, sizes, 0.5, [INF], 3)
+            lp_norm_maxima(builder(cols), sizes, 0.5, [INF], 3)
     with pytest.raises(ValueError, match="p must"):
-        lp_norm_maxima(cols, [100], 0.5, [INF, 0.5], 3)
+        lp_norm_maxima(builder(cols), [100], 0.5, [INF, 0.5], 3)
 
 
 @pytest.mark.parametrize("p", [1.0, INF])
@@ -340,7 +374,7 @@ def test_lp_norm_maxima_chain_bounds_are_tight(p):
     scales = [2.0, 5.5] + [1.5] * 6 + [5.0]
     cols = np.column_stack([decoy] + [s * unit(0, k_max + 1) for s in scales])
     clear_run_memos()
-    got = lp_norm_maxima(cols, [10], 0.5, [p], 3)[0, 0]
+    got = lp_norm_maxima(builder(cols), [10], 0.5, [p], 3)[0, 0]
     assert got == pytest.approx(5.5 * unit_norm, rel=1e-14)
     # decoy, the two anchors and the max; the 1.5 columns fall to their
     # coefficient bounds once the anchors raise the run max to 5
@@ -350,7 +384,7 @@ def test_lp_norm_maxima_chain_bounds_are_tight(p):
     # 1.5 columns (its 8 finite columns keep the anchors of the run above)
     nan_run = np.column_stack([np.full(k_max + 1, np.nan)] + [unit(0, k_max + 1)] * 8)
     clear_run_memos()
-    got = lp_norm_maxima(np.hstack([nan_run, cols]), [9, 10], 0.5, [p], 3)[0]
+    got = lp_norm_maxima(builder(np.hstack([nan_run, cols])), [9, 10], 0.5, [p], 3)[0]
     assert np.isnan(got[0]) and got[1] == pytest.approx(5.5 * unit_norm, rel=1e-14)
     assert vpmeans.function_space._CONTEXTS.log == [(p, 13, 6)]
 
@@ -368,8 +402,47 @@ def test_lp_norm_maxima_bounds_cover_rounding():
         ulps[0] = 0
         cols = ref[:, None] * (1.0 + np.finfo(float).eps * ulps)
         for p in (1.0, INF):
-            got = lp_norm_maxima(cols, [100, 100], 0.5, [p], 3, reference=ref)[0]
+            got = lp_norm_maxima(builder(cols), [100, 100], 0.5, [p], 3, reference=ref)[0]
             assert np.array_equal(got, unpruned_maxima(cols, [100, 100], 0.5, p, 3, ref))
+
+
+def test_lp_norm_maxima_builds_columns_in_blocks():
+    # the bound pass asks for each block with its left neighbour, the rounds
+    # for the columns they picked: never the whole (K + 1) x (K + 1) matrix
+    rng = np.random.default_rng(3)
+    k_max = 200
+    f = rng.uniform(-1.0, 1.0, k_max + 1) / (1.0 + np.arange(k_max + 1))
+    cols = np.column_stack([f * multiplier_sequence(n, 0.5, k_max) for n in range(1, k_max + 2)])
+    asked = []
+
+    def columns(picked):
+        asked.append(len(picked))
+        return np.take(cols, picked, axis=1)
+    clear_run_memos()
+    got = lp_norm_maxima(columns, [10, 90, k_max + 1 - 100], 0.5, [1.0, 2.0, INF], 3,
+                         reference=f)
+    assert max(asked) <= BLOCK_COLUMNS + 1 < cols.shape[1]
+    synthesised = sum(rec[1] for rec in vpmeans.function_space._CONTEXTS.log)
+    assert sum(asked) == cols.shape[1] + cols.shape[1] // BLOCK_COLUMNS + synthesised
+    for p, row in zip((1.0, 2.0, INF), got):
+        if p != 2.0:
+            assert np.array_equal(row, unpruned_maxima(cols, [10, 90, 101], 0.5, p, 3, f))
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_delayed_maxima_equal_unpruned_oracle_bit_for_bit(d):
+    # the degrees built block by block give the norms of the full matrix of
+    # V_k f columns, so their segment and suffix maxima are the same floats
+    rng = np.random.default_rng(d)
+    lam, k_max, n_list, k_cap = (d - 2) / 2.0, 300, [4, 16, 40, 64], 150
+    coeffs = rng.uniform(-1.0, 1.0, k_max + 1) / (1.0 + np.arange(k_max + 1)) ** 0.75
+    f = ZonalSpectral(lam=lam, coeffs=coeffs)
+    got = _delayed_maxima(f, n_list, k_cap, (1.0, INF), d)
+    cols = means_columns(f, range(n_list[0], k_cap + 1))
+    sizes = list(np.diff(n_list + [k_cap + 1]))
+    for p, row in zip((1.0, INF), got):
+        segments = unpruned_maxima(cols, sizes, lam, p, d, coeffs)
+        assert np.array_equal(row, np.maximum.accumulate(segments[::-1])[::-1])
 
 
 def test_lp_norms_batch_negligible_entries_nan_and_zero_columns():
