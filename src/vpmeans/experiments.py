@@ -239,12 +239,6 @@ def run_voronovskaya_suite(d, n_list, window=3.0, alpha_bounds=(0.5, 2.0)):
     )
 
 
-def _operator_error_norms(f, degrees, p, d):
-    """||V_n f - f||_p for a batch of operator degrees n: each V_n f, of
-    n + 1 rows, is subtracted from one synthesis of f."""
-    return lp_norms_batch(means_columns(f, degrees), f.lam, p, d, reference=f.coeffs)
-
-
 def _delayed_maxima(f, n_list, k_cap, ps, d):
     """Per p of ps, max over k in [n, k_cap] of ||V_k f - f||_p for each n of
     the sorted n_list: the max of each segment [n_i, n_(i+1)) of degrees from
@@ -314,9 +308,12 @@ def run_converse_suite(corpus, p_list, n_list, d, window=25.0, seed=42,
     checked along the way."""
     n_list = sorted(n_list)
     functions = prepare_corpus(corpus, d, n_list[-1], seed=seed)
+
+    def operator_errors(f, ps):     # ||V_n f - f||_p, the columns built once for every p
+        means = means_columns(f, n_list)
+        return [lp_norms_batch(means, f.lam, p, d, reference=f.coeffs).tolist() for p in ps]
     cells, ratio_windows, passed = _ratio_sweep(
-        corpus, functions, d, p_list, n_list, theta_grid_size, window,
-        lambda f, ps: [_operator_error_norms(f, n_list, p, d).tolist() for p in ps])
+        corpus, functions, d, p_list, n_list, theta_grid_size, window, operator_errors)
     rows = [{"function_id": fid, "p": p, "n": n, "e_n": e_n, "w_n": w_n,
              "ratio": ratio, "flag": "degenerate" if degenerate else "ok"}
             for fid, p, n, e_n, w_n, ratio, degenerate in cells]
@@ -393,13 +390,12 @@ def run_modulus_suite(corpus, p_list, n_list, d, window=50.0, seed=42,
     worst = {"low": math.inf, "high": -math.inf}
     n_list = sorted(n_list)
     functions = prepare_corpus(corpus, d, n_list[-1], seed=seed)
+    scales = [n ** -0.5 for n in n_list]
     for fid, f in zip(corpus, functions):
-        moduli_per_p = modulus_many(f, [n ** -0.5 for n in n_list], p_list, d,
-                                    theta_grid_size=theta_grid_size)
-        for p, moduli in zip(p_list, moduli_per_p):
-            for n, om in zip(n_list, moduli):
-                t = n ** -0.5
-                kf = k_functional_estimate(f, t, p, d)
+        moduli_per_p = modulus_many(f, scales, p_list, d, theta_grid_size=theta_grid_size)
+        estimates_per_p = k_functional_estimate(f, scales, p_list, d)
+        for p, moduli, estimates in zip(p_list, moduli_per_p, estimates_per_p):
+            for t, om, kf in zip(scales, moduli, estimates):
                 degenerate = kf <= DEGENERATE_FLOOR and om <= DEGENERATE_FLOOR
                 ratio = float("nan") if degenerate else om / max(kf, DEGENERATE_FLOOR)
                 rows.append({"function_id": fid, "p": p, "t": t, "omega": om,

@@ -83,46 +83,38 @@ def multiplier_weight(n, k, lam):
 
 
 _PREFIXES = RunMemo("multiplier_prefix")
-_LGAMMA = RunMemo("lgamma_table")
 
 
-def _lgamma_table(shift, size):
-    """Read-only lgamma((m + shift) + 1.0) for m below `size` rounded up to a
-    power of two, memoised per run on (shift, rounded size)."""
-    size = 1 << (size - 1).bit_length()
-
-    def build():
-        table = np.array([math.lgamma((m + shift) + 1.0) for m in range(size)])
-        table.setflags(write=False)
-        return table
-    return _LGAMMA.lookup((shift, size), build)
-
-
-def _closed_form_prefix(n, lam, top):
-    """multiplier_weight(n, k, lam) for k = 0..top <= n, bit for bit: the same
-    lgamma arguments, read from tables, and the same float operations."""
-    fact = _lgamma_table(0.0, n + 1)                       # lgamma(j + 1.0)
-    shifted = _lgamma_table(float(2.0 * lam), n + top + 1)  # lgamma((m + 2 lam) + 1.0)
-    logs = (fact[n] - fact[n - top:n + 1][::-1]) + (shifted[n] - shifted[n:n + top + 1])
-    # math.exp per entry: np.exp differs from it in the last bit on some
-    return np.array([math.exp(v) for v in logs.tolist()])
+def _multiplier_prefixes(degrees, lam, k_max):
+    """multiplier_weight(n, k, lam) for k = 0..min(n, k_max), one array per
+    degree n of `degrees`, bit for bit, memoised per run on (n, lam, top).  The
+    missing ones take the same lgamma arguments, each evaluated once over the
+    window those degrees span, and the same float operations."""
+    keys = [(n, float(lam), min(n, k_max)) for n in degrees]
+    missing = sorted({key for key in keys if key not in _PREFIXES})
+    computed = {}
+    if missing:     # n - top and n + top grow with n
+        (first, _, first_top), (last, _, last_top) = missing[0], missing[-1]
+        if first < 0 or k_max < 0:
+            raise ValueError("multiplier_sequence requires n >= 0 and k_max >= 0")
+        base = first - first_top
+        fact = np.array([math.lgamma(m + 1.0) for m in range(base, last + 1)])
+        shifted = np.array([math.lgamma((m + 2.0 * lam) + 1.0)
+                            for m in range(first, last + last_top + 1)])
+    for key in missing:
+        n, _, top = key
+        f, s = fact[n - top - base:n - base + 1], shifted[n - first:n - first + top + 1]
+        # math.exp per entry: np.exp differs from it in the last bit on some
+        computed[key] = np.array([math.exp(v) for v in ((f[-1] - f[::-1]) + (s[0] - s)).tolist()])
+    return [_PREFIXES.lookup(key, lambda key=key: computed[key]) for key in keys]
 
 
 def multiplier_sequence(n, lam, k_max):
-    """Array of multiplier weights for k = 0..k_max.
-
-    Only k <= min(n, k_max) runs through the closed form of
-    `multiplier_weight`, with its lgamma values read from per-run tables; the
-    tail k > n holds the exact zeros it returns there.  The closed-form
-    prefix is memoised per (n, lam) and prefix length for the current run
-    (see `vpmeans.memo`); every call returns a new array.
-    """
-    if n < 0:
-        raise ValueError("multiplier_sequence requires n >= 0")
-    top = min(n, k_max)
-    prefix = _PREFIXES.lookup((n, float(lam), top), lambda: _closed_form_prefix(n, lam, top))
+    """A new array of the multiplier weights for k = 0..k_max: the memoised
+    closed-form prefix k <= min(n, k_max) of `_multiplier_prefixes`, in
+    O(min(n, k_max)) work whatever n is, then the exact zeros of k > n."""
     out = np.zeros(k_max + 1)
-    out[:top + 1] = prefix
+    out[:min(n, k_max) + 1] = _multiplier_prefixes([n], lam, k_max)[0]
     return out
 
 

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .function_space import GridFunction, ZonalSpectral, zonal_synthesis
-from .kernel import kernel_norm_constant, multiplier_sequence
+from .kernel import _multiplier_prefixes, kernel_norm_constant, multiplier_sequence
 from .special import q_table
 
 __all__ = [
@@ -33,6 +33,7 @@ def means_columns(f, degrees, powers=(1,)):
     if min(powers) < 1:
         raise ValueError(f"operator powers must be >= 1, got {tuple(powers)}")
     cols = np.empty((f.band_limit + 1, len(degrees) * len(powers)))
+    _multiplier_prefixes(degrees, f.lam, f.band_limit)     # one lgamma window for all
     for j, n in enumerate(degrees):
         w = multiplier_sequence(n, f.lam, f.band_limit)
         for i, m in enumerate(powers):

@@ -38,11 +38,6 @@ def _theta_scan(t, size):
 
 _DAMPING = RunMemo("theta_scan")
 _MODULUS = RunMemo("modulus")
-_CANDIDATES = RunMemo("k_candidates")
-
-
-def _function_key(f):
-    return (f.coeffs.dtype.str, f.coeffs.shape, f.coeffs.tobytes(), float(f.lam))
 
 
 def _damping_table(k_max, lam, thetas):
@@ -97,8 +92,9 @@ def modulus_many(f, ts, ps, d, theta_grid_size=64):
     for t in ts:
         if not 0.0 < t <= np.pi:
             raise ValueError(f"modulus scale must be in (0, pi], got {t}")
-    keys = {(t, p): _function_key(f) + (float(t), float(p), int(d), int(theta_grid_size))
-            for t in ts for p in ps}
+    base = (f.coeffs.dtype.str, f.coeffs.shape, f.coeffs.tobytes(), float(f.lam), int(d),
+            int(theta_grid_size))
+    keys = {(t, p): base + (float(t), float(p)) for t in ts for p in ps}
     missing = [cell for cell, key in keys.items() if key not in _MODULUS]
     computed = {}
     if missing:
@@ -119,33 +115,27 @@ def default_candidate_degrees(t):
     return tuple(dict.fromkeys([2 ** i for i in range(top.bit_length())] + [top]))
 
 
-def k_functional_estimate(f, t, p, d):
-    """Upper estimate of the K-functional K(f, t)_p = inf_g {||f-g||_p +
-    t^2 ||Dg||_p}: the minimum of the objective over g = 0 and over the
-    means candidates V_m f, V_m^2 f, V_m^7 f (from `means_columns`) for m of
-    `default_candidate_degrees(t)`, the norms on the grids of `lp_norms_batch`
-    (Gauss order 2K + 32 at p = 1).
-
-    The candidate norms ||f - g||_p and ||Dg||_p do not depend on t: each
-    degree's are memoised per run (see `vpmeans.memo`) on f's bytes, p, d
-    and m, so a sweep over scales computes each once, in one batch."""
-    key = _function_key(f) + (float(p), int(d))
-    degrees = (0,) + default_candidate_degrees(t)     # 0 stands for g = 0
-    missing = [m for m in degrees if key + (m,) not in _CANDIDATES]
-    computed = dict(zip(missing, _candidate_norms(f, missing, p, d))) if missing else {}
-    norms = np.hstack([_CANDIDATES.lookup(key + (m,), lambda: computed[m]) for m in degrees])
-    return float(np.min(norms[0] + t * t * norms[1]))
-
-
-def _candidate_norms(f, degrees, p, d):
-    """Per degree m, the (2, j) array of ||f - g||_p and ||Dg||_p over the
-    candidates g = V_m^j f, j in CANDIDATE_POWERS; m = 0 stands for g = 0,
-    which comes first in `degrees` if at all."""
+def k_functional_estimate(f, ts, ps, d):
+    """Upper estimates of the K-functional K(f, t)_p = inf_g {||f-g||_p +
+    t^2 ||Dg||_p}, one list per p of `ps` with one value per scale of `ts`:
+    the minimum of the objective over g = 0 and the means candidates V_m f,
+    V_m^2 f, V_m^7 f for m of `default_candidate_degrees(t)`, the norms on the
+    grids of `lp_norms_batch` (Gauss order 2K + 32 at p = 1).  The norms do
+    not depend on t: one `means_columns` call builds the candidates of all
+    the scales' degrees, and each p takes one `lp_norms_batch` call for
+    ||f - g||_p and one for ||Dg||_p."""
+    for t in ts:
+        if not 0.0 < t < math.inf:
+            raise ValueError(f"K-functional scale must be positive and finite, got {t}")
+    per_scale = [default_candidate_degrees(t) for t in ts]
+    degrees = sorted(set().union(*per_scale))
+    width = len(CANDIDATE_POWERS)     # column 0 is g = 0, then each degree's powers
+    picks = [[0] + [1 + width * degrees.index(m) + j for m in ms for j in range(width)]
+             for ms in per_scale]
     k = np.arange(f.band_limit + 1, dtype=float)
-    means = means_columns(f, [m for m in degrees if m], CANDIDATE_POWERS)
-    cols = np.column_stack([np.zeros_like(f.coeffs), means]) if 0 in degrees else means
-    norms = np.stack([lp_norms_batch(cols, f.lam, p, d, reference=f.coeffs),
-                      lp_norms_batch(cols * (k * (k + d - 2.0))[:, None], f.lam, p, d)])
-    norms.setflags(write=False)
-    sizes = [len(CANDIDATE_POWERS) if m else 1 for m in degrees]
-    return np.split(norms, np.cumsum(sizes)[:-1], axis=1)
+    cols = np.column_stack([np.zeros_like(f.coeffs), means_columns(f, degrees, CANDIDATE_POWERS)])
+    laplacian = cols * (k * (k + d - 2.0))[:, None]
+    norms = [(lp_norms_batch(cols, f.lam, p, d, reference=f.coeffs),
+              lp_norms_batch(laplacian, f.lam, p, d)) for p in ps]
+    return [[float(np.min(errors[pick] + t * t * smooth[pick])) for t, pick in zip(ts, picks)]
+            for errors, smooth in norms]

@@ -11,15 +11,15 @@ import vpmeans.function_space
 import vpmeans.smoothness
 from vpmeans import quadrature
 from vpmeans.cli import config_hash
-from vpmeans.experiments import (_delayed_maxima, _operator_error_norms,
-                                 measure_envelope_constant, prepare_corpus,
+from vpmeans.experiments import (_delayed_maxima, measure_envelope_constant, prepare_corpus,
                                  run_converse_suite, run_delayed_max_suite,
                                  run_lemma_suite, run_modulus_suite,
                                  run_multiplier_identity_suite,
                                  run_selftest_suite, run_voronovskaya_suite)
-from vpmeans.function_space import INF, ZonalSpectral, corpus_ids, zonal_project
+from vpmeans.function_space import INF, ZonalSpectral, corpus_ids, lp_norms_batch, zonal_project
 from vpmeans.kernel import alpha_voronovskaya, multiplier_via_quadrature, multiplier_weight
 from vpmeans.memo import clear_run_memos
+from vpmeans.operators import means_columns
 
 SMALL_CORPUS = ("harmonic:4", "cusp:1.0")
 SMALL_N = (4, 8, 16)
@@ -173,7 +173,8 @@ def test_delayed_maxima_equal_full_sweep(d, support, pad, n_list, extra, spike, 
     f = ZonalSpectral(lam=(d - 2) / 2.0, coeffs=coeffs)
     pruned = _delayed_maxima(f, n_list, k_cap, (1.0, INF), d)
     for p, maxima in zip((1.0, INF), pruned):
-        errs = _operator_error_norms(f, range(n_list[0], k_cap + 1), p, d)
+        errs = lp_norms_batch(means_columns(f, range(n_list[0], k_cap + 1)), f.lam, p, d,
+                              reference=f.coeffs)
         suffix = np.maximum.accumulate(errs[::-1])[::-1][np.array(n_list) - n_list[0]]
         np.testing.assert_allclose(maxima, suffix, rtol=1e-14, atol=0.0)
 

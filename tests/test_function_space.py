@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vpmeans.function_space
@@ -269,10 +269,12 @@ def test_zonal_project_streams_degree_blocks():
 @given(d=st.sampled_from([3, 5]), support=st.integers(0, 64),
        columns=st.integers(1, 2 * BLOCK_COLUMNS + 2), k_max=st.sampled_from([64, 300]),
        seed=st.integers(0, 2 ** 32 - 1))
+# a draw whose p = inf cell loses 1.99e-15 ||R||, 1.01e-12 relative
+@example(d=5, support=8, columns=127, k_max=300, seed=31879)
 def test_lp_norms_batch_reference_matches_full_band(d, support, columns, k_max, seed):
     # ||R - g|| as a difference of syntheses against the synthesis of R - g;
     # near R the difference loses eps ||R|| / ||R - g||, so such cells are
-    # compared only where ||R - g|| >= 1e-3 ||R||
+    # compared only where ||R - g|| >= 1e-3 ||R||, up to that eps ||R|| term
     rng = np.random.default_rng(seed)
     lam = (d - 2) / 2.0
     ref = rng.uniform(-1.0, 1.0, k_max + 1)
@@ -282,8 +284,9 @@ def test_lp_norms_batch_reference_matches_full_band(d, support, columns, k_max, 
     for p in (1.0, 2.0, INF):
         got = lp_norms_batch(cols, lam, p, d, reference=ref)
         want = lp_norms_batch(ref[:, None] - cols, lam, p, d)
-        keep = want >= 1e-3 * lp_norms_batch(ref, lam, p, d)[0]
-        np.testing.assert_allclose(got[keep], want[keep], rtol=1e-12, atol=0.0)
+        norm_ref = lp_norms_batch(ref, lam, p, d)[0]
+        keep = want >= 1e-3 * norm_ref
+        np.testing.assert_allclose(got[keep], want[keep], rtol=1e-12, atol=1e-14 * norm_ref)
 
 
 def builder(cols):

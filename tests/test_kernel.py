@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from vpmeans.kernel import (ConvergenceError, alpha_voronovskaya,
                             lemma_integral, multiplier_sequence,
                             multiplier_via_quadrature, multiplier_weight,
                             vpm_kernel_eval)
+from vpmeans.function_space import ZonalSpectral
 from vpmeans.memo import clear_run_memos
+from vpmeans.operators import means_columns
 from vpmeans.quadrature import integrate_theta
 
 
@@ -115,6 +118,28 @@ def test_multiplier_sequence_equals_scalar_closed_form(lam):
                 assert np.array_equal(multiplier_sequence(n, lam, k_max), expect)
 
 
+def test_multiplier_sequence_prefix_costs_its_own_length():
+    # the prefix evaluates the 2 (k_max + 1) lgamma values it reads, so a short
+    # prefix at a huge degree neither scans nor stores anything of size n
+    n, lam, k_max = 4_000_000, 0.5, 10
+    clear_run_memos()
+    tracemalloc.start()
+    try:
+        got = multiplier_sequence(n, lam, k_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        clear_run_memos()
+    assert np.array_equal(got, [multiplier_weight(n, k, lam) for k in range(k_max + 1)])
+    assert peak < 1 << 16
+
+
+@pytest.mark.parametrize("n, k_max", [(-1, 4), (4, -1)])
+def test_multiplier_sequence_rejects_negative_arguments(n, k_max):
+    with pytest.raises(ValueError, match="requires n >= 0 and k_max >= 0"):
+        multiplier_sequence(n, 0.5, k_max)
+
+
 def test_multiplier_sequence_returns_fresh_arrays():
     first = multiplier_sequence(12, 0.5, 20)
     expect = first.copy()
@@ -122,23 +147,35 @@ def test_multiplier_sequence_returns_fresh_arrays():
     assert np.array_equal(multiplier_sequence(12, 0.5, 20), expect)
 
 
-def test_multiplier_sequence_weight_traffic(monkeypatch):
+def test_multiplier_sequence_weight_traffic():
     # each distinct degree builds its k <= n prefix once, however many
     # (function, p) pairs of the suite ask for it
-    built = []
-    build = vpmeans.kernel._closed_form_prefix
-
-    def counted(n, lam, top):
-        built.append(n)
-        return build(n, lam, top)
-
-    monkeypatch.setattr(vpmeans.kernel, "_closed_form_prefix", counted)
     clear_run_memos()
     n_list, k_cap = (4, 8), 24
     run_delayed_max_suite(("bump", "randband:seed42"), (2.0, float("inf")), n_list, k_cap, 3)
-    assert sorted(built) == list(range(min(n_list), k_cap + 1))
     prefixes = vpmeans.kernel._PREFIXES
+    built = sorted(n for (n, _, _), _ in prefixes.items())
+    assert built == list(range(min(n_list), k_cap + 1))
     assert prefixes.misses == len(built) and prefixes.hits > 0
+    clear_run_memos()
+
+
+def test_means_columns_prefixes_share_one_lgamma_window(monkeypatch):
+    # the missing prefixes of a batch of degrees read one window of lgamma
+    # values, lgamma(m + 1.0) for m <= 69 and lgamma((m + 2 lam) + 1.0) for
+    # 40 <= m <= 69 + 69, not one window per degree; the weights keep their bits
+    args = []
+    patched = SimpleNamespace(**vars(math))
+    patched.lgamma = lambda x: args.append(x) or math.lgamma(x)
+    monkeypatch.setattr(vpmeans.kernel, "math", patched)
+    clear_run_memos()
+    f = ZonalSpectral(lam=0.5, coeffs=np.linspace(1.0, 2.0, 101))
+    cols = means_columns(f, range(40, 70))
+    assert len(args) == 70 + 99
+    for j, n in enumerate(range(40, 70)):
+        weights = [multiplier_weight(n, k, 0.5) for k in range(101)]
+        assert np.array_equal(cols[:, j], f.coeffs * weights)
+    clear_run_memos()
 
 
 def test_multiplier_via_quadrature_values():

@@ -45,6 +45,6 @@ def test_run_scope_leaves_every_memo_empty():
         run_modulus_suite(["cusp:1.0"], [2.0], [4, 8], 3)
         run_voronovskaya_suite(3, [4, 8])
         stats = run_memo_stats()
-        assert stats["k_candidates"]["entries"] > 0 and stats["refinement"]["entries"] > 0
+        assert stats["modulus"]["entries"] > 0 and stats["refinement"]["entries"] > 0
     assert all(stats == empty for stats in run_memo_stats().values())
     assert _RUNGS.log == []

@@ -20,3 +20,14 @@ def test_readme_python_blocks_run(tmp_path):
             [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
              "-c", source], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, f"{source}\n{done.stderr}"
+
+
+def test_readme_names_every_run_memo():
+    # the diagnostics.caches sentence lists the run memos, so a memo added or
+    # removed without its mention there fails here
+    import vpmeans.cli    # imports every module that owns a memo
+    from vpmeans.memo import run_memo_stats
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"of the per-run memos \(([^)]*)\)", readme)
+    assert listed
+    assert sorted(re.findall(r"`(\w+)`", listed.group(1))) == sorted(run_memo_stats())

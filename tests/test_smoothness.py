@@ -185,23 +185,33 @@ def test_translation_errors_stay_in_coefficient_form(spectral, monkeypatch):
         translation_error_norms(spectral("cusp:0.5"), [0.1], 1.0, 3, sizes=[1])
 
 
-def test_k_estimate_shares_candidates_across_scales():
+def test_k_estimate_batch_equals_single_scales(monkeypatch):
+    # one means_columns call builds the candidates of every scale, and each p
+    # takes one lp_norms_batch pair; each scale's min reads its own degrees
+    calls = []
+    for name in ("means_columns", "lp_norms_batch"):
+        monkeypatch.setattr(vpmeans.smoothness, name,
+                            lambda *args, inner=getattr(vpmeans.smoothness, name), name=name,
+                            **kw: calls.append(name) or inner(*args, **kw))
     rng = np.random.default_rng(8)
     decay = np.arange(1.0, 301.0) ** -1.5
     fs = {3: ZonalSpectral(lam=0.5, coeffs=rng.uniform(-1.0, 1.0, 300) * decay),
           5: ZonalSpectral(lam=1.5, coeffs=rng.uniform(-1.0, 1.0, 300) * decay)}
-    cells = [(d, p, n ** -0.5) for d in fs for p in (1.0, 2.0, INF) for n in (4, 8, 16, 32, 64)]
-    fresh = {}
-    for d, p, t in cells:
-        clear_run_memos()
-        fresh[d, p, t] = k_functional_estimate(fs[d], t, p, d)
-    clear_run_memos()
-    for d, p, t in cells:      # descending t within each (d, p)
-        assert k_functional_estimate(fs[d], t, p, d) == pytest.approx(fresh[d, p, t], rel=1e-13)
-    # one miss per (m, d, p); m = 0 is the candidate g = 0
-    entries = {(m, d, p) for d, p, t in cells for m in (0,) + default_candidate_degrees(t)}
-    assert run_memo_stats()["k_candidates"]["misses"] == len(entries)
-    clear_run_memos()
+    ts, ps = [n ** -0.5 for n in (16, 4, 64, 8, 32)], [1.0, 2.0, INF]
+    for d, f in fs.items():
+        single = [[k_functional_estimate(f, [t], [p], d)[0][0] for t in ts] for p in ps]
+        calls.clear()
+        batch = k_functional_estimate(f, ts, ps, d)
+        assert calls == ["means_columns"] + ["lp_norms_batch"] * 2 * len(ps)
+        np.testing.assert_allclose(batch, single, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("t", [-0.25, 0.0, math.inf, math.nan])
+def test_k_estimate_rejects_scales_outside_positive_reals(t):
+    # -0.25 once returned the value at 0.25, 0 divided by zero and inf gave NaN
+    f = ZonalSpectral(lam=0.5, coeffs=np.array([0.0, 1.0, 0.3]))
+    with pytest.raises(ValueError, match=f"got {t}$"):
+        k_functional_estimate(f, [0.5, t], [2.0], 3)
 
 
 def test_default_candidate_degrees():
@@ -215,7 +225,7 @@ def test_k_estimate_upper_bounds(spectral):
     f = spectral("cusp:1.0")
     for p in (1.0, 2.0, INF):
         norm = lp_norm_zonal(f, p, 3)
-        assert k_functional_estimate(f, 0.2, p, 3) <= norm + 1e-12
+        assert k_functional_estimate(f, [0.2], [p], 3)[0][0] <= norm + 1e-12
 
 
 @settings(max_examples=30, deadline=None, database=None)
@@ -227,12 +237,12 @@ def test_k_estimate_bounded_by_norm_property(d, band, pad, t, p, seed):
     coeffs = np.zeros(band + pad + 1)
     coeffs[:band + 1] = np.random.default_rng(seed).uniform(-1.0, 1.0, band + 1)
     f = ZonalSpectral(lam=(d - 2) / 2.0, coeffs=coeffs)
-    assert k_functional_estimate(f, t, p, d) <= lp_norm_zonal(f, p, d) * (1.0 + 1e-12)
+    assert k_functional_estimate(f, [t], [p], d)[0][0] <= lp_norm_zonal(f, p, d) * (1.0 + 1e-12)
 
 
 def test_k_estimate_constant_is_zero():
     const = ZonalSpectral(lam=0.5, coeffs=np.array([2.0]))
-    assert k_functional_estimate(const, 0.3, 2.0, 3) == pytest.approx(0.0, abs=1e-14)
+    assert k_functional_estimate(const, [0.3], [2.0], 3)[0][0] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_equivalence_rows_constant_degenerate():
@@ -241,15 +251,15 @@ def test_equivalence_rows_constant_degenerate():
     const = ZonalSpectral(lam=0.5, coeffs=np.array([3.0]))
     for t in (0.5, 0.1):
         assert modulus(const, t, 2.0, 3) == 0.0
-        assert k_functional_estimate(const, t, 2.0, 3) == pytest.approx(0.0, abs=1e-14)
+        assert k_functional_estimate(const, [t], [2.0], 3)[0][0] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_equivalence_ratio_window_sample(spectral):
     f = spectral("cusp:1.0")
-    for n in (4, 16, 64):
-        t = n ** -0.5
-        ratio = modulus(f, t, INF, 3) / k_functional_estimate(f, t, INF, 3)
-        assert 1.0 / 50.0 <= ratio <= 50.0
+    ts = [n ** -0.5 for n in (4, 16, 64)]
+    (moduli,), (estimates,) = modulus_many(f, ts, [INF], 3), k_functional_estimate(f, ts, [INF], 3)
+    for om, kf in zip(moduli, estimates):
+        assert 1.0 / 50.0 <= om / kf <= 50.0
 
 
 def test_cusp_modulus_rate_classification():
