@@ -3,9 +3,9 @@
 Each suite sweeps one family of computable identities or bound shapes,
 collects per-cell rows into an ExperimentReport, re-runs its most sensitive
 cell at doubled quadrature resolution as a self-check, and judges pass/fail
-against the configured windows.  All thresholds are existential stand-ins
-for constants that are never pinned down analytically, so the windows are
-generous and live in configuration rather than in the math.
+against the windows below.  All thresholds are existential stand-ins for
+constants that are never pinned down analytically, so the windows are
+generous module constants, and `measured` echoes the ones each suite used.
 """
 
 import math
@@ -39,6 +39,13 @@ __all__ = [
 ]
 
 DEGENERATE_FLOOR = 1e-12
+
+MULTIPLIER_TOL = 1e-9           # |closed form - quadrature| of each multiplier
+LEMMA_WINDOW = 2.0              # max/min of each normalized kernel moment
+VORONOVSKAYA_WINDOW = 3.0       # max/min of the normalized Voronovskaya residual
+ALPHA_BOUNDS = (0.5, 2.0)       # range of n * alpha(n)
+RATIO_WINDOW = 25.0             # max/min of the converse and delayed-max ratios
+EQUIVALENCE_WINDOW = 50.0       # omega / K-estimate lies in [1/window, window]
 
 
 def _fmt(value):
@@ -109,7 +116,7 @@ def prepare_corpus(corpus, d, n_max, seed=42):
 # suites
 
 
-def run_multiplier_identity_suite(d, n_max, tol=1e-9, order=None):
+def run_multiplier_identity_suite(d, n_max, order=None):
     """Closed-form multiplier weights against their quadrature route for all
     n <= n_max and k <= n + 4, including the exact zeros at k > n.  The
     quadrature values equal multiplier_via_quadrature(n, k, d, order); the
@@ -136,13 +143,13 @@ def run_multiplier_identity_suite(d, n_max, tol=1e-9, order=None):
     if max_diff > 0:
         n, k = worst["n"], worst["k"]
         doubled = multiplier_via_quadrature(n, k, d, order=2 * (n + k + 32))
-        refine_ok = abs(doubled - multiplier_weight(n, k, lam)) <= tol
-    passed = max_diff <= tol and refine_ok
+        refine_ok = abs(doubled - multiplier_weight(n, k, lam)) <= MULTIPLIER_TOL
+    passed = max_diff <= MULTIPLIER_TOL and refine_ok
     return ExperimentReport(
         suite="multipliers",
         columns=["d", "n", "k", "closed_form", "quadrature", "abs_diff"],
         rows=rows, passed=passed,
-        measured={"max_abs_diff": max_diff, "tolerance": tol,
+        measured={"max_abs_diff": max_diff, "tolerance": MULTIPLIER_TOL,
                   "refinement_check": refine_ok},
     )
 
@@ -150,7 +157,7 @@ def run_multiplier_identity_suite(d, n_max, tol=1e-9, order=None):
 _LEMMA_QUANTITIES = ("fourth_moment", "neg_lambda", "neg_two_over_m_7", "norm_constant")
 
 
-def run_lemma_suite(d, n_list, window=2.0):
+def run_lemma_suite(d, n_list):
     """Kernel moment scalings: n^2 * fourth moment, n^(-lam/2) * inverse-power
     moment, n^(-1/7) * the m = 7 variant, and n^((d-1)/2) * I_{n,d}.  Each
     normalized sequence must stay in a max/min window over the upper half of
@@ -177,7 +184,7 @@ def run_lemma_suite(d, n_list, window=2.0):
     for quantity, seq in series.items():
         lo, hi, ratio = _window(seq[upper:])
         windows[quantity] = {"min": lo, "max": hi, "ratio": ratio}
-        passed = passed and ratio <= window
+        passed = passed and ratio <= LEMMA_WINDOW
     # refinement self-check: largest n, most singular moment
     n_top = n_list[-1]
     coarse = lemma_integral(n_top, d, "neg_lambda")
@@ -188,18 +195,18 @@ def run_lemma_suite(d, n_list, window=2.0):
         suite="lemmas",
         columns=["d", "n", "quantity", "value", "normalized"],
         rows=rows, passed=passed,
-        measured={"windows": windows, "window_bound": window,
+        measured={"windows": windows, "window_bound": LEMMA_WINDOW,
                   "refinement_check": refine_ok},
     )
 
 
-def run_voronovskaya_suite(d, n_list, window=3.0, alpha_bounds=(0.5, 2.0)):
+def run_voronovskaya_suite(d, n_list):
     """Second-order expansion of the means on single harmonics: the residual
 
         |omega_{n,k} - 1 + alpha(n) k (k+d-2)|
 
     normalized by n^-2 k^2 (k+d-2)^2 must sit in a bounded window over
-    1 <= k <= isqrt(n), and n * alpha(n) must stay inside alpha_bounds.
+    1 <= k <= isqrt(n), and n * alpha(n) must stay inside ALPHA_BOUNDS.
     measured["alpha_closed_form_gap"] is the relative gap of alpha(n_top) to
     its closed form (1/(d-2)) sum_{j=1}^{d-2} 1/(n_top + j)."""
     lam = (d - 2) / 2.0
@@ -219,21 +226,21 @@ def run_voronovskaya_suite(d, n_list, window=3.0, alpha_bounds=(0.5, 2.0)):
                          "n_alpha": n * alpha, "residual": residual,
                          "normalized": normalized})
     lo, hi, ratio = _window(normalized_all)
-    alpha_ok = all(alpha_bounds[0] <= v <= alpha_bounds[1] for v in n_alpha.values())
+    alpha_ok = all(ALPHA_BOUNDS[0] <= v <= ALPHA_BOUNDS[1] for v in n_alpha.values())
     # refinement self-check: alpha at the largest n, tighter tolerance
     n_top = max(n_list)
     a1 = alpha_voronovskaya(n_top, d)
     a2 = alpha_voronovskaya(n_top, d, rtol=1e-11)
     refine_ok = abs(a1 - a2) <= 1e-6 * abs(a2)
     closed = sum(1.0 / (n_top + j) for j in range(1, d - 1)) / (d - 2)
-    passed = ratio <= window and alpha_ok and refine_ok
+    passed = ratio <= VORONOVSKAYA_WINDOW and alpha_ok and refine_ok
     return ExperimentReport(
         suite="voronovskaya",
         columns=["d", "n", "k", "alpha_n", "n_alpha", "residual", "normalized"],
         rows=rows, passed=passed,
         measured={"normalized_window": {"min": lo, "max": hi, "ratio": ratio},
                   "n_alpha": {str(n): v for n, v in sorted(n_alpha.items())},
-                  "window_bound": window, "alpha_bounds": list(alpha_bounds),
+                  "window_bound": VORONOVSKAYA_WINDOW, "alpha_bounds": list(ALPHA_BOUNDS),
                   "refinement_check": refine_ok,
                   "alpha_closed_form_gap": abs(a1 - closed) / closed},
     )
@@ -252,7 +259,7 @@ def _delayed_maxima(f, n_list, k_cap, ps, d):
     return suffix[:, [cuts.index(n) for n in n_list]].tolist()
 
 
-def _ratio_sweep(corpus, functions, d, p_list, n_list, theta_grid_size, window, numerators):
+def _ratio_sweep(corpus, functions, d, p_list, n_list, theta_grid_size, numerators):
     """The ratio loop shared by the converse and delayed-max suites.
 
     For each corpus id and its function f of `functions`, numerators(f, p_list)
@@ -262,7 +269,7 @@ def _ratio_sweep(corpus, functions, d, p_list, n_list, theta_grid_size, window, 
     and it stays out of the max/min window of its (f, p) pair.  Returns the
     cells (function_id, p, n, numerator, w_n, ratio, degenerate), the windows
     keyed "function_id|p=p", and whether every window has min > 0 and
-    max/min <= window.
+    max/min <= RATIO_WINDOW.
     """
     cells = []
     windows = {}
@@ -281,7 +288,7 @@ def _ratio_sweep(corpus, functions, d, p_list, n_list, theta_grid_size, window, 
             if ratios:
                 lo, hi, ratio = _window(ratios)
                 windows[f"{fid}|p={p}"] = {"min": lo, "max": hi, "ratio": ratio}
-                passed = passed and lo > 0 and ratio <= window
+                passed = passed and lo > 0 and ratio <= RATIO_WINDOW
     return cells, windows, passed
 
 
@@ -298,11 +305,10 @@ def _modulus_grid_check(f, t, p, d, theta_grid_size):
 CHAIN_POWERS, CHAIN_SLACK = (2, 7), 1e-8
 
 
-def run_converse_suite(corpus, p_list, n_list, d, window=25.0, seed=42,
-                       theta_grid_size=64):
+def run_converse_suite(corpus, p_list, n_list, d, seed=42, theta_grid_size=64):
     """Operator error against the modulus at the matched scale: for each
     corpus function and p, r_n = ||V_n f - f||_p / omega(f, n^(-1/2))_p must
-    stay positive with max r / min r <= window over n_list.  Functions whose
+    stay positive with max r / min r <= RATIO_WINDOW over n_list.  Functions whose
     modulus is numerically zero (constants) are flagged degenerate and
     excluded.  The chain bound ||f - V_n^m f||_p <= m ||f - V_n f||_p is
     checked along the way."""
@@ -313,7 +319,7 @@ def run_converse_suite(corpus, p_list, n_list, d, window=25.0, seed=42,
         means = means_columns(f, n_list)
         return [lp_norms_batch(means, f.lam, p, d, reference=f.coeffs).tolist() for p in ps]
     cells, ratio_windows, passed = _ratio_sweep(
-        corpus, functions, d, p_list, n_list, theta_grid_size, window, operator_errors)
+        corpus, functions, d, p_list, n_list, theta_grid_size, operator_errors)
     rows = [{"function_id": fid, "p": p, "n": n, "e_n": e_n, "w_n": w_n,
              "ratio": ratio, "flag": "degenerate" if degenerate else "ok"}
             for fid, p, n, e_n, w_n, ratio, degenerate in cells]
@@ -341,13 +347,12 @@ def run_converse_suite(corpus, p_list, n_list, d, window=25.0, seed=42,
         columns=["function_id", "p", "n", "e_n", "w_n", "ratio", "flag"],
         rows=sorted(rows, key=lambda r: (r["function_id"], r["p"], r["n"])),
         passed=passed,
-        measured={"ratio_windows": ratio_windows, "window_bound": window,
+        measured={"ratio_windows": ratio_windows, "window_bound": RATIO_WINDOW,
                   "chain_excess": chain_worst, "refinement_check": refine_ok},
     )
 
 
-def run_delayed_max_suite(corpus, p_list, n_list, k_cap, d, window=25.0,
-                          seed=42, theta_grid_size=64):
+def run_delayed_max_suite(corpus, p_list, n_list, k_cap, d, seed=42, theta_grid_size=64):
     """Truncated delayed-maximum comparison: max over k in [n, k_cap] of
     ||V_k f - f||_p against omega(f, n^(-1/2))_p.  The untruncated statement
     maximizes over all k >= n, so every row is flagged TRUNCATED.  Only the
@@ -360,7 +365,7 @@ def run_delayed_max_suite(corpus, p_list, n_list, k_cap, d, window=25.0,
     # so the band limit tracks the modulus scales, not k_cap
     functions = prepare_corpus(corpus, d, n_list[-1], seed=seed)
     cells, windows, passed = _ratio_sweep(
-        corpus, functions, d, p_list, n_list, theta_grid_size, window,
+        corpus, functions, d, p_list, n_list, theta_grid_size,
         lambda f, ps: _delayed_maxima(f, n_list, k_cap, ps, d))
     rows = [{"function_id": fid, "p": p, "n": n, "k_cap": k_cap, "max_err": m_n,
              "w_n": w_n, "ratio": ratio,
@@ -375,16 +380,15 @@ def run_delayed_max_suite(corpus, p_list, n_list, k_cap, d, window=25.0,
         columns=["function_id", "p", "n", "k_cap", "max_err", "w_n", "ratio", "flag"],
         rows=sorted(rows, key=lambda r: (r["function_id"], r["p"], r["n"])),
         passed=passed,
-        measured={"ratio_windows": windows, "window_bound": window,
+        measured={"ratio_windows": windows, "window_bound": RATIO_WINDOW,
                   "refinement_check": refine_ok},
     )
 
 
-def run_modulus_suite(corpus, p_list, n_list, d, window=50.0, seed=42,
-                      theta_grid_size=64):
+def run_modulus_suite(corpus, p_list, n_list, d, seed=42, theta_grid_size=64):
     """Modulus versus K-functional estimate at the scales t = n^(-1/2):
-    their ratio must stay inside [1/window, window] wherever both are
-    nonzero."""
+    their ratio must stay inside [1/EQUIVALENCE_WINDOW, EQUIVALENCE_WINDOW]
+    wherever both are nonzero."""
     rows = []
     passed = True
     worst = {"low": math.inf, "high": -math.inf}
@@ -404,7 +408,7 @@ def run_modulus_suite(corpus, p_list, n_list, d, window=50.0, seed=42,
                 if not degenerate:
                     worst["low"] = min(worst["low"], ratio)
                     worst["high"] = max(worst["high"], ratio)
-                    passed = passed and (1.0 / window) <= ratio <= window
+                    passed = passed and 1.0 / EQUIVALENCE_WINDOW <= ratio <= EQUIVALENCE_WINDOW
     # refinement self-check: the modulus grid is doubled at the last cell
     refine_ok = _modulus_grid_check(functions[-1], n_list[0] ** -0.5, 2.0, d, theta_grid_size)
     passed = passed and refine_ok
@@ -413,7 +417,7 @@ def run_modulus_suite(corpus, p_list, n_list, d, window=50.0, seed=42,
         columns=["function_id", "p", "t", "omega", "k_estimate", "ratio", "flag"],
         rows=sorted(rows, key=lambda r: (r["function_id"], r["p"], -r["t"])),
         passed=passed,
-        measured={"ratio_range": worst, "window_bound": window,
+        measured={"ratio_range": worst, "window_bound": EQUIVALENCE_WINDOW,
                   "refinement_check": refine_ok},
     )
 

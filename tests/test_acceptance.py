@@ -219,21 +219,23 @@ def test_c10_operator_laws():
 
 
 def test_c11_strong_converse():
-    report = run_converse_suite(corpus_ids(), P_ALL, DYADIC_4_256, 3, window=25.0)
+    report = run_converse_suite(corpus_ids(), P_ALL, DYADIC_4_256, 3)
     windows = report.measured["ratio_windows"]
     worst = max(w["ratio"] for w in windows.values())
     min_r = min(w["min"] for w in windows.values())
-    ok = report.passed and worst <= 25.0 and min_r > 0.0
+    ok = (report.passed and report.measured["window_bound"] == 25.0
+          and worst <= 25.0 and min_r > 0.0)
     verdict(11, ok,
             f"operator error vs modulus, worst per-function ratio window = {worst:.2f} <= 25, "
             f"min ratio = {min_r:.3f} > 0")
 
 
 def test_c12_modulus_k_equivalence():
-    report = run_modulus_suite(corpus_ids(), P_ALL, DYADIC_4_256, 3, window=50.0)
+    report = run_modulus_suite(corpus_ids(), P_ALL, DYADIC_4_256, 3)
     lo = report.measured["ratio_range"]["low"]
     hi = report.measured["ratio_range"]["high"]
-    ok = report.passed and lo >= 1.0 / 50.0 and hi <= 50.0
+    ok = (report.passed and report.measured["window_bound"] == 50.0
+          and lo >= 1.0 / 50.0 and hi <= 50.0)
     verdict(12, ok,
             f"omega / K-estimate in [{lo:.3f}, {hi:.3f}] within [1/50, 50]")
 

@@ -7,7 +7,7 @@ import pytest
 import vpmeans.cli
 import vpmeans.memo
 from vpmeans.cli import SUITES, ConfigError, build_parser, dispatch, main, parse_config
-from vpmeans import quadrature
+from vpmeans import experiments, quadrature
 from vpmeans.experiments import prepare_corpus, run_multiplier_identity_suite
 from vpmeans.function_space import corpus_member
 
@@ -68,6 +68,15 @@ def test_unknown_key_rejected(tmp_path):
     cfg.write_text("n_lists = 4,8\n")
     with pytest.raises(ConfigError, match="n_lists"):
         parse_config(path=str(cfg))
+
+
+def test_threshold_key_is_usage_error(tmp_path, capsys):
+    # the verdict windows are constants of `experiments`, not configuration
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("converse_window = 25\n")
+    assert main(["converse", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    assert "unknown configuration key: 'converse_window'" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def test_malformed_line_rejected(tmp_path):
@@ -189,6 +198,18 @@ def test_main_converse_csv_schema(tmp_path):
     assert lines[2].startswith("cusp:1.0,inf,4,")
 
 
+def test_envelope_constant_comes_from_the_selftest_only(tmp_path):
+    # without the selftest no envelope is measured: the constant is null,
+    # like the constants of the other suites that did not run
+    assert main(["converse", "--corpus", "cusp:1.0", "--p", "inf",
+                 "--n-list", "4,8", "--out", str(tmp_path)]) == 0
+    constants = json.loads((tmp_path / "summary.json").read_text())["constants"]
+    assert set(constants) == {"envelope_c5", "n_alpha_window",
+                              "lemma_windows", "converse_ratio_windows"}
+    assert constants["envelope_c5"] is None
+    assert constants["converse_ratio_windows"] is not None
+
+
 def test_main_delayed_max_csv_schema(tmp_path):
     out = tmp_path / "results"
     code = main(["delayed-max", "--corpus", "harmonic:4", "--p", "2",
@@ -209,11 +230,9 @@ def test_main_modulus_csv_schema(tmp_path):
     assert len(lines) == 4
 
 
-def test_main_suite_failure_exit_code(tmp_path):
-    cfg = tmp_path / "strict.cfg"
-    cfg.write_text("multiplier_tol = 1e-20\n")
-    code = main(["multipliers", "--config", str(cfg), "--n-max", "4",
-                 "--out", str(tmp_path / "r")])
+def test_main_suite_failure_exit_code(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "MULTIPLIER_TOL", 1e-20)
+    code = main(["multipliers", "--n-max", "4", "--out", str(tmp_path / "r")])
     assert code == 1
 
 
@@ -246,7 +265,7 @@ def test_non_convergence_reports_the_suite_dimension(tmp_path, monkeypatch, caps
 
 def test_non_convergence_leaves_other_suites_running(tmp_path, monkeypatch, capsys):
     def stalled(*args, **kwargs):
-        raise vpmeans.cli.ConvergenceError(8, 3, "fourth_moment", 320, 1.0, 2.0)
+        raise quadrature.ConvergenceError(8, 3, "fourth_moment", 320, 1.0, 2.0)
     monkeypatch.setattr(vpmeans.cli, "run_lemma_suite", stalled)
     config = parse_config(overrides={"n_list": "4,8", "corpus": "cusp:1.0",
                                      "out_dir": str(tmp_path)})
@@ -258,6 +277,26 @@ def test_non_convergence_leaves_other_suites_running(tmp_path, monkeypatch, caps
     assert summary["suites"]["lemmas"] == {"passed": False, "error": {
         "kind": "fourth_moment", "n": 8, "d": 3, "order": 320, "previous": 1.0, "last": 2.0}}
     assert all(summary["suites"][name]["passed"] for name in SUITES if name != "lemmas")
+
+
+def test_arithmetic_error_fails_only_its_suite(tmp_path, monkeypatch, capsys):
+    # an overflow carries none of ConvergenceError's fields: they are null,
+    # `kind` names the exception type and `d` is the suite's
+    def overflowing(*args, **kwargs):
+        raise OverflowError("math range error")
+    monkeypatch.setattr(vpmeans.cli, "run_modulus_suite", overflowing)
+    config = parse_config(overrides={"n_list": "4,8", "corpus": "cusp:1.0",
+                                     "out_dir": str(tmp_path)})
+    assert dispatch(config, "all") == 1
+    err = capsys.readouterr().err
+    assert err == "error: modulus: math range error\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [f"{name}.csv" for name in SUITES if name != "modulus"] + ["summary.json"])
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["suites"]["modulus"] == {"passed": False, "error": {
+        "kind": "OverflowError", "n": None, "d": 3, "order": None, "previous": None,
+        "last": None}}
+    assert all(summary["suites"][name]["passed"] for name in SUITES if name != "modulus")
 
 
 def test_dispatch_rerun_byte_identical(tmp_path):

@@ -31,3 +31,16 @@ def test_readme_names_every_run_memo():
     listed = re.search(r"of the per-run memos \(([^)]*)\)", readme)
     assert listed
     assert sorted(re.findall(r"`(\w+)`", listed.group(1))) == sorted(run_memo_stats())
+
+
+def test_readme_names_every_configuration_key():
+    # the configuration paragraph lists the settable keys, so a key added or
+    # removed without its mention there fails here
+    from dataclasses import fields
+
+    from vpmeans.cli import RunConfig
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"The configuration keys \(([^)]*)\)", readme)
+    assert listed
+    assert sorted(re.findall(r"`(\w+)`", listed.group(1))) == sorted(
+        f.name for f in fields(RunConfig))
