@@ -18,10 +18,10 @@ import tempfile
 import time
 from dataclasses import dataclass, fields, replace
 
-from .experiments import (_CORPUS_SPECTRAL, run_converse_suite, run_delayed_max_suite,
-                          run_lemma_suite, run_modulus_suite,
-                          run_multiplier_identity_suite, run_selftest_suite,
-                          run_voronovskaya_suite)
+from .experiments import (_CORPUS_SPECTRAL, MULTIPLIER_REACH, corpus_band_limit,
+                          run_converse_suite, run_delayed_max_suite, run_lemma_suite,
+                          run_modulus_suite, run_multiplier_identity_suite,
+                          run_selftest_suite, run_voronovskaya_suite)
 from .function_space import _CONTEXTS, corpus_ids
 from .kernel import _RUNGS
 from .memo import run_memo_stats, run_scope
@@ -148,8 +148,8 @@ def _validate(config):
         raise ConfigError(f"d must be >= 3, got {config.d}")
     if config.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {config.seed}")
-    if not 0 <= config.n_max <= config.band_budget - 4:     # the multipliers read k <= n_max + 4
-        raise ConfigError(f"n_max must be >= 0 and n_max + 4 <= band_budget="
+    if not 0 <= config.n_max <= config.band_budget - MULTIPLIER_REACH:
+        raise ConfigError(f"n_max must be >= 0 and n_max + {MULTIPLIER_REACH} <= band_budget="
                           f"{config.band_budget}, got n_max={config.n_max}")
     known = set(corpus_ids(config.seed))
     for fid in config.corpus:
@@ -165,7 +165,7 @@ def _validate(config):
         raise ConfigError("p_list must be nonempty")
     if config.theta_grid_size < 2:
         raise ConfigError(f"theta_grid_size must be >= 2, got {config.theta_grid_size}")
-    needed = 4 * max(config.n_list) + 64
+    needed = corpus_band_limit(max(config.n_list))
     if needed > config.band_budget:
         raise ConfigError(
             f"band budget exceeded: n_list requires a band limit of {needed} "

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .function_space import (ZonalSpectral, corpus_member, lp_norm_maxima, lp_norms_batch,
+from .function_space import (ZonalSpectral, lp_norm_maxima, lp_norms_batch, make_corpus,
                              zonal_project, zonal_synthesis)
 from .kernel import (_alpha_nested, _multiplier_integrals, _refine, alpha_voronovskaya,
                      default_order, kernel_norm_constant, lemma_integral, multiplier_sequence,
@@ -46,6 +46,7 @@ VORONOVSKAYA_WINDOW = 3.0       # max/min of the normalized Voronovskaya residua
 ALPHA_BOUNDS = (0.5, 2.0)       # range of n * alpha(n)
 RATIO_WINDOW = 25.0             # max/min of the converse and delayed-max ratios
 EQUIVALENCE_WINDOW = 50.0       # omega / K-estimate lies in [1/window, window]
+MULTIPLIER_REACH = 4            # the multiplier suite reads k <= n + 4 at each degree n
 
 
 def _fmt(value):
@@ -89,25 +90,29 @@ def _window(values):
 _CORPUS_SPECTRAL = RunMemo("corpus_spectral")
 
 
+def corpus_band_limit(n_max):
+    """The band limit K = 4 n_max + 64 of the corpus for degrees up to n_max."""
+    return 4 * n_max + 64
+
+
 def prepare_corpus(corpus, d, n_max, seed=42):
-    """The ids of `corpus`, in order, in spectral form on the shared band limit
-    K = 4 n_max + 64: exact coefficients for band-limited members, quadrature
-    projection for the rest.  Each is memoised per run on (d, K, seed, id), so
-    the suites of one run share each projection; the members not yet memoised
-    are projected by one `zonal_project` call, one streamed pass over Q_k in
-    degree blocks, and none when all are memoised."""
-    lam, band_limit = (d - 2) / 2.0, 4 * n_max + 64
+    """The ids of `corpus`, in order, in spectral form on the band limit
+    K = `corpus_band_limit(n_max)`: exact coefficients for band-limited
+    members, quadrature projection for the rest, memoised per run on (d, K,
+    seed, id).  The members not yet memoised come from one `make_corpus` call,
+    the projected ones from one streamed `zonal_project` pass; nothing is
+    built when all are memoised.  An unknown id raises KeyError, a LookupError."""
+    lam, band_limit = (d - 2) / 2.0, corpus_band_limit(n_max)
     keys = {fid: (d, band_limit, seed, fid) for fid in corpus}
-    missing = [corpus_member(d, fid, seed=seed)
-               for fid, key in keys.items() if key not in _CORPUS_SPECTRAL]
-    profiles = [member for member in missing if member.coeffs is None]
-    resolved = dict(zip([member.tag for member in profiles],
-                        zonal_project(profiles, band_limit, lam)))
-    for member in missing:
-        if member.coeffs is not None:
-            coeffs = np.pad(member.coeffs, (0, band_limit + 1 - len(member.coeffs)))
-            coeffs.setflags(write=False)
-            resolved[member.tag] = ZonalSpectral(lam, coeffs, projection_residual=0.0)
+    missing = [fid for fid, key in keys.items() if key not in _CORPUS_SPECTRAL]
+    members = {member.tag: member for member in make_corpus(d, seed=seed)} if missing else {}
+    projected = [fid for fid in missing if members[fid].coeffs is None]     # KeyError if unknown
+    resolved = dict(zip(projected,
+                        zonal_project([members[fid] for fid in projected], band_limit, lam)))
+    for fid in set(missing) - set(projected):       # the exact coefficients, padded to K
+        coeffs = np.pad(members[fid].coeffs, (0, band_limit + 1 - len(members[fid].coeffs)))
+        coeffs.setflags(write=False)
+        resolved[fid] = ZonalSpectral(lam, coeffs, projection_residual=0.0)
     return [_CORPUS_SPECTRAL.lookup(keys[fid], lambda fid=fid: resolved[fid])
             for fid in corpus]
 
@@ -118,14 +123,14 @@ def prepare_corpus(corpus, d, n_max, seed=42):
 
 def run_multiplier_identity_suite(d, n_max, order=None):
     """Closed-form multiplier weights against their quadrature route for all
-    n <= n_max and k <= n + 4, including the exact zeros at k > n.  The
-    quadrature values equal multiplier_via_quadrature(n, k, d, order); the
-    Gauss rules are built in one batch, and the cells sharing a Gauss order
-    are integrated together, one order at a time."""
+    n <= n_max and k <= n + MULTIPLIER_REACH, including the exact zeros at
+    k > n.  The quadrature values equal multiplier_via_quadrature(n, k, d,
+    order); the Gauss rules are built in one batch, and the cells sharing a
+    Gauss order are integrated together, one order at a time."""
     lam = (d - 2) / 2.0
     by_order = {}
     for n in range(n_max + 1):
-        for k in range(n + 5):
+        for k in range(n + MULTIPLIER_REACH + 1):
             rule_order = default_order(n, k) if order is None else order
             by_order.setdefault(rule_order, []).append((n, k))
     gauss_legendre_many(list(by_order))
@@ -227,11 +232,10 @@ def run_voronovskaya_suite(d, n_list):
                          "normalized": normalized})
     lo, hi, ratio = _window(normalized_all)
     alpha_ok = all(ALPHA_BOUNDS[0] <= v <= ALPHA_BOUNDS[1] for v in n_alpha.values())
-    # refinement self-check: alpha at the largest n, tighter tolerance
+    # refinement self-check: alpha(n_top), the sweep's last, at a tighter tolerance
     n_top = max(n_list)
-    a1 = alpha_voronovskaya(n_top, d)
     a2 = alpha_voronovskaya(n_top, d, rtol=1e-11)
-    refine_ok = abs(a1 - a2) <= 1e-6 * abs(a2)
+    refine_ok = abs(alpha - a2) <= 1e-6 * abs(a2)
     closed = sum(1.0 / (n_top + j) for j in range(1, d - 1)) / (d - 2)
     passed = ratio <= VORONOVSKAYA_WINDOW and alpha_ok and refine_ok
     return ExperimentReport(
@@ -242,7 +246,7 @@ def run_voronovskaya_suite(d, n_list):
                   "n_alpha": {str(n): v for n, v in sorted(n_alpha.items())},
                   "window_bound": VORONOVSKAYA_WINDOW, "alpha_bounds": list(ALPHA_BOUNDS),
                   "refinement_check": refine_ok,
-                  "alpha_closed_form_gap": abs(a1 - closed) / closed},
+                  "alpha_closed_form_gap": abs(alpha - closed) / closed},
     )
 
 

@@ -274,7 +274,7 @@ def lp_norm_maxima(columns, sizes, lam, ps, d, reference=None):
     `reference` minus each column) over each run of consecutive columns, the
     runs of the given `sizes`: one row of run maxima per p.  The builder
     `columns(indices)` gives the (K + 1, len(indices)) columns of an index
-    array, at most BLOCK_COLUMNS + 1 at a time: no full matrix is made.
+    array, at most BLOCK_COLUMNS at a time and each once in the bound pass.
 
     One pass over the coefficients bounds each column's norm (p = inf:
     sum_k |a_k|; p = 1: |S^{d-1}|^(1/2) ||g||_2) and, the same way, its step
@@ -303,18 +303,19 @@ def lp_norm_maxima(columns, sizes, lam, ps, d, reference=None):
     ref = 0.0 if reference is None else np.asarray(reference, dtype=float)[:, None]
     area, eps, inverse_dims = surface_area(d), np.finfo(float).eps, _inverse_dims(k_max, lam)
     sums, l2, mass = np.empty(count), np.empty(count), np.full(count, np.sum(np.abs(ref)))
-    steps = {INF: np.zeros(count), 1: np.zeros(count)}
+    steps = {INF: np.empty(count), 1: np.empty(count)}
     for start in range(0, count, BLOCK_COLUMNS):
-        at, left = slice(start, min(start + BLOCK_COLUMNS, count)), max(start - 1, 0)
-        # each later block with its left neighbour: 65 columns
-        block = columns(np.arange(left, at.stop)) if start else block
-        a = np.abs(ref - block[:, start - left:])
+        at = slice(start, min(start + BLOCK_COLUMNS, count))
+        # the first column's step is 0; a copy frees the previous block
+        left = block[:, -1:].copy() if start else block[:, :1]
+        block = columns(np.arange(start, at.stop)) if start else block
+        a = np.abs(ref - block)
         sums[at] = a.sum(axis=0)
         l2[at] = np.sqrt(area * np.einsum("k,kj->j", inverse_dims, a * a))
-        mass[at] += np.abs(block[:, start - left:]).sum(axis=0)
-        step = np.diff(block, axis=1)
-        steps[INF][left + 1:at.stop] = np.abs(step).sum(axis=0)
-        steps[1][left + 1:at.stop] = area * np.sqrt(np.einsum("k,kj->j", inverse_dims, step * step))
+        mass[at] += np.abs(block).sum(axis=0)
+        step = np.diff(np.hstack((left, block)), axis=1)      # to the left neighbour
+        steps[INF][at] = np.abs(step).sum(axis=0)
+        steps[1][at] = area * np.sqrt(np.einsum("k,kj->j", inverse_dims, step * step))
     bounds = {INF: sums, 1: math.sqrt(area) * l2}
     rows = []
     for p in ps:

@@ -218,9 +218,9 @@ _RUNGS = RunMemo("refinement")
 
 def _refine(evaluate, order, rtol, max_refinements, n, d, kind, s=None):
     """Double `order` until two successive evaluate(order) agree to `rtol`
-    relative; raise ConvergenceError when the budget runs out first.  Rungs
-    are memoised per run on (kind, n, d, lemma exponent s, order), and every
-    ladder, converged or not, is appended to the memo's log."""
+    relative; raise ConvergenceError at the first rung that is not finite or
+    when the budget runs out.  Rungs are memoised per run on (kind, n, d,
+    lemma exponent s, order); every ladder is appended to the memo's log."""
     hits, misses = _RUNGS.hits, _RUNGS.misses
 
     def rung(o):
@@ -228,11 +228,11 @@ def _refine(evaluate, order, rtol, max_refinements, n, d, kind, s=None):
 
     prev, cur = None, rung(order)
     converged = False
-    for _ in range(max_refinements):
+    for _ in range(max_refinements if math.isfinite(cur) else 0):
         order *= 2
         prev, cur = cur, rung(order)
-        converged = abs(cur - prev) <= rtol * abs(cur)
-        if converged:
+        converged = math.isfinite(cur) and abs(cur - prev) <= rtol * abs(cur)
+        if converged or not math.isfinite(cur):
             break
     _RUNGS.log.append({"kind": kind, "n": n, "d": d, "s": s, "order": order,
                        "evaluated": _RUNGS.misses - misses, "memo_hits": _RUNGS.hits - hits,

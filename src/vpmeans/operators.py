@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .function_space import GridFunction, ZonalSpectral, zonal_synthesis
-from .kernel import _multiplier_prefixes, kernel_norm_constant, multiplier_sequence
+from .kernel import _multiplier_prefixes, kernel_norm_constant
 from .special import q_table
 
 __all__ = [
@@ -29,16 +29,14 @@ __all__ = [
 
 def means_columns(f, degrees, powers=(1,)):
     """The coefficients of V_n^m f, a_k -> (omega_{n,k})^m a_k, one column per
-    (n, m): degree by degree, the powers of one degree side by side."""
+    (n, m), the powers of one degree side by side, from `_multiplier_prefixes`."""
     if min(powers) < 1:
         raise ValueError(f"operator powers must be >= 1, got {tuple(powers)}")
-    cols = np.empty((f.band_limit + 1, len(degrees) * len(powers)))
-    _multiplier_prefixes(degrees, f.lam, f.band_limit)     # one lgamma window for all
-    for j, n in enumerate(degrees):
-        w = multiplier_sequence(n, f.lam, f.band_limit)
+    cols = np.zeros((f.band_limit + 1, len(degrees) * len(powers)))
+    for j, w in enumerate(_multiplier_prefixes(degrees, f.lam, f.band_limit)):
         for i, m in enumerate(powers):
             # w ** 1 equals w but costs a pow per entry
-            cols[:, j * len(powers) + i] = f.coeffs * (w if m == 1 else w ** m)
+            cols[:w.size, j * len(powers) + i] = f.coeffs[:w.size] * (w if m == 1 else w ** m)
     return cols
 
 

@@ -42,14 +42,15 @@ _J0_ZEROS = np.array([2.404825557695773, 5.520078110286311, 8.653727912911013,
 
 class ConvergenceError(ArithmeticError):
     """A refinement loop ran out of budget before two successive iterates
-    agreed, or a Newton loop before its step fell below tolerance.
-    `previous` is None when the budget allowed no refinement; `d` is None
-    for a Gauss rule, which has no dimension."""
+    agreed, or met an iterate that is not finite, or a Newton loop ran out
+    before its step fell below tolerance.  `previous` is None when no earlier
+    iterate was taken; `d` is None for a Gauss rule, which has no dimension."""
 
     def __init__(self, n, d, kind, order, previous, last):
         self.n, self.d, self.kind, self.order = n, d, kind, order
         self.previous, self.last = previous, last
-        super().__init__(f"{kind} did not converge at n={n}{'' if d is None else f', d={d}'}: "
+        fault = "did not converge" if np.isfinite(last) else "gave an iterate that is not finite"
+        super().__init__(f"{kind} {fault} at n={n}{'' if d is None else f', d={d}'}: "
                          f"order {order} gave {last!r} after {previous!r}")
 
 
@@ -245,10 +246,8 @@ class SphereGrid:
 
     Exact for spherical polynomials of total degree <= 2*bands - 1.
     """
-    polar_nodes: np.ndarray      # colatitudes theta_i in (0, pi), increasing
-    azimuth_count: int
     point_weights: np.ndarray    # one weight per point, sum = 4 pi
-    points: np.ndarray           # (N, 3) unit vectors, polar-major ordering
+    points: np.ndarray           # (N, 3) unit vectors, polar-major, theta increasing
 
 
 def sphere_grid(bands):
@@ -259,20 +258,18 @@ def sphere_grid(bands):
     if cached is not None:
         return cached
     rule = gauss_legendre(bands)
-    # increasing x = cos(theta) means decreasing theta; store increasing theta
+    # increasing x = cos(theta) means decreasing theta; order by increasing theta
     theta = np.arccos(rule.nodes)[::-1]
-    polar_w = rule.weights[::-1]
     m = 2 * bands
     phi = 2.0 * np.pi * np.arange(m) / m
     sin_t = np.sin(theta)
-    cos_t = np.cos(theta)
     pts = np.empty((bands * m, 3))
     pts[:, 0] = np.outer(sin_t, np.cos(phi)).ravel()
     pts[:, 1] = np.outer(sin_t, np.sin(phi)).ravel()
-    pts[:, 2] = np.repeat(cos_t, m)
-    w = np.repeat(polar_w * (2.0 * np.pi / m), m)
-    for arr in (theta, w, pts):
+    pts[:, 2] = np.repeat(np.cos(theta), m)
+    w = np.repeat(rule.weights[::-1] * (2.0 * np.pi / m), m)
+    for arr in (w, pts):
         arr.setflags(write=False)
-    grid = SphereGrid(polar_nodes=theta, azimuth_count=m, point_weights=w, points=pts)
+    grid = SphereGrid(point_weights=w, points=pts)
     _GRID_CACHE[bands] = grid
     return grid

@@ -1,6 +1,7 @@
 import datetime
 import json
 import re
+from collections import Counter
 
 import pytest
 
@@ -94,6 +95,12 @@ def test_missing_file_rejected():
 def test_band_budget_validation():
     with pytest.raises(ConfigError, match="band budget"):
         parse_config(overrides={"n_list": "4,8,512"})
+    # at the default budget the corpus band limit 4 max(n_list) + 64 of the
+    # suites reaches 2048 at 496
+    assert parse_config().band_budget == 2048 == experiments.corpus_band_limit(496)
+    assert parse_config(overrides={"n_list": "8,496"}).n_list == (8, 496)
+    with pytest.raises(ConfigError, match="requires a band limit of 2052 but band_budget=2048"):
+        parse_config(overrides={"n_list": "8,497"})
     config = parse_config(overrides={"n_list": "4,8,512", "band_budget": "4096"})
     assert max(config.n_list) == 512
 
@@ -109,8 +116,10 @@ def test_k_cap_bounded_by_band_budget(tmp_path):
 
 
 def test_n_max_bounded_by_band_budget(tmp_path):
-    # the multiplier suite reads Q_k up to k = n_max + 4
+    # the multiplier suite reads Q_k up to k = n_max + 4: 2044 is the largest
+    # n_max at the default budget
     budget = parse_config().band_budget
+    assert budget - experiments.MULTIPLIER_REACH == 2044
     assert parse_config(overrides={"n_max": str(budget - 4)}).n_max == budget - 4
     for n_max in (budget - 3, 10 ** 8):
         with pytest.raises(ConfigError, match=rf"band_budget={budget}, got n_max={n_max}$"):
@@ -401,6 +410,10 @@ def test_summary_reports_refinement_ladders(small_all_run):
                             "previous", "last", "converged"}
         assert rec["converged"] and rec["d"] == 3
         assert abs(rec["last"] - rec["previous"]) <= 1e-8 * abs(rec["last"])
+    # one ladder per n of the sweep, one more at the tighter self-check of
+    # n_top = 16 and one at the selftest's alpha route gap, (n, d) = (32, 3)
+    alpha = Counter(rec["n"] for rec in ladders if rec["kind"] == "alpha_voronovskaya")
+    assert alpha == {4: 1, 8: 1, 16: 2, 32: 1}
     # the self-checks replay the rungs of the sweep
     assert sum(rec["memo_hits"] for rec in ladders) == summary["diagnostics"]["caches"][
         "refinement"]["hits"] > 0

@@ -11,7 +11,8 @@ import vpmeans.function_space
 import vpmeans.smoothness
 from vpmeans import quadrature
 from vpmeans.cli import config_hash
-from vpmeans.experiments import (_delayed_maxima, measure_envelope_constant, prepare_corpus,
+from vpmeans.experiments import (_delayed_maxima, corpus_band_limit, measure_envelope_constant,
+                                 prepare_corpus,
                                  run_converse_suite, run_delayed_max_suite,
                                  run_lemma_suite, run_modulus_suite,
                                  run_multiplier_identity_suite,
@@ -243,6 +244,30 @@ def test_workspace_resolution():
     assert prepare_corpus(["cusp:0.5"], 5, 16)[0].lam == 1.5
     with pytest.raises(LookupError):
         prepare_corpus(["unknown:1"], 3, 16)
+
+
+def test_prepare_corpus_builds_the_corpus_at_most_once(monkeypatch):
+    # the missing ids come from one make_corpus call, and a call that finds
+    # every id memoised builds no corpus
+    built, make = [], vpmeans.experiments.make_corpus
+
+    def counted(d, seed=42):
+        built.append((d, seed))
+        return make(d, seed=seed)
+    monkeypatch.setattr(vpmeans.experiments, "make_corpus", counted)
+    clear_run_memos()
+    corpus = corpus_ids()
+    first = prepare_corpus(corpus, 3, 8)
+    assert built == [(3, 42)]
+    assert [f.band_limit for f in first] == [corpus_band_limit(8)] * len(corpus)
+    assert all(a is b for a, b in zip(first, prepare_corpus(corpus[::-1], 3, 8)[::-1]))
+    assert built == [(3, 42)]
+    prepare_corpus(corpus[:2], 3, 9)          # another band limit: all missing again
+    assert built == [(3, 42)] * 2
+    with pytest.raises(LookupError, match="unknown:1"):
+        prepare_corpus(["bump", "unknown:1"], 3, 10)
+    assert built == [(3, 42)] * 3
+    clear_run_memos()
 
 
 def test_workspace_prepare_projects_once_and_builds_nothing_when_memoised(monkeypatch):

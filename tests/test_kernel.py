@@ -351,6 +351,43 @@ def test_refinement_memo_evaluates_only_new_orders(monkeypatch):
     assert log[0]["last"] == fine and log[0]["evaluated"] == len(set(orders))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_refinement_ends_at_the_first_non_finite_rung(monkeypatch, value):
+    orders = []
+
+    def broken(n, d, order):
+        orders.append(order)
+        return value
+    monkeypatch.setattr(vpmeans.kernel, "_alpha_at_order", broken)
+    clear_run_memos()
+    with pytest.raises(ConvergenceError, match="not finite") as info:
+        alpha_voronovskaya(8, 4)
+    err = info.value
+    assert orders == [default_order(8) + 32]
+    assert (err.kind, err.n, err.d, err.order, err.previous) == (
+        "alpha_voronovskaya", 8, 4, orders[0], None)
+    log = vpmeans.kernel._RUNGS.log
+    assert len(log) == 1 and not log[0]["converged"] and log[0]["evaluated"] == 1
+    clear_run_memos()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_refinement_ends_at_a_non_finite_rung_after_a_finite_one(monkeypatch, value):
+    # an inf rung is not converged, though |inf - x| <= rtol * inf holds
+    orders = []
+
+    def broken(o):
+        orders.append(o)
+        return 1.0 if len(orders) == 1 else value
+    clear_run_memos()
+    with pytest.raises(ConvergenceError, match="not finite") as info:
+        vpmeans.kernel._refine(broken, 40, 1e-9, 8, 3, 5, "fourth_moment", 4.0)
+    assert orders == [40, 80]
+    assert (info.value.order, info.value.previous) == (80, 1.0)
+    assert not vpmeans.kernel._RUNGS.log[-1]["converged"]
+    clear_run_memos()
+
+
 def _convergence_fields(call):
     with pytest.raises(ConvergenceError) as info:
         call()

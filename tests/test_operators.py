@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vpmeans.operators
@@ -223,6 +223,7 @@ def test_operator_multiplier_sequences():
 @given(d=st.sampled_from([3, 4, 5]), band=st.integers(0, 60),
        degrees=st.lists(st.integers(0, 80), max_size=6),
        powers=st.lists(st.integers(1, 9), min_size=1, max_size=4), seed=st.integers(0, 2 ** 32 - 1))
+@example(d=3, band=40, degrees=[0, 3, 40, 47], powers=[1, 2, 7], seed=11)   # 0, K and above K
 def test_means_columns_are_the_multiplier_products(d, band, degrees, powers, seed):
     # column (n, m), degree-major, is f.coeffs * omega_n^m bit for bit
     f = random_spectral(size=band + 1, lam=(d - 2) / 2.0, seed=seed)

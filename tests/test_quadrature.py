@@ -274,12 +274,15 @@ def test_doubling_stability():
 
 def test_sphere_grid_geometry():
     grid = sphere_grid(16)
-    assert grid.azimuth_count == 32
     assert len(grid.points) == 16 * 32 == len(grid.point_weights)
     norms = np.linalg.norm(grid.points, axis=1)
     assert np.max(np.abs(norms - 1.0)) <= 1e-14
-    assert np.all(np.diff(grid.polar_nodes) > 0)
-    assert grid.polar_nodes[0] > 0 and grid.polar_nodes[-1] < np.pi
+    # polar-major: 16 rings of 32 azimuths each, colatitudes increasing in (0, pi)
+    z = grid.points[:, 2].reshape(16, 32)
+    assert np.all(z == z[:, :1])
+    polar = np.arccos(z[:, 0])
+    assert np.all(np.diff(polar) > 0)
+    assert polar[0] > 0 and polar[-1] < np.pi
     assert abs(float(grid.point_weights.sum()) - 4.0 * np.pi) <= 1e-10
 
 
