@@ -15,9 +15,10 @@ import numpy as np
 
 from .function_space import (ZonalSpectral, lp_norm_maxima, lp_norms_batch, make_corpus,
                              zonal_project, zonal_synthesis)
-from .kernel import (_alpha_nested, _multiplier_integrals, _refine, alpha_voronovskaya,
-                     default_order, kernel_norm_constant, lemma_integral, multiplier_sequence,
-                     multiplier_via_quadrature, multiplier_weight, vpm_kernel_eval)
+from .kernel import (_alpha_nested, _multiplier_integrals, _multiplier_prefixes, _refine,
+                     alpha_voronovskaya, default_order, kernel_norm_constant, lemma_integral,
+                     multiplier_sequence, multiplier_via_quadrature, multiplier_weight,
+                     vpm_kernel_eval)
 from .memo import RunMemo
 from .operators import (means_columns, sample_zonal_on_grid, translate_direct,
                         translate_spectral, vpm_grid, vpm_means, zonal_point_function)
@@ -122,11 +123,10 @@ def prepare_corpus(corpus, d, n_max, seed=42):
 
 
 def run_multiplier_identity_suite(d, n_max, order=None):
-    """Closed-form multiplier weights against their quadrature route for all
-    n <= n_max and k <= n + MULTIPLIER_REACH, including the exact zeros at
-    k > n.  The quadrature values equal multiplier_via_quadrature(n, k, d,
-    order); the Gauss rules are built in one batch, and the cells sharing a
-    Gauss order are integrated together, one order at a time."""
+    """Closed-form weights, one `_multiplier_prefixes` batch, against their
+    quadrature route, multiplier_via_quadrature(n, k, d, order) from one
+    `_multiplier_integrals` call by Gauss order, for all n <= n_max and
+    k <= n + MULTIPLIER_REACH, including the exact zeros at k > n."""
     lam = (d - 2) / 2.0
     by_order = {}
     for n in range(n_max + 1):
@@ -134,12 +134,13 @@ def run_multiplier_identity_suite(d, n_max, order=None):
             rule_order = default_order(n, k) if order is None else order
             by_order.setdefault(rule_order, []).append((n, k))
     gauss_legendre_many(list(by_order))
+    closed = _multiplier_prefixes(range(n_max + 1), lam, n_max + MULTIPLIER_REACH)
+    cells = [cell for group in by_order.values() for cell in group]
     rows = []
-    for rule_order, cells in by_order.items():
-        for (n, k), quad in zip(cells, _multiplier_integrals(cells, d, rule_order)):
-            closed = multiplier_weight(n, k, lam)
-            rows.append({"d": d, "n": n, "k": k, "closed_form": closed,
-                         "quadrature": quad, "abs_diff": abs(closed - quad)})
+    for (n, k), quad in zip(cells, _multiplier_integrals(by_order, d)):
+        omega = float(closed[n][k]) if k <= n else 0.0
+        rows.append({"d": d, "n": n, "k": k, "closed_form": omega,
+                     "quadrature": quad, "abs_diff": abs(omega - quad)})
     rows.sort(key=lambda r: (r["n"], r["k"]))
     worst = max(rows, key=lambda r: r["abs_diff"])
     max_diff = worst["abs_diff"]
@@ -190,9 +191,8 @@ def run_lemma_suite(d, n_list):
         lo, hi, ratio = _window(seq[upper:])
         windows[quantity] = {"min": lo, "max": hi, "ratio": ratio}
         passed = passed and ratio <= LEMMA_WINDOW
-    # refinement self-check: largest n, most singular moment
-    n_top = n_list[-1]
-    coarse = lemma_integral(n_top, d, "neg_lambda")
+    # refinement self-check: largest n, most singular moment, the sweep's last
+    n_top, coarse = n_list[-1], vals["neg_lambda"][0]
     fine = lemma_integral(n_top, d, "neg_lambda", order=4 * (n_top + 64))
     refine_ok = abs(fine - coarse) <= 1e-6 * abs(coarse)
     passed = passed and refine_ok

@@ -118,18 +118,36 @@ def multiplier_sequence(n, lam, k_max):
     return out
 
 
-def _multiplier_integrals(cells, d, order):
-    """integral_0^pi v_n Q_k sin^(2 lam) for each (n, k) of `cells` by the
-    `order`-point rule mapped to [0, pi].  The nodes, weights, cos^2(theta/2),
-    sin^(2 lam) and the Q table are built once; each cell runs the operations
-    of integrate_theta(vpm_kernel_eval(v_n) * Q_k) in the same order."""
-    lam = (d - 2) / 2.0
-    theta, w = mapped_rule(0.0, np.pi, order)
-    s = 0.5 + 0.5 * np.cos(theta)
-    sinpow = np.sin(theta) ** (2.0 * lam)
-    table = q_table(max(k for _, k in cells), lam, theta)
-    return [float(np.sum(w * ((s ** n * math.exp(-kernel_norm_constant(n, d))) * table[:, k])
-                         * sinpow)) for n, k in cells]
+_TABLE_NODES, _BLOCK_CELLS = 512, 2 ** 15   # nodes per shared Q table, entries per matrix
+
+
+def _multiplier_integrals(groups, d):
+    """integral_0^pi v_n Q_k sin^(2 lam) for each (n, k) of the cells of
+    `groups` = {order: cells}, in order, by the order-point rule mapped to
+    [0, pi], each integrate_theta(vpm_kernel_eval(v_n) * Q_k) bit for bit.
+    Consecutive orders share a Q table of up to _TABLE_NODES nodes; an order's
+    cells are C-ordered rows Q_k, _BLOCK_CELLS entries at a time, each scaled
+    in place by its v_n, then by w and sin^(2 lam), and summed alone."""
+    lam, out, orders = (d - 2) / 2.0, [], list(groups)
+    while orders:
+        run = orders[:1]
+        while len(run) < len(orders) and sum(run) + orders[len(run)] <= _TABLE_NODES:
+            run.append(orders[len(run)])
+        del orders[:len(run)]
+        rules = [mapped_rule(0.0, np.pi, order) for order in run]
+        k_max = max(k for order in run for _, k in groups[order])
+        table, start = q_table(k_max, lam, np.concatenate([t for t, _ in rules])).T, 0
+        for order, (theta, w) in zip(run, rules):
+            s, sinpow = 0.5 + 0.5 * np.cos(theta), np.sin(theta) ** (2.0 * lam)
+            q, start = table[:, start:start + order], start + order
+            step = max(1, _BLOCK_CELLS // order)
+            for lo in range(0, len(groups[order]), step):
+                ns, ks = zip(*groups[order][lo:lo + step])
+                rows = np.ascontiguousarray(q[list(ks)])
+                for row, n in zip(rows, ns):
+                    row *= s ** n * math.exp(-kernel_norm_constant(n, d))
+                out.extend(np.sum(rows * w * sinpow, axis=1).tolist())
+    return out
 
 
 def multiplier_via_quadrature(n, k, d, order=None):
@@ -139,7 +157,7 @@ def multiplier_via_quadrature(n, k, d, order=None):
 
     This is the oracle against which the closed form is checked.
     """
-    return _multiplier_integrals([(n, k)], d, default_order(n, k) if order is None else order)[0]
+    return _multiplier_integrals({default_order(n, k) if order is None else order: [(n, k)]}, d)[0]
 
 
 # fixed Gauss orders of the smooth inner integrals (refinement is on the outer

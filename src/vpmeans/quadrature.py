@@ -5,13 +5,13 @@ Orders up to _NEWTON_X_MAX_ORDER come from Newton's method in x on all nodes;
 Legendre recurrence over the nodes of all of them per Newton sweep.  Larger
 orders come from Newton's method in theta on the nodes with theta < pi/2,
 mirrored by x -> -x, with P_n(cos theta) from its Stieltjes series in the
-interior and from the recurrence at the nine nodes next to theta = 0 (Hale &
-Townsend, SIAM J. Sci. Comput. 35(2), 2013); the weights are 2/(dP_n/dtheta)^2.
+interior and its cosine series (DLMF 18.5.11) at the nine nodes next to
+theta = 0 (Hale & Townsend, SIAM J. Sci. Comput. 35(2), 2013); the weights
+are 2/(dP_n/dtheta)^2.
 A Newton loop raises ConvergenceError after _NEWTON_BUDGET sweeps.  Rules and
 grids are read-only and cached by order.
 """
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,15 +67,12 @@ _GRID_CACHE: dict[int, "SphereGrid"] = {}
 
 
 def _legendre_theta_edge(n, theta):
-    """P_n(cos theta) and dP_n/dtheta by the recurrence.  It runs at the rounded
-    x, i.e. at theta_x = arccos(x); a Taylor step with Legendre's equation
-    P_tt = -cot(theta) P_t - n(n+1) P carries both values back to theta."""
-    x = np.cos(theta)
-    theta_x = np.arccos(x)
-    p_prev, p = deque(_gegenbauer_steps(n, 0.5, x), maxlen=2)
-    dp = n * (x * p - p_prev) / np.sin(theta_x)
-    h = theta - theta_x
-    return p + dp * h, dp - (dp / np.tan(theta_x) + n * (n + 1.0) * p) * h
+    """P_n(cos theta) and dP_n/dtheta, node by node, by the cosine series
+    sum_k a_k a_{n-k} cos((n - 2k) theta), a_k = (1/2)_k / k! (DLMF 18.5.11)."""
+    a = np.cumprod(np.concatenate(([1.0], (np.arange(n) + 0.5) / np.arange(1.0, n + 1))))
+    c, m = a * a[::-1], n - 2.0 * np.arange(n + 1)
+    return np.array([(np.sum(np.cos(t * m) * c), -np.sum(np.sin(t * m) * (c * m)))
+                     for t in theta]).T
 
 
 def _legendre_theta_series(n, theta):

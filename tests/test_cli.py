@@ -414,6 +414,10 @@ def test_summary_reports_refinement_ladders(small_all_run):
     # n_top = 16 and one at the selftest's alpha route gap, (n, d) = (32, 3)
     alpha = Counter(rec["n"] for rec in ladders if rec["kind"] == "alpha_voronovskaya")
     assert alpha == {4: 1, 8: 1, 16: 2, 32: 1}
+    # the lemma self-check takes n_top's value from the sweep and climbs one
+    # ladder, from order 4 (n_top + 64)
+    neg_lambda = Counter(rec["n"] for rec in ladders if rec["kind"] == "neg_lambda")
+    assert neg_lambda == {4: 1, 8: 1, 16: 2}
     # the self-checks replay the rungs of the sweep
     assert sum(rec["memo_hits"] for rec in ladders) == summary["diagnostics"]["caches"][
         "refinement"]["hits"] > 0

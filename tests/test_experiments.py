@@ -60,6 +60,31 @@ def test_multiplier_suite_quadrature_equals_per_cell_oracle(d, order):
         assert row["quadrature"] == multiplier_via_quadrature(row["n"], row["k"], d, order)
 
 
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_multiplier_suite_closed_form_equals_scalar_weight(d):
+    lam = (d - 2) / 2.0
+    for row in run_multiplier_identity_suite(d, 24).rows:
+        assert row["closed_form"] == multiplier_weight(row["n"], row["k"], lam)
+        assert type(row["closed_form"]) is float
+    clear_run_memos()
+
+
+def test_multiplier_suite_explicit_order_holds_a_bounded_peak():
+    # at an explicit order every cell shares one Gauss order: its 2405 rows
+    # by 2048 nodes would take 37.6 MB as one matrix; the Q table takes 1.1 MB
+    quadrature.gauss_legendre_many([2048] + list(range(64, 329, 2)))
+    clear_run_memos()
+    tracemalloc.start()
+    try:
+        report = run_multiplier_identity_suite(3, 64, order=2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and len(report.rows) == 2405
+    assert peak < 4 * 2 ** 20
+    clear_run_memos()
+
+
 def test_multiplier_suite_builds_its_rules_in_one_batch(monkeypatch):
     # 133 Gauss orders (32-164) plus the doubled-order self-check: rules built
     # one by one start ~6 Legendre recurrences each (817 in all), the lock-step

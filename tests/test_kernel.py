@@ -20,6 +20,7 @@ from vpmeans.function_space import ZonalSpectral
 from vpmeans.memo import clear_run_memos
 from vpmeans.operators import means_columns
 from vpmeans.quadrature import integrate_theta
+from vpmeans.special import q_table
 
 
 def test_norm_constant_degree_zero():
@@ -182,6 +183,30 @@ def test_multiplier_via_quadrature_values():
     assert multiplier_via_quadrature(9, 0, 4) == pytest.approx(1.0, abs=1e-12)
     assert multiplier_via_quadrature(2, 1, 3) == pytest.approx(0.5, abs=1e-10)
     assert abs(multiplier_via_quadrature(5, 7, 3)) <= 1e-10
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_multiplier_integrals_equal_per_cell_integrate_theta(monkeypatch, d):
+    # orders 40 + 200 share one Q table (up to _TABLE_NODES = 512 nodes), 300
+    # would overflow it and starts the next, 600 takes one alone; the 130
+    # cells of order 300 fill more than one matrix block
+    lam = (d - 2) / 2.0
+    tables = []
+    inner = vpmeans.kernel.q_table
+
+    def counted(k_max, lam, theta):
+        tables.append(len(theta))
+        return inner(k_max, lam, theta)
+    monkeypatch.setattr(vpmeans.kernel, "q_table", counted)
+    groups = {40: [(0, 0), (3, 5)], 200: [(50, 2), (7, 7), (120, 9)],
+              300: [(n % 97, n % 11) for n in range(130)], 600: [(250, 3), (0, 12)]}
+    got = vpmeans.kernel._multiplier_integrals(groups, d)
+    assert tables == [240, 300, 600]
+    assert 130 > vpmeans.kernel._BLOCK_CELLS // 300
+    expect = [integrate_theta(lambda t: vpm_kernel_eval(n, d, t) * q_table(k, lam, t)[:, k],
+                              lam, order)
+              for order, cells in groups.items() for n, k in cells]
+    assert got == expect
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])

@@ -25,6 +25,19 @@ def _legendre_and_derivative(n, x):
     return p, n * (x * p - p_prev) / (x * x - 1.0)
 
 
+def _legendre_theta_edge_recurrence(n, theta):
+    """P_n(cos theta) and dP_n/dtheta by the recurrence, the edge route the
+    rules above order 192 took before the cosine series.  It runs at the
+    rounded x, i.e. at theta_x = arccos(x); a Taylor step with Legendre's
+    equation P_tt = -cot(theta) P_t - n(n+1) P carries both values back to theta."""
+    x = np.cos(theta)
+    theta_x = np.arccos(x)
+    p_prev, p = deque(_gegenbauer_steps(n, 0.5, x), maxlen=2)
+    dp = n * (x * p - p_prev) / np.sin(theta_x)
+    h = theta - theta_x
+    return p + dp * h, dp - (dp / np.tan(theta_x) + n * (n + 1.0) * p) * h
+
+
 def _newton_x_rule(order):
     """The Newton-in-x rule of one order, built alone: the oracle of the
     lock-step batch.  Newton from cos(pi (i - 1/4)/(order + 1/2)) until
@@ -138,10 +151,49 @@ def test_rule_matches_newton_oracle(order):
     edge = slice(0, 64)
     ref = _longdouble_weights(order, rule.nodes[edge])
     assert np.all(np.abs(rule.weights[edge] / ref - 1.0) <= 1e-13 + slack[edge])
-    # the outermost weight, where the rounding of x costs most: the recurrence
-    # runs at the rounded x and dP/dtheta is taken at arccos of that x (the
-    # Newton weight at order 4480 is 1.9e-10 off)
-    assert abs(rule.weights[0] / ref[0] - 1.0) <= 1e-11
+    # the outermost weight of the rules in theta, where the rounding of x costs
+    # the Newton weights most (1.9e-10 at order 4480), to 1e-13 plus the
+    # reference's own rounding of x, eps_ld / (1 - x^2) (it is 1.3e-13 off
+    # mpmath at order 4480); order 192 is held by the edge bound above
+    if order > _NEWTON_X_MAX_ORDER:
+        ld_slack = np.finfo(np.longdouble).eps / (1.0 - x[0] * x[0])
+        assert abs(rule.weights[0] / ref[0] - 1.0) <= 1e-13 + ld_slack
+
+
+@pytest.mark.parametrize("n", [193, 257, 1088, 4480])
+def test_edge_cosine_series_matches_recurrence_oracle(n):
+    # the edge region (n + 1/2) theta <= 30 of the nine outermost nodes; the
+    # recurrence loses ~n eps in P_n and ~n^2 eps in dP_n/dtheta (measured
+    # <= 8.5 n eps and <= 23 n^2 eps at these orders)
+    theta = np.linspace(0.5, 30.0, 60) / (n + 0.5)
+    p, dp = quadrature._legendre_theta_edge(n, theta)
+    p_ref, dp_ref = _legendre_theta_edge_recurrence(n, theta)
+    assert np.all(np.abs(p - p_ref) <= 32 * n * EPS)
+    assert np.all(np.abs(dp - dp_ref) <= 64 * n * n * EPS)
+
+
+def _mp_weight(n, x):
+    """The Gauss weight 2/((1-x^2) P_n'(x)^2) at the zero of P_n next to the
+    float `x`, by two Newton steps on the recurrence at 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        for _ in range(2):
+            p_prev, p = mpmath.mpf(1), x
+            for j in range(1, n):
+                p, p_prev = ((2 * j + 1) * x * p - j * p_prev) / (j + 1), p
+            dp = n * (x * p - p_prev) / (x * x - 1)
+            x -= p / dp
+        return float(2 / ((1 - x * x) * dp * dp))
+
+
+@pytest.mark.parametrize("order", [193, 1088, 4480, 17920])
+def test_outermost_weights_match_mpmath(order):
+    # the weights next to x = -1 (the rule is mirror symmetric), where the
+    # recurrence edge was 8.0e-12 off at order 4480 and 1.4e-10 at 17920
+    rule = gauss_legendre(order)
+    for i in range(3):
+        assert abs(rule.weights[i] / _mp_weight(order, rule.nodes[i]) - 1.0) <= 1e-13
 
 
 def test_tabulated_bessel_zeros():
