@@ -23,8 +23,7 @@ from .experiments import (_CORPUS_SPECTRAL, MULTIPLIER_REACH, corpus_band_limit,
                           run_modulus_suite, run_multiplier_identity_suite,
                           run_selftest_suite, run_voronovskaya_suite)
 from .function_space import _CONTEXTS, corpus_ids
-from .kernel import _RUNGS
-from .memo import run_memo_stats, run_scope
+from .memo import _LADDERS, run_memo_stats, run_scope
 
 try:
     from resource import RUSAGE_SELF, getrusage
@@ -269,7 +268,7 @@ def _summary(snapshot, digest, reports, errors, timings, pruning):
         "suites": {**{r.suite: {"passed": r.passed, "measured": r.measured} for r in reports},
                    **{name: {"passed": False, "error": error} for name, error in errors.items()}},
         "constants": constants,
-        "diagnostics": {"caches": run_memo_stats(), "refinements": _RUNGS.log,
+        "diagnostics": {"caches": run_memo_stats(), "refinements": _LADDERS,
                         # d|K|function id -> relative L^2 residual, 0.0 if exact
                         "projection_residuals": {
                             f"{d}|{k}|{fid}": spectral.projection_residual

@@ -2,7 +2,7 @@
 
 Each suite sweeps one family of computable identities or bound shapes,
 collects per-cell rows into an ExperimentReport, re-runs its most sensitive
-cell at doubled quadrature resolution as a self-check, and judges pass/fail
+cell at a finer quadrature resolution as a self-check, and judges pass/fail
 against the windows below.  All thresholds are existential stand-ins for
 constants that are never pinned down analytically, so the windows are
 generous module constants, and `measured` echoes the ones each suite used.
@@ -15,10 +15,10 @@ import numpy as np
 
 from .function_space import (ZonalSpectral, lp_norm_maxima, lp_norms_batch, make_corpus,
                              zonal_project, zonal_synthesis)
-from .kernel import (_alpha_nested, _multiplier_integrals, _multiplier_prefixes, _refine,
-                     alpha_voronovskaya, default_order, kernel_norm_constant, lemma_integral,
-                     multiplier_sequence, multiplier_via_quadrature, multiplier_weight,
-                     vpm_kernel_eval)
+from .kernel import (_alpha_at_order, _alpha_nested, _multiplier_integrals,
+                     _multiplier_prefixes, _refine, alpha_voronovskaya, default_order,
+                     kernel_norm_constant, lemma_integral, multiplier_sequence,
+                     multiplier_via_quadrature, multiplier_weight, vpm_kernel_eval)
 from .memo import RunMemo
 from .operators import (means_columns, sample_zonal_on_grid, translate_direct,
                         translate_spectral, vpm_grid, vpm_means, zonal_point_function)
@@ -191,9 +191,10 @@ def run_lemma_suite(d, n_list):
         lo, hi, ratio = _window(seq[upper:])
         windows[quantity] = {"min": lo, "max": hi, "ratio": ratio}
         passed = passed and ratio <= LEMMA_WINDOW
-    # refinement self-check: largest n, most singular moment, the sweep's last
+    # refinement self-check: largest n, most singular moment, the sweep's last,
+    # on a ladder from 3/2 the sweep's first order, so that no rung is shared
     n_top, coarse = n_list[-1], vals["neg_lambda"][0]
-    fine = lemma_integral(n_top, d, "neg_lambda", order=4 * (n_top + 64))
+    fine = lemma_integral(n_top, d, "neg_lambda", order=3 * (default_order(n_top) + 32) // 2)
     refine_ok = abs(fine - coarse) <= 1e-6 * abs(coarse)
     passed = passed and refine_ok
     return ExperimentReport(
@@ -232,9 +233,11 @@ def run_voronovskaya_suite(d, n_list):
                          "normalized": normalized})
     lo, hi, ratio = _window(normalized_all)
     alpha_ok = all(ALPHA_BOUNDS[0] <= v <= ALPHA_BOUNDS[1] for v in n_alpha.values())
-    # refinement self-check: alpha(n_top), the sweep's last, at a tighter tolerance
+    # refinement self-check: alpha(n_top), the sweep's last, at a tighter
+    # tolerance on a ladder from 3/2 the sweep's first order, as in the lemmas
     n_top = max(n_list)
-    a2 = alpha_voronovskaya(n_top, d, rtol=1e-11)
+    a2 = _refine(lambda o: _alpha_at_order(n_top, d, o), 3 * (default_order(n_top) + 32) // 2,
+                 1e-11, 8, n_top, d, "alpha_voronovskaya")
     refine_ok = abs(alpha - a2) <= 1e-6 * abs(a2)
     closed = sum(1.0 / (n_top + j) for j in range(1, d - 1)) / (d - 2)
     passed = ratio <= VORONOVSKAYA_WINDOW and alpha_ok and refine_ok
@@ -478,7 +481,7 @@ def run_selftest_suite(seed=42):
     diff = abs(multiplier_weight(8, 3, 1.5) - multiplier_via_quadrature(8, 3, 5))
     record("multiplier_identity_spot", diff, 1e-9)
 
-    # alpha collapse at d = 3, on the nested oracle's own ladder and memo kind
+    # alpha collapse at d = 3, on the nested oracle's own ladder
     a = _refine(lambda o: _alpha_nested(32, 3, o), default_order(32) + 32, 1e-9, 8,
                 32, 3, "alpha_nested")
     record("alpha_closed_form_d3", abs(a * 33.0 - 1.0), 1e-8)

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .memo import RunMemo
+from .memo import _LADDERS, RunMemo
 from .quadrature import ConvergenceError, gauss_legendre, integrate_theta, mapped_rule
 from .special import q_table
 
@@ -231,30 +231,22 @@ def alpha_voronovskaya(n, d, rtol=1e-9, max_refinements=8):
                    max_refinements, n, d, "alpha_voronovskaya")
 
 
-_RUNGS = RunMemo("refinement")
-
-
 def _refine(evaluate, order, rtol, max_refinements, n, d, kind, s=None):
     """Double `order` until two successive evaluate(order) agree to `rtol`
     relative; raise ConvergenceError at the first rung that is not finite or
-    when the budget runs out.  Rungs are memoised per run on (kind, n, d,
-    lemma exponent s, order); every ladder is appended to the memo's log."""
-    hits, misses = _RUNGS.hits, _RUNGS.misses
-
-    def rung(o):
-        return _RUNGS.lookup((kind, n, d, s, o), lambda: evaluate(o))
-
-    prev, cur = None, rung(order)
+    when the budget runs out.  Every ladder is appended to the run's ladder
+    records, with the number of rungs it `evaluated`."""
+    prev, cur, evaluated = None, evaluate(order), 1
     converged = False
     for _ in range(max_refinements if math.isfinite(cur) else 0):
         order *= 2
-        prev, cur = cur, rung(order)
+        prev, cur, evaluated = cur, evaluate(order), evaluated + 1
         converged = math.isfinite(cur) and abs(cur - prev) <= rtol * abs(cur)
         if converged or not math.isfinite(cur):
             break
-    _RUNGS.log.append({"kind": kind, "n": n, "d": d, "s": s, "order": order,
-                       "evaluated": _RUNGS.misses - misses, "memo_hits": _RUNGS.hits - hits,
-                       "previous": prev, "last": cur, "converged": converged})
+    _LADDERS.append({"kind": kind, "n": n, "d": d, "s": s, "order": order,
+                     "evaluated": evaluated, "previous": prev, "last": cur,
+                     "converged": converged})
     if not converged:
         raise ConvergenceError(n, d, kind, order, prev, cur)
     return cur

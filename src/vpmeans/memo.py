@@ -7,6 +7,7 @@ one `run_scope`, which clears them all when it starts and ends, and reports
 their traffic in summary.json.  A memo only ever returns what was stored for
 an identical key, so a hit is exactly what recomputation would give.  A memo's
 `log` holds run-scoped records a layer appends; it is cleared with the values.
+`_LADDERS`, the run's refinement ladder records (`kernel._refine`), is cleared too.
 """
 
 from contextlib import contextmanager
@@ -17,6 +18,7 @@ import numpy as np
 __all__ = ["RunMemo", "clear_run_memos", "run_memo_stats", "run_scope"]
 
 _REGISTRY = {}
+_LADDERS = []
 
 
 class RunMemo:
@@ -72,14 +74,15 @@ def _array_bytes(value):
 
 
 def clear_run_memos():
-    """Empty every run memo and reset its counters."""
+    """Empty every run memo and the ladder records, and reset the counters."""
     for memo in _REGISTRY.values():
         memo.clear()
+    _LADDERS.clear()
 
 
 @contextmanager
 def run_scope():
-    """One run: every run memo is emptied on entry and again on exit."""
+    """One run: the run memos and ladder records are emptied on entry and exit."""
     clear_run_memos()
     try:
         yield

@@ -351,7 +351,7 @@ def test_summary_reports_cache_traffic(small_all_run):
     summary = json.loads((small_all_run / "summary.json").read_text())
     caches = summary["diagnostics"]["caches"]
     assert set(caches) == {"multiplier_prefix", "modulus", "theta_scan", "synthesis_context",
-                           "corpus_spectral", "refinement"}
+                           "corpus_spectral"}
     for stats in caches.values():
         assert stats["hits"] > 0
         assert stats["entries"] == stats["misses"] > 0
@@ -406,7 +406,7 @@ def test_summary_reports_refinement_ladders(small_all_run):
     assert {rec["kind"] for rec in ladders} == {
         "alpha_voronovskaya", "alpha_nested", "neg_lambda", "neg_two_over_m", "fourth_moment"}
     for rec in ladders:
-        assert set(rec) == {"kind", "n", "d", "s", "order", "evaluated", "memo_hits",
+        assert set(rec) == {"kind", "n", "d", "s", "order", "evaluated",
                             "previous", "last", "converged"}
         assert rec["converged"] and rec["d"] == 3
         assert abs(rec["last"] - rec["previous"]) <= 1e-8 * abs(rec["last"])
@@ -415,14 +415,16 @@ def test_summary_reports_refinement_ladders(small_all_run):
     alpha = Counter(rec["n"] for rec in ladders if rec["kind"] == "alpha_voronovskaya")
     assert alpha == {4: 1, 8: 1, 16: 2, 32: 1}
     # the lemma self-check takes n_top's value from the sweep and climbs one
-    # ladder, from order 4 (n_top + 64)
+    # ladder
     neg_lambda = Counter(rec["n"] for rec in ladders if rec["kind"] == "neg_lambda")
     assert neg_lambda == {4: 1, 8: 1, 16: 2}
-    # the self-checks replay the rungs of the sweep
-    assert sum(rec["memo_hits"] for rec in ladders) == summary["diagnostics"]["caches"][
-        "refinement"]["hits"] > 0
-    assert sum(rec["evaluated"] for rec in ladders) == summary["diagnostics"]["caches"][
-        "refinement"]["misses"]
+    # each self-check starts at 3/2 (n_top + 64), the sweep's first order, and
+    # climbs no order of the sweep's ladder
+    for kind in ("alpha_voronovskaya", "neg_lambda"):
+        sweep, check = [rec for rec in ladders if (rec["kind"], rec["n"]) == (kind, 16)]
+        orders = [{rec["order"] >> j for j in range(rec["evaluated"])} for rec in (sweep, check)]
+        assert min(orders[0]) == 16 + 64 and min(orders[1]) == 3 * (16 + 64) // 2
+        assert orders[0].isdisjoint(orders[1])
 
 
 def test_summary_reports_projection_residuals(small_all_run):

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 import vpmeans.experiments
 import vpmeans.function_space
+import vpmeans.kernel
+import vpmeans.memo
 import vpmeans.smoothness
 from vpmeans import quadrature
 from vpmeans.cli import config_hash
@@ -18,7 +20,8 @@ from vpmeans.experiments import (_delayed_maxima, corpus_band_limit, measure_env
                                  run_multiplier_identity_suite,
                                  run_selftest_suite, run_voronovskaya_suite)
 from vpmeans.function_space import INF, ZonalSpectral, corpus_ids, lp_norms_batch, zonal_project
-from vpmeans.kernel import alpha_voronovskaya, multiplier_via_quadrature, multiplier_weight
+from vpmeans.kernel import (alpha_voronovskaya, default_order, multiplier_via_quadrature,
+                            multiplier_weight)
 from vpmeans.memo import clear_run_memos
 from vpmeans.operators import means_columns
 
@@ -136,6 +139,47 @@ def test_voronovskaya_alpha_closed_form_gap():
     gap = report.measured["alpha_closed_form_gap"]
     assert gap == abs(alpha_voronovskaya(496, 3) - 1.0 / 497.0) / (1.0 / 497.0)
     assert gap <= 1e-12
+
+
+SELF_CHECK_N = (8, 32, 128, 496)   # the ceiling n_list
+
+
+def _drift_off_the_sweep(monkeypatch, name):
+    """Patch the rung evaluator `name` where the suites look it up to drift by
+    1e-3 at every order (its third argument) that no sweep ladder of
+    SELF_CHECK_N climbs: those are (default_order(n) + 32) 2^j."""
+    sweep = {(default_order(n) + 32) << j for n in SELF_CHECK_N for j in range(9)}
+    exact = getattr(vpmeans.kernel, name)
+
+    def drifting(*args):
+        return exact(*args) * (1.0 if args[2] in sweep else 1.0 + 1e-3)
+    for module in (vpmeans.kernel, vpmeans.experiments):
+        monkeypatch.setattr(module, name, drifting, raising=False)
+
+
+def _ladder_orders(kind, n):
+    """The orders of each ladder of `kind` at n in the run's ladder records."""
+    return [{rec["order"] >> j for j in range(rec["evaluated"])}
+            for rec in vpmeans.memo._LADDERS if (rec["kind"], rec["n"]) == (kind, n)]
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_lemma_self_check_sees_a_drift_off_the_sweep(monkeypatch, d):
+    # a self-check that replays the sweep's rungs cannot see this drift
+    _drift_off_the_sweep(monkeypatch, "integrate_theta")
+    clear_run_memos()
+    assert run_lemma_suite(d, SELF_CHECK_N).measured["refinement_check"] is False
+    sweep, check = _ladder_orders("neg_lambda", 496)
+    assert sweep.isdisjoint(check)
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_voronovskaya_self_check_sees_a_drift_off_the_sweep(monkeypatch, d):
+    _drift_off_the_sweep(monkeypatch, "_alpha_at_order")
+    clear_run_memos()
+    assert run_voronovskaya_suite(d, SELF_CHECK_N).measured["refinement_check"] is False
+    sweep, check = _ladder_orders("alpha_voronovskaya", 496)
+    assert sweep.isdisjoint(check)
 
 
 def test_converse_suite_small():

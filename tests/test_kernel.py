@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import vpmeans.experiments
 import vpmeans.kernel
+import vpmeans.memo
 from vpmeans.experiments import (run_delayed_max_suite, run_selftest_suite,
                                  run_voronovskaya_suite)
 from vpmeans.kernel import (ConvergenceError, alpha_voronovskaya,
@@ -249,9 +250,12 @@ def test_alpha_panel_route_matches_nested_oracle(d):
     clear_run_memos()
     for n in LADDER_N:
         alpha_voronovskaya(n, d, rtol=1e-11)
-    rungs = [(key[1], key[4], value) for key, value in vpmeans.kernel._RUNGS.items()]
-    assert {n for n, _, _ in rungs} == set(LADDER_N) and len(rungs) >= 2 * len(LADDER_N)
-    for n, order, value in rungs:
+    # every rung of every ladder: the last order of each, halved
+    rungs = [(rec["n"], rec["order"] >> j)
+             for rec in vpmeans.memo._LADDERS for j in range(rec["evaluated"])]
+    assert {n for n, _ in rungs} == set(LADDER_N) and len(rungs) >= 2 * len(LADDER_N)
+    for n, order in rungs:
+        value = vpmeans.kernel._alpha_at_order(n, d, order)
         nested = vpmeans.kernel._alpha_nested(n, d, order)
         assert abs(value - nested) <= 1e-14 * nested
 
@@ -277,17 +281,13 @@ def test_alpha_rung_working_set_does_not_grow_with_order():
 
 
 def test_selftest_alpha_cell_reads_only_nested_rungs():
-    # the voronovskaya sweep stores panel rungs at the orders the selftest's
-    # nested ladder visits; the selftest cell must not be served any of them
+    # the voronovskaya sweep climbs panel rungs at the orders the selftest's
+    # nested ladder visits; the selftest cell is the nested ladder all the same
     clear_run_memos()
     fresh = vpmeans.experiments._refine(
         lambda o: vpmeans.kernel._alpha_nested(32, 3, o), default_order(32) + 32, 1e-9, 8,
         32, 3, "alpha_nested")
-    clear_run_memos()
     run_voronovskaya_suite(3, (32,))
-    base = default_order(32) + 32
-    panel = {key[4]: value for key, value in vpmeans.kernel._RUNGS.items()}
-    assert panel[base] != vpmeans.kernel._alpha_nested(32, 3, base)
     report = run_selftest_suite()
     cell = next(row for row in report.rows if row["check"] == "alpha_closed_form_d3")
     assert cell["value"] == abs(fresh * 33.0 - 1.0)
@@ -324,58 +324,6 @@ def test_refinement_budget_exhausted_raises():
     assert lemma_integral(8, 5, "neg_lambda", rtol=1e-12) == pytest.approx(err.last, rel=1e-8)
 
 
-def _ladders():
-    return [
-        lambda: alpha_voronovskaya(8, 3),
-        lambda: alpha_voronovskaya(8, 5),
-        lambda: alpha_voronovskaya(16, 5),
-        lambda: lemma_integral(8, 3, "neg_two_over_m", m=3),
-        lambda: lemma_integral(8, 3, "neg_two_over_m", m=7),
-        lambda: lemma_integral(8, 5, "neg_two_over_m", m=7),
-        lambda: lemma_integral(8, 5, "neg_lambda"),
-        lambda: lemma_integral(16, 5, "neg_lambda"),
-        lambda: lemma_integral(8, 5, "fourth_moment"),
-    ]
-
-
-def test_refinement_memo_keys_separate_kind_n_d_and_m():
-    fresh = []
-    for ladder in _ladders():
-        clear_run_memos()
-        fresh.append(ladder())
-    assert len(set(fresh)) == len(fresh)
-    # one after the other, every ladder still gets its own rungs
-    clear_run_memos()
-    assert [ladder() for ladder in _ladders()] == fresh
-    assert [ladder() for ladder in _ladders()] == fresh
-    log = vpmeans.kernel._RUNGS.log
-    assert len(log) == 2 * len(fresh)
-    assert all(rec["evaluated"] == 0 and rec["memo_hits"] > 0 for rec in log[len(fresh):])
-
-
-def test_refinement_memo_evaluates_only_new_orders(monkeypatch):
-    orders = []
-    evaluate = vpmeans.kernel._alpha_at_order
-
-    def counted(n, d, order):
-        orders.append(order)
-        return evaluate(n, d, order)
-
-    monkeypatch.setattr(vpmeans.kernel, "_alpha_at_order", counted)
-    clear_run_memos()
-    coarse = alpha_voronovskaya(32, 4)
-    first = list(orders)
-    fine = alpha_voronovskaya(32, 4, rtol=1e-11)
-    assert alpha_voronovskaya(32, 4) == coarse
-    assert len(set(orders)) == len(orders)
-    assert min(orders[len(first):], default=math.inf) > max(first)
-    clear_run_memos()
-    assert alpha_voronovskaya(32, 4, rtol=1e-11) == fine
-    log = vpmeans.kernel._RUNGS.log
-    assert [rec["converged"] for rec in log] == [True]
-    assert log[0]["last"] == fine and log[0]["evaluated"] == len(set(orders))
-
-
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_refinement_ends_at_the_first_non_finite_rung(monkeypatch, value):
     orders = []
@@ -391,7 +339,7 @@ def test_refinement_ends_at_the_first_non_finite_rung(monkeypatch, value):
     assert orders == [default_order(8) + 32]
     assert (err.kind, err.n, err.d, err.order, err.previous) == (
         "alpha_voronovskaya", 8, 4, orders[0], None)
-    log = vpmeans.kernel._RUNGS.log
+    log = vpmeans.memo._LADDERS
     assert len(log) == 1 and not log[0]["converged"] and log[0]["evaluated"] == 1
     clear_run_memos()
 
@@ -409,35 +357,9 @@ def test_refinement_ends_at_a_non_finite_rung_after_a_finite_one(monkeypatch, va
         vpmeans.kernel._refine(broken, 40, 1e-9, 8, 3, 5, "fourth_moment", 4.0)
     assert orders == [40, 80]
     assert (info.value.order, info.value.previous) == (80, 1.0)
-    assert not vpmeans.kernel._RUNGS.log[-1]["converged"]
+    last = vpmeans.memo._LADDERS[-1]
+    assert (last["converged"], last["evaluated"]) == (False, 2)
     clear_run_memos()
-
-
-def _convergence_fields(call):
-    with pytest.raises(ConvergenceError) as info:
-        call()
-    err = info.value
-    return err.n, err.d, err.kind, err.order, err.previous, err.last
-
-
-@pytest.mark.parametrize("call", [
-    lambda: alpha_voronovskaya(8, 3, max_refinements=0),
-    lambda: alpha_voronovskaya(8, 3, rtol=1e-17, max_refinements=1),
-    lambda: lemma_integral(8, 5, "neg_lambda", max_refinements=0),
-    lambda: lemma_integral(8, 5, "neg_lambda", rtol=1e-12, max_refinements=1),
-])
-def test_refinement_raises_when_every_rung_is_a_memo_hit(call):
-    clear_run_memos()
-    fresh = _convergence_fields(call)
-    # the default ladders pass through the same orders first
-    clear_run_memos()
-    alpha_voronovskaya(8, 3)
-    lemma_integral(8, 5, "neg_lambda")
-    assert _convergence_fields(call) == fresh
-    last = vpmeans.kernel._RUNGS.log[-1]
-    assert (last["converged"], last["evaluated"], last["order"]) == (False, 0, fresh[3])
-    assert (last["previous"], last["last"]) == fresh[4:]
-    assert last["memo_hits"] == (1 if fresh[4] is None else 2)
 
 
 def test_lemma_integral_kinds_and_errors():

@@ -3,7 +3,6 @@ import pytest
 
 import vpmeans.memo
 from vpmeans.experiments import run_modulus_suite, run_voronovskaya_suite
-from vpmeans.kernel import _RUNGS
 from vpmeans.memo import RunMemo, clear_run_memos, run_memo_stats, run_scope
 
 
@@ -19,8 +18,8 @@ def test_duplicate_memo_name_raises(registry):
     with pytest.raises(ValueError, match="test_memo"):
         RunMemo("test_memo")
     assert registry["test_memo"] is memo
-    with pytest.raises(ValueError, match="refinement"):
-        RunMemo("refinement")
+    with pytest.raises(ValueError, match="modulus"):
+        RunMemo("modulus")
 
 
 def test_memo_traffic_and_clear(registry):
@@ -45,6 +44,6 @@ def test_run_scope_leaves_every_memo_empty():
         run_modulus_suite(["cusp:1.0"], [2.0], [4, 8], 3)
         run_voronovskaya_suite(3, [4, 8])
         stats = run_memo_stats()
-        assert stats["modulus"]["entries"] > 0 and stats["refinement"]["entries"] > 0
+        assert stats["modulus"]["entries"] > 0 and vpmeans.memo._LADDERS
     assert all(stats == empty for stats in run_memo_stats().values())
-    assert _RUNGS.log == []
+    assert vpmeans.memo._LADDERS == []
