@@ -9,10 +9,9 @@ equivalence between operator error and modulus at the scale n^(-1/2)).
 """
 
 from .function_space import (GridFunction, ZonalProfile, ZonalSpectral,
-                             corpus_ids, corpus_member, lp_norm_grid,
-                             lp_norm_maxima, lp_norm_zonal, lp_norms_batch,
-                             make_corpus, surface_area, zonal_project,
-                             zonal_synthesis)
+                             corpus_ids, lp_norm_grid, lp_norm_maxima,
+                             lp_norm_zonal, lp_norms_batch, make_corpus,
+                             surface_area, zonal_project, zonal_synthesis)
 from .kernel import (ConvergenceError, alpha_voronovskaya, kernel_norm_constant,
                      lemma_integral, multiplier_sequence, multiplier_via_quadrature,
                      multiplier_weight, vpm_kernel_eval)

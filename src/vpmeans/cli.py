@@ -47,17 +47,15 @@ class ConfigError(Exception):
 @dataclass(frozen=True)
 class RunConfig:
     """Flat run configuration: what the suites compute.  The pass/fail
-    thresholds are not configurable; they are constants of `experiments`."""
+    thresholds are not configurable; they are constants of `experiments`, and
+    the resolutions are rules of the modules that own them."""
     d: int = 3
     n_list: tuple = DEFAULT_N_LIST
     p_list: tuple = (1.0, 2.0, INF)
     corpus: tuple = ()                  # empty means the full corpus for `seed`
-    quadrature_order: object = "auto"   # "auto" or a positive integer
-    theta_grid_size: int = 64
     seed: int = 42
     out_dir: str = ""
     n_max: int = 32                     # multiplier suite sweep bound
-    k_cap: int = 0                      # delayed-max cap; 0 means 2*max(n_list)
     band_budget: int = 2048             # largest representable band limit
 
     def snapshot(self):
@@ -103,25 +101,12 @@ def _parse_p_list(text):
     return tuple(out)
 
 
-def _parse_quad_order(text):
-    if str(text) == "auto":
-        return "auto"
-    try:
-        value = int(text)
-    except ValueError:
-        raise ConfigError(f"quadrature_order must be 'auto' or an integer, got {text!r}") from None
-    if value < 1:
-        raise ConfigError(f"quadrature_order must be positive, got {value}")
-    return value
-
-
 # every RunConfig field is a configuration key; its type parses its value
-# unless the field needs the list or "auto" syntax below
+# unless the field needs the list syntax below
 _SYNTAX_PARSERS = {
     "n_list": _parse_int_list,
     "p_list": _parse_p_list,
     "corpus": lambda text: tuple(part.strip() for part in str(text).split(",") if part.strip()),
-    "quadrature_order": _parse_quad_order,
 }
 _FIELD_PARSERS = {f.name: _SYNTAX_PARSERS.get(f.name, f.type) for f in fields(RunConfig)}
 
@@ -162,16 +147,11 @@ def _validate(config):
         raise ConfigError(f"every n must be >= 1, got {config.n_list}")
     if not config.p_list:
         raise ConfigError("p_list must be nonempty")
-    if config.theta_grid_size < 2:
-        raise ConfigError(f"theta_grid_size must be >= 2, got {config.theta_grid_size}")
     needed = corpus_band_limit(max(config.n_list))
     if needed > config.band_budget:
         raise ConfigError(
             f"band budget exceeded: n_list requires a band limit of {needed} "
             f"but band_budget={config.band_budget}; lower max(n_list) or raise band_budget")
-    if config.k_cap and not max(config.n_list) <= config.k_cap <= config.band_budget:
-        raise ConfigError(f"k_cap={config.k_cap} must lie in [max(n_list), band_budget] = "
-                          f"[{max(config.n_list)}, {config.band_budget}]")
     return config
 
 
@@ -202,22 +182,20 @@ def parse_config(path=None, overrides=None):
 
 def _run_one(config, suite):
     if suite == "multipliers":
-        order = None if config.quadrature_order == "auto" else config.quadrature_order
-        return run_multiplier_identity_suite(config.d, config.n_max, order=order)
+        return run_multiplier_identity_suite(config.d, config.n_max)
     if suite == "lemmas":
         return run_lemma_suite(config.d, config.n_list)
     if suite == "voronovskaya":
         return run_voronovskaya_suite(config.d, config.n_list)
     if suite == "converse":
         return run_converse_suite(config.corpus, config.p_list, config.n_list, config.d,
-                                  seed=config.seed, theta_grid_size=config.theta_grid_size)
+                                  seed=config.seed)
     if suite == "delayed-max":
-        k_cap = config.k_cap or 2 * max(config.n_list)
-        return run_delayed_max_suite(config.corpus, config.p_list, config.n_list, k_cap, config.d,
-                                     seed=config.seed, theta_grid_size=config.theta_grid_size)
+        return run_delayed_max_suite(config.corpus, config.p_list, config.n_list, config.d,
+                                     seed=config.seed)
     if suite == "modulus":
         return run_modulus_suite(config.corpus, config.p_list, config.n_list, config.d,
-                                 seed=config.seed, theta_grid_size=config.theta_grid_size)
+                                 seed=config.seed)
     if suite == "selftest":
         return run_selftest_suite(seed=config.seed)
     raise ConfigError(f"unknown suite: {suite!r}")
@@ -342,14 +320,8 @@ def build_parser():
     parser.add_argument("--seed", type=int, help="seed for the random band-limited corpus member")
     parser.add_argument("--out", dest="out_dir", metavar="DIR",
                         help="output directory (default $VPM_OUT_DIR or ./vpm_out)")
-    parser.add_argument("--quad-order", dest="quadrature_order", metavar="N|auto",
-                        help="fixed Gauss order, or 'auto' for per-cell defaults")
     parser.add_argument("--n-max", dest="n_max", type=int,
                         help="largest degree for the multiplier identity sweep")
-    parser.add_argument("--k-cap", dest="k_cap", type=int,
-                        help="delayed-max truncation cap (default 2*max(n_list))")
-    parser.add_argument("--theta-grid-size", dest="theta_grid_size", type=int,
-                        help="points per scale in the modulus theta scan")
     return parser
 
 

@@ -15,15 +15,15 @@ import numpy as np
 
 from .function_space import (ZonalSpectral, lp_norm_maxima, lp_norms_batch, make_corpus,
                              zonal_project, zonal_synthesis)
-from .kernel import (_alpha_at_order, _alpha_nested, _multiplier_integrals,
-                     _multiplier_prefixes, _refine, alpha_voronovskaya, default_order,
-                     kernel_norm_constant, lemma_integral, multiplier_sequence,
-                     multiplier_via_quadrature, multiplier_weight, vpm_kernel_eval)
+from .kernel import (_alpha_nested, _multiplier_integrals, _multiplier_prefixes, _refine,
+                     alpha_voronovskaya, default_order, kernel_norm_constant, lemma_integral,
+                     multiplier_sequence, multiplier_via_quadrature, multiplier_weight,
+                     vpm_kernel_eval)
 from .memo import RunMemo
 from .operators import (means_columns, sample_zonal_on_grid, translate_direct,
                         translate_spectral, vpm_grid, vpm_means, zonal_point_function)
 from .quadrature import gauss_legendre, gauss_legendre_many, integrate_theta, sphere_grid
-from .smoothness import k_functional_estimate, modulus, modulus_many
+from .smoothness import THETA_GRID_SIZE, k_functional_estimate, modulus, modulus_many
 from .special import q_envelope, q_table
 
 __all__ = [
@@ -122,17 +122,17 @@ def prepare_corpus(corpus, d, n_max, seed=42):
 # suites
 
 
-def run_multiplier_identity_suite(d, n_max, order=None):
+def run_multiplier_identity_suite(d, n_max):
     """Closed-form weights, one `_multiplier_prefixes` batch, against their
-    quadrature route, multiplier_via_quadrature(n, k, d, order) from one
-    `_multiplier_integrals` call by Gauss order, for all n <= n_max and
-    k <= n + MULTIPLIER_REACH, including the exact zeros at k > n."""
+    quadrature route, multiplier_via_quadrature(n, k, d) at Gauss order
+    default_order(n, k) from one `_multiplier_integrals` call by order, for
+    all n <= n_max and k <= n + MULTIPLIER_REACH, including the exact zeros
+    at k > n."""
     lam = (d - 2) / 2.0
     by_order = {}
     for n in range(n_max + 1):
         for k in range(n + MULTIPLIER_REACH + 1):
-            rule_order = default_order(n, k) if order is None else order
-            by_order.setdefault(rule_order, []).append((n, k))
+            by_order.setdefault(default_order(n, k), []).append((n, k))
     gauss_legendre_many(list(by_order))
     closed = _multiplier_prefixes(range(n_max + 1), lam, n_max + MULTIPLIER_REACH)
     cells = [cell for group in by_order.values() for cell in group]
@@ -148,7 +148,7 @@ def run_multiplier_identity_suite(d, n_max, order=None):
     refine_ok = True
     if max_diff > 0:
         n, k = worst["n"], worst["k"]
-        doubled = multiplier_via_quadrature(n, k, d, order=2 * (n + k + 32))
+        doubled = multiplier_via_quadrature(n, k, d, order=2 * default_order(n, k))
         refine_ok = abs(doubled - multiplier_weight(n, k, lam)) <= MULTIPLIER_TOL
     passed = max_diff <= MULTIPLIER_TOL and refine_ok
     return ExperimentReport(
@@ -236,8 +236,7 @@ def run_voronovskaya_suite(d, n_list):
     # refinement self-check: alpha(n_top), the sweep's last, at a tighter
     # tolerance on a ladder from 3/2 the sweep's first order, as in the lemmas
     n_top = max(n_list)
-    a2 = _refine(lambda o: _alpha_at_order(n_top, d, o), 3 * (default_order(n_top) + 32) // 2,
-                 1e-11, 8, n_top, d, "alpha_voronovskaya")
+    a2 = alpha_voronovskaya(n_top, d, order=3 * (default_order(n_top) + 32) // 2, rtol=1e-11)
     refine_ok = abs(alpha - a2) <= 1e-6 * abs(a2)
     closed = sum(1.0 / (n_top + j) for j in range(1, d - 1)) / (d - 2)
     passed = ratio <= VORONOVSKAYA_WINDOW and alpha_ok and refine_ok
@@ -266,7 +265,7 @@ def _delayed_maxima(f, n_list, k_cap, ps, d):
     return suffix[:, [cuts.index(n) for n in n_list]].tolist()
 
 
-def _ratio_sweep(corpus, functions, d, p_list, n_list, theta_grid_size, numerators):
+def _ratio_sweep(corpus, functions, d, p_list, n_list, numerators):
     """The ratio loop shared by the converse and delayed-max suites.
 
     For each corpus id and its function f of `functions`, numerators(f, p_list)
@@ -282,8 +281,7 @@ def _ratio_sweep(corpus, functions, d, p_list, n_list, theta_grid_size, numerato
     windows = {}
     passed = True
     for fid, f in zip(corpus, functions):
-        moduli_per_p = modulus_many(f, [n ** -0.5 for n in n_list], p_list, d,
-                                    theta_grid_size=theta_grid_size)
+        moduli_per_p = modulus_many(f, [n ** -0.5 for n in n_list], p_list, d)
         for p, nums, moduli in zip(p_list, numerators(f, p_list), moduli_per_p):
             ratios = []
             for n, num, w_n in zip(n_list, nums, moduli):
@@ -299,11 +297,11 @@ def _ratio_sweep(corpus, functions, d, p_list, n_list, theta_grid_size, numerato
     return cells, windows, passed
 
 
-def _modulus_grid_check(f, t, p, d, theta_grid_size):
+def _modulus_grid_check(f, t, p, d):
     """Refinement self-check: omega(f, t)_p on a doubled theta grid may move
     the grid max by a grid-resolution amount (2 %) only."""
-    w1 = modulus(f, t, p, d, theta_grid_size=theta_grid_size)
-    w2 = modulus(f, t, p, d, theta_grid_size=2 * theta_grid_size)
+    w1 = modulus(f, t, p, d)
+    w2 = modulus(f, t, p, d, theta_grid_size=2 * THETA_GRID_SIZE)
     return abs(w1 - w2) <= 0.02 * max(abs(w2), DEGENERATE_FLOOR)
 
 
@@ -312,7 +310,7 @@ def _modulus_grid_check(f, t, p, d, theta_grid_size):
 CHAIN_POWERS, CHAIN_SLACK = (2, 7), 1e-8
 
 
-def run_converse_suite(corpus, p_list, n_list, d, seed=42, theta_grid_size=64):
+def run_converse_suite(corpus, p_list, n_list, d, seed=42):
     """Operator error against the modulus at the matched scale: for each
     corpus function and p, r_n = ||V_n f - f||_p / omega(f, n^(-1/2))_p must
     stay positive with max r / min r <= RATIO_WINDOW over n_list.  Functions whose
@@ -326,7 +324,7 @@ def run_converse_suite(corpus, p_list, n_list, d, seed=42, theta_grid_size=64):
         means = means_columns(f, n_list)
         return [lp_norms_batch(means, f.lam, p, d, reference=f.coeffs).tolist() for p in ps]
     cells, ratio_windows, passed = _ratio_sweep(
-        corpus, functions, d, p_list, n_list, theta_grid_size, operator_errors)
+        corpus, functions, d, p_list, n_list, operator_errors)
     rows = [{"function_id": fid, "p": p, "n": n, "e_n": e_n, "w_n": w_n,
              "ratio": ratio, "flag": "degenerate" if degenerate else "ok"}
             for fid, p, n, e_n, w_n, ratio, degenerate in cells]
@@ -347,7 +345,7 @@ def run_converse_suite(corpus, p_list, n_list, d, seed=42, theta_grid_size=64):
         worst_key = max(ratio_windows, key=lambda k: ratio_windows[k]["ratio"])
         fid, p_part = worst_key.split("|p=")
         refine_ok = _modulus_grid_check(functions[corpus.index(fid)], n_list[-1] ** -0.5,
-                                        float(p_part), d, theta_grid_size)
+                                        float(p_part), d)
         passed = passed and refine_ok
     return ExperimentReport(
         suite="converse",
@@ -359,28 +357,26 @@ def run_converse_suite(corpus, p_list, n_list, d, seed=42, theta_grid_size=64):
     )
 
 
-def run_delayed_max_suite(corpus, p_list, n_list, k_cap, d, seed=42, theta_grid_size=64):
+def run_delayed_max_suite(corpus, p_list, n_list, d, seed=42):
     """Truncated delayed-maximum comparison: max over k in [n, k_cap] of
-    ||V_k f - f||_p against omega(f, n^(-1/2))_p.  The untruncated statement
-    maximizes over all k >= n, so every row is flagged TRUNCATED.  Only the
-    degrees that can attain the max of their segment [n_i, n_(i+1)) are
-    synthesised (`_delayed_maxima`)."""
-    if k_cap < max(n_list):
-        raise ValueError("k_cap must be >= max(n_list)")
+    ||V_k f - f||_p against omega(f, n^(-1/2))_p, with k_cap = 2 max(n_list).
+    The untruncated statement maximizes over all k >= n, so every row is
+    flagged TRUNCATED.  Only the degrees that can attain the max of their
+    segment [n_i, n_(i+1)) are synthesised (`_delayed_maxima`)."""
     n_list = sorted(n_list)
+    k_cap = 2 * n_list[-1]
     # the means of any degree act exactly on a band-limited representation,
     # so the band limit tracks the modulus scales, not k_cap
     functions = prepare_corpus(corpus, d, n_list[-1], seed=seed)
     cells, windows, passed = _ratio_sweep(
-        corpus, functions, d, p_list, n_list, theta_grid_size,
+        corpus, functions, d, p_list, n_list,
         lambda f, ps: _delayed_maxima(f, n_list, k_cap, ps, d))
     rows = [{"function_id": fid, "p": p, "n": n, "k_cap": k_cap, "max_err": m_n,
              "w_n": w_n, "ratio": ratio,
              "flag": "TRUNCATED;degenerate" if degenerate else "TRUNCATED"}
             for fid, p, n, m_n, w_n, ratio, degenerate in cells]
     # refinement self-check: the modulus of the last cell on a doubled grid
-    refine_ok = _modulus_grid_check(functions[-1], n_list[-1] ** -0.5, p_list[-1], d,
-                                    theta_grid_size)
+    refine_ok = _modulus_grid_check(functions[-1], n_list[-1] ** -0.5, p_list[-1], d)
     passed = passed and refine_ok
     return ExperimentReport(
         suite="delayed-max",
@@ -392,7 +388,7 @@ def run_delayed_max_suite(corpus, p_list, n_list, k_cap, d, seed=42, theta_grid_
     )
 
 
-def run_modulus_suite(corpus, p_list, n_list, d, seed=42, theta_grid_size=64):
+def run_modulus_suite(corpus, p_list, n_list, d, seed=42):
     """Modulus versus K-functional estimate at the scales t = n^(-1/2):
     their ratio must stay inside [1/EQUIVALENCE_WINDOW, EQUIVALENCE_WINDOW]
     wherever both are nonzero."""
@@ -403,7 +399,7 @@ def run_modulus_suite(corpus, p_list, n_list, d, seed=42, theta_grid_size=64):
     functions = prepare_corpus(corpus, d, n_list[-1], seed=seed)
     scales = [n ** -0.5 for n in n_list]
     for fid, f in zip(corpus, functions):
-        moduli_per_p = modulus_many(f, scales, p_list, d, theta_grid_size=theta_grid_size)
+        moduli_per_p = modulus_many(f, scales, p_list, d)
         estimates_per_p = k_functional_estimate(f, scales, p_list, d)
         for p, moduli, estimates in zip(p_list, moduli_per_p, estimates_per_p):
             for t, om, kf in zip(scales, moduli, estimates):
@@ -417,7 +413,7 @@ def run_modulus_suite(corpus, p_list, n_list, d, seed=42, theta_grid_size=64):
                     worst["high"] = max(worst["high"], ratio)
                     passed = passed and 1.0 / EQUIVALENCE_WINDOW <= ratio <= EQUIVALENCE_WINDOW
     # refinement self-check: the modulus grid is doubled at the last cell
-    refine_ok = _modulus_grid_check(functions[-1], n_list[0] ** -0.5, 2.0, d, theta_grid_size)
+    refine_ok = _modulus_grid_check(functions[-1], n_list[0] ** -0.5, 2.0, d)
     passed = passed and refine_ok
     return ExperimentReport(
         suite="modulus",

@@ -32,7 +32,6 @@ __all__ = [
     "lp_norm_maxima",
     "lp_norm_grid",
     "make_corpus",
-    "corpus_member",
     "corpus_ids",
 ]
 
@@ -475,12 +474,3 @@ def corpus_ids(seed=42):
     members with; made without a random draw, which would import numpy.random."""
     return tuple(f"harmonic:{k}" for k in HARMONIC_DEGREES) + \
         tuple(f"cusp:{a}" for a in CUSP_EXPONENTS) + ("bump", f"randband:seed{seed}")
-
-
-def corpus_member(d, function_id, seed=42):
-    """Resolve a corpus function by its string id; raises LookupError for
-    unknown ids."""
-    for member in make_corpus(d, seed=seed):
-        if member.tag == function_id:
-            return member
-    raise LookupError(f"unknown corpus function id: {function_id!r}")

@@ -212,7 +212,7 @@ def _alpha_nested(n, d, order):
     return float(np.dot(outer, big_f))
 
 
-def alpha_voronovskaya(n, d, rtol=1e-9, max_refinements=8):
+def alpha_voronovskaya(n, d, order=None, rtol=1e-9, max_refinements=8):
     """Concentration coefficient of the second-order expansion of the means:
 
         alpha(n) = integral_0^pi v_n sin^(2 lam) theta dtheta
@@ -221,13 +221,15 @@ def alpha_voronovskaya(n, d, rtol=1e-9, max_refinements=8):
 
     A rung takes the inner integrals at its outer nodes from one pass over the
     panels between them; the nested quadrature `_alpha_nested` is its oracle.
-    The outer rule is doubled until two successive refinements agree to
-    `rtol` relative; ConvergenceError is raised when `max_refinements`
-    doublings do not get there.  alpha(n) ~ 1/n; at d = 3 it is exactly 1/(n+1).
+    The outer rule, `order` points (default n + 64), is doubled until two
+    successive refinements agree to `rtol` relative; ConvergenceError is
+    raised when `max_refinements` doublings do not get there.  alpha(n) ~ 1/n;
+    at d = 3 it is exactly 1/(n+1).
     """
     if n < 1:
         raise ValueError(f"alpha_voronovskaya requires n >= 1, got {n}")
-    return _refine(lambda o: _alpha_at_order(n, d, o), default_order(n) + 32, rtol,
+    base = order if order is not None else default_order(n) + 32
+    return _refine(lambda o: _alpha_at_order(n, d, o), base, rtol,
                    max_refinements, n, d, "alpha_voronovskaya")
 
 

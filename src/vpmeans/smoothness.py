@@ -28,6 +28,9 @@ __all__ = [
 # iterated-operator powers always offered as K-functional candidates
 CANDIDATE_POWERS = (1, 2, 7)
 
+# translation steps per scale t in the sup over theta in (0, t] of omega(f, t)_p
+THETA_GRID_SIZE = 64
+
 
 def _theta_scan(t, size):
     # geometric grid on (0, t]; the translation mean is defined on (0, pi),
@@ -71,7 +74,7 @@ def translation_error_norms(f, thetas, ps, d, sizes=None):
     return lp_norm_maxima(columns, sizes, f.lam, ps, d)
 
 
-def modulus(f, t, p, d, theta_grid_size=64):
+def modulus(f, t, p, d, theta_grid_size=THETA_GRID_SIZE):
     """Modulus of smoothness omega(f, t)_p of a zonal spectral function:
     max over a geometric grid of theta in (0, t] of ||f - S_theta f||_p,
     the norms on the grids of `lp_norms_batch` (Gauss order 2K + 32 at p = 1).
@@ -83,7 +86,7 @@ def modulus(f, t, p, d, theta_grid_size=64):
     return modulus_many(f, [t], [p], d, theta_grid_size=theta_grid_size)[0][0]
 
 
-def modulus_many(f, ts, ps, d, theta_grid_size=64):
+def modulus_many(f, ts, ps, d, theta_grid_size=THETA_GRID_SIZE):
     """`modulus` at each scale of `ts` for each p of `ps`: one list of cells
     per p.  The cells not memoised are computed in one
     `translation_error_norms` call over the p and scales they miss, one run

@@ -4,6 +4,8 @@ import warnings
 
 import pytest
 
+from vpmeans.function_space import make_corpus
+
 
 @pytest.hookimpl(hookwrapper=True, tryfirst=True)
 def pytest_runtest_makereport(item, call):
@@ -20,3 +22,9 @@ def pytest_runtest_makereport(item, call):
             except ImportError:
                 pass
     yield
+
+
+@pytest.fixture(scope="session")
+def corpus_d3():
+    """The d = 3 corpus at seed 42 by id, from one `make_corpus` call."""
+    return {member.tag: member for member in make_corpus(3)}

@@ -10,7 +10,6 @@ import vpmeans.memo
 from vpmeans.cli import SUITES, ConfigError, build_parser, dispatch, main, parse_config
 from vpmeans import experiments, quadrature
 from vpmeans.experiments import prepare_corpus, run_multiplier_identity_suite
-from vpmeans.function_space import corpus_member
 
 INF = float("inf")
 SPECTRAL_SUITES = ("converse", "delayed-max", "modulus")
@@ -35,8 +34,6 @@ def test_defaults():
     assert config.n_list == (4, 8, 16, 32, 64, 128, 256)
     assert config.p_list == (1.0, 2.0, INF)
     assert config.seed == 42
-    assert config.theta_grid_size == 64
-    assert config.quadrature_order == "auto"
     assert config.corpus == ("harmonic:1", "harmonic:4", "harmonic:16", "cusp:0.5",
                              "cusp:1.0", "cusp:1.5", "bump", "randband:seed42")
 
@@ -105,14 +102,24 @@ def test_band_budget_validation():
     assert max(config.n_list) == 512
 
 
-def test_k_cap_bounded_by_band_budget(tmp_path):
-    budget = parse_config().band_budget
-    assert parse_config(overrides={"k_cap": str(budget)}).k_cap == budget
-    for k_cap in (budget + 1, 10 ** 8):
-        with pytest.raises(ConfigError, match=rf"k_cap={k_cap} .* = \[256, {budget}\]"):
-            parse_config(overrides={"k_cap": str(k_cap)})
-    assert main(["delayed-max", "--k-cap", str(10 ** 8), "--out", str(tmp_path)]) == 2
-    assert not any(tmp_path.iterdir())
+# the keys and flags that once set the multiplier Gauss orders, the theta scan
+# and the delayed-max cap, now rules of the modules that own them
+RESOLUTION_FLAGS = {"quadrature_order": "--quad-order", "theta_grid_size": "--theta-grid-size",
+                    "k_cap": "--k-cap"}
+
+
+@pytest.mark.parametrize("key", RESOLUTION_FLAGS)
+def test_resolution_is_not_a_setting(tmp_path, capsys, key):
+    flag = RESOLUTION_FLAGS[key]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = 64\n")
+    assert main(["all", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    assert f"unknown configuration key: {key!r}" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["all", flag, "64", "--out", str(tmp_path / "r")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 64" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def test_n_max_bounded_by_band_budget(tmp_path):
@@ -135,8 +142,6 @@ def test_invalid_values_rejected():
         parse_config(overrides={"n_list": "0,4"})
     with pytest.raises(ConfigError):
         parse_config(overrides={"p_list": "3"})
-    with pytest.raises(ConfigError):
-        parse_config(overrides={"quadrature_order": "-4"})
     with pytest.raises(ConfigError):
         parse_config(overrides={"n_list": "a,b"})
     with pytest.raises(ConfigError, match="n_max"):
@@ -222,10 +227,11 @@ def test_envelope_constant_comes_from_the_selftest_only(tmp_path):
 def test_main_delayed_max_csv_schema(tmp_path):
     out = tmp_path / "results"
     code = main(["delayed-max", "--corpus", "harmonic:4", "--p", "2",
-                 "--n-list", "4,8", "--k-cap", "16", "--out", str(out)])
+                 "--n-list", "4,8", "--out", str(out)])
     assert code == 0
     lines = (out / "delayed-max.csv").read_text().splitlines()
     assert lines[1] == "function_id,p,n,k_cap,max_err,w_n,ratio,flag"
+    assert {line.split(",")[3] for line in lines[2:]} == {"16"}     # 2 max(n_list)
     assert all(line.endswith("TRUNCATED") for line in lines[2:])
 
 
@@ -427,7 +433,7 @@ def test_summary_reports_refinement_ladders(small_all_run):
         assert orders[0].isdisjoint(orders[1])
 
 
-def test_summary_reports_projection_residuals(small_all_run):
+def test_summary_reports_projection_residuals(small_all_run, corpus_d3):
     residuals = json.loads((small_all_run / "summary.json").read_text())[
         "diagnostics"]["projection_residuals"]
     corpus = parse_config().corpus
@@ -436,7 +442,7 @@ def test_summary_reports_projection_residuals(small_all_run):
     with vpmeans.memo.run_scope():
         for fid, spectral in zip(corpus, prepare_corpus(corpus, 3, 16)):
             assert residuals[f"3|128|{fid}"] == spectral.projection_residual
-            exact = corpus_member(3, fid).coeffs is not None
+            exact = corpus_d3[fid].coeffs is not None
             assert (spectral.projection_residual == 0.0) == exact
 
 

@@ -52,15 +52,14 @@ def test_multiplier_suite_rows_and_pass():
     assert k1n2["quadrature"] == pytest.approx(0.5, abs=1e-10)
 
 
-@pytest.mark.parametrize("order", [None, 80])
 @pytest.mark.parametrize("d", [3, 4, 5])
-def test_multiplier_suite_quadrature_equals_per_cell_oracle(d, order):
+def test_multiplier_suite_quadrature_equals_per_cell_oracle(d):
     # one Q table per Gauss order gives the per-cell oracle's value exactly
-    report = run_multiplier_identity_suite(d, 16, order=order)
+    report = run_multiplier_identity_suite(d, 16)
     assert [(r["n"], r["k"]) for r in report.rows] == [
         (n, k) for n in range(17) for k in range(n + 5)]
     for row in report.rows:
-        assert row["quadrature"] == multiplier_via_quadrature(row["n"], row["k"], d, order)
+        assert row["quadrature"] == multiplier_via_quadrature(row["n"], row["k"], d)
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
@@ -73,19 +72,20 @@ def test_multiplier_suite_closed_form_equals_scalar_weight(d):
 
 
 def test_multiplier_suite_explicit_order_holds_a_bounded_peak():
-    # at an explicit order every cell shares one Gauss order: its 2405 rows
-    # by 2048 nodes would take 37.6 MB as one matrix; the Q table takes 1.1 MB
-    quadrature.gauss_legendre_many([2048] + list(range(64, 329, 2)))
-    clear_run_memos()
+    # the multiplier suite's 2405 cells at n_max = 64 on one shared Gauss
+    # order: 2405 rows by 2048 nodes would take 37.6 MB as one matrix; the Q
+    # table takes 1.1 MB
+    cells = [(n, k) for n in range(65) for k in range(n + 5)]
+    quadrature.gauss_legendre(2048)
     tracemalloc.start()
     try:
-        report = run_multiplier_identity_suite(3, 64, order=2048)
+        values = vpmeans.kernel._multiplier_integrals({2048: cells}, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.passed and len(report.rows) == 2405
+    assert len(values) == 2405
+    assert max(abs(v - multiplier_weight(n, k, 0.5)) for (n, k), v in zip(cells, values)) <= 1e-9
     assert peak < 4 * 2 ** 20
-    clear_run_memos()
 
 
 def test_multiplier_suite_builds_its_rules_in_one_batch(monkeypatch):
@@ -209,10 +209,10 @@ def test_converse_harmonic_error_closed_form():
 
 
 def test_delayed_max_suite_band_limited_max_at_first_degree():
-    report = run_delayed_max_suite(("harmonic:4",), (2.0,), (8, 16), 32, 3)
+    report = run_delayed_max_suite(("harmonic:4",), (2.0,), (8, 16), 3)
     assert report.passed
     for row in report.rows:
-        assert row["flag"] == "TRUNCATED"
+        assert row["flag"] == "TRUNCATED" and row["k_cap"] == 32
         # omega_{k,4} increases in k, so the worst degree is the smallest
         assert row["max_err"] == pytest.approx(
             (1.0 - multiplier_weight(row["n"], 4, 0.5))
@@ -261,7 +261,7 @@ def test_scale_suites_take_one_pruned_sweep_per_function(monkeypatch):
                             or inner(cols, sizes, lam, ps, *args, **kw))
     ps = (1.0, 2.0, INF)
     clear_run_memos()
-    run_delayed_max_suite(SMALL_CORPUS, ps, SMALL_N, 40, 3)
+    run_delayed_max_suite(SMALL_CORPUS, ps, SMALL_N, 3)
     assert calls["experiments"] == [(3, ps)] * len(SMALL_CORPUS)
     # then the refinement self-check's doubled grid, at the last p only
     assert calls["smoothness"] == [(3, ps)] * len(SMALL_CORPUS) + [(1, (INF,))]
@@ -269,11 +269,6 @@ def test_scale_suites_take_one_pruned_sweep_per_function(monkeypatch):
     calls["smoothness"].clear()
     run_modulus_suite(SMALL_CORPUS, ps, SMALL_N, 3)
     assert calls["smoothness"] == [(3, ps)] * len(SMALL_CORPUS) + [(1, (2.0,))]
-
-
-def test_delayed_max_k_cap_validation():
-    with pytest.raises(ValueError):
-        run_delayed_max_suite(SMALL_CORPUS, (2.0,), (8, 16), 8, 3)
 
 
 def test_modulus_suite_small():
@@ -339,7 +334,7 @@ def test_prepare_corpus_builds_the_corpus_at_most_once(monkeypatch):
     clear_run_memos()
 
 
-def test_workspace_prepare_projects_once_and_builds_nothing_when_memoised(monkeypatch):
+def test_workspace_prepare_projects_once_and_builds_nothing_when_memoised(monkeypatch, corpus_d3):
     # a projection pass streams Q_k over the 2K + 32 Gauss nodes; the synthesis
     # contexts stream only the half grid
     passes, inner = [], vpmeans.function_space._q_steps
@@ -355,7 +350,7 @@ def test_workspace_prepare_projects_once_and_builds_nothing_when_memoised(monkey
     assert passes == [576]          # the four projected members share one pass
     for fid, f in zip(corpus, first):
         if f.projection_residual:
-            single, = zonal_project([vpmeans.function_space.corpus_member(3, fid)], 576, 0.5)
+            single, = zonal_project([corpus_d3[fid]], 576, 0.5)
             assert np.array_equal(f.coeffs, single.coeffs)
     passes.clear()
     tracemalloc.start()

@@ -11,11 +11,9 @@ from vpmeans.experiments import _delayed_maxima
 from vpmeans.function_space import (BLOCK_COLUMNS, DENSE_GRID_SIZE, INF, NEGLIGIBLE,
                                     GridFunction, ZonalProfile, ZonalSpectral,
                                     _inverse_dims, _norm_context, _picked_norms, _synthesise,
-                                    corpus_ids, corpus_member,
-                                    lp_norm_grid, lp_norm_maxima, lp_norm_zonal,
-                                    lp_norms_batch,
-                                    make_corpus, surface_area, synthesis_context,
-                                    zonal_project, zonal_synthesis)
+                                    corpus_ids, lp_norm_grid, lp_norm_maxima, lp_norm_zonal,
+                                    lp_norms_batch, make_corpus, surface_area,
+                                    synthesis_context, zonal_project, zonal_synthesis)
 from vpmeans.kernel import multiplier_sequence
 from vpmeans.memo import clear_run_memos, run_memo_stats
 from vpmeans.operators import means_columns, sample_zonal_on_grid
@@ -535,9 +533,9 @@ def test_grid_norms():
     assert lp_norm_grid(scaled, 2.0) == pytest.approx(2.0 * math.sqrt(4 * math.pi), rel=1e-12)
 
 
-def test_grid_vs_zonal_norm_band_limited():
+def test_grid_vs_zonal_norm_band_limited(corpus_d3):
     grid = sphere_grid(48)
-    member = corpus_member(3, "randband:seed42")
+    member = corpus_d3["randband:seed42"]
     gf = sample_zonal_on_grid(member, grid)
     spectral = ZonalSpectral(lam=0.5, coeffs=member.coeffs)
     assert lp_norm_grid(gf, 2.0) == pytest.approx(
@@ -550,7 +548,7 @@ def test_grid_function_length_check():
         GridFunction(grid=grid, values=np.ones(3))
 
 
-def test_corpus_contents_and_determinism():
+def test_corpus_contents_and_determinism(corpus_d3):
     members = make_corpus(3)
     tags = [m.tag for m in members]
     assert tags == list(corpus_ids())
@@ -559,17 +557,12 @@ def test_corpus_contents_and_determinism():
     b = [m for m in again if m.tag == "randband:seed42"][0]
     assert np.array_equal(a.coeffs, b.coeffs)
     for alpha in (0.5, 1.0, 1.5):
-        member = corpus_member(3, f"cusp:{alpha}")
+        member = corpus_d3[f"cusp:{alpha}"]
         assert lp_norm_zonal(member, INF, 3) == pytest.approx(math.pi ** alpha, rel=1e-12)
 
 
-def test_corpus_unknown_id():
-    with pytest.raises(LookupError):
-        corpus_member(3, "wavelet:9")
-
-
-def test_corpus_band_limited_coeffs():
-    member = corpus_member(3, "harmonic:4")
+def test_corpus_band_limited_coeffs(corpus_d3):
+    member = corpus_d3["harmonic:4"]
     assert member.coeffs is not None and member.coeffs[4] == 1.0
     theta = np.linspace(0, np.pi, 50)
     assert np.allclose(member(theta),

@@ -153,11 +153,11 @@ def test_multiplier_sequence_weight_traffic():
     # each distinct degree builds its k <= n prefix once, however many
     # (function, p) pairs of the suite ask for it
     clear_run_memos()
-    n_list, k_cap = (4, 8), 24
-    run_delayed_max_suite(("bump", "randband:seed42"), (2.0, float("inf")), n_list, k_cap, 3)
+    n_list = (4, 12)
+    run_delayed_max_suite(("bump", "randband:seed42"), (2.0, float("inf")), n_list, 3)
     prefixes = vpmeans.kernel._PREFIXES
     built = sorted(n for (n, _, _), _ in prefixes.items())
-    assert built == list(range(min(n_list), k_cap + 1))
+    assert built == list(range(min(n_list), 2 * max(n_list) + 1))     # the cap, 24
     assert prefixes.misses == len(built) and prefixes.hits > 0
     clear_run_memos()
 
@@ -322,6 +322,24 @@ def test_refinement_budget_exhausted_raises():
     assert abs(err.last - err.previous) > 1e-12 * abs(err.last)
     # the same call converges within the default budget
     assert lemma_integral(8, 5, "neg_lambda", rtol=1e-12) == pytest.approx(err.last, rel=1e-8)
+
+
+def test_alpha_ladder_starts_at_the_given_order(monkeypatch):
+    # the Voronovskaya self-check starts its ladder off the sweep's orders
+    orders, exact = [], vpmeans.kernel._alpha_at_order
+
+    def recorded(n, d, order):
+        orders.append(order)
+        return exact(n, d, order)
+    monkeypatch.setattr(vpmeans.kernel, "_alpha_at_order", recorded)
+    clear_run_memos()
+    for start, first in ((None, 16 + 64), (75, 75)):
+        orders.clear()
+        alpha = alpha_voronovskaya(16, 3, order=start)
+        assert orders == [first << j for j in range(len(orders))] and len(orders) >= 2
+        assert vpmeans.memo._LADDERS[-1]["order"] == orders[-1]
+        assert abs(17 * alpha - 1.0) <= 1e-9
+    clear_run_memos()
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -44,3 +44,14 @@ def test_readme_names_every_configuration_key():
     assert listed
     assert sorted(re.findall(r"`(\w+)`", listed.group(1))) == sorted(
         f.name for f in fields(RunConfig))
+
+
+def test_readme_usage_names_every_option():
+    # the `vpm <suite> [...]` usage block lists the CLI's options, so a flag
+    # added or removed without its mention there fails here
+    from vpmeans.cli import build_parser
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    usage = re.search(r"^vpm <suite> (.*?)^```$", readme, flags=re.DOTALL | re.MULTILINE)
+    assert usage
+    assert sorted(re.findall(r"\[(--[\w-]+)", usage.group(1))) == sorted(
+        re.findall(r"\[(--[\w-]+)", build_parser().format_usage()))
