@@ -27,7 +27,7 @@ from .memo import _LADDERS, run_memo_stats, run_scope
 
 try:
     from resource import RUSAGE_SELF, getrusage
-except ImportError:     # not on every platform: the per-suite peak RSS is then null
+except ImportError:     # not on every platform: the per-suite RSS growth is then null
     getrusage = None
 
 __all__ = ["RunConfig", "ConfigError", "config_hash", "parse_config", "dispatch", "main"]
@@ -274,7 +274,7 @@ def dispatch(config, suite):
         names = SUITES if suite == "all" else (suite,)
         reports, errors, timings, pruning = [], {}, {}, {}
         for name in names:
-            start, logged = time.perf_counter(), len(_CONTEXTS.log)
+            start, logged, rss = time.perf_counter(), len(_CONTEXTS.log), _max_rss_mb()
             try:
                 report = _run_one(config, name)
             except ArithmeticError as exc:
@@ -287,8 +287,8 @@ def dispatch(config, suite):
                 print(f"error: {name}: {exc}", file=sys.stderr)
                 continue
             finally:
-                rss = getrusage(RUSAGE_SELF).ru_maxrss / 1024 if getrusage else None  # KiB on Linux
-                timings[name] = {"wall_s": time.perf_counter() - start, "peak_rss_mb": rss}
+                timings[name] = {"wall_s": time.perf_counter() - start,
+                                 "rss_growth_mb": None if rss is None else _max_rss_mb() - rss}
                 pruning[name] = _CONTEXTS.log[logged:]     # (p, synthesised, skipped)
             generated = datetime.datetime.now(datetime.timezone.utc).isoformat()
             _write_atomic(os.path.join(config.out_dir, f"{name}.csv"),
@@ -301,6 +301,11 @@ def dispatch(config, suite):
         _write_atomic(os.path.join(config.out_dir, "summary.json"),
                       json.dumps(summary, indent=2, sort_keys=True, default=str) + "\n")
         return 0 if all(r.passed for r in reports) and not errors else 1
+
+
+def _max_rss_mb():
+    """The process's max resident set size so far, in MiB, or None without `resource`."""
+    return getrusage(RUSAGE_SELF).ru_maxrss / 1024 if getrusage else None  # KiB on Linux
 
 
 def build_parser():

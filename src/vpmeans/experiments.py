@@ -48,6 +48,8 @@ ALPHA_BOUNDS = (0.5, 2.0)       # range of n * alpha(n)
 RATIO_WINDOW = 25.0             # max/min of the converse and delayed-max ratios
 EQUIVALENCE_WINDOW = 50.0       # omega / K-estimate lies in [1/window, window]
 MULTIPLIER_REACH = 4            # the multiplier suite reads k <= n + 4 at each degree n
+REFINEMENT_RTOL = 1e-6          # lemma and alpha(n) refinement self-checks, relative
+MODULUS_GRID_RTOL = 0.02        # omega on the doubled theta grid, relative
 
 
 def _fmt(value):
@@ -195,7 +197,7 @@ def run_lemma_suite(d, n_list):
     # on a ladder from 3/2 the sweep's first order, so that no rung is shared
     n_top, coarse = n_list[-1], vals["neg_lambda"][0]
     fine = lemma_integral(n_top, d, "neg_lambda", order=3 * (default_order(n_top) + 32) // 2)
-    refine_ok = abs(fine - coarse) <= 1e-6 * abs(coarse)
+    refine_ok = abs(fine - coarse) <= REFINEMENT_RTOL * abs(coarse)
     passed = passed and refine_ok
     return ExperimentReport(
         suite="lemmas",
@@ -237,7 +239,7 @@ def run_voronovskaya_suite(d, n_list):
     # tolerance on a ladder from 3/2 the sweep's first order, as in the lemmas
     n_top = max(n_list)
     a2 = alpha_voronovskaya(n_top, d, order=3 * (default_order(n_top) + 32) // 2, rtol=1e-11)
-    refine_ok = abs(alpha - a2) <= 1e-6 * abs(a2)
+    refine_ok = abs(alpha - a2) <= REFINEMENT_RTOL * abs(a2)
     closed = sum(1.0 / (n_top + j) for j in range(1, d - 1)) / (d - 2)
     passed = ratio <= VORONOVSKAYA_WINDOW and alpha_ok and refine_ok
     return ExperimentReport(
@@ -299,10 +301,10 @@ def _ratio_sweep(corpus, functions, d, p_list, n_list, numerators):
 
 def _modulus_grid_check(f, t, p, d):
     """Refinement self-check: omega(f, t)_p on a doubled theta grid may move
-    the grid max by a grid-resolution amount (2 %) only."""
+    the grid max by a grid-resolution amount (MODULUS_GRID_RTOL) only."""
     w1 = modulus(f, t, p, d)
     w2 = modulus(f, t, p, d, theta_grid_size=2 * THETA_GRID_SIZE)
-    return abs(w1 - w2) <= 0.02 * max(abs(w2), DEGENERATE_FLOOR)
+    return abs(w1 - w2) <= MODULUS_GRID_RTOL * max(abs(w2), DEGENERATE_FLOOR)
 
 
 # powers m of the chain bound ||f - V_n^m f||_p <= m ||f - V_n f||_p, and the

@@ -246,18 +246,25 @@ def lp_norms_batch(coeff_matrix, lam, p, d, order=None, reference=None):
         return np.sqrt(surface_area(d) * (_inverse_dims(k_max, lam) @ squares))
     ctx = _norm_context(lam, k_max, p, order)
     ref_vals = None if reference is None else _synthesise(ctx, reference)
-    out = np.empty(coeff_matrix.shape[1])
-    for start in range(0, coeff_matrix.shape[1], BLOCK_COLUMNS):
-        block = slice(start, start + BLOCK_COLUMNS)
-        vals = _synthesise(ctx, coeff_matrix[:, block])
+    return _block_norms(ctx, p, d, coeff_matrix.shape[1], lambda s: coeff_matrix[:, s], ref_vals)
+
+
+def _block_norms(ctx, p, d, count, block, ref_vals):
+    """The L^p norms, p != 2, of `count` columns on the grid of `ctx` (of
+    ref_vals minus each), `block(s)` giving the coefficients of the columns
+    of a slice s, at most BLOCK_COLUMNS wide."""
+    out = np.empty(count)
+    for start in range(0, count, BLOCK_COLUMNS):
+        at = slice(start, start + BLOCK_COLUMNS)
+        vals = _synthesise(ctx, block(at))
         if ref_vals is not None:
             np.subtract(ref_vals, vals, out=vals)
         np.abs(vals, out=vals)
         if p == INF:
-            out[block] = np.max(vals, axis=0)
+            out[at] = np.max(vals, axis=0)
         else:
             vals **= p
-            out[block] = ctx.weights @ vals
+            out[at] = ctx.weights @ vals
     if p == INF:
         return out
     return (surface_area(d - 1) * out) ** (1.0 / p)
@@ -287,9 +294,9 @@ def lp_norm_maxima(columns, sizes, lam, ps, d, reference=None):
     times (1 + PRUNE_SLACK); see README.md.  p other than 1, 2, inf and NaN
     bounds prune nothing; past a NaN step the coefficient bounds prune alone;
     p = 2 is Parseval.  Each p != 2 logs (p, columns synthesised, columns
-    skipped) in the synthesis contexts' log.  The norms, from `_picked_norms`,
-    do not depend on which columns are synthesised together, and are those
-    of lp_norms_batch up to rounding.
+    skipped) in the synthesis contexts' log.  The norms come from the block
+    loop of lp_norms_batch and equal its norms up to rounding: BLAS may round
+    a column differently next to other columns.
     """
     if any(p != INF and p < 1 for p in ps):
         raise ValueError(f"p must satisfy 1 <= p <= inf, got {list(ps)}")
@@ -336,7 +343,8 @@ def _pruned_maxima(ctx, p, d, columns, starts, bound, prefix, rounding, ref_vals
     out, done = np.full(starts[-1], -INF), np.zeros(starts[-1], dtype=bool)
 
     def synthesise(picked):     # then the max of each column's run
-        out[picked], done[picked] = _picked_norms(ctx, p, d, columns, picked, ref_vals), True
+        out[picked] = _block_norms(ctx, p, d, len(picked), lambda s: columns(picked[s]), ref_vals)
+        done[picked] = True
         return np.repeat(np.maximum.reduceat(out, starts[:-1]), np.diff(starts))
 
     run_max = synthesise(np.array([i + np.argmax(bound[i:j]) for i, j in zip(starts, starts[1:])],
@@ -359,28 +367,6 @@ def _norm_context(lam, k_max, p, order=None):
     if p == INF:
         return synthesis_context(lam, k_max, "dense", DENSE_GRID_SIZE)
     return synthesis_context(lam, k_max, "gauss", order if order is not None else 2 * k_max + 32)
-
-
-def _picked_norms(ctx, p, d, columns, picked, ref_vals):
-    """The L^p norms of the `picked` columns of the builder `columns` (of
-    ref_vals minus each), on the grid of `ctx`, independent of which columns
-    are picked together: they are built BLOCK_COLUMNS at a time, C-ordered,
-    and padded with zero columns to a multiple of 8, as BLAS rounds a product
-    of another width (one column above all) differently, and summed row by
-    row, as a matrix-vector product does not."""
-    out = np.empty(len(picked))
-    for start in range(0, len(picked), BLOCK_COLUMNS):
-        block = np.ascontiguousarray(columns(picked[start:start + BLOCK_COLUMNS]))
-        width = block.shape[1]
-        vals = _synthesise(ctx, np.pad(block, ((0, 0), (0, -width % 8))))
-        if ref_vals is not None:
-            np.subtract(ref_vals, vals, out=vals)
-        np.abs(vals, out=vals)
-        if p != INF:
-            vals **= p
-        norms = np.max(vals, axis=0) if p == INF else np.einsum("i,ij->j", ctx.weights, vals)
-        out[start:start + BLOCK_COLUMNS] = norms[:width]
-    return out if p == INF else (surface_area(d - 1) * out) ** (1.0 / p)
 
 
 # below 2^-960 a coefficient moves no synthesised value (|Q_k| <= 1); as a
@@ -430,14 +416,6 @@ CUSP_EXPONENTS = (0.5, 1.0, 1.5)
 RANDBAND_LIMIT = 20
 
 
-def _harmonic_profile(k, lam):
-    def g(theta):
-        c = np.zeros(k + 1)
-        c[k] = 1.0
-        return zonal_synthesis(c, lam, np.cos(np.asarray(theta, dtype=float)))
-    return g
-
-
 def make_corpus(d, seed=42):
     """Deterministic corpus of zonal test functions on S^{d-1}:
 
@@ -450,22 +428,19 @@ def make_corpus(d, seed=42):
         raise ValueError(f"make_corpus requires d >= 3, got {d}")
     lam = (d - 2) / 2.0
     tags = iter(corpus_ids(seed))
-    out = []
-    for k in HARMONIC_DEGREES:
-        c = np.zeros(k + 1)
-        c[k] = 1.0
+
+    def band_limited(c):
         c.setflags(write=False)
-        out.append(ZonalProfile(g=_harmonic_profile(k, lam), tag=next(tags), coeffs=c))
+        return ZonalProfile(
+            g=lambda theta: zonal_synthesis(c, lam, np.cos(np.asarray(theta, dtype=float))),
+            tag=next(tags), coeffs=c)
+    out = [band_limited((np.arange(k + 1) == k).astype(float)) for k in HARMONIC_DEGREES]
     for a in CUSP_EXPONENTS:
         out.append(ZonalProfile(g=lambda theta, a=a: np.asarray(theta, dtype=float) ** a,
                                 tag=next(tags)))
     out.append(ZonalProfile(g=lambda theta: np.exp(-4.0 * np.asarray(theta, dtype=float) ** 2),
                             tag=next(tags)))
-    rng = np.random.default_rng(seed)
-    c = rng.uniform(-1.0, 1.0, RANDBAND_LIMIT + 1)
-    c.setflags(write=False)
-    out.append(ZonalProfile(g=lambda theta, c=c: zonal_synthesis(c, lam, np.cos(np.asarray(theta, dtype=float))),
-                            tag=next(tags), coeffs=c))
+    out.append(band_limited(np.random.default_rng(seed).uniform(-1.0, 1.0, RANDBAND_LIMIT + 1)))
     return out
 
 

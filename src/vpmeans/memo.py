@@ -5,8 +5,9 @@ run: the same multiplier prefix, the same modulus cell omega(f, n^(-1/2))_p,
 the same theta-scan table.  Each such layer keeps one RunMemo.  A CLI run is
 one `run_scope`, which clears them all when it starts and ends, and reports
 their traffic in summary.json.  A memo only ever returns what was stored for
-an identical key, so a hit is exactly what recomputation would give.  A memo's
-`log` holds run-scoped records a layer appends; it is cleared with the values.
+an identical key, so a hit is exactly what recomputing the same request
+would give; a modulus cell computed in another batch agrees to rounding.  A
+memo's `log` holds run-scoped records a layer appends; it is cleared with the values.
 `_LADDERS`, the run's refinement ladder records (`kernel._refine`), is cleared too.
 """
 

@@ -372,12 +372,12 @@ def test_summary_reports_suite_wall_times(small_all_run):
     suites = summary["diagnostics"]["suites"]
     assert set(suites) == set(SUITES)
     for info in suites.values():
-        assert set(info) == {"wall_s", "peak_rss_mb"} and isinstance(info["wall_s"], float)
+        assert set(info) == {"wall_s", "rss_growth_mb"} and isinstance(info["wall_s"], float)
         assert info["wall_s"] > 0.0
-        assert isinstance(info["peak_rss_mb"], float) and info["peak_rss_mb"] > 0.0
-    # the max RSS of the process so far: it never falls from suite to suite
-    peaks = [suites[name]["peak_rss_mb"] for name in SUITES]
-    assert peaks == sorted(peaks)
+        assert isinstance(info["rss_growth_mb"], float) and info["rss_growth_mb"] >= 0.0
+    # each suite's growth of the process's max RSS: together at most the final max
+    growths = sum(suites[name]["rss_growth_mb"] for name in SUITES)
+    assert growths <= vpmeans.cli._max_rss_mb()
     assert set(summary["constants"]) == {"envelope_c5", "n_alpha_window",
                                          "lemma_windows", "converse_ratio_windows"}
 
@@ -386,7 +386,7 @@ def test_summary_peak_rss_is_null_without_resource(tmp_path, monkeypatch):
     monkeypatch.setattr(vpmeans.cli, "getrusage", None)
     assert main(["selftest", "--out", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
-    assert summary["diagnostics"]["suites"]["selftest"]["peak_rss_mb"] is None
+    assert summary["diagnostics"]["suites"]["selftest"]["rss_growth_mb"] is None
 
 
 def test_summary_reports_pruning(small_all_run):

@@ -233,8 +233,8 @@ def test_delayed_max_suite_band_limited_max_at_first_degree():
 def test_delayed_maxima_equal_full_sweep(d, support, pad, n_list, extra, spike, seed):
     # suffix maxima of the unpruned sweep over every degree are the oracle;
     # a spike Q_(k_cap + 1), left alone by every V_k, makes some errors grow in k.
-    # The sweep's last block is rarely a multiple of 8 columns wide, which
-    # BLAS may round differently from the pruned blocks, hence no bit equality
+    # The pruned rounds put other columns into a block than the sweep does,
+    # which BLAS may round differently, hence no bit equality
     n_list = sorted(n_list)
     k_cap = n_list[-1] + extra
     coeffs = np.zeros(max(support + pad, k_cap + 1) + 1)
