@@ -9,6 +9,7 @@ computed; the windows are constants of `experiments`.
 """
 
 import argparse
+import ctypes
 import datetime
 import hashlib
 import json
@@ -17,6 +18,8 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, fields, replace
+
+import numpy as np
 
 from .experiments import (_CORPUS_SPECTRAL, MULTIPLIER_REACH, corpus_band_limit,
                           run_converse_suite, run_delayed_max_suite, run_lemma_suite,
@@ -246,7 +249,7 @@ def _summary(snapshot, digest, reports, errors, timings, pruning):
         "suites": {**{r.suite: {"passed": r.passed, "measured": r.measured} for r in reports},
                    **{name: {"passed": False, "error": error} for name, error in errors.items()}},
         "constants": constants,
-        "diagnostics": {"caches": run_memo_stats(), "refinements": _LADDERS,
+        "diagnostics": {"blas": _blas(), "caches": run_memo_stats(), "refinements": _LADDERS,
                         # d|K|function id -> relative L^2 residual, 0.0 if exact
                         "projection_residuals": {
                             f"{d}|{k}|{fid}": spectral.projection_residual
@@ -306,6 +309,25 @@ def dispatch(config, suite):
 def _max_rss_mb():
     """The process's max resident set size so far, in MiB, or None without `resource`."""
     return getrusage(RUSAGE_SELF).ru_maxrss / 1024 if getrusage else None  # KiB on Linux
+
+
+def _openblas():
+    """The OpenBLAS that the numpy wheel bundles, or None when there is none."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    names = sorted(os.listdir(libs)) if os.path.isdir(libs) else []
+    name = next((name for name in names if name.startswith("libscipy_openblas")), None)
+    return None if name is None else ctypes.CDLL(os.path.join(libs, name))
+
+
+def _blas():
+    """numpy's OpenBLAS kernel name and thread count, each None if unknown."""
+    lib = _openblas()
+    kernel, threads = (getattr(lib, f"scipy_openblas_get_{query}64_", None)
+                       for query in ("corename", "num_threads"))
+    if kernel is not None:
+        kernel.restype = ctypes.c_char_p
+    return {"kernel": None if kernel is None else kernel().decode(),
+            "threads": None if threads is None else threads()}
 
 
 def build_parser():

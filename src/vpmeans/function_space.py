@@ -17,7 +17,7 @@ import numpy as np
 
 from .memo import RunMemo
 from .quadrature import SphereGrid, mapped_rule
-from .special import _q_steps
+from .special import _q_rows
 
 __all__ = [
     "ZonalSpectral",
@@ -94,10 +94,10 @@ class GridFunction:
 def zonal_synthesis(coeffs, lam, x):
     """Evaluate sum_k coeffs[k] Q_k^lam(x) by accumulating the recurrence."""
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    steps = _q_steps(len(coeffs) - 1, lam, xa)
-    next(steps)
+    rows = (q for _, block in _q_rows(len(coeffs) - 1, lam, xa, BLOCK_COLUMNS) for q in block)
+    next(rows)
     acc = np.full_like(xa, float(coeffs[0]))
-    for c, q in zip(coeffs[1:], steps):
+    for c, q in zip(coeffs[1:], rows):
         acc += c * q
     return acc
 
@@ -132,13 +132,12 @@ def synthesis_context(lam, k_max, kind, size):
             theta, w = mapped_rule(0.0, np.pi, size)
             weights = w * np.sin(theta) ** (2.0 * lam)
         else:
-            theta = np.linspace(0.0, np.pi, size)
-            weights = None
+            theta, weights = np.linspace(0.0, np.pi, size), None
         x = np.cos(theta[:(size + 1) // 2])
-        even = np.empty((x.size, k_max // 2 + 1))
-        odd = np.empty((x.size, (k_max + 1) // 2))
-        for k, q in enumerate(_q_steps(k_max, lam, x)):
-            (odd if k % 2 else even)[:, k // 2] = q
+        even, odd = np.empty((x.size, k_max // 2 + 1)), np.empty((x.size, (k_max + 1) // 2))
+        for k, block in _q_rows(k_max, lam, x, BLOCK_COLUMNS):    # k and BLOCK_COLUMNS even
+            cols = slice(k // 2, (k + BLOCK_COLUMNS) // 2)      # the last block ends the tables
+            even[:, cols], odd[:, cols] = block[0::2].T, block[1::2].T
         for arr in (theta, even, odd) + (() if weights is None else (weights,)):
             arr.setflags(write=False)
         return _SynthesisContext(theta=theta, weights=weights, even=even, odd=odd)
@@ -159,10 +158,10 @@ def zonal_project(profiles, k_max, lam):
         a_k = integral g Q_k sin^(2 lam) / integral Q_k^2 sin^(2 lam),
 
     both integrals on the mapped Gauss rule of 2 k_max + 32 nodes.  One pass
-    streams Q_k in blocks of BLOCK_COLUMNS degrees, forming per block the
-    denominators, each profile's numerators by a matrix-vector product and
-    its reconstruction's part, whose relative L^2 residual is attached to
-    the result: no full Q table, and a batch equals its members alone.
+    builds Q_k in BLOCK_COLUMNS-degree blocks (on theta <= pi/2 read from the
+    rule's synthesis context) and forms per block the denominators, the
+    numerators (matrix-vector products) and the reconstructions, whose relative
+    L^2 residuals are attached: no full Q table; a batch equals its members alone.
     """
     gs = [_profile_callable(profile) for profile in profiles]
     if not gs:
@@ -170,12 +169,11 @@ def zonal_project(profiles, k_max, lam):
     ctx = synthesis_context(lam, k_max, "gauss", 2 * k_max + 32)
     values = [np.asarray(g(ctx.theta), dtype=float) for g in gs]
     coeffs, recon = np.empty((len(gs), k_max + 1)), np.zeros((len(gs), ctx.theta.size))
-    steps = _q_steps(k_max, lam, np.cos(ctx.theta))
-    for start in range(0, k_max + 1, BLOCK_COLUMNS):
-        q = np.empty((ctx.theta.size, min(BLOCK_COLUMNS, k_max + 1 - start)))
-        for j, column in zip(range(q.shape[1]), steps):
-            q[:, j] = column
-        den, block = (q ** 2).T @ ctx.weights, slice(start, start + q.shape[1])
+    half = len(ctx.even)
+    for k, far in _q_rows(k_max, lam, np.cos(ctx.theta[half:]), BLOCK_COLUMNS):
+        q, cols = np.empty((ctx.theta.size, len(far))), slice(k // 2, (k + BLOCK_COLUMNS) // 2)
+        q[:half, 0::2], q[:half, 1::2], q[half:] = ctx.even[:, cols], ctx.odd[:, cols], far.T
+        den, block = (q ** 2).T @ ctx.weights, slice(k, k + q.shape[1])
         for c, gv, r in zip(coeffs, values, recon):
             c[block] = (q.T @ (ctx.weights * gv)) / den
             r += q @ c[block]

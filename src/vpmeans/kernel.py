@@ -105,7 +105,7 @@ def _multiplier_prefixes(degrees, lam, k_max):
         n, _, top = key
         f, s = fact[n - top - base:n - base + 1], shifted[n - first:n - first + top + 1]
         # math.exp per entry: np.exp differs from it in the last bit on some
-        computed[key] = np.array([math.exp(v) for v in ((f[-1] - f[::-1]) + (s[0] - s)).tolist()])
+        computed[key] = np.array(list(map(math.exp, ((f[-1] - f[::-1]) + (s[0] - s)).tolist())))
     return [_PREFIXES.lookup(key, lambda key=key: computed[key]) for key in keys]
 
 

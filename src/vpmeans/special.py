@@ -7,9 +7,9 @@ P_1(x) = 2*lam*x, the normalization fixed by the generating function
 
     (1 - 2 r x + r^2)^(-lam) = sum_k r^k P_k(x).
 
-The recurrence lives in one place, `_gegenbauer_steps`; the normalized table
-Q_k = P_k / P_k(1), the synthesis of zonal functions and the Legendre
-evaluation behind the Gauss rules all consume its stream.
+The recurrence lives in one place, `_gegenbauer_steps`, read by the Gauss rules
+and by `_q_rows`, the one stream of Q_k = P_k / P_k(1), in degree blocks: every
+Q table fills from it, and the projection streams only the half its context lacks.
 """
 
 import math
@@ -55,12 +55,16 @@ def _gegenbauer_steps(k_max, lam, x):
         yield p
 
 
-def _q_steps(k_max, lam, x):
-    """Yield Q_k^lam(x) = P_k^lam(x) / P_k^lam(1) for k = 0..k_max.  The
-    numerator and the value at 1 run through the same recurrence, which makes
-    Q exactly 1 at x = 1."""
-    for p, one in zip(_gegenbauer_steps(k_max, lam, x), _gegenbauer_steps(k_max, lam, 1.0)):
-        yield p / one
+def _q_rows(k_max, lam, x, width):
+    """Yield (k, block) for k = 0, width, 2 width, ...: a new array of the rows
+    Q_j^lam(x) = P_j^lam(x) / P_j^lam(1), j = k..min(k + width - 1, k_max).
+    P_j(x) and P_j(1) share one recurrence, which makes Q exactly 1 at x = 1."""
+    steps = zip(_gegenbauer_steps(k_max, lam, x), _gegenbauer_steps(k_max, lam, 1.0))
+    for k in range(0, k_max + 1, width):
+        block = np.empty((min(width, k_max + 1 - k), len(x)))
+        for row, (p, one) in zip(block, steps):
+            np.divide(p, one, out=row)
+        yield k, block
 
 
 def q_table(k_max, lam, theta):
@@ -70,10 +74,9 @@ def q_table(k_max, lam, theta):
     if lam < 0.5:
         raise ValueError(f"gegenbauer index lam must be >= 1/2, got {lam}")
     ta = np.atleast_1d(np.asarray(theta, dtype=float))
-    xa = np.cos(ta)
     out = np.empty((ta.size, k_max + 1))
-    for k, q in enumerate(_q_steps(k_max, lam, xa)):
-        out[:, k] = q
+    for k, block in _q_rows(k_max, lam, np.cos(ta), 16):    # narrow: small blocks on many nodes
+        out[:, k:k + len(block)] = block.T
     return out
 
 

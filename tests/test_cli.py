@@ -1,6 +1,8 @@
+import ctypes
 import datetime
 import json
 import re
+import types
 from collections import Counter
 
 import pytest
@@ -367,7 +369,7 @@ def test_summary_reports_cache_traffic(small_all_run):
 
 def test_summary_reports_suite_wall_times(small_all_run):
     summary = json.loads((small_all_run / "summary.json").read_text())
-    assert set(summary["diagnostics"]) == {"caches", "projection_residuals", "pruning",
+    assert set(summary["diagnostics"]) == {"blas", "caches", "projection_residuals", "pruning",
                                            "refinements", "suites"}
     suites = summary["diagnostics"]["suites"]
     assert set(suites) == set(SUITES)
@@ -387,6 +389,31 @@ def test_summary_peak_rss_is_null_without_resource(tmp_path, monkeypatch):
     assert main(["selftest", "--out", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["diagnostics"]["suites"]["selftest"]["rss_growth_mb"] is None
+
+
+def test_summary_reports_the_blas_kernel_and_threads(small_all_run):
+    blas = json.loads((small_all_run / "summary.json").read_text())["diagnostics"]["blas"]
+    assert set(blas) == {"kernel", "threads"}
+    if vpmeans.cli._openblas() is not None:       # numpy bundles OpenBLAS
+        assert isinstance(blas["kernel"], str) and blas["kernel"]
+        assert isinstance(blas["threads"], int) and blas["threads"] >= 1
+
+
+def test_blas_record_is_null_without_the_library_or_a_query(tmp_path, monkeypatch):
+    def corename():
+        return b"Haswell"
+    monkeypatch.setattr(vpmeans.cli, "_openblas", lambda: None)
+    assert main(["selftest", "--out", str(tmp_path / "none")]) == 0
+    summary = json.loads((tmp_path / "none" / "summary.json").read_text())
+    assert summary["diagnostics"]["blas"] == {"kernel": None, "threads": None}
+    library = types.SimpleNamespace(scipy_openblas_get_corename64_=corename)
+    monkeypatch.setattr(vpmeans.cli, "_openblas", lambda: library)
+    assert vpmeans.cli._blas() == {"kernel": "Haswell", "threads": None}
+    library.scipy_openblas_get_num_threads64_ = lambda: 3
+    assert vpmeans.cli._blas() == {"kernel": "Haswell", "threads": 3}
+    assert corename.restype is ctypes.c_char_p
+    del library.scipy_openblas_get_corename64_
+    assert vpmeans.cli._blas() == {"kernel": None, "threads": 3}
 
 
 def test_summary_reports_pruning(small_all_run):

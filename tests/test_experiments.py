@@ -335,15 +335,16 @@ def test_prepare_corpus_builds_the_corpus_at_most_once(monkeypatch):
 
 
 def test_workspace_prepare_projects_once_and_builds_nothing_when_memoised(monkeypatch, corpus_d3):
-    # a projection pass streams Q_k over the 2K + 32 Gauss nodes; the synthesis
-    # contexts stream only the half grid
-    passes, inner = [], vpmeans.function_space._q_steps
+    # a projection pass streams Q_k over the far half of the 2K + 32 Gauss
+    # nodes, the K + 16 with theta > pi/2; the synthesis contexts stream only
+    # nodes theta <= pi/2
+    passes, inner = [], vpmeans.function_space._q_rows
 
-    def steps(k_max, lam, x):
-        if np.size(x) == 2 * k_max + 32:
+    def rows(k_max, lam, x, width):
+        if np.size(x) == k_max + 16 and np.all(x < 0.0):
             passes.append(k_max)
-        return inner(k_max, lam, x)
-    monkeypatch.setattr(vpmeans.function_space, "_q_steps", steps)
+        return inner(k_max, lam, x, width)
+    monkeypatch.setattr(vpmeans.function_space, "_q_rows", rows)
     clear_run_memos()
     corpus = corpus_ids()
     first = prepare_corpus(corpus, 3, 128)      # K = 576

@@ -16,7 +16,7 @@ from vpmeans.kernel import multiplier_sequence
 from vpmeans.memo import clear_run_memos, run_memo_stats
 from vpmeans.operators import sample_zonal_on_grid
 from vpmeans.quadrature import integrate_theta, mapped_rule, sphere_grid
-from vpmeans.special import harmonic_dim, q_table
+from vpmeans.special import _gegenbauer_steps, harmonic_dim, q_table
 
 
 def unit(k, size):
@@ -185,20 +185,55 @@ def test_inverse_dims_match_harmonic_dim(d):
     np.testing.assert_allclose(_inverse_dims(k_max, (d - 2) / 2.0), exact, rtol=1e-13, atol=0.0)
 
 
+def column_q_table(k_max, lam, x):
+    """Q_k(x) for k = 0..k_max, one column per degree straight from the
+    recurrence: the slow path that the block-filled tables replaced, kept as
+    their oracle."""
+    out = np.empty((np.size(x), k_max + 1))
+    steps = zip(_gegenbauer_steps(k_max, lam, x), _gegenbauer_steps(k_max, lam, 1.0))
+    for k, (p, one) in enumerate(steps):
+        out[:, k] = p / one
+    return out
+
+
 @pytest.mark.parametrize("kind, size", [("gauss", 133), ("gauss", 134), ("dense", 97),
-                                        ("dense", DENSE_GRID_SIZE)])
-@pytest.mark.parametrize("k_max", [0, 1, 64, 65])
+                                        ("dense", 98), ("dense", DENSE_GRID_SIZE)])
+@pytest.mark.parametrize("k_max", [0, 1, 63, 64, 65, 130])
 def test_synthesis_context_half_grid_tables(kind, size, k_max):
-    lam = 1.5
-    ctx = synthesis_context(lam, k_max, kind, size)
     half = (size + 1) // 2
-    assert ctx.theta.size == size and ctx.even.shape == (half, k_max // 2 + 1)
-    assert ctx.odd.shape == (half, (k_max + 1) // 2)
-    assert ctx.even.flags.c_contiguous and ctx.odd.flags.c_contiguous
-    assert np.all(ctx.theta[:half] <= np.pi / 2) and np.all(ctx.theta[half:] > np.pi / 2)
-    assert (ctx.weights is None) == (kind == "dense")
-    full = q_table(k_max, lam, ctx.theta[:half])
-    assert np.array_equal(ctx.even, full[:, 0::2]) and np.array_equal(ctx.odd, full[:, 1::2])
+    for lam in (0.5, 1.5):
+        ctx = synthesis_context(lam, k_max, kind, size)
+        assert ctx.theta.size == size and ctx.even.shape == (half, k_max // 2 + 1)
+        assert ctx.odd.shape == (half, (k_max + 1) // 2)
+        assert ctx.even.flags.c_contiguous and ctx.odd.flags.c_contiguous
+        assert np.all(ctx.theta[:half] <= np.pi / 2) and np.all(ctx.theta[half:] > np.pi / 2)
+        assert (ctx.weights is None) == (kind == "dense")
+        full = column_q_table(k_max, lam, np.cos(ctx.theta[:half]))
+        assert np.array_equal(ctx.even, full[:, 0::2]) and np.array_equal(ctx.odd, full[:, 1::2])
+
+
+@pytest.mark.parametrize("k_max", [0, 1, 15, 16, 17, 300])
+@pytest.mark.parametrize("lam", [0.5, 1.5])
+def test_q_table_equals_column_fill(k_max, lam):
+    for theta in (np.linspace(0.0, np.pi, 97), np.array([0.3])):
+        table = q_table(k_max, lam, theta)
+        assert table.flags.c_contiguous
+        assert np.array_equal(table, column_q_table(k_max, lam, np.cos(theta)))
+
+
+def test_cold_context_build_holds_its_tables_and_two_row_blocks():
+    # the tables fill from blocks of BLOCK_COLUMNS degrees: transposed copies
+    # of whole tables would add their 33.6 MB
+    clear_run_memos()
+    tracemalloc.start()
+    try:
+        ctx = synthesis_context(0.5, 2048, "dense", DENSE_GRID_SIZE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        clear_run_memos()
+    row_block = BLOCK_COLUMNS * len(ctx.even) * 8
+    assert peak <= ctx.even.nbytes + ctx.odd.nbytes + 2 * row_block + 2 ** 20
 
 
 def test_zonal_project_equals_full_table_reference():
@@ -212,17 +247,46 @@ def test_zonal_project_equals_full_table_reference():
         assert np.array_equal(zonal_project([profile], k_max, lam)[0].coeffs, ref)
 
 
-def counting_projection_passes(monkeypatch):
-    """Log the band limit of every streamed pass over Q_k on a projection's
-    full grid of 2 k_max + 32 nodes (the synthesis contexts stream the half
-    grid); returns the log."""
-    passes, inner = [], vpmeans.function_space._q_steps
+def column_stream_projection(profiles, k_max, lam):
+    """zonal_project's coefficients and residuals from one pass that streams
+    Q_k column by column over the whole Gauss grid: the oracle of its
+    near-half reuse."""
+    ctx = synthesis_context(lam, k_max, "gauss", 2 * k_max + 32)
+    values = [np.asarray(g(ctx.theta), dtype=float) for g in profiles]
+    table = column_q_table(k_max, lam, np.cos(ctx.theta))
+    coeffs, recon = np.empty((len(values), k_max + 1)), np.zeros((len(values), ctx.theta.size))
+    for start in range(0, k_max + 1, BLOCK_COLUMNS):
+        block = slice(start, start + BLOCK_COLUMNS)
+        q = np.ascontiguousarray(table[:, block])
+        den = (q ** 2).T @ ctx.weights
+        for c, gv, r in zip(coeffs, values, recon):
+            c[block] = (q.T @ (ctx.weights * gv)) / den
+            r += q @ c[block]
+    norms = [(math.sqrt(ctx.weights @ (gv - r) ** 2), math.sqrt(ctx.weights @ gv ** 2))
+             for gv, r in zip(values, recon)]
+    return coeffs, [resid / (ref or 1.0) for resid, ref in norms]
 
-    def steps(k_max, lam, x):
-        if np.size(x) == 2 * k_max + 32:
+
+@pytest.mark.parametrize("k_max", [0, 63, 64, 65, 130])
+@pytest.mark.parametrize("lam", [0.5, 1.5])
+def test_zonal_project_equals_column_stream(k_max, lam):
+    profiles = [lambda t: np.exp(-4.0 * t ** 2), lambda t: t ** 0.5, lambda t: np.cos(3.0 * t)]
+    coeffs, residuals = column_stream_projection(profiles, k_max, lam)
+    for out, c, resid in zip(zonal_project(profiles, k_max, lam), coeffs, residuals):
+        assert np.array_equal(out.coeffs, c) and out.projection_residual == resid
+
+
+def counting_projection_passes(monkeypatch):
+    """Log the band limit of every stream of Q_k over the far half of a
+    projection's grid, its k_max + 16 nodes with theta > pi/2 (the nodes
+    theta <= pi/2 come from the synthesis context); returns the log."""
+    passes, inner = [], vpmeans.function_space._q_rows
+
+    def rows(k_max, lam, x, width):
+        if np.size(x) == k_max + 16 and np.all(x < 0.0):
             passes.append(k_max)
-        return inner(k_max, lam, x)
-    monkeypatch.setattr(vpmeans.function_space, "_q_steps", steps)
+        return inner(k_max, lam, x, width)
+    monkeypatch.setattr(vpmeans.function_space, "_q_rows", rows)
     return passes
 
 
