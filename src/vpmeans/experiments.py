@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .function_space import (ZonalSpectral, lp_norm_maxima, lp_norms_batch, make_corpus,
-                             zonal_project, zonal_synthesis)
+from .function_space import (DENSE_GRID_SIZE, INF, ZonalSpectral, _context, _live_rows,
+                             lp_norm_maxima, lp_norms_batch, make_corpus, zonal_project,
+                             zonal_synthesis)
 from .kernel import (_alpha_nested, _multiplier_integrals, _multiplier_prefixes, _refine,
                      alpha_voronovskaya, default_order, kernel_norm_constant, lemma_integral,
                      multiplier_sequence, multiplier_via_quadrature, multiplier_weight,
@@ -23,7 +24,8 @@ from .memo import RunMemo
 from .operators import (means_columns, sample_zonal_on_grid, translate_direct,
                         translate_spectral, vpm_grid, vpm_means, zonal_point_function)
 from .quadrature import gauss_legendre, gauss_legendre_many, integrate_theta, sphere_grid
-from .smoothness import THETA_GRID_SIZE, k_functional_estimate, modulus, modulus_many
+from .smoothness import (THETA_GRID_SIZE, _damping_table, _theta_scan, k_functional_estimate,
+                         modulus, modulus_many)
 from .special import q_envelope, q_table
 
 __all__ = [
@@ -98,20 +100,28 @@ def corpus_band_limit(n_max):
     return 4 * n_max + 64
 
 
-def prepare_corpus(corpus, d, n_max, seed=42):
+def prepare_corpus(corpus, d, n_max, seed=42, p_list=(), scales=()):
     """The ids of `corpus`, in order, in spectral form on the band limit
     K = `corpus_band_limit(n_max)`: exact coefficients for band-limited
     members, quadrature projection for the rest, memoised per run on (d, K,
     seed, id).  The members not yet memoised come from one `make_corpus` call,
     the projected ones from one streamed `zonal_project` pass; nothing is
-    built when all are memoised.  An unknown id raises KeyError, a LookupError."""
+    built when all are memoised.  The dense context of p = inf in `p_list` and
+    the theta-scan table of the moduli at `scales` ride that pass's Q_k stream.
+    An unknown id raises KeyError, a LookupError."""
     lam, band_limit = (d - 2) / 2.0, corpus_band_limit(n_max)
     keys = {fid: (d, band_limit, seed, fid) for fid in corpus}
     missing = [fid for fid, key in keys.items() if key not in _CORPUS_SPECTRAL]
     members = {member.tag: member for member in make_corpus(d, seed=seed)} if missing else {}
     projected = [fid for fid in missing if members[fid].coeffs is None]     # KeyError if unknown
-    resolved = dict(zip(projected,
-                        zonal_project([members[fid] for fid in projected], band_limit, lam)))
+    parts = []
+    if projected and INF in p_list:
+        _context(lam, band_limit, "dense", DENSE_GRID_SIZE, parts)
+    if projected and scales:
+        thetas = np.concatenate([_theta_scan(t, THETA_GRID_SIZE) for t in dict.fromkeys(scales)])
+        _damping_table(band_limit, lam, thetas, parts)
+    resolved = dict(zip(projected, zonal_project([members[fid] for fid in projected], band_limit,
+                                                 lam, parts)))
     for fid in set(missing) - set(projected):       # the exact coefficients, padded to K
         coeffs = np.pad(members[fid].coeffs, (0, band_limit + 1 - len(members[fid].coeffs)))
         coeffs.setflags(write=False)
@@ -258,11 +268,14 @@ def _delayed_maxima(f, n_list, k_cap, ps, d):
     """Per p of ps, max over k in [n, k_cap] of ||V_k f - f||_p for each n of
     the sorted n_list: the max of each segment [n_i, n_(i+1)) of degrees from
     one `lp_norm_maxima` call for all p, then suffix maxima over the segments;
-    it asks `means_columns` for a block of degrees at a time, whatever k_cap is."""
+    it asks `means_columns` for a block of degrees at a time, whatever k_cap is,
+    on the rows up to the block's top degree or f's own band, whichever is less."""
     cuts = sorted(set(n_list)) + [k_cap + 1]
-    degrees = range(cuts[0], k_cap + 1)
-    segments = lp_norm_maxima(lambda picked: means_columns(f, [degrees[i] for i in picked]),
-                              np.diff(cuts), f.lam, ps, d, reference=f.coeffs)
+    degrees, live = range(cuts[0], k_cap + 1), _live_rows(f.coeffs)
+    segments = lp_norm_maxima(
+        lambda picked: means_columns(f, [degrees[i] for i in picked],
+                                     rows=min(degrees[max(picked)] + 1, live)),
+        np.diff(cuts), f.lam, ps, d, f.band_limit, reference=f.coeffs)
     suffix = np.maximum.accumulate(segments[:, ::-1], axis=1)[:, ::-1]
     return suffix[:, [cuts.index(n) for n in n_list]].tolist()
 
@@ -320,7 +333,7 @@ def run_converse_suite(corpus, p_list, n_list, d, seed=42):
     excluded.  The chain bound ||f - V_n^m f||_p <= m ||f - V_n f||_p is
     checked along the way."""
     n_list = sorted(n_list)
-    functions = prepare_corpus(corpus, d, n_list[-1], seed=seed)
+    functions = prepare_corpus(corpus, d, n_list[-1], seed, p_list, [n ** -0.5 for n in n_list])
 
     def operator_errors(f, ps):     # ||V_n f - f||_p, the columns built once for every p
         means = means_columns(f, n_list)
@@ -369,7 +382,7 @@ def run_delayed_max_suite(corpus, p_list, n_list, d, seed=42):
     k_cap = 2 * n_list[-1]
     # the means of any degree act exactly on a band-limited representation,
     # so the band limit tracks the modulus scales, not k_cap
-    functions = prepare_corpus(corpus, d, n_list[-1], seed=seed)
+    functions = prepare_corpus(corpus, d, n_list[-1], seed, p_list, [n ** -0.5 for n in n_list])
     cells, windows, passed = _ratio_sweep(
         corpus, functions, d, p_list, n_list,
         lambda f, ps: _delayed_maxima(f, n_list, k_cap, ps, d))
@@ -398,8 +411,8 @@ def run_modulus_suite(corpus, p_list, n_list, d, seed=42):
     passed = True
     worst = {"low": math.inf, "high": -math.inf}
     n_list = sorted(n_list)
-    functions = prepare_corpus(corpus, d, n_list[-1], seed=seed)
     scales = [n ** -0.5 for n in n_list]
+    functions = prepare_corpus(corpus, d, n_list[-1], seed, p_list, scales)
     for fid, f in zip(corpus, functions):
         moduli_per_p = modulus_many(f, scales, p_list, d)
         estimates_per_p = k_functional_estimate(f, scales, p_list, d)

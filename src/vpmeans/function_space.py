@@ -4,7 +4,10 @@ Two pathways coexist: zonal spectral coefficients against the normalized
 Gegenbauer system Q_k (any d >= 3), and raw samples on the S^2 product grid
 (d = 3 only), which serve as an independent oracle for the spectral route.
 Spectral L^2 norms come from Parseval; other L^p norms synthesise the even
-and odd degrees on half of a grid symmetric about pi/2 and mirror them.
+and odd degrees on half of a grid symmetric about pi/2 and mirror them, a
+reference once per grid and run, and the maxima of a sweep read only the rows
+where its columns can be non-zero.  The synthesis contexts and the projection
+fill from parts of one Q_k stream (`special._q_rows`).
 The test corpus (harmonics, geodesic cusps, a smooth bump, a seeded random
 band-limited function) lives here as well.
 """
@@ -94,11 +97,12 @@ class GridFunction:
 def zonal_synthesis(coeffs, lam, x):
     """Evaluate sum_k coeffs[k] Q_k^lam(x) by accumulating the recurrence."""
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    rows = (q for _, block in _q_rows(len(coeffs) - 1, lam, xa, BLOCK_COLUMNS) for q in block)
-    next(rows)
     acc = np.full_like(xa, float(coeffs[0]))
-    for c, q in zip(coeffs[1:], rows):
-        acc += c * q
+
+    def accumulate(k, rows):
+        for c, q in zip(coeffs[k + (k == 0):k + len(rows)], rows[int(k == 0):]):
+            np.add(acc, c * q, out=acc)
+    _q_rows(len(coeffs) - 1, lam, [(xa, accumulate)], BLOCK_COLUMNS)
     return acc
 
 
@@ -108,6 +112,7 @@ def zonal_synthesis(coeffs, lam, x):
 # memo's run log holds (p, synthesised, skipped) per p != 2 of lp_norm_maxima
 
 _CONTEXTS = RunMemo("synthesis_context")
+_REFERENCES = RunMemo("reference_synthesis")
 
 
 @dataclass(frozen=True)
@@ -124,24 +129,39 @@ def synthesis_context(lam, k_max, kind, size):
     "dense" (uniform colatitudes including the endpoints, no weights).  Both
     grids are symmetric about pi/2, so the Q tables cover only the ceil(size/2)
     nodes with theta <= pi/2, split by the parity of k."""
+    parts = []
+    ctx = _context(lam, k_max, kind, size, parts)
+    _q_rows(k_max, lam, parts, BLOCK_COLUMNS)
+    return ctx
+
+
+def _context(lam, k_max, kind, size, parts):
+    """`synthesis_context`, a new one unfilled: the part (x, fill) of a Q_k
+    stream in BLOCK_COLUMNS-degree blocks it appends to the list `parts`
+    fills it and stores it with the last block."""
     if kind not in ("gauss", "dense"):
         raise ValueError(f"unknown synthesis grid kind {kind!r}")
+    key = (float(lam), int(k_max), kind, int(size))
+    if key in _CONTEXTS:
+        return _CONTEXTS.lookup(key, None)
+    if kind == "gauss":
+        theta, w = mapped_rule(0.0, np.pi, size)
+        weights = w * np.sin(theta) ** (2.0 * lam)
+    else:
+        theta, weights = np.linspace(0.0, np.pi, size), None
+    x = np.cos(theta[:(size + 1) // 2])
+    even, odd = np.empty((x.size, k_max // 2 + 1)), np.empty((x.size, (k_max + 1) // 2))
+    ctx = _SynthesisContext(theta=theta, weights=weights, even=even, odd=odd)
 
-    def compute():
-        if kind == "gauss":
-            theta, w = mapped_rule(0.0, np.pi, size)
-            weights = w * np.sin(theta) ** (2.0 * lam)
-        else:
-            theta, weights = np.linspace(0.0, np.pi, size), None
-        x = np.cos(theta[:(size + 1) // 2])
-        even, odd = np.empty((x.size, k_max // 2 + 1)), np.empty((x.size, (k_max + 1) // 2))
-        for k, block in _q_rows(k_max, lam, x, BLOCK_COLUMNS):    # k and BLOCK_COLUMNS even
-            cols = slice(k // 2, (k + BLOCK_COLUMNS) // 2)      # the last block ends the tables
-            even[:, cols], odd[:, cols] = block[0::2].T, block[1::2].T
-        for arr in (theta, even, odd) + (() if weights is None else (weights,)):
-            arr.setflags(write=False)
-        return _SynthesisContext(theta=theta, weights=weights, even=even, odd=odd)
-    return _CONTEXTS.lookup((float(lam), int(k_max), kind, int(size)), compute)
+    def fill(k, rows):      # k and BLOCK_COLUMNS even; the last block ends the tables
+        cols = slice(k // 2, (k + BLOCK_COLUMNS) // 2)
+        even[:, cols], odd[:, cols] = rows[0::2].T, rows[1::2].T
+        if k + len(rows) > k_max:
+            for arr in (theta, even, odd) + (() if weights is None else (weights,)):
+                arr.setflags(write=False)
+            _CONTEXTS.lookup(key, lambda: ctx)
+    parts.append((x, fill))
+    return ctx
 
 
 def _profile_callable(f):
@@ -152,7 +172,7 @@ def _profile_callable(f):
     raise TypeError(f"expected a zonal function or a callable profile, got {type(f).__name__}")
 
 
-def zonal_project(profiles, k_max, lam):
+def zonal_project(profiles, k_max, lam, parts=()):
     """Project each zonal profile of a sequence onto Q_0..Q_{k_max}:
 
         a_k = integral g Q_k sin^(2 lam) / integral Q_k^2 sin^(2 lam),
@@ -162,21 +182,25 @@ def zonal_project(profiles, k_max, lam):
     rule's synthesis context) and forms per block the denominators, the
     numerators (matrix-vector products) and the reconstructions, whose relative
     L^2 residuals are attached: no full Q table; a batch equals its members alone.
+    Its Q_k stream fills a new context first and the other tables' `parts` last.
     """
     gs = [_profile_callable(profile) for profile in profiles]
     if not gs:
         return []
-    ctx = synthesis_context(lam, k_max, "gauss", 2 * k_max + 32)
+    own = []
+    ctx = _context(lam, k_max, "gauss", 2 * k_max + 32, own)
     values = [np.asarray(g(ctx.theta), dtype=float) for g in gs]
     coeffs, recon = np.empty((len(gs), k_max + 1)), np.zeros((len(gs), ctx.theta.size))
     half = len(ctx.even)
-    for k, far in _q_rows(k_max, lam, np.cos(ctx.theta[half:]), BLOCK_COLUMNS):
+
+    def project(k, far):
         q, cols = np.empty((ctx.theta.size, len(far))), slice(k // 2, (k + BLOCK_COLUMNS) // 2)
         q[:half, 0::2], q[:half, 1::2], q[half:] = ctx.even[:, cols], ctx.odd[:, cols], far.T
         den, block = (q ** 2).T @ ctx.weights, slice(k, k + q.shape[1])
         for c, gv, r in zip(coeffs, values, recon):
             c[block] = (q.T @ (ctx.weights * gv)) / den
             r += q @ c[block]
+    _q_rows(k_max, lam, own + [(np.cos(ctx.theta[half:]), project), *parts], BLOCK_COLUMNS)
     coeffs.setflags(write=False)
     norms = [(math.sqrt(ctx.weights @ (gv - r) ** 2), math.sqrt(ctx.weights @ gv ** 2))
              for gv, r in zip(values, recon)]
@@ -222,8 +246,9 @@ def lp_norms_batch(coeff_matrix, lam, p, d, order=None, reference=None):
     even- and odd-degree parts E and O on the half grid theta_i <= pi/2, E + O
     there and E - O at the mirrored points pi - theta_i (an odd grid's middle
     node has none), where the p = inf sup is also taken.  R is synthesised
-    once and each block subtracted from it, so a column V_n f costs n + 1
-    rows; this loses eps ||R|| / ||R - g|| relative, so pass g near R as R - g.
+    once per grid and run and each block subtracted from it, so a column V_n f
+    costs n + 1 rows; this loses eps ||R|| / ||R - g|| relative, so pass g
+    near R as R - g.
 
     The grid is fixed by the input shape: the band limit is
     `coeff_matrix.shape[0] - 1`; `order`, for finite p != 2 only, defaults to
@@ -242,8 +267,7 @@ def lp_norms_batch(coeff_matrix, lam, p, d, order=None, reference=None):
         diff = coeff_matrix if reference is None else reference - coeff_matrix
         squares = diff ** 2 if reference is None else np.multiply(diff, diff, out=diff)
         return np.sqrt(surface_area(d) * (_inverse_dims(k_max, lam) @ squares))
-    ctx = _norm_context(lam, k_max, p, order)
-    ref_vals = None if reference is None else _synthesise(ctx, reference)
+    ctx, ref_vals = _norm_context(lam, k_max, p, reference, order)
     return _block_norms(ctx, p, d, coeff_matrix.shape[1], lambda s: coeff_matrix[:, s], ref_vals)
 
 
@@ -273,12 +297,14 @@ PRUNE_SLACK = 1e-10
 ANCHOR_STRIDE = 8     # lp_norm_maxima's anchors: every 8th column left unpruned
 
 
-def lp_norm_maxima(columns, sizes, lam, ps, d, reference=None):
+def lp_norm_maxima(columns, sizes, lam, ps, d, k_max, reference=None):
     """For each p of `ps`, the max of the `lp_norms_batch` norms (of
     `reference` minus each column) over each run of consecutive columns, the
     runs of the given `sizes`: one row of run maxima per p.  The builder
-    `columns(indices)` gives the (K + 1, len(indices)) columns of an index
-    array, at most BLOCK_COLUMNS at a time and each once in the bound pass.
+    `columns(indices)` gives the columns of an index array, at most
+    BLOCK_COLUMNS at a time and each once in the bound pass, as a C-ordered
+    block of their first rows: the rows past the block, up to the band limit
+    `k_max`, are zero in every column it gives.
 
     One pass over the coefficients bounds each column's norm (p = inf:
     sum_k |a_k|; p = 1: |S^{d-1}|^(1/2) ||g||_2) and, the same way, its step
@@ -302,24 +328,31 @@ def lp_norm_maxima(columns, sizes, lam, ps, d, reference=None):
         raise ValueError(f"run sizes must be positive, got {list(sizes)}")
     starts = np.cumsum([0, *sizes])
     count = int(starts[-1])
-    block = columns(np.arange(min(BLOCK_COLUMNS, count)))
-    k_max = block.shape[0] - 1
-    ref = 0.0 if reference is None else np.asarray(reference, dtype=float)[:, None]
+    ref = np.zeros(k_max + 1) if reference is None else np.asarray(reference, dtype=float)
+    ref_rows, ref = _live_rows(ref), ref[:, None]
     area, eps, inverse_dims = surface_area(d), np.finfo(float).eps, _inverse_dims(k_max, lam)
     sums, l2, mass = np.empty(count), np.empty(count), np.full(count, np.sum(np.abs(ref)))
-    steps = {INF: np.empty(count), 1: np.empty(count)}
+    steps, left = {INF: np.empty(count), 1: np.empty(count)}, None
     for start in range(0, count, BLOCK_COLUMNS):
         at = slice(start, min(start + BLOCK_COLUMNS, count))
-        # the first column's step is 0; a copy frees the previous block
-        left = block[:, -1:].copy() if start else block[:, :1]
-        block = columns(np.arange(start, at.stop)) if start else block
-        a = np.abs(ref - block)
+        block = columns(np.arange(at.start, at.stop))
+        live, width = block.shape
+        if width == 1:      # down one column numpy sums pairwise: trailing zeros move bits
+            block, live = np.pad(block, ((0, k_max + 1 - live), (0, 0))), k_max + 1
+        rows = max(live, ref_rows)
+        a = np.abs(np.broadcast_to(ref[:rows], (rows, width)))
+        a[:live] = np.abs(ref[:live] - block)
         sums[at] = a.sum(axis=0)
-        l2[at] = np.sqrt(area * np.einsum("k,kj->j", inverse_dims, a * a))
+        l2[at] = np.sqrt(area * np.einsum("k,kj->j", inverse_dims[:rows], a * a))
         mass[at] += np.abs(block).sum(axis=0)
-        step = np.diff(np.hstack((left, block)), axis=1)      # to the left neighbour
+        left = block[:, :1] if left is None else left       # the first column's step is 0
+        step = np.zeros((max(live, len(left)), width))      # to the left neighbour
+        np.subtract(block[:, 1:], block[:, :-1], out=step[:live, 1:])
+        step[:live, :1] = block[:, :1]
+        step[:len(left), :1] -= left
+        left = block[:, -1:].copy()      # frees the block
         steps[INF][at] = np.abs(step).sum(axis=0)
-        steps[1][at] = area * np.sqrt(np.einsum("k,kj->j", inverse_dims, step * step))
+        steps[1][at] = area * np.sqrt(np.einsum("k,kj->j", inverse_dims[:len(step)], step * step))
     bounds = {INF: sums, 1: math.sqrt(area) * l2}
     rows = []
     for p in ps:
@@ -328,11 +361,10 @@ def lp_norm_maxima(columns, sizes, lam, ps, d, reference=None):
             continue
         rounding = (k_max + 1) * eps * mass * (1.0 if p == INF else area)
         prefix = np.cumsum(steps[p] if p in bounds else np.full(count, np.nan))
-        ctx = _norm_context(lam, k_max, p)
+        ctx, ref_vals = _norm_context(lam, k_max, p, None if reference is None else ref)
         rows.append(_pruned_maxima(
             ctx, p, d, columns, starts, (bounds.get(p, INF) + rounding) * (1.0 + PRUNE_SLACK),
-            prefix, rounding + count * eps * prefix,
-            None if reference is None else _synthesise(ctx, ref)))
+            prefix, rounding + count * eps * prefix, ref_vals))
     return np.array(rows)
 
 
@@ -360,11 +392,27 @@ def _pruned_maxima(ctx, p, d, columns, starts, bound, prefix, rounding, ref_vals
     return np.maximum.reduceat(out, starts[:-1])
 
 
-def _norm_context(lam, k_max, p, order=None):
-    """The synthesis context of an L^p norm, p != 2, at band limit k_max."""
-    if p == INF:
-        return synthesis_context(lam, k_max, "dense", DENSE_GRID_SIZE)
-    return synthesis_context(lam, k_max, "gauss", order if order is not None else 2 * k_max + 32)
+def _norm_context(lam, k_max, p, reference, order=None):
+    """(context, R's values): the synthesis context of an L^p norm, p != 2, at
+    band limit k_max, and the `reference` column R synthesised on it, memoised
+    per run on the grid and R's bytes (None without R)."""
+    key = (float(lam), int(k_max)) + (("dense", DENSE_GRID_SIZE) if p == INF else
+                                      ("gauss", order if order is not None else 2 * k_max + 32))
+    ctx = synthesis_context(*key)
+    if reference is None:
+        return ctx, None
+
+    def compute():      # read-only, as a memo stores it
+        vals = _synthesise(ctx, reference)
+        vals.setflags(write=False)
+        return vals
+    return ctx, _REFERENCES.lookup(key + (reference.tobytes(),), compute)
+
+
+def _live_rows(coeffs):
+    """The rows of a coefficient vector up to its last non-zero one."""
+    nonzero = np.flatnonzero(coeffs)
+    return int(nonzero[-1]) + 1 if nonzero.size else 0
 
 
 # below 2^-960 a coefficient moves no synthesised value (|Q_k| <= 1); as a

@@ -27,13 +27,15 @@ __all__ = [
 ]
 
 
-def means_columns(f, degrees, powers=(1,)):
+def means_columns(f, degrees, powers=(1,), rows=None):
     """The coefficients of V_n^m f, a_k -> (omega_{n,k})^m a_k, one column per
-    (n, m), the powers of one degree side by side, from `_multiplier_prefixes`."""
+    (n, m), the powers of one degree side by side, from `_multiplier_prefixes`;
+    with `rows`, only their first rows k < rows."""
     if min(powers) < 1:
         raise ValueError(f"operator powers must be >= 1, got {tuple(powers)}")
-    cols = np.zeros((f.band_limit + 1, len(degrees) * len(powers)))
+    cols = np.zeros((f.band_limit + 1 if rows is None else rows, len(degrees) * len(powers)))
     for j, w in enumerate(_multiplier_prefixes(degrees, f.lam, f.band_limit)):
+        w = w[:len(cols)]
         for i, m in enumerate(powers):
             # w ** 1 equals w but costs a pow per entry
             cols[:w.size, j * len(powers) + i] = f.coeffs[:w.size] * (w if m == 1 else w ** m)

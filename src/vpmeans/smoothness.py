@@ -12,10 +12,10 @@ import math
 
 import numpy as np
 
-from .function_space import lp_norm_maxima, lp_norms_batch
+from .function_space import BLOCK_COLUMNS, _live_rows, lp_norm_maxima, lp_norms_batch
 from .memo import RunMemo
 from .operators import means_columns
-from .special import q_table
+from .special import _q_rows
 
 __all__ = [
     "modulus",
@@ -43,35 +43,45 @@ _DAMPING = RunMemo("theta_scan")
 _MODULUS = RunMemo("modulus")
 
 
-def _damping_table(k_max, lam, thetas):
+def _damping_table(k_max, lam, thetas, parts):
     """Read-only (T, k_max+1) table 1 - Q_k(cos theta), memoised per run on
     (k_max, lam, theta grid); for `modulus` the grid is fixed by t and the
-    grid size."""
-    def compute():
-        table = 1.0 - q_table(k_max, lam, thetas)
-        table.setflags(write=False)
-        return table
-    return _DAMPING.lookup((k_max, float(lam), thetas.tobytes()), compute)
+    grid size.  A new one fills as `function_space._context` does."""
+    key = (k_max, float(lam), thetas.tobytes())
+    if key in _DAMPING:
+        return _DAMPING.lookup(key, None)
+    table = np.empty((thetas.size, k_max + 1))
+
+    def fill(k, rows):
+        np.subtract(1.0, rows.T, out=table[:, k:k + len(rows)])
+        if k + len(rows) > k_max:       # the last block ends the table
+            table.setflags(write=False)
+            _DAMPING.lookup(key, lambda: table)
+    parts.append((np.cos(thetas), fill))
+    return table
 
 
 def translation_error_norms(f, thetas, ps, d, sizes=None):
     """||f - S_theta f||_p for a batch of translation steps theta, one row
     per p of the sequence `ps`; with `sizes`, the largest of each run of
     consecutive steps, the runs having those sizes, by `lp_norm_maxima`, which
-    builds the columns f.coeffs * (1 - Q_k(cos theta)) of the steps it picks."""
+    builds the columns f.coeffs * (1 - Q_k(cos theta)) of the steps it picks,
+    each on the rows of f's own band."""
     if np.ndim(ps) != 1:
         raise TypeError(f"ps must be a sequence of p, got {ps!r}")
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     if np.any((thetas <= 0.0) | (thetas >= np.pi)):
         raise ValueError("translation steps must lie in (0, pi)")
-    damp = _damping_table(f.band_limit, f.lam, thetas)     # (T, K+1)
+    parts = []
+    damp = _damping_table(f.band_limit, f.lam, thetas, parts)     # (T, K+1)
+    _q_rows(f.band_limit, f.lam, parts, BLOCK_COLUMNS)
 
-    def columns(steps):     # C order synthesises faster
-        return np.multiply(f.coeffs[:, None], damp[steps].T, order="C")
+    def columns(steps, rows=_live_rows(f.coeffs)):     # C order synthesises faster
+        return np.multiply(f.coeffs[:rows, None], damp[steps, :rows].T, order="C")
     if sizes is None:
-        cols = columns(slice(None))
+        cols = columns(slice(None), f.band_limit + 1)
         return np.array([lp_norms_batch(cols, f.lam, p, d) for p in ps])
-    return lp_norm_maxima(columns, sizes, f.lam, ps, d)
+    return lp_norm_maxima(columns, sizes, f.lam, ps, d, f.band_limit)
 
 
 def modulus(f, t, p, d, theta_grid_size=THETA_GRID_SIZE):

@@ -8,8 +8,9 @@ P_1(x) = 2*lam*x, the normalization fixed by the generating function
     (1 - 2 r x + r^2)^(-lam) = sum_k r^k P_k(x).
 
 The recurrence lives in one place, `_gegenbauer_steps`, read by the Gauss rules
-and by `_q_rows`, the one stream of Q_k = P_k / P_k(1), in degree blocks: every
-Q table fills from it, and the projection streams only the half its context lacks.
+and by `_q_rows`, the one stream of Q_k = P_k / P_k(1), in degree blocks over
+the nodes of all its parts at once: every Q table fills from it, a table built
+alone as a one-part stream, and one stream fills the tables of a run's band limit.
 """
 
 import math
@@ -55,16 +56,24 @@ def _gegenbauer_steps(k_max, lam, x):
         yield p
 
 
-def _q_rows(k_max, lam, x, width):
-    """Yield (k, block) for k = 0, width, 2 width, ...: a new array of the rows
-    Q_j^lam(x) = P_j^lam(x) / P_j^lam(1), j = k..min(k + width - 1, k_max).
-    P_j(x) and P_j(1) share one recurrence, which makes Q exactly 1 at x = 1."""
+def _q_rows(k_max, lam, parts, width):
+    """The one stream of Q_j^lam(x) = P_j^lam(x) / P_j^lam(1), j = 0..k_max, run
+    once over the nodes x of every part (x, fill): for k = 0, width, 2 width,
+    ... it writes the rows j = k..min(k + width - 1, k_max) into a new block
+    and hands each fill(k, rows), in order, the block's columns on its nodes;
+    no parts, no stream.  P_j(x) and P_j(1) share one recurrence, which makes
+    Q exactly 1 at x = 1."""
+    if not parts:
+        return
+    ends = np.cumsum([0] + [len(x) for x, _ in parts])
+    x = np.concatenate([x for x, _ in parts])
     steps = zip(_gegenbauer_steps(k_max, lam, x), _gegenbauer_steps(k_max, lam, 1.0))
     for k in range(0, k_max + 1, width):
-        block = np.empty((min(width, k_max + 1 - k), len(x)))
+        block = np.empty((min(width, k_max + 1 - k), x.size))
         for row, (p, one) in zip(block, steps):
             np.divide(p, one, out=row)
-        yield k, block
+        for (_, fill), start, stop in zip(parts, ends, ends[1:]):
+            fill(k, block[:, start:stop])
 
 
 def q_table(k_max, lam, theta):
@@ -75,8 +84,10 @@ def q_table(k_max, lam, theta):
         raise ValueError(f"gegenbauer index lam must be >= 1/2, got {lam}")
     ta = np.atleast_1d(np.asarray(theta, dtype=float))
     out = np.empty((ta.size, k_max + 1))
-    for k, block in _q_rows(k_max, lam, np.cos(ta), 16):    # narrow: small blocks on many nodes
-        out[:, k:k + len(block)] = block.T
+
+    def fill(k, rows):
+        out[:, k:k + len(rows)] = rows.T
+    _q_rows(k_max, lam, [(np.cos(ta), fill)], 16)     # narrow: small blocks on many nodes
     return out
 
 

@@ -1,9 +1,11 @@
 """Shared test configuration."""
 
+import sys
 import warnings
 
 import pytest
 
+import vpmeans.special
 from vpmeans.function_space import make_corpus
 
 
@@ -28,3 +30,19 @@ def pytest_runtest_makereport(item, call):
 def corpus_d3():
     """The d = 3 corpus at seed 42 by id, from one `make_corpus` call."""
     return {member.tag: member for member in make_corpus(3)}
+
+
+@pytest.fixture
+def q_streams(monkeypatch):
+    """The band limit of every Q_k stream, a `special._q_rows` call with
+    parts, that a module of vpmeans runs during the test, in order."""
+    streams, inner = [], vpmeans.special._q_rows
+
+    def counted(k_max, lam, parts, width):
+        if parts:
+            streams.append(k_max)
+        return inner(k_max, lam, parts, width)
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "vpmeans" and getattr(module, "_q_rows", None) is inner:
+            monkeypatch.setattr(module, "_q_rows", counted)
+    return streams

@@ -359,7 +359,7 @@ def test_summary_reports_cache_traffic(small_all_run):
     summary = json.loads((small_all_run / "summary.json").read_text())
     caches = summary["diagnostics"]["caches"]
     assert set(caches) == {"multiplier_prefix", "modulus", "theta_scan", "synthesis_context",
-                           "corpus_spectral"}
+                           "reference_synthesis", "corpus_spectral"}
     for stats in caches.values():
         assert stats["hits"] > 0
         assert stats["entries"] == stats["misses"] > 0

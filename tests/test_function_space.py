@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import vpmeans.function_space
 from vpmeans.function_space import (BLOCK_COLUMNS, DENSE_GRID_SIZE, INF, NEGLIGIBLE,
-                                    GridFunction, ZonalProfile, ZonalSpectral, _inverse_dims,
+                                    GridFunction, ZonalProfile, ZonalSpectral, _context,
+                                    _inverse_dims,
                                     corpus_ids, lp_norm_grid, lp_norm_maxima, lp_norm_zonal,
                                     lp_norms_batch, make_corpus, surface_area,
                                     synthesis_context, zonal_project, zonal_synthesis)
@@ -16,6 +17,7 @@ from vpmeans.kernel import multiplier_sequence
 from vpmeans.memo import clear_run_memos, run_memo_stats
 from vpmeans.operators import sample_zonal_on_grid
 from vpmeans.quadrature import integrate_theta, mapped_rule, sphere_grid
+from vpmeans.smoothness import THETA_GRID_SIZE, _damping_table, _theta_scan
 from vpmeans.special import _gegenbauer_steps, harmonic_dim, q_table
 
 
@@ -276,35 +278,73 @@ def test_zonal_project_equals_column_stream(k_max, lam):
         assert np.array_equal(out.coeffs, c) and out.projection_residual == resid
 
 
-def counting_projection_passes(monkeypatch):
-    """Log the band limit of every stream of Q_k over the far half of a
-    projection's grid, its k_max + 16 nodes with theta > pi/2 (the nodes
-    theta <= pi/2 come from the synthesis context); returns the log."""
-    passes, inner = [], vpmeans.function_space._q_rows
-
-    def rows(k_max, lam, x, width):
-        if np.size(x) == k_max + 16 and np.all(x < 0.0):
-            passes.append(k_max)
-        return inner(k_max, lam, x, width)
-    monkeypatch.setattr(vpmeans.function_space, "_q_rows", rows)
-    return passes
-
-
-def test_zonal_project_batch_equals_single_projections(monkeypatch):
+def test_zonal_project_batch_equals_single_projections(q_streams):
     lam, k_max = 1.0, 150
     profiles = [lambda t: np.exp(-4.0 * t ** 2), lambda t: t ** 0.5,
                 ZonalProfile(g=lambda t: np.cos(3.0 * t), tag="cos3")]
-    passes = counting_projection_passes(monkeypatch)
+    clear_run_memos()
     batch = zonal_project(profiles, k_max, lam)
-    assert passes == [k_max]        # one pass serves the whole batch
+    assert q_streams == [k_max]     # one stream fills the context and serves the whole batch
     for profile, out in zip(profiles, batch):
         single, = zonal_project([profile], k_max, lam)
         assert np.array_equal(out.coeffs, single.coeffs)
         assert out.projection_residual == single.projection_residual
-    passes.clear()
-    assert zonal_project([], k_max, lam) == [] and passes == []
+    q_streams.clear()
+    assert zonal_project([], k_max, lam) == [] and q_streams == []
     with pytest.raises(TypeError):
         zonal_project([np.ones(3)], k_max, lam)
+    clear_run_memos()
+
+
+@pytest.mark.parametrize("k_max", [1, 63, 64, 65, 130])
+@pytest.mark.parametrize("lam", [0.5, 1.5])
+def test_shared_stream_tables_equal_tables_built_alone(q_streams, k_max, lam):
+    # the Gauss and dense contexts, the theta-scan table and the projection
+    # filled by one stream, against each built by its own
+    profiles = [lambda t: np.exp(-4.0 * t ** 2), lambda t: t ** 0.5]
+    scales = [0.5, 0.125, 0.05]
+    thetas = np.concatenate([_theta_scan(t, THETA_GRID_SIZE) for t in scales])
+    gauss, dense = ("gauss", 2 * k_max + 32), ("dense", DENSE_GRID_SIZE)
+    clear_run_memos()
+    parts = []
+    _context(lam, k_max, *dense, parts)
+    _damping_table(k_max, lam, thetas, parts)
+    shared = zonal_project(profiles, k_max, lam, parts)
+    tables = [synthesis_context(lam, k_max, *gauss), synthesis_context(lam, k_max, *dense),
+              _damping_table(k_max, lam, thetas, [])]
+    assert q_streams == [k_max]     # one stream filled them all
+    clear_run_memos()
+    alone = [synthesis_context(lam, k_max, *gauss), synthesis_context(lam, k_max, *dense),
+             1.0 - q_table(k_max, lam, thetas)]
+    for ctx, ref in zip(tables[:2], alone[:2]):
+        assert np.array_equal(ctx.even, ref.even) and np.array_equal(ctx.odd, ref.odd)
+    assert np.array_equal(tables[2], alone[2])
+    # the projection with its context memoised, then cold
+    for projection in (zonal_project(profiles, k_max, lam),
+                       clear_run_memos() or zonal_project(profiles, k_max, lam)):
+        for out, ref in zip(shared, projection):
+            assert np.array_equal(out.coeffs, ref.coeffs)
+            assert out.projection_residual == ref.projection_residual
+    clear_run_memos()
+
+
+def test_lp_norms_batch_synthesises_each_reference_once_per_grid(monkeypatch):
+    rng = np.random.default_rng(8)
+    ref, cols = rng.uniform(-1.0, 1.0, 101), rng.uniform(-1.0, 1.0, (101, 10))
+    clear_run_memos()
+    first = [lp_norms_batch(cols, 1.0, p, 4, reference=ref) for p in (1.0, INF)]
+    widths, inner = [], vpmeans.function_space._synthesise
+    monkeypatch.setattr(vpmeans.function_space, "_synthesise",
+                        lambda ctx, coeffs: widths.append(coeffs.shape[1]) or inner(ctx, coeffs))
+    again = [lp_norms_batch(cols, 1.0, p, 4, reference=ref) for p in (1.0, INF)]
+    assert widths == [10, 10]       # the column blocks only: R's values are memoised
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+    assert run_memo_stats()["reference_synthesis"]["entries"] == 2
+    # another grid or another R is synthesised anew
+    lp_norms_batch(cols, 1.0, 1.0, 4, order=300, reference=ref)
+    lp_norms_batch(cols, 1.0, 1.0, 4, reference=-ref)
+    assert widths == [10, 10, 1, 10, 1, 10]
+    clear_run_memos()
 
 
 def test_zonal_project_streams_degree_blocks():
@@ -376,7 +416,7 @@ def test_lp_norm_maxima_equal_maxima_of_every_norm(d, support, sizes, means, wit
         cols = banded_columns(rng, k_max, support, columns) * 10.0 ** rng.uniform(-2, 2, columns)
         ref = rng.uniform(-1.0, 1.0, k_max + 1) if with_reference else None
     ps = (1.0, 2.0, INF, 3.0)
-    got = lp_norm_maxima(builder(cols), sizes, lam, ps, d, reference=ref)
+    got = lp_norm_maxima(builder(cols), sizes, lam, ps, d, k_max, reference=ref)
     assert got.shape == (len(ps), len(sizes))
     for p, row in zip(ps, got):
         full = lp_norms_batch(cols, lam, p, d, reference=ref)
@@ -393,7 +433,7 @@ def test_lp_norm_maxima_prunes_logs_and_validates():
     cols[:, 70] = np.nan
     clear_run_memos()
     log = vpmeans.function_space._CONTEXTS.log
-    got = lp_norm_maxima(builder(cols), [60, 40], 0.5, [1.0, 2.0, INF], 3)
+    got = lp_norm_maxima(builder(cols), [60, 40], 0.5, [1.0, 2.0, INF], 3, 128)
     for p, row in zip((1.0, 2.0, INF), got):
         full = lp_norms_batch(cols, 0.5, p, 3)
         assert row[0] == pytest.approx(np.max(full[:60]), rel=1e-14) and np.isnan(row[1])
@@ -404,9 +444,9 @@ def test_lp_norm_maxima_prunes_logs_and_validates():
         assert synthesised + skipped == 100 and 0 < skipped < 59
     for sizes in ([100, 0], [-1, 101], []):
         with pytest.raises(ValueError, match="sizes"):
-            lp_norm_maxima(builder(cols), sizes, 0.5, [INF], 3)
+            lp_norm_maxima(builder(cols), sizes, 0.5, [INF], 3, 128)
     with pytest.raises(ValueError, match="p must"):
-        lp_norm_maxima(builder(cols), [100], 0.5, [INF, 0.5], 3)
+        lp_norm_maxima(builder(cols), [100], 0.5, [INF, 0.5], 3, 128)
 
 
 @pytest.mark.parametrize("p", [1.0, INF])
@@ -426,7 +466,7 @@ def test_lp_norm_maxima_chain_bounds_are_tight(p):
     scales = [2.0, 5.5] + [1.5] * 6 + [5.0]
     cols = np.column_stack([decoy] + [s * unit(0, k_max + 1) for s in scales])
     clear_run_memos()
-    got = lp_norm_maxima(builder(cols), [10], 0.5, [p], 3)[0, 0]
+    got = lp_norm_maxima(builder(cols), [10], 0.5, [p], 3, k_max)[0, 0]
     assert got == pytest.approx(5.5 * unit_norm, rel=1e-14)
     # decoy, the two anchors and the max; the 1.5 columns fall to their
     # coefficient bounds once the anchors raise the run max to 5
@@ -436,7 +476,7 @@ def test_lp_norm_maxima_chain_bounds_are_tight(p):
     # 1.5 columns (its 8 finite columns keep the anchors of the run above)
     nan_run = np.column_stack([np.full(k_max + 1, np.nan)] + [unit(0, k_max + 1)] * 8)
     clear_run_memos()
-    got = lp_norm_maxima(builder(np.hstack([nan_run, cols])), [9, 10], 0.5, [p], 3)[0]
+    got = lp_norm_maxima(builder(np.hstack([nan_run, cols])), [9, 10], 0.5, [p], 3, k_max)[0]
     assert np.isnan(got[0]) and got[1] == pytest.approx(5.5 * unit_norm, rel=1e-14)
     assert vpmeans.function_space._CONTEXTS.log == [(p, 13, 6)]
 
@@ -455,8 +495,34 @@ def test_lp_norm_maxima_bounds_cover_rounding():
         cols = ref[:, None] * (1.0 + np.finfo(float).eps * ulps)
         for p in (1.0, INF):
             clear_run_memos()
-            lp_norm_maxima(builder(cols), [100, 100], 0.5, [p], 3, reference=ref)
+            lp_norm_maxima(builder(cols), [100, 100], 0.5, [p], 3, 300, reference=ref)
             assert vpmeans.function_space._CONTEXTS.log == [(p, 200, 0)]
+
+
+def test_lp_norm_maxima_bounds_equal_on_live_rows(monkeypatch):
+    # a builder that gives only the live rows moves no bound, prefix sum or
+    # rounding term, also in a one-column block, which numpy sums pairwise
+    bounds, pruned = [], vpmeans.function_space._pruned_maxima
+
+    def recorded(*args):
+        bounds.append(np.concatenate(args[5:8]))
+        return pruned(*args)
+    monkeypatch.setattr(vpmeans.function_space, "_pruned_maxima", recorded)
+    k_max = 300
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        live = rng.integers(20, 250, 129)
+        live[63] = k_max + 1      # the left neighbour of the next block is longer than it
+        cols = rng.uniform(-1.0, 1.0, (k_max + 1, 129)) * (np.arange(k_max + 1)[:, None] < live)
+        ref = rng.uniform(-1.0, 1.0, k_max + 1) * (np.arange(k_max + 1) < rng.integers(1, 302))
+        for reference in (None, ref):
+            bounds.clear()
+            clear_run_memos()
+            lp_norm_maxima(lambda picked: np.take(cols[:live[picked].max()], picked, axis=1),
+                           [60, 69], 0.5, [1.0, INF], 3, k_max, reference=reference)
+            lp_norm_maxima(builder(cols), [60, 69], 0.5, [1.0, INF], 3, k_max, reference=reference)
+            assert len(bounds) == 4 and all(map(np.array_equal, bounds[:2], bounds[2:]))
+    clear_run_memos()
 
 
 def test_lp_norm_maxima_builds_columns_in_blocks():
@@ -473,7 +539,7 @@ def test_lp_norm_maxima_builds_columns_in_blocks():
         return np.take(cols, picked, axis=1)
     clear_run_memos()
     got = lp_norm_maxima(columns, [10, 90, k_max + 1 - 100], 0.5, [1.0, 2.0, INF], 3,
-                         reference=f)
+                         k_max, reference=f)
     assert max(asked) <= BLOCK_COLUMNS < cols.shape[1]
     synthesised = sum(rec[1] for rec in vpmeans.function_space._CONTEXTS.log)
     assert sum(asked) == cols.shape[1] + synthesised

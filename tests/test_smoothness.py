@@ -5,8 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import vpmeans.experiments
+import vpmeans.function_space
 import vpmeans.smoothness
-from vpmeans.experiments import prepare_corpus
+from vpmeans.experiments import _delayed_maxima, prepare_corpus
+from vpmeans.function_space import lp_norm_maxima
 from vpmeans.function_space import INF, ZonalSpectral, lp_norm_zonal
 from vpmeans.memo import clear_run_memos, run_memo_stats
 from vpmeans.smoothness import (_theta_scan, default_candidate_degrees,
@@ -269,3 +272,46 @@ def test_cusp_modulus_rate_classification():
         oms = np.array([modulus(f, t, INF, 3) for t in ts])
         slope = np.polyfit(np.log(ts), np.log(oms), 1)[0]
         assert abs(slope - min(alpha, 1.0)) <= 0.15
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_live_row_builders_equal_full_height_builders(monkeypatch, d):
+    # the translation and delayed-max builders give only the rows where a
+    # column can be non-zero; padded back to K + 1 rows, they must give the
+    # same bounds, maxima and pruning records, bit for bit (a delayed-max cap
+    # of 2 max(n) + 4 leaves a one-column block)
+    log, heights, bounds = vpmeans.function_space._CONTEXTS.log, [], []
+    pruned = vpmeans.function_space._pruned_maxima
+
+    def recorded(ctx, p, d, columns, starts, bound, prefix, rounding, ref_vals):
+        bounds.append(np.concatenate([bound, prefix, rounding]))
+        return pruned(ctx, p, d, columns, starts, bound, prefix, rounding, ref_vals)
+
+    def both(columns, sizes, lam, ps, d, k_max, reference=None):
+        start, first = len(log), len(bounds)
+        live = lp_norm_maxima(columns, sizes, lam, ps, d, k_max, reference=reference)
+        records, middle = log[start:], len(bounds)
+
+        def full(picked):
+            block = columns(picked)
+            heights.append(len(block))
+            return np.pad(block, ((0, k_max + 1 - len(block)), (0, 0)))
+        assert np.array_equal(lp_norm_maxima(full, sizes, lam, ps, d, k_max, reference=reference),
+                              live)
+        assert log[start + len(records):] == records
+        assert all(np.array_equal(a, b, equal_nan=True)
+                   for a, b in zip(bounds[first:middle], bounds[middle:]))
+        return live
+    monkeypatch.setattr(vpmeans.function_space, "_pruned_maxima", recorded)
+    monkeypatch.setattr(vpmeans.smoothness, "lp_norm_maxima", both)
+    monkeypatch.setattr(vpmeans.experiments, "lp_norm_maxima", both)
+    ids, n_list, ps = ["harmonic:16", "randband:seed42", "cusp:0.5", "bump"], [4, 8, 16, 32], \
+        [1.0, 2.0, INF]
+    clear_run_memos()
+    for f in prepare_corpus(ids, d, max(n_list)):
+        heights.clear()
+        modulus_many(f, [n ** -0.5 for n in n_list], ps, d)
+        _delayed_maxima(f, n_list, 2 * max(n_list) + 4, ps, d)
+        assert min(heights) < f.band_limit + 1
+    assert len(bounds) == 2 * 2 * 2 * len(ids)     # p = 1 and inf, two sweeps, two builders
+    clear_run_memos()
