@@ -37,9 +37,6 @@ __all__ = ["RunConfig", "ConfigError", "config_hash", "parse_config", "dispatch"
 
 INF = float("inf")
 
-SUITES = ("multipliers", "lemmas", "voronovskaya", "converse",
-          "delayed-max", "modulus", "selftest")
-
 DEFAULT_N_LIST = (4, 8, 16, 32, 64, 128, 256)
 
 
@@ -183,25 +180,29 @@ def parse_config(path=None, overrides=None):
     return _validate(config)
 
 
-def _run_one(config, suite):
-    if suite == "multipliers":
-        return run_multiplier_identity_suite(config.d, config.n_max)
-    if suite == "lemmas":
-        return run_lemma_suite(config.d, config.n_list)
-    if suite == "voronovskaya":
-        return run_voronovskaya_suite(config.d, config.n_list)
-    if suite == "converse":
-        return run_converse_suite(config.corpus, config.p_list, config.n_list, config.d,
-                                  seed=config.seed)
-    if suite == "delayed-max":
-        return run_delayed_max_suite(config.corpus, config.p_list, config.n_list, config.d,
-                                     seed=config.seed)
-    if suite == "modulus":
-        return run_modulus_suite(config.corpus, config.p_list, config.n_list, config.d,
-                                 seed=config.seed)
-    if suite == "selftest":
-        return run_selftest_suite(seed=config.seed)
-    raise ConfigError(f"unknown suite: {suite!r}")
+# the one place a suite is named: its runner, in the order `vpm all` runs them
+# (which decides the suite that computes a shared omega cell first); each runner
+# reads its suite function from this module when called, so a rebound name is used
+_RUNNERS = {
+    "multipliers": lambda c: run_multiplier_identity_suite(c.d, c.n_max),
+    "lemmas": lambda c: run_lemma_suite(c.d, c.n_list),
+    "voronovskaya": lambda c: run_voronovskaya_suite(c.d, c.n_list),
+    "converse": lambda c: run_converse_suite(c.corpus, c.p_list, c.n_list, c.d, seed=c.seed),
+    "delayed-max": lambda c: run_delayed_max_suite(c.corpus, c.p_list, c.n_list, c.d,
+                                                   seed=c.seed),
+    "modulus": lambda c: run_modulus_suite(c.corpus, c.p_list, c.n_list, c.d, seed=c.seed),
+    "selftest": lambda c: run_selftest_suite(seed=c.seed),
+}
+SUITES = tuple(_RUNNERS)
+
+# summary.json's constants: name -> (suite, reader of that suite's measured)
+_CONSTANTS = {
+    "envelope_c5": ("selftest", lambda m: m["envelope_constant"]),
+    "n_alpha_window": ("voronovskaya", lambda m: {"min": min(m["n_alpha"].values()),
+                                                  "max": max(m["n_alpha"].values())}),
+    "lemma_windows": ("lemmas", lambda m: m["windows"]),
+    "converse_ratio_windows": ("converse", lambda m: m["ratio_windows"]),
+}
 
 
 def _write_atomic(path, text):
@@ -230,18 +231,9 @@ def _pruning(log):
 
 
 def _summary(snapshot, digest, reports, errors, timings, pruning):
-    constants = dict.fromkeys(("envelope_c5", "n_alpha_window", "lemma_windows",
-                               "converse_ratio_windows"))
-    for report in reports:
-        if report.suite == "selftest":
-            constants["envelope_c5"] = report.measured.get("envelope_constant")
-        elif report.suite == "voronovskaya":
-            values = [float(v) for v in report.measured["n_alpha"].values()]
-            constants["n_alpha_window"] = {"min": min(values), "max": max(values)}
-        elif report.suite == "lemmas":
-            constants["lemma_windows"] = report.measured.get("windows")
-        elif report.suite == "converse":
-            constants["converse_ratio_windows"] = report.measured.get("ratio_windows")
+    measured = {report.suite: report.measured for report in reports}
+    constants = {name: read(measured[suite]) if suite in measured else None
+                 for name, (suite, read) in _CONSTANTS.items()}
     return {
         "config_hash": digest,
         "generated": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -265,6 +257,8 @@ def dispatch(config, suite):
     `# suite=<name> config_hash=<hash> generated=<UTC ISO time>` whose hash
     is the summary's.  The run is one `run_scope`: each spectral quantity is
     computed once per run, and no memo entry outlives the summary."""
+    if suite != "all" and suite not in _RUNNERS:
+        raise ConfigError(f"unknown suite: {suite!r}")
     with run_scope():
         try:
             os.makedirs(config.out_dir, exist_ok=True)
@@ -279,7 +273,7 @@ def dispatch(config, suite):
         for name in names:
             start, logged, rss = time.perf_counter(), len(_CONTEXTS.log), _max_rss_mb()
             try:
-                report = _run_one(config, name)
+                report = _RUNNERS[name](config)
             except ArithmeticError as exc:
                 # no CSV: a partial table must not look like a result
                 errors[name] = {key: getattr(exc, key, None)

@@ -82,10 +82,10 @@ class ExperimentReport:
 
 
 def _window(values):
-    """(min, max, max/min) of a positive sequence."""
+    """{"min", "max", "ratio": max/min} of a positive sequence."""
     arr = np.asarray(list(values), dtype=float)
     lo, hi = float(arr.min()), float(arr.max())
-    return lo, hi, hi / lo if lo > 0 else math.inf
+    return {"min": lo, "max": hi, "ratio": hi / lo if lo > 0 else math.inf}
 
 
 # ---------------------------------------------------------------------------
@@ -196,13 +196,8 @@ def run_lemma_suite(d, n_list):
             series[quantity].append(normalized)
             rows.append({"d": d, "n": n, "quantity": quantity,
                          "value": value, "normalized": normalized})
-    upper = len(n_list) // 2
-    windows = {}
-    passed = True
-    for quantity, seq in series.items():
-        lo, hi, ratio = _window(seq[upper:])
-        windows[quantity] = {"min": lo, "max": hi, "ratio": ratio}
-        passed = passed and ratio <= LEMMA_WINDOW
+    windows = {quantity: _window(seq[len(n_list) // 2:]) for quantity, seq in series.items()}
+    passed = all(window["ratio"] <= LEMMA_WINDOW for window in windows.values())
     # refinement self-check: largest n, most singular moment, the sweep's last,
     # on a ladder from 3/2 the sweep's first order, so that no rung is shared
     n_top, coarse = n_list[-1], vals["neg_lambda"][0]
@@ -243,7 +238,7 @@ def run_voronovskaya_suite(d, n_list):
             rows.append({"d": d, "n": n, "k": k, "alpha_n": alpha,
                          "n_alpha": n * alpha, "residual": residual,
                          "normalized": normalized})
-    lo, hi, ratio = _window(normalized_all)
+    window = _window(normalized_all)
     alpha_ok = all(ALPHA_BOUNDS[0] <= v <= ALPHA_BOUNDS[1] for v in n_alpha.values())
     # refinement self-check: alpha(n_top), the sweep's last, at a tighter
     # tolerance on a ladder from 3/2 the sweep's first order, as in the lemmas
@@ -251,12 +246,12 @@ def run_voronovskaya_suite(d, n_list):
     a2 = alpha_voronovskaya(n_top, d, order=3 * (default_order(n_top) + 32) // 2, rtol=1e-11)
     refine_ok = abs(alpha - a2) <= REFINEMENT_RTOL * abs(a2)
     closed = sum(1.0 / (n_top + j) for j in range(1, d - 1)) / (d - 2)
-    passed = ratio <= VORONOVSKAYA_WINDOW and alpha_ok and refine_ok
+    passed = window["ratio"] <= VORONOVSKAYA_WINDOW and alpha_ok and refine_ok
     return ExperimentReport(
         suite="voronovskaya",
         columns=["d", "n", "k", "alpha_n", "n_alpha", "residual", "normalized"],
         rows=rows, passed=passed,
-        measured={"normalized_window": {"min": lo, "max": hi, "ratio": ratio},
+        measured={"normalized_window": window,
                   "n_alpha": {str(n): v for n, v in sorted(n_alpha.items())},
                   "window_bound": VORONOVSKAYA_WINDOW, "alpha_bounds": list(ALPHA_BOUNDS),
                   "refinement_check": refine_ok,
@@ -280,21 +275,21 @@ def _delayed_maxima(f, n_list, k_cap, ps, d):
     return suffix[:, [cuts.index(n) for n in n_list]].tolist()
 
 
-def _ratio_sweep(corpus, functions, d, p_list, n_list, numerators):
+def _ratio_sweep(corpus, functions, d, p_list, n_list, numerators, column, flags, **fixed):
     """The ratio loop shared by the converse and delayed-max suites.
 
     For each corpus id and its function f of `functions`, numerators(f, p_list)
     gives per p one value per n of n_list, which is divided by
-    omega(f, n^(-1/2))_p.  A cell whose
-    modulus is numerically zero (a constant) is degenerate: its ratio is NaN
-    and it stays out of the max/min window of its (f, p) pair.  Returns the
-    cells (function_id, p, n, numerator, w_n, ratio, degenerate), the windows
-    keyed "function_id|p=p", and whether every window has min > 0 and
-    max/min <= RATIO_WINDOW.
+    omega(f, n^(-1/2))_p.  A cell whose modulus is numerically zero (a
+    constant) is degenerate: its ratio is NaN and it stays out of every
+    window.  Returns the CSV rows sorted by (function_id, p, n), the numerator
+    under `column`, the `fixed` columns, and the flag flags[0], or flags[1]
+    when degenerate; the windows of each (f, p), keyed "function_id|p=p"; the
+    pooled windows of each p over every f and n, keyed str(p), which estimate
+    the theorem's C1 (min) and C2 (max); and whether every window has min > 0
+    and max/min <= RATIO_WINDOW.
     """
-    cells = []
-    windows = {}
-    passed = True
+    rows, windows, pooled = [], {}, {p: [] for p in p_list}
     for fid, f in zip(corpus, functions):
         moduli_per_p = modulus_many(f, [n ** -0.5 for n in n_list], p_list, d)
         for p, nums, moduli in zip(p_list, numerators(f, p_list), moduli_per_p):
@@ -302,14 +297,17 @@ def _ratio_sweep(corpus, functions, d, p_list, n_list, numerators):
             for n, num, w_n in zip(n_list, nums, moduli):
                 degenerate = w_n <= DEGENERATE_FLOOR
                 ratio = float("nan") if degenerate else num / w_n
-                cells.append((fid, p, n, num, w_n, ratio, degenerate))
+                rows.append({"function_id": fid, "p": p, "n": n, column: num, "w_n": w_n,
+                             "ratio": ratio, "flag": flags[degenerate], **fixed})
                 if not degenerate:
                     ratios.append(ratio)
             if ratios:
-                lo, hi, ratio = _window(ratios)
-                windows[f"{fid}|p={p}"] = {"min": lo, "max": hi, "ratio": ratio}
-                passed = passed and lo > 0 and ratio <= RATIO_WINDOW
-    return cells, windows, passed
+                windows[f"{fid}|p={p}"] = _window(ratios)
+                pooled[p] += ratios
+    pooled = {str(p): _window(ratios) for p, ratios in pooled.items() if ratios}
+    passed = all(window["min"] > 0 and window["ratio"] <= RATIO_WINDOW
+                 for window in [*windows.values(), *pooled.values()])
+    return sorted(rows, key=lambda r: (r["function_id"], r["p"], r["n"])), windows, pooled, passed
 
 
 def _modulus_grid_check(f, t, p, d):
@@ -338,11 +336,8 @@ def run_converse_suite(corpus, p_list, n_list, d, seed=42):
     def operator_errors(f, ps):     # ||V_n f - f||_p, the columns built once for every p
         means = means_columns(f, n_list)
         return [lp_norms_batch(means, f.lam, p, d, reference=f.coeffs).tolist() for p in ps]
-    cells, ratio_windows, passed = _ratio_sweep(
-        corpus, functions, d, p_list, n_list, operator_errors)
-    rows = [{"function_id": fid, "p": p, "n": n, "e_n": e_n, "w_n": w_n,
-             "ratio": ratio, "flag": "degenerate" if degenerate else "ok"}
-            for fid, p, n, e_n, w_n, ratio, degenerate in cells]
+    rows, ratio_windows, pooled, passed = _ratio_sweep(
+        corpus, functions, d, p_list, n_list, operator_errors, "e_n", ("ok", "degenerate"))
     # chain bound at the median degree
     chain_worst = -math.inf
     n_mid = n_list[len(n_list) // 2]
@@ -365,10 +360,10 @@ def run_converse_suite(corpus, p_list, n_list, d, seed=42):
     return ExperimentReport(
         suite="converse",
         columns=["function_id", "p", "n", "e_n", "w_n", "ratio", "flag"],
-        rows=sorted(rows, key=lambda r: (r["function_id"], r["p"], r["n"])),
-        passed=passed,
-        measured={"ratio_windows": ratio_windows, "window_bound": RATIO_WINDOW,
-                  "chain_excess": chain_worst, "refinement_check": refine_ok},
+        rows=rows, passed=passed,
+        measured={"ratio_windows": ratio_windows, "pooled_windows": pooled,
+                  "window_bound": RATIO_WINDOW, "chain_excess": chain_worst,
+                  "refinement_check": refine_ok},
     )
 
 
@@ -383,23 +378,19 @@ def run_delayed_max_suite(corpus, p_list, n_list, d, seed=42):
     # the means of any degree act exactly on a band-limited representation,
     # so the band limit tracks the modulus scales, not k_cap
     functions = prepare_corpus(corpus, d, n_list[-1], seed, p_list, [n ** -0.5 for n in n_list])
-    cells, windows, passed = _ratio_sweep(
+    rows, windows, pooled, passed = _ratio_sweep(
         corpus, functions, d, p_list, n_list,
-        lambda f, ps: _delayed_maxima(f, n_list, k_cap, ps, d))
-    rows = [{"function_id": fid, "p": p, "n": n, "k_cap": k_cap, "max_err": m_n,
-             "w_n": w_n, "ratio": ratio,
-             "flag": "TRUNCATED;degenerate" if degenerate else "TRUNCATED"}
-            for fid, p, n, m_n, w_n, ratio, degenerate in cells]
+        lambda f, ps: _delayed_maxima(f, n_list, k_cap, ps, d),
+        "max_err", ("TRUNCATED", "TRUNCATED;degenerate"), k_cap=k_cap)
     # refinement self-check: the modulus of the last cell on a doubled grid
     refine_ok = _modulus_grid_check(functions[-1], n_list[-1] ** -0.5, p_list[-1], d)
     passed = passed and refine_ok
     return ExperimentReport(
         suite="delayed-max",
         columns=["function_id", "p", "n", "k_cap", "max_err", "w_n", "ratio", "flag"],
-        rows=sorted(rows, key=lambda r: (r["function_id"], r["p"], r["n"])),
-        passed=passed,
-        measured={"ratio_windows": windows, "window_bound": RATIO_WINDOW,
-                  "refinement_check": refine_ok},
+        rows=rows, passed=passed,
+        measured={"ratio_windows": windows, "pooled_windows": pooled,
+                  "window_bound": RATIO_WINDOW, "refinement_check": refine_ok},
     )
 
 

@@ -61,12 +61,12 @@ def _damping_table(k_max, lam, thetas, parts):
     return table
 
 
-def translation_error_norms(f, thetas, ps, d, sizes=None):
-    """||f - S_theta f||_p for a batch of translation steps theta, one row
-    per p of the sequence `ps`; with `sizes`, the largest of each run of
-    consecutive steps, the runs having those sizes, by `lp_norm_maxima`, which
-    builds the columns f.coeffs * (1 - Q_k(cos theta)) of the steps it picks,
-    each on the rows of f's own band."""
+def translation_error_norms(f, thetas, ps, d, sizes):
+    """The largest ||f - S_theta f||_p of each run of consecutive translation
+    steps theta, the runs having the sizes `sizes`, one row per p of the
+    sequence `ps`, by `lp_norm_maxima`, which builds the columns
+    f.coeffs * (1 - Q_k(cos theta)) of the steps it picks, each on the rows
+    of f's own band."""
     if np.ndim(ps) != 1:
         raise TypeError(f"ps must be a sequence of p, got {ps!r}")
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
@@ -78,9 +78,6 @@ def translation_error_norms(f, thetas, ps, d, sizes=None):
 
     def columns(steps, rows=_live_rows(f.coeffs)):     # C order synthesises faster
         return np.multiply(f.coeffs[:rows, None], damp[steps, :rows].T, order="C")
-    if sizes is None:
-        cols = columns(slice(None), f.band_limit + 1)
-        return np.array([lp_norms_batch(cols, f.lam, p, d) for p in ps])
     return lp_norm_maxima(columns, sizes, f.lam, ps, d, f.band_limit)
 
 

@@ -280,6 +280,14 @@ def test_non_convergence_reports_the_suite_dimension(tmp_path, monkeypatch, caps
     assert error["d"] == 5 and error["kind"] == "gauss_legendre Newton"
 
 
+def test_dispatch_rejects_an_unknown_suite_before_running(tmp_path):
+    config = parse_config(overrides={"out_dir": str(tmp_path / "out")})
+    with pytest.raises(ConfigError, match="unknown suite: 'frequencies'"):
+        dispatch(config, "frequencies")
+    assert not (tmp_path / "out").exists()
+    assert [build_parser().parse_args([name]).suite for name in SUITES] == list(SUITES)
+
+
 def test_non_convergence_leaves_other_suites_running(tmp_path, monkeypatch, capsys):
     def stalled(*args, **kwargs):
         raise quadrature.ConvergenceError(8, 3, "fourth_moment", 320, 1.0, 2.0)

@@ -222,6 +222,29 @@ def test_delayed_max_suite_band_limited_max_at_first_degree():
             rel=1e-10)
 
 
+@pytest.mark.parametrize("run", [run_converse_suite, run_delayed_max_suite])
+def test_pooled_window_fails_constants_that_depend_on_f(run, monkeypatch):
+    # numerators flat in n, at 0.1 omega for one function and 10 omega for the
+    # other: each (f, p) window passes, but no C1, C2 with C2 / C1 <= RATIO_WINDOW
+    # fit both functions, so the window pooled over the corpus fails the suite
+    inner = vpmeans.experiments._ratio_sweep
+
+    def sweep(corpus, functions, d, p_list, n_list, numerators, *args, **kw):
+        def flat(f, ps):
+            moduli = modulus_many(f, [n ** -0.5 for n in n_list], ps, d)
+            return [[(0.1 if f is functions[0] else 10.0) * w for w in row] for row in moduli]
+        return inner(corpus, functions, d, p_list, n_list, flat, *args, **kw)
+    monkeypatch.setattr(vpmeans.experiments, "_ratio_sweep", sweep)
+    clear_run_memos()
+    report = run(SMALL_CORPUS, (2.0,), SMALL_N, 3)
+    windows = report.measured["ratio_windows"]
+    assert len(windows) == 2 and all(w["ratio"] == pytest.approx(1.0) for w in windows.values())
+    assert report.measured["pooled_windows"]["2.0"]["ratio"] == pytest.approx(100.0)
+    assert report.measured["refinement_check"]
+    assert report.measured.get("chain_excess", -math.inf) <= 1e-8
+    assert not report.passed
+
+
 @settings(max_examples=40, deadline=None, database=None)
 @given(d=st.sampled_from([3, 4, 5]), support=st.integers(0, 120), pad=st.integers(0, 60),
        n_list=st.lists(st.integers(1, 48), min_size=1, max_size=5),

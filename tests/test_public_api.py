@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import json
@@ -82,3 +83,18 @@ def test_benchmark_layer_metrics_name_public_functions():
         if not ok:
             unresolved.append(f"{short}.{attr}")
     assert unresolved == []
+
+
+def test_benchmark_suite_map_matches_cli_suites():
+    # the traced benchmark times experiments.<suite>.s through the runner that
+    # perfbench/run.py's SUITE_FUNCTIONS names: read as text, nothing imported
+    source = (Path(__file__).parents[1] / "perfbench" / "run.py").read_text()
+    suite_functions = next(ast.literal_eval(node.value) for node in ast.parse(source).body
+                           if isinstance(node, ast.Assign) and len(node.targets) == 1
+                           and getattr(node.targets[0], "id", None) == "SUITE_FUNCTIONS")
+    assert tuple(suite_functions) == SUITES
+    experiments = importlib.import_module("vpmeans.experiments")
+    for name in suite_functions.values():
+        obj = getattr(experiments, name, None)
+        assert name in experiments.__all__ and inspect.isfunction(obj)
+        assert obj.__module__ == experiments.__name__

@@ -10,7 +10,7 @@ import vpmeans.function_space
 import vpmeans.smoothness
 from vpmeans.experiments import _delayed_maxima, prepare_corpus
 from vpmeans.function_space import lp_norm_maxima
-from vpmeans.function_space import INF, ZonalSpectral, lp_norm_zonal
+from vpmeans.function_space import INF, ZonalSpectral, lp_norm_zonal, lp_norms_batch
 from vpmeans.memo import clear_run_memos, run_memo_stats
 from vpmeans.smoothness import (_theta_scan, default_candidate_degrees,
                                 k_functional_estimate, modulus, modulus_many,
@@ -97,6 +97,14 @@ def test_modulus_memo_hit_is_recomputation(spectral):
     assert modulus(other, 0.2, 1.0, 3) != first
 
 
+def full_sweep(f, thetas, ps, d):
+    """The unpruned oracle: ||f - S_theta f||_p at every step, from the columns
+    f.coeffs * (1 - Q_k(cos theta)) on the full band, one lp_norms_batch call per p."""
+    damping = 1.0 - q_table(f.band_limit, f.lam, np.asarray(thetas, dtype=float))
+    cols = np.multiply(f.coeffs[:, None], damping.T, order="C")
+    return np.array([lp_norms_batch(cols, f.lam, p, d) for p in ps])
+
+
 def band_limited(d, support, pad, seed):
     """Coefficients uniform in [-1, 1] up to degree `support`, zero up to
     the band limit support + pad."""
@@ -113,10 +121,10 @@ def band_limited(d, support, pad, seed):
 @example(d=3, support=3, pad=0, p=1.0, seed=0, t=2.0)
 @example(d=3, support=5, pad=0, p=INF, seed=1, t=3.0)
 def test_pruned_modulus_equals_full_sweep(d, support, pad, p, seed, t):
-    # the 64-step sweep of translation_error_norms is the oracle; modulus
-    # synthesises only the steps whose bound can reach the max
+    # the unpruned 64-step sweep is the oracle; modulus synthesises only the
+    # steps whose bound can reach the max
     f = band_limited(d, support, pad, seed)
-    full = float(np.max(translation_error_norms(f, _theta_scan(t, 64), [p], d)))
+    full = float(np.max(full_sweep(f, _theta_scan(t, 64), [p], d)))
     clear_run_memos()
     assert modulus(f, t, p, d) == pytest.approx(full, rel=1e-14, abs=0.0)
 
@@ -164,8 +172,9 @@ def test_modulus_domain():
 def test_translation_error_norms_batch(spectral):
     f = spectral("harmonic:4")
     thetas = np.array([0.05, 0.1])
-    vals = translation_error_norms(f, thetas, [2.0, INF], 3)
+    vals = translation_error_norms(f, thetas, [2.0, INF], 3, [1] * thetas.size)
     assert vals.shape == (2, thetas.size)
+    np.testing.assert_allclose(vals, full_sweep(f, thetas, [2.0, INF], 3), rtol=1e-14, atol=0.0)
     for theta, val in zip(thetas, vals[0]):
         expect = (1.0 - q_table(4, 0.5, theta)[0, 4]) * lp_norm_zonal(f, 2.0, 3)
         assert val == pytest.approx(expect, rel=1e-10)
@@ -175,11 +184,11 @@ def test_translation_errors_stay_in_coefficient_form(spectral, monkeypatch):
     # ||f - S_theta f|| / ||f|| falls to ~1e-8 at the smallest steps, where a
     # difference of syntheses would lose ~1e-8 relative
     references = []
-    batch = vpmeans.smoothness.lp_norms_batch
-    monkeypatch.setattr(vpmeans.smoothness, "lp_norms_batch",
-                        lambda *args, **kw: references.append(kw.get("reference")) or
-                        batch(*args, **kw))
-    translation_error_norms(spectral("cusp:0.5"), [1e-3, 0.1], [1.0], 3)
+    maxima = vpmeans.smoothness.lp_norm_maxima
+    monkeypatch.setattr(vpmeans.smoothness, "lp_norm_maxima",
+                        lambda *args, reference=None: references.append(reference) or
+                        maxima(*args, reference=reference))
+    translation_error_norms(spectral("cusp:0.5"), [1e-3, 0.1], [1.0], 3, [2])
     assert references == [None]
     with pytest.raises(TypeError, match="sequence"):
         translation_error_norms(spectral("cusp:0.5"), [0.1], 1.0, 3, sizes=[1])
