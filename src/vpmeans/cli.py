@@ -84,21 +84,15 @@ def _parse_int_list(text):
         raise ConfigError(f"expected a comma-separated integer list, got {text!r}") from None
 
 
+_P_VALUES = {"inf": INF, "Infinity": INF, "oo": INF, "1": 1.0, "1.0": 1.0, "2": 2.0, "2.0": 2.0}
+
+
 def _parse_p_list(text):
-    out = []
-    for part in str(text).split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if part in ("inf", "Infinity", "oo"):
-            out.append(INF)
-        elif part in ("1", "1.0"):
-            out.append(1.0)
-        elif part in ("2", "2.0"):
-            out.append(2.0)
-        else:
+    parts = [part.strip() for part in str(text).split(",") if part.strip()]
+    for part in parts:
+        if part not in _P_VALUES:
             raise ConfigError(f"p must be drawn from {{1, 2, inf}}, got {part!r}")
-    return tuple(out)
+    return tuple(_P_VALUES[part] for part in parts)
 
 
 # every RunConfig field is a configuration key; its type parses its value
@@ -147,6 +141,11 @@ def _validate(config):
         raise ConfigError(f"every n must be >= 1, got {config.n_list}")
     if not config.p_list:
         raise ConfigError("p_list must be nonempty")
+    for key in ("n_list", "p_list", "corpus"):     # a repeat would write its rows twice
+        values = getattr(config, key)
+        repeated = [value for i, value in enumerate(values) if value in values[:i]]
+        if repeated:
+            raise ConfigError(f"{key} repeats {repeated[0]!r}; each value may appear once")
     needed = corpus_band_limit(max(config.n_list))
     if needed > config.band_budget:
         raise ConfigError(

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .function_space import (DENSE_GRID_SIZE, INF, ZonalSpectral, _context, _live_rows,
+from .function_space import (BLOCK_COLUMNS, INF, ZonalSpectral, _live_rows, _norm_context,
                              lp_norm_maxima, lp_norms_batch, make_corpus, zonal_project,
                              zonal_synthesis)
 from .kernel import (_alpha_nested, _multiplier_integrals, _multiplier_prefixes, _refine,
@@ -26,7 +26,7 @@ from .operators import (means_columns, sample_zonal_on_grid, translate_direct,
 from .quadrature import gauss_legendre, gauss_legendre_many, integrate_theta, sphere_grid
 from .smoothness import (THETA_GRID_SIZE, _damping_table, _theta_scan, k_functional_estimate,
                          modulus, modulus_many)
-from .special import q_envelope, q_table
+from .special import _q_rows, q_envelope, q_table
 
 __all__ = [
     "ExperimentReport",
@@ -105,23 +105,26 @@ def prepare_corpus(corpus, d, n_max, seed=42, p_list=(), scales=()):
     K = `corpus_band_limit(n_max)`: exact coefficients for band-limited
     members, quadrature projection for the rest, memoised per run on (d, K,
     seed, id).  The members not yet memoised come from one `make_corpus` call,
-    the projected ones from one streamed `zonal_project` pass; nothing is
-    built when all are memoised.  The dense context of p = inf in `p_list` and
-    the theta-scan table of the moduli at `scales` ride that pass's Q_k stream.
-    An unknown id raises KeyError, a LookupError."""
+    the projected ones by `zonal_project`; nothing is built when all are
+    memoised.  Before projecting, one Q_k stream at K fills the projection's
+    Gauss context, the dense context of p = inf in `p_list` and the
+    theta-scan table of the moduli at `scales`.  An unknown id raises
+    KeyError, a LookupError."""
     lam, band_limit = (d - 2) / 2.0, corpus_band_limit(n_max)
     keys = {fid: (d, band_limit, seed, fid) for fid in corpus}
     missing = [fid for fid, key in keys.items() if key not in _CORPUS_SPECTRAL]
     members = {member.tag: member for member in make_corpus(d, seed=seed)} if missing else {}
     projected = [fid for fid in missing if members[fid].coeffs is None]     # KeyError if unknown
-    parts = []
-    if projected and INF in p_list:
-        _context(lam, band_limit, "dense", DENSE_GRID_SIZE, parts)
-    if projected and scales:
-        thetas = np.concatenate([_theta_scan(t, THETA_GRID_SIZE) for t in dict.fromkeys(scales)])
-        _damping_table(band_limit, lam, thetas, parts)
-    resolved = dict(zip(projected, zonal_project([members[fid] for fid in projected], band_limit,
-                                                 lam, parts)))
+    if projected:
+        parts = []
+        for p in (1.0, INF) if INF in p_list else (1.0,):
+            _norm_context(lam, band_limit, p, parts=parts)
+        if scales:
+            scans = [_theta_scan(t, THETA_GRID_SIZE) for t in dict.fromkeys(scales)]
+            _damping_table(band_limit, lam, np.concatenate(scans), parts)
+        _q_rows(band_limit, lam, parts, BLOCK_COLUMNS)
+    resolved = dict(zip(projected, zonal_project([members[fid] for fid in projected],
+                                                 band_limit, lam)))
     for fid in set(missing) - set(projected):       # the exact coefficients, padded to K
         coeffs = np.pad(members[fid].coeffs, (0, band_limit + 1 - len(members[fid].coeffs)))
         coeffs.setflags(write=False)

@@ -6,8 +6,8 @@ Gegenbauer system Q_k (any d >= 3), and raw samples on the S^2 product grid
 Spectral L^2 norms come from Parseval; other L^p norms synthesise the even
 and odd degrees on half of a grid symmetric about pi/2 and mirror them, a
 reference once per grid and run, and the maxima of a sweep read only the rows
-where its columns can be non-zero.  The synthesis contexts and the projection
-fill from parts of one Q_k stream (`special._q_rows`).
+where its columns can be non-zero.  The synthesis contexts fill from parts
+of one Q_k stream (`special._q_rows`); the projection reads one by parity.
 The test corpus (harmonics, geodesic cusps, a smooth bump, a seeded random
 band-limited function) lives here as well.
 """
@@ -43,9 +43,9 @@ INF = float("inf")
 # number of colatitude samples behind every sup-norm evaluation
 DENSE_GRID_SIZE = 4096
 
-# columns that lp_norms_batch and zonal_project process at once: their
-# temporaries stay at (grid size) x 64 doubles, 2 MiB on the dense grid,
-# instead of growing with the number of functions or degrees
+# columns that lp_norms_batch processes, and degrees that a Q_k stream fills,
+# at once: their temporaries stay at (grid size) x 64 doubles, 2 MiB on the
+# dense grid, instead of growing with the number of functions or degrees
 BLOCK_COLUMNS = 64
 
 
@@ -164,47 +164,41 @@ def _context(lam, k_max, kind, size, parts):
     return ctx
 
 
-def _profile_callable(f):
-    if isinstance(f, ZonalProfile):
-        return f.g
+def _profile_callable(f):     # a ZonalProfile calls its g
     if callable(f):
         return f
     raise TypeError(f"expected a zonal function or a callable profile, got {type(f).__name__}")
 
 
-def zonal_project(profiles, k_max, lam, parts=()):
+def zonal_project(profiles, k_max, lam):
     """Project each zonal profile of a sequence onto Q_0..Q_{k_max}:
 
         a_k = integral g Q_k sin^(2 lam) / integral Q_k^2 sin^(2 lam),
 
-    both integrals on the mapped Gauss rule of 2 k_max + 32 nodes.  One pass
-    builds Q_k in BLOCK_COLUMNS-degree blocks (on theta <= pi/2 read from the
-    rule's synthesis context) and forms per block the denominators, the
-    numerators (matrix-vector products) and the reconstructions, whose relative
-    L^2 residuals are attached: no full Q table; a batch equals its members alone.
-    Its Q_k stream fills a new context first and the other tables' `parts` last.
-    """
+    the numerator on the Gauss grid of `lp_norms_batch` at p = 1 by parity
+    from its synthesis context (Q_k(-x) = (-1)^k Q_k(x): the even rows meet
+    w g plus its mirror, the odd ones w g minus it), the denominator in closed
+    form, |S^{d-1}| / (|S^{d-2}| N_k).  The relative L^2 residual of the
+    synthesised projection is attached; a batch equals its members alone."""
     gs = [_profile_callable(profile) for profile in profiles]
     if not gs:
         return []
-    own = []
-    ctx = _context(lam, k_max, "gauss", 2 * k_max + 32, own)
-    values = [np.asarray(g(ctx.theta), dtype=float) for g in gs]
-    coeffs, recon = np.empty((len(gs), k_max + 1)), np.zeros((len(gs), ctx.theta.size))
-    half = len(ctx.even)
-
-    def project(k, far):
-        q, cols = np.empty((ctx.theta.size, len(far))), slice(k // 2, (k + BLOCK_COLUMNS) // 2)
-        q[:half, 0::2], q[:half, 1::2], q[half:] = ctx.even[:, cols], ctx.odd[:, cols], far.T
-        den, block = (q ** 2).T @ ctx.weights, slice(k, k + q.shape[1])
-        for c, gv, r in zip(coeffs, values, recon):
-            c[block] = (q.T @ (ctx.weights * gv)) / den
-            r += q @ c[block]
-    _q_rows(k_max, lam, own + [(np.cos(ctx.theta[half:]), project), *parts], BLOCK_COLUMNS)
-    coeffs.setflags(write=False)
-    norms = [(math.sqrt(ctx.weights @ (gv - r) ** 2), math.sqrt(ctx.weights @ gv ** 2))
-             for gv, r in zip(values, recon)]
-    return [ZonalSpectral(lam, c, resid / (ref or 1.0)) for c, (resid, ref) in zip(coeffs, norms)]
+    ctx, _ = _norm_context(lam, k_max, 1.0)
+    d, half = 2.0 * lam + 2.0, len(ctx.even)
+    den = surface_area(d) / surface_area(d - 1) * _inverse_dims(k_max, lam)
+    out = []
+    for g in gs:
+        vals = np.asarray(g(ctx.theta), dtype=float)
+        wg = ctx.weights * vals
+        near, far = wg[:half], wg[::-1][:half]      # node size-1-i is pi - theta_i
+        coeffs = np.empty(k_max + 1)
+        coeffs[0::2], coeffs[1::2] = ctx.even.T @ (near + far), ctx.odd.T @ (near - far)
+        coeffs /= den
+        coeffs.setflags(write=False)
+        resid = vals - _synthesise(ctx, coeffs[:, None])[:, 0]
+        ref = math.sqrt(ctx.weights @ vals ** 2)
+        out.append(ZonalSpectral(lam, coeffs, math.sqrt(ctx.weights @ resid ** 2) / (ref or 1.0)))
+    return out
 
 
 def lp_norm_zonal(f, p, d, order=None):
@@ -392,13 +386,15 @@ def _pruned_maxima(ctx, p, d, columns, starts, bound, prefix, rounding, ref_vals
     return np.maximum.reduceat(out, starts[:-1])
 
 
-def _norm_context(lam, k_max, p, reference, order=None):
+def _norm_context(lam, k_max, p, reference=None, order=None, parts=None):
     """(context, R's values): the synthesis context of an L^p norm, p != 2, at
     band limit k_max, and the `reference` column R synthesised on it, memoised
-    per run on the grid and R's bytes (None without R)."""
+    per run on the grid and R's bytes (None without R): the dense grid at p =
+    inf, else the Gauss rule of `order`, by default 2 k_max + 32 nodes, an even
+    count.  With a list `parts`, a new context is left to their stream."""
     key = (float(lam), int(k_max)) + (("dense", DENSE_GRID_SIZE) if p == INF else
                                       ("gauss", order if order is not None else 2 * k_max + 32))
-    ctx = synthesis_context(*key)
+    ctx = synthesis_context(*key) if parts is None else _context(*key, parts)
     if reference is None:
         return ctx, None
 

@@ -59,21 +59,22 @@ def _gegenbauer_steps(k_max, lam, x):
 def _q_rows(k_max, lam, parts, width):
     """The one stream of Q_j^lam(x) = P_j^lam(x) / P_j^lam(1), j = 0..k_max, run
     once over the nodes x of every part (x, fill): for k = 0, width, 2 width,
-    ... it writes the rows j = k..min(k + width - 1, k_max) into a new block
-    and hands each fill(k, rows), in order, the block's columns on its nodes;
-    no parts, no stream.  P_j(x) and P_j(1) share one recurrence, which makes
-    Q exactly 1 at x = 1."""
+    ... it writes the rows j = k..min(k + width - 1, k_max) into one block,
+    reused, and hands each fill(k, rows), in order, the block's columns on its
+    nodes, which the fill copies if it keeps them; no parts, no stream.
+    P_j(x) and P_j(1) share one recurrence, which makes Q exactly 1 at x = 1."""
     if not parts:
         return
     ends = np.cumsum([0] + [len(x) for x, _ in parts])
     x = np.concatenate([x for x, _ in parts])
     steps = zip(_gegenbauer_steps(k_max, lam, x), _gegenbauer_steps(k_max, lam, 1.0))
+    block = np.empty((min(width, k_max + 1), x.size))
     for k in range(0, k_max + 1, width):
-        block = np.empty((min(width, k_max + 1 - k), x.size))
-        for row, (p, one) in zip(block, steps):
+        rows = block[:k_max + 1 - k]
+        for row, (p, one) in zip(rows, steps):
             np.divide(p, one, out=row)
         for (_, fill), start, stop in zip(parts, ends, ends[1:]):
-            fill(k, block[:, start:stop])
+            fill(k, rows[:, start:stop])
 
 
 def q_table(k_max, lam, theta):

@@ -152,6 +152,20 @@ def test_invalid_values_rejected():
         parse_config(overrides={"seed": "-3"})
 
 
+@pytest.mark.parametrize("key, text, repeated", [
+    ("n_list", "4,4,8", "4"), ("p_list", "2,inf,2.0", "2.0"), ("p_list", "inf,oo", "inf"),
+    ("corpus", "bump,cusp:1.0,bump", "'bump'")])
+def test_repeated_list_values_are_usage_errors(tmp_path, capsys, key, text, repeated):
+    # a repeated n, p or function would write its rows twice and count them
+    # twice in the windows
+    with pytest.raises(ConfigError, match=rf"^{key} repeats {repeated}; each value may appear"):
+        parse_config(overrides={key: text})
+    flag = {"n_list": "--n-list", "p_list": "--p", "corpus": "--corpus"}[key]
+    assert main(["converse", flag, text, "--out", str(tmp_path / "r")]) == 2
+    assert f"{key} repeats {repeated}" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_p_list_parsing():
     config = parse_config(overrides={"p_list": "1,inf"})
     assert config.p_list == (1.0, INF)

@@ -399,11 +399,11 @@ def test_cold_converse_suite_streams_its_tables_once(q_streams):
 
 
 def test_cold_shared_build_holds_its_tables_and_one_row_block_per_part():
-    # at K = 2048 one stream fills both contexts and the theta-scan table and
-    # projects two profiles: its blocks hold 64 rows on the nodes of every
-    # part, and the projection two (nodes x 64) blocks, Q_k and its square, on
-    # its whole Gauss grid; a transposed copy of a context's half table adds
-    # 16.5 MiB
+    # at K = 2048 one stream fills both contexts and the theta-scan table, and
+    # two profiles are projected on the Gauss context by parity: the stream's
+    # one block holds 64 rows on the nodes of every part, the projection no
+    # block of its own, and the rest are vectors on some 4,000 nodes; a
+    # transposed copy of a context's half table adds 16.5 MiB
     scales = [n ** -0.5 for n in (8, 32, 128, 496)]
     clear_run_memos()
     make_corpus(3)
@@ -417,9 +417,9 @@ def test_cold_shared_build_holds_its_tables_and_one_row_block_per_part():
     kept = sum(stats[name]["bytes"] for name in ("synthesis_context", "theta_scan",
                                                  "corpus_spectral"))
     gauss, scan = 2 * 2048 + 32, 4 * THETA_GRID_SIZE
-    row_blocks = BLOCK_COLUMNS * 8 * (gauss // 2 + gauss // 2 + DENSE_GRID_SIZE // 2 + scan)
+    row_block = BLOCK_COLUMNS * 8 * (gauss // 2 + DENSE_GRID_SIZE // 2 + scan)
     assert stats["theta_scan"]["entries"] == 1 and stats["synthesis_context"]["entries"] == 2
-    assert peak <= kept + row_blocks + 2 * BLOCK_COLUMNS * 8 * gauss + 2 ** 21
+    assert peak <= kept + row_block + 2 ** 20
     clear_run_memos()
 
 

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vpmeans.function_space
+import vpmeans.special
 from vpmeans.function_space import (BLOCK_COLUMNS, DENSE_GRID_SIZE, INF, NEGLIGIBLE,
                                     GridFunction, ZonalProfile, ZonalSpectral, _context,
                                     _inverse_dims,
@@ -238,7 +239,91 @@ def test_cold_context_build_holds_its_tables_and_two_row_blocks():
     assert peak <= ctx.even.nbytes + ctx.odd.nbytes + 2 * row_block + 2 ** 20
 
 
+# rounding bounds of the projection against its oracles; u = eps / 2 is the
+# unit roundoff, and a sum of n rounded terms is within gamma(n) of the sum of
+# their absolute values (Higham, Accuracy and Stability, 3.1)
+EPS = np.finfo(float).eps
+
+
+def gamma(n):
+    return n * (EPS / 2) / (1.0 - n * (EPS / 2))
+
+
+def closed_denominators(k_max, lam):
+    """integral Q_k^2 sin^(2 lam) = |S^{d-1}| / (|S^{d-2}| N_k), k <= k_max."""
+    d = 2.0 * lam + 2.0
+    return surface_area(d) / surface_area(d - 1) * _inverse_dims(k_max, lam)
+
+
+def numerator_bound(profile, k_max, lam):
+    """N eps sum_i |w_i g_i| / den_k on the projection's N-node rule: two sums
+    of the same N products w_i g_i Q_k(x_i), |Q_k| <= 1, in two orders (the
+    parity route pairs the mirrored nodes first, N/2 + 1 roundings a term),
+    each within gamma(N) sum_i |w_i g_i| of the exact sum, differ by at most
+    2 gamma(N) sum_i |w_i g_i|, which is N eps sum_i |w_i g_i| to first order."""
+    ctx = synthesis_context(lam, k_max, "gauss", 2 * k_max + 32)
+    spread = np.sum(np.abs(ctx.weights * profile(ctx.theta)))
+    return 2.0 * gamma(ctx.theta.size) * spread / closed_denominators(k_max, lam)
+
+
+def coefficient_bound(profile, k_max, lam, ref):
+    """The numerator bound, plus the quadrature denominator's rounding,
+    gamma(N + 2) relative (`test_closed_denominators_equal_quadrature_sums`),
+    of an oracle whose coefficients are `ref`."""
+    n = 2 * k_max + 32
+    return numerator_bound(profile, k_max, lam) + gamma(n + 2) * np.abs(ref)
+
+
+def residual_bound(profile, k_max, lam, coeffs, ref_coeffs, resid):
+    """The gap two routes may leave between their relative L^2 residuals
+    ||g - sum_k a_k Q_k||_w / ||g||_w: the coefficient gap's own term
+    sum_k |a_k - a'_k| ||Q_k||_w (triangle inequality, ||Q_k||_w^2 = den_k);
+    each route's synthesis, a sum of k_max + 1 products a_k Q_k(x_i) and one
+    more for the mirrored parity halves, within gamma(k_max + 2)
+    sum_k |a_k| at each node, so within that times ||1||_w = den_0^(1/2) in
+    the norm; and each residual's own rounding, two weighted sums of N squares
+    and a root and a quotient, gamma(N + 4) relative."""
+    ctx = synthesis_context(lam, k_max, "gauss", 2 * k_max + 32)
+    values = profile(ctx.theta)
+    den = closed_denominators(k_max, lam)
+    gap = np.sum(np.abs(coeffs - ref_coeffs) * np.sqrt(den))
+    synthesis = 2.0 * gamma(k_max + 2) * np.sum(np.abs(coeffs)) * math.sqrt(den[0])
+    return (gap + synthesis) / math.sqrt(ctx.weights @ values ** 2) + \
+        2.0 * gamma(ctx.theta.size + 4) * resid
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 8])
+@pytest.mark.parametrize("k_max", [0, 63, 64, 576])
+def test_closed_denominators_equal_quadrature_sums(d, k_max):
+    # the Gauss rule of 2 k_max + 32 nodes integrates Q_k^2 sin^(2 lam), of
+    # degree 2 k <= 2 k_max, exactly: its sum of N terms w_i Q_k(x_i)^2, each
+    # two roundings, is within gamma(N + 2) of the closed form
+    lam = (d - 2) / 2.0
+    theta, w = mapped_rule(0.0, np.pi, 2 * k_max + 32)
+    quadrature = (q_table(k_max, lam, theta) ** 2).T @ (w * np.sin(theta) ** (2.0 * lam))
+    closed = closed_denominators(k_max, lam)
+    assert np.all(np.abs(quadrature - closed) <= gamma(theta.size + 2) * quadrature)
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 1.5, 3.0])
+@pytest.mark.parametrize("k_max", [40, 130])
+def test_zonal_project_returns_exact_coefficients_of_band_limited_profiles(lam, k_max):
+    cases = [(lambda t, j=j: zonal_synthesis(unit(j, j + 1), lam, np.cos(t)), unit(j, k_max + 1))
+             for j in (0, 3, k_max // 2, k_max)]
+    if lam == 0.5:      # cos 3 theta = (8 P_3 - 3 P_1) / 5
+        cos3 = np.zeros(k_max + 1)
+        cos3[1], cos3[3] = -0.6, 1.6
+        cases.append((lambda t: np.cos(3.0 * t), cos3))
+    for profile, exact in cases:
+        out, = zonal_project([profile], k_max, lam)
+        assert np.all(np.abs(out.coeffs - exact) <= numerator_bound(profile, k_max, lam))
+        assert out.projection_residual <= \
+            residual_bound(profile, k_max, lam, out.coeffs, exact, 0.0)
+
+
 def test_zonal_project_equals_full_table_reference():
+    # the full-grid (N x (K + 1)) table of Q_k and quadrature denominators:
+    # the route the parity projection replaced, kept as its oracle
     lam = 1.0
     profile = lambda t: np.exp(-4.0 * t ** 2)
     for k_max in (40, 200):         # one degree block, and four
@@ -246,13 +331,15 @@ def test_zonal_project_equals_full_table_reference():
         weights = w * np.sin(theta) ** (2.0 * lam)
         q = q_table(k_max, lam, theta)
         ref = (q.T @ (weights * profile(theta))) / ((q ** 2).T @ weights)
-        assert np.array_equal(zonal_project([profile], k_max, lam)[0].coeffs, ref)
+        got = zonal_project([profile], k_max, lam)[0].coeffs
+        assert np.all(np.abs(got - ref) <= coefficient_bound(profile, k_max, lam, ref))
 
 
 def column_stream_projection(profiles, k_max, lam):
-    """zonal_project's coefficients and residuals from one pass that streams
-    Q_k column by column over the whole Gauss grid: the oracle of its
-    near-half reuse."""
+    """The coefficients and residuals of one pass that streams Q_k column by
+    column over the whole Gauss grid, with quadrature denominators and the
+    reconstructions accumulated per 64-degree block: the route the parity
+    projection replaced, kept as its oracle."""
     ctx = synthesis_context(lam, k_max, "gauss", 2 * k_max + 32)
     values = [np.asarray(g(ctx.theta), dtype=float) for g in profiles]
     table = column_q_table(k_max, lam, np.cos(ctx.theta))
@@ -274,8 +361,10 @@ def column_stream_projection(profiles, k_max, lam):
 def test_zonal_project_equals_column_stream(k_max, lam):
     profiles = [lambda t: np.exp(-4.0 * t ** 2), lambda t: t ** 0.5, lambda t: np.cos(3.0 * t)]
     coeffs, residuals = column_stream_projection(profiles, k_max, lam)
-    for out, c, resid in zip(zonal_project(profiles, k_max, lam), coeffs, residuals):
-        assert np.array_equal(out.coeffs, c) and out.projection_residual == resid
+    for out, g, c, resid in zip(zonal_project(profiles, k_max, lam), profiles, coeffs, residuals):
+        assert np.all(np.abs(out.coeffs - c) <= coefficient_bound(g, k_max, lam, c))
+        assert abs(out.projection_residual - resid) <= \
+            residual_bound(g, k_max, lam, out.coeffs, c, resid)
 
 
 def test_zonal_project_batch_equals_single_projections(q_streams):
@@ -299,20 +388,23 @@ def test_zonal_project_batch_equals_single_projections(q_streams):
 @pytest.mark.parametrize("k_max", [1, 63, 64, 65, 130])
 @pytest.mark.parametrize("lam", [0.5, 1.5])
 def test_shared_stream_tables_equal_tables_built_alone(q_streams, k_max, lam):
-    # the Gauss and dense contexts, the theta-scan table and the projection
-    # filled by one stream, against each built by its own
+    # the Gauss and dense contexts and the theta-scan table filled by one
+    # stream, as prepare_corpus fills them, and the projection on them,
+    # against each built by its own
     profiles = [lambda t: np.exp(-4.0 * t ** 2), lambda t: t ** 0.5]
     scales = [0.5, 0.125, 0.05]
     thetas = np.concatenate([_theta_scan(t, THETA_GRID_SIZE) for t in scales])
     gauss, dense = ("gauss", 2 * k_max + 32), ("dense", DENSE_GRID_SIZE)
     clear_run_memos()
     parts = []
+    _context(lam, k_max, *gauss, parts)
     _context(lam, k_max, *dense, parts)
     _damping_table(k_max, lam, thetas, parts)
-    shared = zonal_project(profiles, k_max, lam, parts)
+    vpmeans.special._q_rows(k_max, lam, parts, BLOCK_COLUMNS)
+    shared = zonal_project(profiles, k_max, lam)
     tables = [synthesis_context(lam, k_max, *gauss), synthesis_context(lam, k_max, *dense),
               _damping_table(k_max, lam, thetas, [])]
-    assert q_streams == [k_max]     # one stream filled them all
+    assert q_streams == [k_max]     # one stream filled them all; the projection streams none
     clear_run_memos()
     alone = [synthesis_context(lam, k_max, *gauss), synthesis_context(lam, k_max, *dense),
              1.0 - q_table(k_max, lam, thetas)]

@@ -1,7 +1,8 @@
-"""The benchmark's CSV drift check, run in-process: `vpm all --seed 42` and the
-kernel-quadrature commands must reproduce the stored reference outputs of
-`perfbench/reference/` within its 1e-10 relative bound, with the same exit
-codes and verdicts.  The perfbench files are read, never written."""
+"""The benchmark's CSV drift check, run in-process: `vpm all --seed 42`, the
+all-ceiling command (band limit K = 2048) and the kernel-quadrature commands
+must reproduce the stored reference outputs of `perfbench/reference/` within
+its 1e-10 relative bound, with the same exit codes and verdicts.  The
+perfbench files are read, never written."""
 
 import contextlib
 import importlib.util
@@ -29,7 +30,7 @@ def _load_workloads():
 workloads = _load_workloads()
 
 
-@pytest.mark.parametrize("workload", ["all-default", "kernel-quadrature"])
+@pytest.mark.parametrize("workload", ["all-default", "all-ceiling", "kernel-quadrature"])
 def test_outputs_match_benchmark_references(workload, tmp_path):
     references = workloads.load_reference(workload, 42)
     commands = workloads.commands(workload, 42)
