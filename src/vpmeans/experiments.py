@@ -262,7 +262,7 @@ def run_voronovskaya_suite(d, n_list):
     )
 
 
-def _delayed_maxima(f, n_list, k_cap, ps, d):
+def _delayed_maxima(f, n_list, k_cap, ps):
     """Per p of ps, max over k in [n, k_cap] of ||V_k f - f||_p for each n of
     the sorted n_list: the max of each segment [n_i, n_(i+1)) of degrees from
     one `lp_norm_maxima` call for all p, then suffix maxima over the segments;
@@ -273,12 +273,12 @@ def _delayed_maxima(f, n_list, k_cap, ps, d):
     segments = lp_norm_maxima(
         lambda picked: means_columns(f, [degrees[i] for i in picked],
                                      rows=min(degrees[max(picked)] + 1, live)),
-        np.diff(cuts), f.lam, ps, d, f.band_limit, reference=f.coeffs)
+        np.diff(cuts), f.lam, ps, f.band_limit, reference=f.coeffs)
     suffix = np.maximum.accumulate(segments[:, ::-1], axis=1)[:, ::-1]
     return suffix[:, [cuts.index(n) for n in n_list]].tolist()
 
 
-def _ratio_sweep(corpus, functions, d, p_list, n_list, numerators, column, flags, **fixed):
+def _ratio_sweep(corpus, functions, p_list, n_list, numerators, column, flags, **fixed):
     """The ratio loop shared by the converse and delayed-max suites.
 
     For each corpus id and its function f of `functions`, numerators(f, p_list)
@@ -294,7 +294,7 @@ def _ratio_sweep(corpus, functions, d, p_list, n_list, numerators, column, flags
     """
     rows, windows, pooled = [], {}, {p: [] for p in p_list}
     for fid, f in zip(corpus, functions):
-        moduli_per_p = modulus_many(f, [n ** -0.5 for n in n_list], p_list, d)
+        moduli_per_p = modulus_many(f, [n ** -0.5 for n in n_list], p_list)
         for p, nums, moduli in zip(p_list, numerators(f, p_list), moduli_per_p):
             ratios = []
             for n, num, w_n in zip(n_list, nums, moduli):
@@ -313,11 +313,11 @@ def _ratio_sweep(corpus, functions, d, p_list, n_list, numerators, column, flags
     return sorted(rows, key=lambda r: (r["function_id"], r["p"], r["n"])), windows, pooled, passed
 
 
-def _modulus_grid_check(f, t, p, d):
+def _modulus_grid_check(f, t, p):
     """Refinement self-check: omega(f, t)_p on a doubled theta grid may move
     the grid max by a grid-resolution amount (MODULUS_GRID_RTOL) only."""
-    w1 = modulus(f, t, p, d)
-    w2 = modulus(f, t, p, d, theta_grid_size=2 * THETA_GRID_SIZE)
+    w1 = modulus(f, t, p)
+    w2 = modulus(f, t, p, theta_grid_size=2 * THETA_GRID_SIZE)
     return abs(w1 - w2) <= MODULUS_GRID_RTOL * max(abs(w2), DEGENERATE_FLOOR)
 
 
@@ -338,16 +338,16 @@ def run_converse_suite(corpus, p_list, n_list, d, seed=42):
 
     def operator_errors(f, ps):     # ||V_n f - f||_p, the columns built once for every p
         means = means_columns(f, n_list)
-        return [lp_norms_batch(means, f.lam, p, d, reference=f.coeffs).tolist() for p in ps]
+        return [lp_norms_batch(means, f.lam, p, reference=f.coeffs).tolist() for p in ps]
     rows, ratio_windows, pooled, passed = _ratio_sweep(
-        corpus, functions, d, p_list, n_list, operator_errors, "e_n", ("ok", "degenerate"))
+        corpus, functions, p_list, n_list, operator_errors, "e_n", ("ok", "degenerate"))
     # chain bound at the median degree
     chain_worst = -math.inf
     n_mid = n_list[len(n_list) // 2]
     for f in functions:
         iterates = means_columns(f, [n_mid], (1,) + CHAIN_POWERS)
         for p in p_list:
-            base, *lhs = lp_norms_batch(iterates, f.lam, p, d, reference=f.coeffs)
+            base, *lhs = lp_norms_batch(iterates, f.lam, p, reference=f.coeffs)
             for m, lhs_m in zip(CHAIN_POWERS, lhs):
                 excess = float(lhs_m - m * base)
                 chain_worst = max(chain_worst, excess)
@@ -358,7 +358,7 @@ def run_converse_suite(corpus, p_list, n_list, d, seed=42):
         worst_key = max(ratio_windows, key=lambda k: ratio_windows[k]["ratio"])
         fid, p_part = worst_key.split("|p=")
         refine_ok = _modulus_grid_check(functions[corpus.index(fid)], n_list[-1] ** -0.5,
-                                        float(p_part), d)
+                                        float(p_part))
         passed = passed and refine_ok
     return ExperimentReport(
         suite="converse",
@@ -382,11 +382,11 @@ def run_delayed_max_suite(corpus, p_list, n_list, d, seed=42):
     # so the band limit tracks the modulus scales, not k_cap
     functions = prepare_corpus(corpus, d, n_list[-1], seed, p_list, [n ** -0.5 for n in n_list])
     rows, windows, pooled, passed = _ratio_sweep(
-        corpus, functions, d, p_list, n_list,
-        lambda f, ps: _delayed_maxima(f, n_list, k_cap, ps, d),
+        corpus, functions, p_list, n_list,
+        lambda f, ps: _delayed_maxima(f, n_list, k_cap, ps),
         "max_err", ("TRUNCATED", "TRUNCATED;degenerate"), k_cap=k_cap)
     # refinement self-check: the modulus of the last cell on a doubled grid
-    refine_ok = _modulus_grid_check(functions[-1], n_list[-1] ** -0.5, p_list[-1], d)
+    refine_ok = _modulus_grid_check(functions[-1], n_list[-1] ** -0.5, p_list[-1])
     passed = passed and refine_ok
     return ExperimentReport(
         suite="delayed-max",
@@ -408,8 +408,8 @@ def run_modulus_suite(corpus, p_list, n_list, d, seed=42):
     scales = [n ** -0.5 for n in n_list]
     functions = prepare_corpus(corpus, d, n_list[-1], seed, p_list, scales)
     for fid, f in zip(corpus, functions):
-        moduli_per_p = modulus_many(f, scales, p_list, d)
-        estimates_per_p = k_functional_estimate(f, scales, p_list, d)
+        moduli_per_p = modulus_many(f, scales, p_list)
+        estimates_per_p = k_functional_estimate(f, scales, p_list)
         for p, moduli, estimates in zip(p_list, moduli_per_p, estimates_per_p):
             for t, om, kf in zip(scales, moduli, estimates):
                 degenerate = kf <= DEGENERATE_FLOOR and om <= DEGENERATE_FLOOR
@@ -422,7 +422,7 @@ def run_modulus_suite(corpus, p_list, n_list, d, seed=42):
                     worst["high"] = max(worst["high"], ratio)
                     passed = passed and 1.0 / EQUIVALENCE_WINDOW <= ratio <= EQUIVALENCE_WINDOW
     # refinement self-check: the modulus grid is doubled at the last cell
-    refine_ok = _modulus_grid_check(functions[-1], n_list[0] ** -0.5, 2.0, d)
+    refine_ok = _modulus_grid_check(functions[-1], n_list[0] ** -0.5, 2.0)
     passed = passed and refine_ok
     return ExperimentReport(
         suite="modulus",
@@ -497,12 +497,12 @@ def run_selftest_suite(seed=42):
     w = multiplier_sequence(6, 0.5, 12)
     semigroup = float(np.max(np.abs(w ** 5 - w ** 2 * w ** 3)))
     record("semigroup_coefficients", semigroup, 1e-15)
-    base = lp_norms_batch(coeffs * (1.0 - w), 0.5, 2.0, 3)[0]
-    chain = lp_norms_batch(coeffs * (1.0 - w ** 4), 0.5, 2.0, 3)[0]
+    base = lp_norms_batch(coeffs * (1.0 - w), 0.5, 2.0)[0]
+    chain = lp_norms_batch(coeffs * (1.0 - w ** 4), 0.5, 2.0)[0]
     record("chain_bound_m4", float(chain - 4 * base), 1e-8)
     f = ZonalSpectral(lam=0.5, coeffs=coeffs)
-    norm_f = lp_norms_batch(coeffs, 0.5, 1.0, 3)[0]
-    norm_t = lp_norms_batch(translate_spectral(f, 0.3).coeffs, 0.5, 1.0, 3)[0]
+    norm_f = lp_norms_batch(coeffs, 0.5, 1.0)[0]
+    norm_t = lp_norms_batch(translate_spectral(f, 0.3).coeffs, 0.5, 1.0)[0]
     record("translation_contraction", float(norm_t - norm_f), 1e-8)
 
     # two-pathway oracles at d = 3 (small scale)

@@ -145,7 +145,7 @@ def _context(lam, k_max, kind, size, parts):
     if key in _CONTEXTS:
         return _CONTEXTS.lookup(key, None)
     if kind == "gauss":
-        theta, w = mapped_rule(0.0, np.pi, size)
+        theta, w = mapped_rule(size)
         weights = w * np.sin(theta) ** (2.0 * lam)
     else:
         theta, weights = np.linspace(0.0, np.pi, size), None
@@ -216,19 +216,19 @@ def lp_norm_zonal(f, p, d, order=None):
     if isinstance(f, ZonalSpectral):
         if abs(f.lam - lam) > 1e-12:
             raise ValueError(f"function has lam={f.lam}, inconsistent with d={d}")
-        return float(lp_norms_batch(f.coeffs, lam, p, d, order=order)[0])
+        return float(lp_norms_batch(f.coeffs, lam, p, order=order)[0])
     g = _profile_callable(f)
     if p == INF:
         theta = np.linspace(0.0, np.pi, DENSE_GRID_SIZE)
         return float(np.max(np.abs(np.asarray(g(theta), dtype=float))))
-    theta, w = mapped_rule(0.0, np.pi, order if order is not None else DENSE_GRID_SIZE)
+    theta, w = mapped_rule(order if order is not None else DENSE_GRID_SIZE)
     vals = np.asarray(g(theta), dtype=float)
     weights = w * np.sin(theta) ** (2.0 * lam)
     return float((surface_area(d - 1) * np.dot(weights, np.abs(vals) ** p)) ** (1.0 / p))
 
 
-def lp_norms_batch(coeff_matrix, lam, p, d, order=None, reference=None):
-    """L^p norms of many zonal spectral functions at once.
+def lp_norms_batch(coeff_matrix, lam, p, order=None, reference=None):
+    """L^p(S^{d-1}) norms, d = 2 lam + 2, of many zonal spectral functions at once.
 
     `coeff_matrix` has one coefficient vector per column; returns one norm per
     column, or with a `reference` coefficient vector R, that of R minus each
@@ -256,7 +256,7 @@ def lp_norms_batch(coeff_matrix, lam, p, d, order=None, reference=None):
     if coeff_matrix.ndim == 1:
         coeff_matrix = coeff_matrix[:, None]
     reference = None if reference is None else np.asarray(reference, dtype=float)[:, None]
-    k_max = coeff_matrix.shape[0] - 1
+    k_max, d = coeff_matrix.shape[0] - 1, 2.0 * lam + 2.0
     if p == 2:
         diff = coeff_matrix if reference is None else reference - coeff_matrix
         squares = diff ** 2 if reference is None else np.multiply(diff, diff, out=diff)
@@ -291,7 +291,7 @@ PRUNE_SLACK = 1e-10
 ANCHOR_STRIDE = 8     # lp_norm_maxima's anchors: every 8th column left unpruned
 
 
-def lp_norm_maxima(columns, sizes, lam, ps, d, k_max, reference=None):
+def lp_norm_maxima(columns, sizes, lam, ps, k_max, reference=None):
     """For each p of `ps`, the max of the `lp_norms_batch` norms (of
     `reference` minus each column) over each run of consecutive columns, the
     runs of the given `sizes`: one row of run maxima per p.  The builder
@@ -320,7 +320,7 @@ def lp_norm_maxima(columns, sizes, lam, ps, d, k_max, reference=None):
         raise ValueError(f"p must satisfy 1 <= p <= inf, got {list(ps)}")
     if min(sizes, default=0) < 1:
         raise ValueError(f"run sizes must be positive, got {list(sizes)}")
-    starts = np.cumsum([0, *sizes])
+    starts, d = np.cumsum([0, *sizes]), 2.0 * lam + 2.0
     count = int(starts[-1])
     ref = np.zeros(k_max + 1) if reference is None else np.asarray(reference, dtype=float)
     ref_rows, ref = _live_rows(ref), ref[:, None]

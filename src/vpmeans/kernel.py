@@ -134,7 +134,7 @@ def _multiplier_integrals(groups, d):
         while len(run) < len(orders) and sum(run) + orders[len(run)] <= _TABLE_NODES:
             run.append(orders[len(run)])
         del orders[:len(run)]
-        rules = [mapped_rule(0.0, np.pi, order) for order in run]
+        rules = [mapped_rule(order) for order in run]
         k_max = max(k for order in run for _, k in groups[order])
         table, start = q_table(k_max, lam, np.concatenate([t for t, _ in rules])).T, 0
         for order, (theta, w) in zip(run, rules):
@@ -172,7 +172,7 @@ def _alpha_at_order(n, d, order):
     adds the panel rule on [theta_{i-1}, tau].  Blocks of panels keep the
     working set fixed whatever `order` is."""
     m = d - 2.0
-    theta, w_outer = mapped_rule(0.0, np.pi, order)
+    theta, w_outer = mapped_rule(order)
     rule = gauss_legendre(_ALPHA_PANEL_ORDER)
     x, c = 0.5 * (rule.nodes + 1.0), 0.5 * rule.weights   # the rule on [0, 1]
     starts, big_f = np.concatenate(([0.0], theta[:-1])), np.empty_like(theta)
@@ -194,7 +194,7 @@ def _alpha_at_order(n, d, order):
 def _alpha_nested(n, d, order):
     """alpha(n) by nested rules under each outer node: `_alpha_at_order`'s oracle."""
     lam = (d - 2) / 2.0
-    theta, w_outer = mapped_rule(0.0, np.pi, order)
+    theta, w_outer = mapped_rule(order)
     rule = gauss_legendre(_ALPHA_INNER_ORDER)
     half = 0.5 * (rule.nodes + 1.0)
     w_in = rule.weights

@@ -8,8 +8,8 @@ mirrored by x -> -x, with P_n(cos theta) from its Stieltjes series in the
 interior and its cosine series (DLMF 18.5.11) at the nine nodes next to
 theta = 0 (Hale & Townsend, SIAM J. Sci. Comput. 35(2), 2013); the weights
 are 2/(dP_n/dtheta)^2.
-A Newton loop raises ConvergenceError after _NEWTON_BUDGET sweeps.  Rules and
-grids are read-only and cached by order.
+A Newton loop raises ConvergenceError after _NEWTON_BUDGET sweeps.  Rules are
+read-only and cached by order; grids are read-only and built on each call.
 """
 
 from dataclasses import dataclass
@@ -63,7 +63,6 @@ class QuadratureRule:
 
 
 _RULE_CACHE: dict[int, QuadratureRule] = {}
-_GRID_CACHE: dict[int, "SphereGrid"] = {}
 
 
 def _legendre_theta_edge(n, theta):
@@ -212,11 +211,11 @@ def gauss_legendre_many(orders):
     return [_RULE_CACHE[order] for order in orders]
 
 
-def mapped_rule(a, b, order):
-    """Gauss-Legendre nodes and weights mapped to [a, b]."""
+def mapped_rule(order):
+    """Gauss-Legendre nodes and weights mapped to [0, pi]."""
     rule = gauss_legendre(order)
-    half = 0.5 * (b - a)
-    return a + half * (rule.nodes + 1.0), half * rule.weights
+    half = 0.5 * np.pi
+    return half * (rule.nodes + 1.0), half * rule.weights
 
 
 def integrate_theta(g, lam, order):
@@ -228,7 +227,7 @@ def integrate_theta(g, lam, order):
     the ndarray of nodes to an ndarray of the same shape; anything else raises.
     Accuracy is the caller's responsibility via `order`.
     """
-    theta, w = mapped_rule(0.0, np.pi, order)
+    theta, w = mapped_rule(order)
     vals = np.asarray(g(theta), dtype=float)
     if vals.shape != theta.shape:
         raise ValueError(f"integrate_theta: g returned shape {vals.shape}, "
@@ -251,9 +250,6 @@ def sphere_grid(bands):
     """Build the product grid with `bands` polar nodes and 2*bands azimuths."""
     if bands < 1:
         raise ValueError(f"sphere_grid requires bands >= 1, got {bands}")
-    cached = _GRID_CACHE.get(bands)
-    if cached is not None:
-        return cached
     rule = gauss_legendre(bands)
     # increasing x = cos(theta) means decreasing theta; order by increasing theta
     theta = np.arccos(rule.nodes)[::-1]
@@ -267,6 +263,4 @@ def sphere_grid(bands):
     w = np.repeat(rule.weights[::-1] * (2.0 * np.pi / m), m)
     for arr in (w, pts):
         arr.setflags(write=False)
-    grid = SphereGrid(point_weights=w, points=pts)
-    _GRID_CACHE[bands] = grid
-    return grid
+    return SphereGrid(point_weights=w, points=pts)

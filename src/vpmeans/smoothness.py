@@ -61,7 +61,7 @@ def _damping_table(k_max, lam, thetas, parts):
     return table
 
 
-def translation_error_norms(f, thetas, ps, d, sizes):
+def translation_error_norms(f, thetas, ps, sizes):
     """The largest ||f - S_theta f||_p of each run of consecutive translation
     steps theta, the runs having the sizes `sizes`, one row per p of the
     sequence `ps`, by `lp_norm_maxima`, which builds the columns
@@ -78,22 +78,22 @@ def translation_error_norms(f, thetas, ps, d, sizes):
 
     def columns(steps, rows=_live_rows(f.coeffs)):     # C order synthesises faster
         return np.multiply(f.coeffs[:rows, None], damp[steps, :rows].T, order="C")
-    return lp_norm_maxima(columns, sizes, f.lam, ps, d, f.band_limit)
+    return lp_norm_maxima(columns, sizes, f.lam, ps, f.band_limit)
 
 
-def modulus(f, t, p, d, theta_grid_size=THETA_GRID_SIZE):
+def modulus(f, t, p, theta_grid_size=THETA_GRID_SIZE):
     """Modulus of smoothness omega(f, t)_p of a zonal spectral function:
     max over a geometric grid of theta in (0, t] of ||f - S_theta f||_p,
     the norms on the grids of `lp_norms_batch` (Gauss order 2K + 32 at p = 1).
 
     The value is memoised for the current run (see `vpmeans.memo`) on the
-    exact coefficient bytes and every argument, so the suites that meet the
-    same cell omega(f, n^(-1/2))_p compute it once.
+    exact coefficient bytes, f.lam and every argument, so the suites that meet
+    the same cell omega(f, n^(-1/2))_p compute it once.
     """
-    return modulus_many(f, [t], [p], d, theta_grid_size=theta_grid_size)[0][0]
+    return modulus_many(f, [t], [p], theta_grid_size=theta_grid_size)[0][0]
 
 
-def modulus_many(f, ts, ps, d, theta_grid_size=THETA_GRID_SIZE):
+def modulus_many(f, ts, ps, theta_grid_size=THETA_GRID_SIZE):
     """`modulus` at each scale of `ts` for each p of `ps`: one list of cells
     per p.  The cells not memoised are computed in one
     `translation_error_norms` call over the p and scales they miss, one run
@@ -102,7 +102,7 @@ def modulus_many(f, ts, ps, d, theta_grid_size=THETA_GRID_SIZE):
     for t in ts:
         if not 0.0 < t <= np.pi:
             raise ValueError(f"modulus scale must be in (0, pi], got {t}")
-    base = (f.coeffs.dtype.str, f.coeffs.shape, f.coeffs.tobytes(), float(f.lam), int(d),
+    base = (f.coeffs.dtype.str, f.coeffs.shape, f.coeffs.tobytes(), float(f.lam),
             int(theta_grid_size))
     keys = {(t, p): base + (float(t), float(p)) for t in ts for p in ps}
     missing = [cell for cell, key in keys.items() if key not in _MODULUS]
@@ -110,7 +110,7 @@ def modulus_many(f, ts, ps, d, theta_grid_size=THETA_GRID_SIZE):
     if missing:
         scales, group = (list(dict.fromkeys(part)) for part in zip(*missing))
         scans = [_theta_scan(t, theta_grid_size) for t in scales]
-        maxima = translation_error_norms(f, np.concatenate(scans), group, d,
+        maxima = translation_error_norms(f, np.concatenate(scans), group,
                                          sizes=[len(scan) for scan in scans])
         computed = {(t, p): cell for p, row in zip(group, maxima.tolist())
                     for t, cell in zip(scales, row)}
@@ -125,7 +125,7 @@ def default_candidate_degrees(t):
     return tuple(dict.fromkeys([2 ** i for i in range(top.bit_length())] + [top]))
 
 
-def k_functional_estimate(f, ts, ps, d):
+def k_functional_estimate(f, ts, ps):
     """Upper estimates of the K-functional K(f, t)_p = inf_g {||f-g||_p +
     t^2 ||Dg||_p}, one list per p of `ps` with one value per scale of `ts`:
     the minimum of the objective over g = 0 and the means candidates V_m f,
@@ -144,8 +144,8 @@ def k_functional_estimate(f, ts, ps, d):
              for ms in per_scale]
     k = np.arange(f.band_limit + 1, dtype=float)
     cols = np.column_stack([np.zeros_like(f.coeffs), means_columns(f, degrees, CANDIDATE_POWERS)])
-    laplacian = cols * (k * (k + d - 2.0))[:, None]
-    norms = [(lp_norms_batch(cols, f.lam, p, d, reference=f.coeffs),
-              lp_norms_batch(laplacian, f.lam, p, d)) for p in ps]
+    laplacian = cols * (k * (k + 2.0 * f.lam))[:, None]
+    norms = [(lp_norms_batch(cols, f.lam, p, reference=f.coeffs),
+              lp_norms_batch(laplacian, f.lam, p)) for p in ps]
     return [[float(np.min(errors[pick] + t * t * smooth[pick])) for t, pick in zip(ts, picks)]
             for errors, smooth in norms]

@@ -229,11 +229,11 @@ def test_pooled_window_fails_constants_that_depend_on_f(run, monkeypatch):
     # fit both functions, so the window pooled over the corpus fails the suite
     inner = vpmeans.experiments._ratio_sweep
 
-    def sweep(corpus, functions, d, p_list, n_list, numerators, *args, **kw):
+    def sweep(corpus, functions, p_list, n_list, numerators, *args, **kw):
         def flat(f, ps):
-            moduli = modulus_many(f, [n ** -0.5 for n in n_list], ps, d)
+            moduli = modulus_many(f, [n ** -0.5 for n in n_list], ps)
             return [[(0.1 if f is functions[0] else 10.0) * w for w in row] for row in moduli]
-        return inner(corpus, functions, d, p_list, n_list, flat, *args, **kw)
+        return inner(corpus, functions, p_list, n_list, flat, *args, **kw)
     monkeypatch.setattr(vpmeans.experiments, "_ratio_sweep", sweep)
     clear_run_memos()
     report = run(SMALL_CORPUS, (2.0,), SMALL_N, 3)
@@ -266,9 +266,9 @@ def test_delayed_maxima_equal_full_sweep(d, support, pad, n_list, extra, spike, 
     coeffs[:support + 1] = np.random.default_rng(seed).uniform(-1.0, 1.0, support + 1)
     coeffs[k_cap + 1] += spike
     f = ZonalSpectral(lam=(d - 2) / 2.0, coeffs=coeffs)
-    pruned = _delayed_maxima(f, n_list, k_cap, (1.0, INF), d)
+    pruned = _delayed_maxima(f, n_list, k_cap, (1.0, INF))
     for p, maxima in zip((1.0, INF), pruned):
-        errs = lp_norms_batch(means_columns(f, range(n_list[0], k_cap + 1)), f.lam, p, d,
+        errs = lp_norms_batch(means_columns(f, range(n_list[0], k_cap + 1)), f.lam, p,
                               reference=f.coeffs)
         suffix = np.maximum.accumulate(errs[::-1])[::-1][np.array(n_list) - n_list[0]]
         np.testing.assert_allclose(maxima, suffix, rtol=1e-14, atol=0.0)
@@ -369,7 +369,7 @@ def test_workspace_prepare_projects_once_and_builds_nothing_when_memoised(q_stre
     assert q_streams == [576]
     synthesis_context(0.5, 576, "gauss", 2 * 576 + 32)
     synthesis_context(0.5, 576, "dense", DENSE_GRID_SIZE)
-    modulus_many(first[0], scales, [2.0], 3)
+    modulus_many(first[0], scales, [2.0])
     assert q_streams == [576]
     for fid, f in zip(corpus, first):
         if f.projection_residual:

@@ -118,17 +118,34 @@ def test_norm_argument_validation():
     f = ZonalSpectral(lam=0.5, coeffs=np.ones(3))
     with pytest.raises(ValueError):
         lp_norm_zonal(f, 0.5, 3)
-    with pytest.raises(ValueError):
-        lp_norm_zonal(f, 2.0, 4)   # lam mismatch
     with pytest.raises(TypeError):
         lp_norm_zonal(3.0, 2.0, 3)
+    # a profile has no lam, so lp_norm_zonal takes d and checks it against
+    # the lam of spectral input before it delegates
+    for lam, d in ((0.5, 4), (0.5, 5), (1.0, 3), (1.5, 8)):
+        f = ZonalSpectral(lam=lam, coeffs=np.array([1.0, 0.5, -0.25]))
+        for p in (1.0, 2.0, INF):
+            with pytest.raises(ValueError, match=f"lam={lam}, inconsistent with d={d}$"):
+                lp_norm_zonal(f, p, d)
+            assert lp_norm_zonal(f, p, int(2 * lam + 2)) == lp_norms_batch(f.coeffs, lam, p)[0]
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 8])
+def test_lp_norms_batch_derives_d_from_lam(d):
+    # the norms of the constant 1 on S^{d-1}: |S^{d-1}| at p = 1 (a 32-node
+    # Gauss sum of a smooth integrand, so rounding only), its square root by
+    # Parseval at p = 2, and 1 at p = inf; d = 2 lam + 2 is exact for integer
+    # and half-integer lam
+    e0 = np.array([1.0])
+    for p, want in ((1.0, surface_area(d)), (2.0, math.sqrt(surface_area(d))), (INF, 1.0)):
+        assert abs(lp_norms_batch(e0, (d - 2) / 2.0, p)[0] - want) <= 4 * np.spacing(want)
 
 
 def test_lp_norms_batch_matches_single():
     rng = np.random.default_rng(3)
     cols = rng.uniform(-1, 1, (9, 5))
     for p in (1.0, 2.0, INF):
-        batch = lp_norms_batch(cols, 0.5, p, 3)
+        batch = lp_norms_batch(cols, 0.5, p)
         for j in range(5):
             single = lp_norm_zonal(ZonalSpectral(lam=0.5, coeffs=cols[:, j]), p, 3)
             assert batch[j] == pytest.approx(single, rel=1e-12)
@@ -142,7 +159,7 @@ def untrimmed_norms(padded, p, d, order=None):
     if p == INF:
         theta = np.linspace(0.0, np.pi, DENSE_GRID_SIZE)
         return np.max(np.abs(q_table(k_max, lam, theta) @ padded), axis=0)
-    theta, w = mapped_rule(0.0, np.pi, order if order is not None else 2 * k_max + 32)
+    theta, w = mapped_rule(order if order is not None else 2 * k_max + 32)
     sums = (w * np.sin(theta) ** (2.0 * lam)) @ np.abs(q_table(k_max, lam, theta) @ padded) ** p
     return (surface_area(d - 1) * sums) ** (1.0 / p)
 
@@ -166,7 +183,7 @@ def test_lp_norms_batch_trimmed_matches_full_product(d, support, columns, k_max,
     padded = banded_columns(np.random.default_rng(seed), k_max, support, columns)
     order = 2 * k_max + 33 if odd_order else None
     for p in (1.0, INF):
-        np.testing.assert_allclose(lp_norms_batch(padded, (d - 2) / 2.0, p, d, order=order),
+        np.testing.assert_allclose(lp_norms_batch(padded, (d - 2) / 2.0, p, order=order),
                                    untrimmed_norms(padded, p, d, order=order),
                                    rtol=1e-13, atol=0.0)
 
@@ -177,7 +194,7 @@ def test_lp_norms_batch_trimmed_matches_full_product(d, support, columns, k_max,
        seed=st.integers(0, 2 ** 32 - 1))
 def test_lp_norms_batch_parseval_matches_gauss(d, support, columns, k_max, seed):
     padded = banded_columns(np.random.default_rng(seed), k_max, min(support, k_max), columns)
-    np.testing.assert_allclose(lp_norms_batch(padded, (d - 2) / 2.0, 2.0, d),
+    np.testing.assert_allclose(lp_norms_batch(padded, (d - 2) / 2.0, 2.0),
                                untrimmed_norms(padded, 2.0, d), rtol=1e-13, atol=0.0)
 
 
@@ -299,7 +316,7 @@ def test_closed_denominators_equal_quadrature_sums(d, k_max):
     # degree 2 k <= 2 k_max, exactly: its sum of N terms w_i Q_k(x_i)^2, each
     # two roundings, is within gamma(N + 2) of the closed form
     lam = (d - 2) / 2.0
-    theta, w = mapped_rule(0.0, np.pi, 2 * k_max + 32)
+    theta, w = mapped_rule(2 * k_max + 32)
     quadrature = (q_table(k_max, lam, theta) ** 2).T @ (w * np.sin(theta) ** (2.0 * lam))
     closed = closed_denominators(k_max, lam)
     assert np.all(np.abs(quadrature - closed) <= gamma(theta.size + 2) * quadrature)
@@ -327,7 +344,7 @@ def test_zonal_project_equals_full_table_reference():
     lam = 1.0
     profile = lambda t: np.exp(-4.0 * t ** 2)
     for k_max in (40, 200):         # one degree block, and four
-        theta, w = mapped_rule(0.0, np.pi, 2 * k_max + 32)
+        theta, w = mapped_rule(2 * k_max + 32)
         weights = w * np.sin(theta) ** (2.0 * lam)
         q = q_table(k_max, lam, theta)
         ref = (q.T @ (weights * profile(theta))) / ((q ** 2).T @ weights)
@@ -424,17 +441,17 @@ def test_lp_norms_batch_synthesises_each_reference_once_per_grid(monkeypatch):
     rng = np.random.default_rng(8)
     ref, cols = rng.uniform(-1.0, 1.0, 101), rng.uniform(-1.0, 1.0, (101, 10))
     clear_run_memos()
-    first = [lp_norms_batch(cols, 1.0, p, 4, reference=ref) for p in (1.0, INF)]
+    first = [lp_norms_batch(cols, 1.0, p, reference=ref) for p in (1.0, INF)]
     widths, inner = [], vpmeans.function_space._synthesise
     monkeypatch.setattr(vpmeans.function_space, "_synthesise",
                         lambda ctx, coeffs: widths.append(coeffs.shape[1]) or inner(ctx, coeffs))
-    again = [lp_norms_batch(cols, 1.0, p, 4, reference=ref) for p in (1.0, INF)]
+    again = [lp_norms_batch(cols, 1.0, p, reference=ref) for p in (1.0, INF)]
     assert widths == [10, 10]       # the column blocks only: R's values are memoised
     assert all(np.array_equal(a, b) for a, b in zip(first, again))
     assert run_memo_stats()["reference_synthesis"]["entries"] == 2
     # another grid or another R is synthesised anew
-    lp_norms_batch(cols, 1.0, 1.0, 4, order=300, reference=ref)
-    lp_norms_batch(cols, 1.0, 1.0, 4, reference=-ref)
+    lp_norms_batch(cols, 1.0, 1.0, order=300, reference=ref)
+    lp_norms_batch(cols, 1.0, 1.0, reference=-ref)
     assert widths == [10, 10, 1, 10, 1, 10]
     clear_run_memos()
 
@@ -474,9 +491,9 @@ def test_lp_norms_batch_reference_matches_full_band(d, support, columns, k_max, 
     near = rng.random(columns) < 0.3
     cols[:, near] = ref[:, None] * (1.0 - rng.uniform(0.0, 1e-2, near.sum()))
     for p in (1.0, 2.0, INF):
-        got = lp_norms_batch(cols, lam, p, d, reference=ref)
-        want = lp_norms_batch(ref[:, None] - cols, lam, p, d)
-        norm_ref = lp_norms_batch(ref, lam, p, d)[0]
+        got = lp_norms_batch(cols, lam, p, reference=ref)
+        want = lp_norms_batch(ref[:, None] - cols, lam, p)
+        norm_ref = lp_norms_batch(ref, lam, p)[0]
         keep = want >= 1e-3 * norm_ref
         np.testing.assert_allclose(got[keep], want[keep], rtol=1e-12, atol=1e-14 * norm_ref)
 
@@ -508,13 +525,13 @@ def test_lp_norm_maxima_equal_maxima_of_every_norm(d, support, sizes, means, wit
         cols = banded_columns(rng, k_max, support, columns) * 10.0 ** rng.uniform(-2, 2, columns)
         ref = rng.uniform(-1.0, 1.0, k_max + 1) if with_reference else None
     ps = (1.0, 2.0, INF, 3.0)
-    got = lp_norm_maxima(builder(cols), sizes, lam, ps, d, k_max, reference=ref)
+    got = lp_norm_maxima(builder(cols), sizes, lam, ps, k_max, reference=ref)
     assert got.shape == (len(ps), len(sizes))
     for p, row in zip(ps, got):
-        full = lp_norms_batch(cols, lam, p, d, reference=ref)
+        full = lp_norms_batch(cols, lam, p, reference=ref)
         lost = 0.0      # but R - V_n f, a difference of syntheses, also loses eps ||R||
         if means and ref is not None and p != 2.0:
-            lost = 1e-14 * lp_norms_batch(ref, lam, p, d)[0]
+            lost = 1e-14 * lp_norms_batch(ref, lam, p)[0]
         np.testing.assert_allclose(row, np.maximum.reduceat(full, np.cumsum([0] + sizes[:-1])),
                                    rtol=1e-14, atol=lost)
 
@@ -525,9 +542,9 @@ def test_lp_norm_maxima_prunes_logs_and_validates():
     cols[:, 70] = np.nan
     clear_run_memos()
     log = vpmeans.function_space._CONTEXTS.log
-    got = lp_norm_maxima(builder(cols), [60, 40], 0.5, [1.0, 2.0, INF], 3, 128)
+    got = lp_norm_maxima(builder(cols), [60, 40], 0.5, [1.0, 2.0, INF], 128)
     for p, row in zip((1.0, 2.0, INF), got):
-        full = lp_norms_batch(cols, 0.5, p, 3)
+        full = lp_norms_batch(cols, 0.5, p)
         assert row[0] == pytest.approx(np.max(full[:60]), rel=1e-14) and np.isnan(row[1])
     # one record per pruned p; the second run holds a NaN column, whose NaN
     # bound and steps prune nothing
@@ -536,9 +553,9 @@ def test_lp_norm_maxima_prunes_logs_and_validates():
         assert synthesised + skipped == 100 and 0 < skipped < 59
     for sizes in ([100, 0], [-1, 101], []):
         with pytest.raises(ValueError, match="sizes"):
-            lp_norm_maxima(builder(cols), sizes, 0.5, [INF], 3, 128)
+            lp_norm_maxima(builder(cols), sizes, 0.5, [INF], 128)
     with pytest.raises(ValueError, match="p must"):
-        lp_norm_maxima(builder(cols), [100], 0.5, [INF, 0.5], 3, 128)
+        lp_norm_maxima(builder(cols), [100], 0.5, [INF, 0.5], 128)
 
 
 @pytest.mark.parametrize("p", [1.0, INF])
@@ -554,11 +571,11 @@ def test_lp_norm_maxima_chain_bounds_are_tight(p):
         decoy = np.concatenate(([0.0], rng.choice([-1.0, 1.0], k_max)))
     else:           # a spike at the pole: |S^2|^(1/2) ||g||_2 far above ||g||_1
         decoy = np.concatenate(([0.0], 2.0 * np.arange(1, k_max + 1) + 1.0))
-    decoy *= unit_norm / lp_norms_batch(decoy, 0.5, p, 3)[0]
+    decoy *= unit_norm / lp_norms_batch(decoy, 0.5, p)[0]
     scales = [2.0, 5.5] + [1.5] * 6 + [5.0]
     cols = np.column_stack([decoy] + [s * unit(0, k_max + 1) for s in scales])
     clear_run_memos()
-    got = lp_norm_maxima(builder(cols), [10], 0.5, [p], 3, k_max)[0, 0]
+    got = lp_norm_maxima(builder(cols), [10], 0.5, [p], k_max)[0, 0]
     assert got == pytest.approx(5.5 * unit_norm, rel=1e-14)
     # decoy, the two anchors and the max; the 1.5 columns fall to their
     # coefficient bounds once the anchors raise the run max to 5
@@ -568,7 +585,7 @@ def test_lp_norm_maxima_chain_bounds_are_tight(p):
     # 1.5 columns (its 8 finite columns keep the anchors of the run above)
     nan_run = np.column_stack([np.full(k_max + 1, np.nan)] + [unit(0, k_max + 1)] * 8)
     clear_run_memos()
-    got = lp_norm_maxima(builder(np.hstack([nan_run, cols])), [9, 10], 0.5, [p], 3, k_max)[0]
+    got = lp_norm_maxima(builder(np.hstack([nan_run, cols])), [9, 10], 0.5, [p], k_max)[0]
     assert np.isnan(got[0]) and got[1] == pytest.approx(5.5 * unit_norm, rel=1e-14)
     assert vpmeans.function_space._CONTEXTS.log == [(p, 13, 6)]
 
@@ -587,7 +604,7 @@ def test_lp_norm_maxima_bounds_cover_rounding():
         cols = ref[:, None] * (1.0 + np.finfo(float).eps * ulps)
         for p in (1.0, INF):
             clear_run_memos()
-            lp_norm_maxima(builder(cols), [100, 100], 0.5, [p], 3, 300, reference=ref)
+            lp_norm_maxima(builder(cols), [100, 100], 0.5, [p], 300, reference=ref)
             assert vpmeans.function_space._CONTEXTS.log == [(p, 200, 0)]
 
 
@@ -611,8 +628,8 @@ def test_lp_norm_maxima_bounds_equal_on_live_rows(monkeypatch):
             bounds.clear()
             clear_run_memos()
             lp_norm_maxima(lambda picked: np.take(cols[:live[picked].max()], picked, axis=1),
-                           [60, 69], 0.5, [1.0, INF], 3, k_max, reference=reference)
-            lp_norm_maxima(builder(cols), [60, 69], 0.5, [1.0, INF], 3, k_max, reference=reference)
+                           [60, 69], 0.5, [1.0, INF], k_max, reference=reference)
+            lp_norm_maxima(builder(cols), [60, 69], 0.5, [1.0, INF], k_max, reference=reference)
             assert len(bounds) == 4 and all(map(np.array_equal, bounds[:2], bounds[2:]))
     clear_run_memos()
 
@@ -630,13 +647,13 @@ def test_lp_norm_maxima_builds_columns_in_blocks():
         asked.append(len(picked))
         return np.take(cols, picked, axis=1)
     clear_run_memos()
-    got = lp_norm_maxima(columns, [10, 90, k_max + 1 - 100], 0.5, [1.0, 2.0, INF], 3,
-                         k_max, reference=f)
+    got = lp_norm_maxima(columns, [10, 90, k_max + 1 - 100], 0.5, [1.0, 2.0, INF], k_max,
+                         reference=f)
     assert max(asked) <= BLOCK_COLUMNS < cols.shape[1]
     synthesised = sum(rec[1] for rec in vpmeans.function_space._CONTEXTS.log)
     assert sum(asked) == cols.shape[1] + synthesised
     for p, row in zip((1.0, 2.0, INF), got):
-        full = lp_norms_batch(cols, 0.5, p, 3, reference=f)
+        full = lp_norms_batch(cols, 0.5, p, reference=f)
         np.testing.assert_allclose(row, np.maximum.reduceat(full, [0, 10, 100]),
                                    rtol=1e-14, atol=0.0)
 
@@ -654,39 +671,39 @@ def test_lp_norms_batch_negligible_entries_nan_and_zero_columns():
     tiny[64, 3] = 5e-324
     for reference in (None, ref):
         for p in (1.0, 2.0, INF):
-            assert np.array_equal(lp_norms_batch(tiny, 0.5, p, 3, reference=reference),
-                                  lp_norms_batch(cols, 0.5, p, 3, reference=reference))
+            assert np.array_equal(lp_norms_batch(tiny, 0.5, p, reference=reference),
+                                  lp_norms_batch(cols, 0.5, p, reference=reference))
     # all-zero columns give ||R||
     for p in (1.0, 2.0, INF):
-        np.testing.assert_allclose(lp_norms_batch(np.zeros((65, 3)), 0.5, p, 3, reference=ref),
-                                   lp_norms_batch(ref, 0.5, p, 3)[0], rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(lp_norms_batch(np.zeros((65, 3)), 0.5, p, reference=ref),
+                                   lp_norms_batch(ref, 0.5, p)[0], rtol=1e-15, atol=0.0)
     # an entry of 2^-960 keeps its row; the next float below it is dropped
     edge = np.zeros((65, 2))
     edge[40, 0] = NEGLIGIBLE
     edge[40, 1] = np.nextafter(NEGLIGIBLE, 0.0)
     for p in (1.0, INF):
-        out = lp_norms_batch(edge, 0.5, p, 3)
+        out = lp_norms_batch(edge, 0.5, p)
         assert out[0] > 0.0 and out[1] == 0.0
     # a NaN row propagates through the reference form as well
     cols[64, 3] = np.nan
     for p in (1.0, 2.0, INF):
-        out = lp_norms_batch(cols, 0.5, p, 3, reference=ref)
+        out = lp_norms_batch(cols, 0.5, p, reference=ref)
         assert np.isnan(out[3]) and np.all(np.isfinite(out[:3]))
 
 
 def test_lp_norms_batch_zero_and_nan_rows():
     padded = np.zeros((65, 3))
     for p in (1.0, 2.0, INF):
-        assert np.array_equal(lp_norms_batch(padded, 0.5, p, 3), np.zeros(3))
+        assert np.array_equal(lp_norms_batch(padded, 0.5, p), np.zeros(3))
     padded[:5, 0] = 1.0
     padded[:9, 2] = -0.5
     for p in (1.0, 2.0, INF):
-        out = lp_norms_batch(padded, 0.5, p, 3)
+        out = lp_norms_batch(padded, 0.5, p)
         assert out[1] == 0.0 and out[0] > 0.0 and out[2] > 0.0
     # a NaN in the last row is not trimmed away
     padded[-1, 1] = np.nan
     for p in (1.0, 2.0, INF):
-        out = lp_norms_batch(padded, 0.5, p, 3)
+        out = lp_norms_batch(padded, 0.5, p)
         assert np.isnan(out[1]) and np.all(np.isfinite(out[[0, 2]]))
 
 
@@ -696,9 +713,9 @@ def test_lp_norms_batch_grid_follows_input_shape():
     padded = np.zeros((301, 2))
     padded[:3] = 1.0
     clear_run_memos()
-    lp_norms_batch(padded, 0.5, 2.0, 3)
+    lp_norms_batch(padded, 0.5, 2.0)
     assert run_memo_stats()["synthesis_context"]["entries"] == 0
-    lp_norms_batch(padded, 0.5, 1.0, 3)
+    lp_norms_batch(padded, 0.5, 1.0)
     synthesis_context(0.5, 300, "gauss", 2 * 300 + 32)
     stats = run_memo_stats()["synthesis_context"]
     assert (stats["entries"], stats["hits"], stats["misses"]) == (1, 1, 1)

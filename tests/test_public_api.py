@@ -47,7 +47,7 @@ TRACER_BOUND_SIGNATURES = {
     "kernel.multiplier_sequence": ("n", "lam", "k_max"),
     "special.q_table": ("k_max", "lam", "theta"),
     "function_space.synthesis_context": ("lam", "k_max", "kind", "size"),
-    "function_space.lp_norms_batch": ("coeff_matrix", "lam", "p", "d", "order", "reference"),
+    "function_space.lp_norms_batch": ("coeff_matrix", "lam", "p", "order", "reference"),
 }
 
 
@@ -56,6 +56,16 @@ def test_tracer_bound_parameter_names(name):
     short, attr = name.split(".")
     func = getattr(importlib.import_module(f"vpmeans.{short}"), attr)
     assert tuple(inspect.signature(func).parameters) == TRACER_BOUND_SIGNATURES[name]
+
+
+@pytest.mark.parametrize("short", TRACED_MODULES)
+def test_no_exported_function_takes_both_lam_and_d(short):
+    # lam fixes the dimension, d = 2 lam + 2: a function given both could be
+    # handed a pair that disagrees
+    module = importlib.import_module(f"vpmeans.{short}")
+    both = [name for name in module.__all__ if inspect.isfunction(getattr(module, name))
+            and {"lam", "d"} <= set(inspect.signature(getattr(module, name)).parameters)]
+    assert both == []
 
 
 # metrics the benchmark computes itself rather than reads from a traced layer

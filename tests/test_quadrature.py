@@ -250,7 +250,6 @@ def test_rounding_noise_cells_read_newton_rules_only(monkeypatch):
     # only while every rule they read comes from Newton in x.  A suite change
     # that reads a larger rule must fail here, not as benchmark drift.
     monkeypatch.setattr(quadrature, "_RULE_CACHE", {})
-    monkeypatch.setattr(quadrature, "_GRID_CACHE", {})
     clear_run_memos()
     run_selftest_suite()
     run_multiplier_identity_suite(3, 32)
@@ -283,7 +282,7 @@ def test_order_zero_rejected(monkeypatch):
 
 
 def test_mapped_rule():
-    theta, w = mapped_rule(0.0, np.pi, 16)
+    theta, w = mapped_rule(16)
     assert theta[0] > 0 and theta[-1] < np.pi
     assert float(w.sum()) == pytest.approx(np.pi, rel=1e-14)
 
@@ -336,6 +335,9 @@ def test_sphere_grid_geometry():
     assert np.all(np.diff(polar) > 0)
     assert polar[0] > 0 and polar[-1] < np.pi
     assert abs(float(grid.point_weights.sum()) - 4.0 * np.pi) <= 1e-10
+    for arr in (grid.points, grid.point_weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_sphere_grid_integrates_polynomials():
@@ -352,6 +354,3 @@ def test_sphere_grid_rejects_zero_bands():
     with pytest.raises(ValueError):
         sphere_grid(0)
 
-
-def test_sphere_grid_cached():
-    assert sphere_grid(6) is sphere_grid(6)

@@ -1,8 +1,9 @@
-"""The benchmark's CSV drift check, run in-process: `vpm all --seed 42`, the
-all-ceiling command (band limit K = 2048) and the kernel-quadrature commands
-must reproduce the stored reference outputs of `perfbench/reference/` within
-its 1e-10 relative bound, with the same exit codes and verdicts.  The
-perfbench files are read, never written."""
+"""The benchmark's CSV drift check, run in-process: `vpm all`, the
+all-ceiling command (band limit K = 2048) and the kernel-quadrature commands,
+at the CLI's default seed 42 and the benchmark's held-out seed 4062, must
+reproduce the stored reference outputs of `perfbench/reference/` within its
+1e-10 relative bound, with the same exit codes and verdicts.  The perfbench
+files are read, never written."""
 
 import contextlib
 import importlib.util
@@ -30,10 +31,12 @@ def _load_workloads():
 workloads = _load_workloads()
 
 
-@pytest.mark.parametrize("workload", ["all-default", "all-ceiling", "kernel-quadrature"])
-def test_outputs_match_benchmark_references(workload, tmp_path):
-    references = workloads.load_reference(workload, 42)
-    commands = workloads.commands(workload, 42)
+@pytest.mark.parametrize("workload, seed", [
+    pytest.param(workload, seed, id=workload if seed == 42 else f"{workload}-{seed}")
+    for seed in (42, 4062) for workload in ("all-default", "all-ceiling", "kernel-quadrature")])
+def test_outputs_match_benchmark_references(workload, seed, tmp_path):
+    references = workloads.load_reference(workload, seed)
+    commands = workloads.commands(workload, seed)
     assert [ref["argv"] for ref in references] == commands
     for index, (ref, argv) in enumerate(zip(references, commands)):
         out = tmp_path / str(index)
