@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .experiments import (_CORPUS_SPECTRAL, MULTIPLIER_REACH, corpus_band_limit,
+from .experiments import (_CORPUS_SPECTRAL, BAND_BUDGET, MULTIPLIER_REACH, corpus_band_limit,
                           run_converse_suite, run_delayed_max_suite, run_lemma_suite,
                           run_modulus_suite, run_multiplier_identity_suite,
                           run_selftest_suite, run_voronovskaya_suite)
@@ -56,7 +56,6 @@ class RunConfig:
     seed: int = 42
     out_dir: str = ""
     n_max: int = 32                     # multiplier suite sweep bound
-    band_budget: int = 2048             # largest representable band limit
 
     def snapshot(self):
         """Stringified mapping recorded in summary.json; all of it but
@@ -126,9 +125,9 @@ def _validate(config):
         raise ConfigError(f"d must be >= 3, got {config.d}")
     if config.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {config.seed}")
-    if not 0 <= config.n_max <= config.band_budget - MULTIPLIER_REACH:
-        raise ConfigError(f"n_max must be >= 0 and n_max + {MULTIPLIER_REACH} <= band_budget="
-                          f"{config.band_budget}, got n_max={config.n_max}")
+    if not 0 <= config.n_max <= BAND_BUDGET - MULTIPLIER_REACH:
+        raise ConfigError(f"n_max must be >= 0 and n_max + {MULTIPLIER_REACH} <= band budget "
+                          f"{BAND_BUDGET}, got n_max={config.n_max}")
     known = set(corpus_ids(config.seed))
     for fid in config.corpus:
         if fid not in known:
@@ -147,10 +146,9 @@ def _validate(config):
         if repeated:
             raise ConfigError(f"{key} repeats {repeated[0]!r}; each value may appear once")
     needed = corpus_band_limit(max(config.n_list))
-    if needed > config.band_budget:
-        raise ConfigError(
-            f"band budget exceeded: n_list requires a band limit of {needed} "
-            f"but band_budget={config.band_budget}; lower max(n_list) or raise band_budget")
+    if needed > BAND_BUDGET:
+        raise ConfigError(f"band budget exceeded: n_list requires a band limit of {needed} "
+                          f"but the budget is {BAND_BUDGET}; lower max(n_list)")
     return config
 
 

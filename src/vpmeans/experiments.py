@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .function_space import (BLOCK_COLUMNS, INF, ZonalSpectral, _live_rows, _norm_context,
-                             lp_norm_maxima, lp_norms_batch, make_corpus, zonal_project,
-                             zonal_synthesis)
+from .function_space import (INF, ZonalSpectral, _live_rows, _norm_context, lp_norm_maxima,
+                             lp_norms_batch, make_corpus, zonal_project, zonal_synthesis)
 from .kernel import (_alpha_nested, _multiplier_integrals, _multiplier_prefixes, _refine,
                      alpha_voronovskaya, default_order, kernel_norm_constant, lemma_integral,
                      multiplier_sequence, multiplier_via_quadrature, multiplier_weight,
@@ -24,7 +23,7 @@ from .memo import RunMemo
 from .operators import (means_columns, sample_zonal_on_grid, translate_direct,
                         translate_spectral, vpm_grid, vpm_means, zonal_point_function)
 from .quadrature import gauss_legendre, gauss_legendre_many, integrate_theta, sphere_grid
-from .smoothness import (THETA_GRID_SIZE, _damping_table, _theta_scan, k_functional_estimate,
+from .smoothness import (THETA_GRID_SIZE, _damping_table, _theta_scans, k_functional_estimate,
                          modulus, modulus_many)
 from .special import _q_rows, q_envelope, q_table
 
@@ -50,6 +49,7 @@ ALPHA_BOUNDS = (0.5, 2.0)       # range of n * alpha(n)
 RATIO_WINDOW = 25.0             # max/min of the converse and delayed-max ratios
 EQUIVALENCE_WINDOW = 50.0       # omega / K-estimate lies in [1/window, window]
 MULTIPLIER_REACH = 4            # the multiplier suite reads k <= n + 4 at each degree n
+BAND_BUDGET = 2048              # the largest band limit a run may ask for
 REFINEMENT_RTOL = 1e-6          # lemma and alpha(n) refinement self-checks, relative
 MODULUS_GRID_RTOL = 0.02        # omega on the doubled theta grid, relative
 
@@ -120,9 +120,8 @@ def prepare_corpus(corpus, d, n_max, seed=42, p_list=(), scales=()):
         for p in (1.0, INF) if INF in p_list else (1.0,):
             _norm_context(lam, band_limit, p, parts=parts)
         if scales:
-            scans = [_theta_scan(t, THETA_GRID_SIZE) for t in dict.fromkeys(scales)]
-            _damping_table(band_limit, lam, np.concatenate(scans), parts)
-        _q_rows(band_limit, lam, parts, BLOCK_COLUMNS)
+            _damping_table(band_limit, lam, _theta_scans(scales)[0], parts)
+        _q_rows(band_limit, lam, parts)
     resolved = dict(zip(projected, zonal_project([members[fid] for fid in projected],
                                                  band_limit, lam)))
     for fid in set(missing) - set(projected):       # the exact coefficients, padded to K
@@ -447,10 +446,9 @@ def measure_envelope_constant(d_list=(3, 4, 5), k_max=512, grid_size=2048):
     for d in d_list:
         lam = (d - 2) / 2.0
         theta = np.linspace(np.pi / 2.0 / grid_size, np.pi / 2.0, grid_size)
-        q = np.abs(q_table(k_max, lam, theta))
-        for k in range(1, k_max + 1):
-            ratio = q[:, k] / q_envelope(k, lam, theta)
-            worst = max(worst, float(ratio.max()))
+        envelope = q_envelope(np.arange(1, k_max + 1), lam, theta[:, None])
+        ratio = np.divide(np.abs(q_table(k_max, lam, theta)[:, 1:]), envelope, out=envelope)
+        worst = max(worst, float(ratio.max()))
     return worst
 
 
@@ -487,7 +485,7 @@ def run_selftest_suite(seed=42):
     record("multiplier_identity_spot", diff, 1e-9)
 
     # alpha collapse at d = 3, on the nested oracle's own ladder
-    a = _refine(lambda o: _alpha_nested(32, 3, o), default_order(32) + 32, 1e-9, 8,
+    a = _refine(lambda o: _alpha_nested(32, 3, o), default_order(32) + 32, 1e-9,
                 32, 3, "alpha_nested")
     record("alpha_closed_form_d3", abs(a * 33.0 - 1.0), 1e-8)
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .memo import RunMemo
 from .quadrature import SphereGrid, mapped_rule
-from .special import _q_rows
+from .special import BLOCK_COLUMNS, _q_rows
 
 __all__ = [
     "ZonalSpectral",
@@ -42,11 +42,6 @@ INF = float("inf")
 
 # number of colatitude samples behind every sup-norm evaluation
 DENSE_GRID_SIZE = 4096
-
-# columns that lp_norms_batch processes, and degrees that a Q_k stream fills,
-# at once: their temporaries stay at (grid size) x 64 doubles, 2 MiB on the
-# dense grid, instead of growing with the number of functions or degrees
-BLOCK_COLUMNS = 64
 
 
 def surface_area(d):
@@ -102,7 +97,7 @@ def zonal_synthesis(coeffs, lam, x):
     def accumulate(k, rows):
         for c, q in zip(coeffs[k + (k == 0):k + len(rows)], rows[int(k == 0):]):
             np.add(acc, c * q, out=acc)
-    _q_rows(len(coeffs) - 1, lam, [(xa, accumulate)], BLOCK_COLUMNS)
+    _q_rows(len(coeffs) - 1, lam, [(xa, accumulate)])
     return acc
 
 
@@ -131,7 +126,7 @@ def synthesis_context(lam, k_max, kind, size):
     nodes with theta <= pi/2, split by the parity of k."""
     parts = []
     ctx = _context(lam, k_max, kind, size, parts)
-    _q_rows(k_max, lam, parts, BLOCK_COLUMNS)
+    _q_rows(k_max, lam, parts)
     return ctx
 
 
@@ -167,7 +162,7 @@ def _context(lam, k_max, kind, size, parts):
 def _profile_callable(f):     # a ZonalProfile calls its g
     if callable(f):
         return f
-    raise TypeError(f"expected a zonal function or a callable profile, got {type(f).__name__}")
+    raise TypeError(f"expected a callable profile, got {type(f).__name__}")
 
 
 def zonal_project(profiles, k_max, lam):
@@ -202,21 +197,17 @@ def zonal_project(profiles, k_max, lam):
 
 
 def lp_norm_zonal(f, p, d, order=None):
-    """L^p(S^{d-1}) norm of a zonal function (spectral or profile form).
+    """L^p(S^{d-1}) norm of a zonal profile g, sampled directly: the oracle of
+    `lp_norms_batch`, which takes the spectral form.
 
     For p < infinity this is the unnormalized surface integral reduced to one
-    dimension, (|S^{d-2}| integral_0^pi |g|^p sin^(d-2) theta dtheta)^(1/p);
-    for p = infinity, the max of |g| over a dense colatitude grid.  Spectral
-    input goes through `lp_norms_batch`; the profile route samples g directly
-    and serves as its oracle.
+    dimension, (|S^{d-2}| integral_0^pi |g|^p sin^(d-2) theta dtheta)^(1/p),
+    on the mapped Gauss rule of `order` (default DENSE_GRID_SIZE) points; for
+    p = infinity, the max of |g| over a dense colatitude grid.
     """
     if p != INF and p < 1:
         raise ValueError(f"p must satisfy 1 <= p <= inf, got {p}")
     lam = (d - 2) / 2.0
-    if isinstance(f, ZonalSpectral):
-        if abs(f.lam - lam) > 1e-12:
-            raise ValueError(f"function has lam={f.lam}, inconsistent with d={d}")
-        return float(lp_norms_batch(f.coeffs, lam, p, order=order)[0])
     g = _profile_callable(f)
     if p == INF:
         theta = np.linspace(0.0, np.pi, DENSE_GRID_SIZE)
@@ -435,7 +426,7 @@ def _synthesise(ctx, coeffs):
 
 def _inverse_dims(k_max, lam):
     """1 / N_k, k = 0..k_max, by N_{k+1}/N_k = (k+2 lam)(2k+2 lam+2)/((k+1)(2k+2 lam)):
-    `harmonic_dim`'s exact binomials overflow a float at large d."""
+    N_k's exact binomials overflow a float at large d."""
     k = np.arange(k_max, dtype=float)
     ratio = (k + 1.0) * (2.0 * k + 2.0 * lam) / ((k + 2.0 * lam) * (2.0 * k + 2.0 * lam + 2.0))
     return np.concatenate(([1.0], np.cumprod(ratio)))

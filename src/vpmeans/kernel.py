@@ -164,6 +164,9 @@ def multiplier_via_quadrature(n, k, d, order=None):
 # rule only): the nested oracle's rules, the panel rule and panels per block
 _ALPHA_INNER_ORDER, _ALPHA_PANEL_ORDER, _ALPHA_PANEL_BLOCK = 96, 16, 64
 
+# doublings of the outer Gauss order a refinement ladder may climb
+MAX_REFINEMENTS = 8
+
 
 def _alpha_at_order(n, d, order):
     """alpha(n) on the `order`-point outer rule.  G = int_0 sin^m and
@@ -212,7 +215,7 @@ def _alpha_nested(n, d, order):
     return float(np.dot(outer, big_f))
 
 
-def alpha_voronovskaya(n, d, order=None, rtol=1e-9, max_refinements=8):
+def alpha_voronovskaya(n, d, order=None, rtol=1e-9):
     """Concentration coefficient of the second-order expansion of the means:
 
         alpha(n) = integral_0^pi v_n sin^(2 lam) theta dtheta
@@ -223,24 +226,23 @@ def alpha_voronovskaya(n, d, order=None, rtol=1e-9, max_refinements=8):
     panels between them; the nested quadrature `_alpha_nested` is its oracle.
     The outer rule, `order` points (default n + 64), is doubled until two
     successive refinements agree to `rtol` relative; ConvergenceError is
-    raised when `max_refinements` doublings do not get there.  alpha(n) ~ 1/n;
+    raised when MAX_REFINEMENTS doublings do not get there.  alpha(n) ~ 1/n;
     at d = 3 it is exactly 1/(n+1).
     """
     if n < 1:
         raise ValueError(f"alpha_voronovskaya requires n >= 1, got {n}")
     base = order if order is not None else default_order(n) + 32
-    return _refine(lambda o: _alpha_at_order(n, d, o), base, rtol,
-                   max_refinements, n, d, "alpha_voronovskaya")
+    return _refine(lambda o: _alpha_at_order(n, d, o), base, rtol, n, d, "alpha_voronovskaya")
 
 
-def _refine(evaluate, order, rtol, max_refinements, n, d, kind, s=None):
+def _refine(evaluate, order, rtol, n, d, kind, s=None):
     """Double `order` until two successive evaluate(order) agree to `rtol`
     relative; raise ConvergenceError at the first rung that is not finite or
-    when the budget runs out.  Every ladder is appended to the run's ladder
+    after MAX_REFINEMENTS doublings.  Every ladder is appended to the run's ladder
     records, with the number of rungs it `evaluated`."""
     prev, cur, evaluated = None, evaluate(order), 1
     converged = False
-    for _ in range(max_refinements if math.isfinite(cur) else 0):
+    for _ in range(MAX_REFINEMENTS if math.isfinite(cur) else 0):
         order *= 2
         prev, cur, evaluated = cur, evaluate(order), evaluated + 1
         converged = math.isfinite(cur) and abs(cur - prev) <= rtol * abs(cur)
@@ -257,15 +259,15 @@ def _refine(evaluate, order, rtol, max_refinements, n, d, kind, s=None):
 _LEMMA_KINDS = ("neg_lambda", "neg_two_over_m", "fourth_moment")
 
 
-def lemma_integral(n, d, kind, m=None, order=None, rtol=1e-8, max_refinements=8):
+def lemma_integral(n, d, kind, m=None, order=None, rtol=1e-8):
     """Weighted kernel moment integral_0^pi theta^s v_n(theta) sin^(2 lam) theta dtheta.
 
     kind selects the exponent s: "neg_lambda" -> -lam (grows like n^(lam/2)),
     "neg_two_over_m" -> -2/m (grows like n^(1/m)), "fourth_moment" -> 4
     (decays like n^-2).  The mapped Gauss rule is doubled until two successive
-    refinements agree to `rtol` relative, else ConvergenceError is raised;
-    the combined integrand is continuous at 0 because
-    theta^(-lam) sin^(2 lam) theta ~ theta^lam.
+    refinements agree to `rtol` relative, at most MAX_REFINEMENTS times, else
+    ConvergenceError is raised; the combined integrand is continuous at 0
+    because theta^(-lam) sin^(2 lam) theta ~ theta^lam.
     """
     if n < 1:
         raise ValueError(f"lemma_integral requires n >= 1, got {n}")
@@ -282,4 +284,4 @@ def lemma_integral(n, d, kind, m=None, order=None, rtol=1e-8, max_refinements=8)
         raise ValueError(f"unknown lemma_integral kind {kind!r}; expected one of {_LEMMA_KINDS}")
     base = order if order is not None else default_order(n) + 32
     return _refine(lambda o: integrate_theta(lambda t: t ** s * vpm_kernel_eval(n, d, t), lam, o),
-                   base, rtol, max_refinements, n, d, kind, s)
+                   base, rtol, n, d, kind, s)

@@ -17,7 +17,6 @@ from .special import q_table
 __all__ = [
     "means_columns",
     "vpm_means",
-    "vpm_iterated",
     "translate_spectral",
     "translate_direct",
     "vpm_grid",
@@ -42,13 +41,9 @@ def means_columns(f, degrees, powers=(1,), rows=None):
     return cols
 
 
-def vpm_means(f, n):
-    """Apply the degree-n means: a_k -> omega_{n,k} a_k (band-limits to n)."""
-    return vpm_iterated(f, n, 1)
-
-
-def vpm_iterated(f, n, m):
-    """Apply the m-th power of the degree-n means: a_k -> (omega_{n,k})^m a_k."""
+def vpm_means(f, n, m=1):
+    """Apply the m-th power of the degree-n means: a_k -> (omega_{n,k})^m a_k
+    (band-limits to n)."""
     return ZonalSpectral(f.lam, means_columns(f, [n], (m,))[:, 0])
 
 

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .function_space import BLOCK_COLUMNS, _live_rows, lp_norm_maxima, lp_norms_batch
+from .function_space import _live_rows, lp_norm_maxima, lp_norms_batch
 from .memo import RunMemo
 from .operators import means_columns
 from .special import _q_rows
@@ -37,6 +37,13 @@ def _theta_scan(t, size):
     # so a top point at exactly pi is dropped
     grid = np.geomspace(t / 256.0, t, size)
     return grid[grid < np.pi]
+
+
+def _theta_scans(scales, size=THETA_GRID_SIZE):
+    """(thetas, sizes): the scans of the distinct `scales`, in order, end to
+    end, and the length of each; the key of a sweep's theta-scan table."""
+    scans = [_theta_scan(t, size) for t in dict.fromkeys(scales)]
+    return np.concatenate(scans), [len(scan) for scan in scans]
 
 
 _DAMPING = RunMemo("theta_scan")
@@ -74,7 +81,7 @@ def translation_error_norms(f, thetas, ps, sizes):
         raise ValueError("translation steps must lie in (0, pi)")
     parts = []
     damp = _damping_table(f.band_limit, f.lam, thetas, parts)     # (T, K+1)
-    _q_rows(f.band_limit, f.lam, parts, BLOCK_COLUMNS)
+    _q_rows(f.band_limit, f.lam, parts)
 
     def columns(steps, rows=_live_rows(f.coeffs)):     # C order synthesises faster
         return np.multiply(f.coeffs[:rows, None], damp[steps, :rows].T, order="C")
@@ -109,9 +116,8 @@ def modulus_many(f, ts, ps, theta_grid_size=THETA_GRID_SIZE):
     computed = {}
     if missing:
         scales, group = (list(dict.fromkeys(part)) for part in zip(*missing))
-        scans = [_theta_scan(t, theta_grid_size) for t in scales]
-        maxima = translation_error_norms(f, np.concatenate(scans), group,
-                                         sizes=[len(scan) for scan in scans])
+        thetas, sizes = _theta_scans(scales, theta_grid_size)
+        maxima = translation_error_norms(f, thetas, group, sizes=sizes)
         computed = {(t, p): cell for p, row in zip(group, maxima.tolist())
                     for t, cell in zip(scales, row)}
     return [[_MODULUS.lookup(keys[t, p], lambda cell=(t, p): computed[cell]) for t in ts]

@@ -1,5 +1,5 @@
-"""Scalar special functions: Gegenbauer polynomials, harmonic dimensions, and
-the oscillation envelope used in the multiplier estimates.
+"""Scalar special functions: Gegenbauer polynomials and the oscillation
+envelope used in the multiplier estimates.
 
 Everything here is a pure function of its arguments.  Gegenbauer polynomials
 are evaluated by the upward three-term recurrence with seeds P_0 = 1 and
@@ -13,31 +13,17 @@ the nodes of all its parts at once: every Q table fills from it, a table built
 alone as a one-part stream, and one stream fills the tables of a run's band limit.
 """
 
-import math
-
 import numpy as np
 
 __all__ = [
-    "harmonic_dim",
     "q_table",
     "q_envelope",
 ]
 
-
-def harmonic_dim(k, d):
-    """Dimension of the space of degree-k spherical harmonics on S^{d-1}.
-
-    Exact integer arithmetic; equals 2k+1 at d = 3.
-    """
-    if d < 3:
-        raise ValueError(f"harmonic_dim requires d >= 3, got d={d}")
-    if k < 0:
-        raise ValueError(f"harmonic_dim requires k >= 0, got k={k}")
-    if k == 0:
-        return 1
-    # (2k+d-2)/(k+d-2) * C(k+d-2, k), split into two binomials so the
-    # division never appears.
-    return math.comb(k + d - 2, k) + math.comb(k + d - 3, k - 1)
+# degrees that a Q_k stream fills, and columns that the L^p norms synthesise,
+# at once: their temporaries stay at (grid size) x 64 doubles, 2 MiB on the
+# dense grid, instead of growing with the band limit or the number of functions
+BLOCK_COLUMNS = 64
 
 
 def _gegenbauer_steps(k_max, lam, x):
@@ -56,10 +42,10 @@ def _gegenbauer_steps(k_max, lam, x):
         yield p
 
 
-def _q_rows(k_max, lam, parts, width):
+def _q_rows(k_max, lam, parts):
     """The one stream of Q_j^lam(x) = P_j^lam(x) / P_j^lam(1), j = 0..k_max, run
-    once over the nodes x of every part (x, fill): for k = 0, width, 2 width,
-    ... it writes the rows j = k..min(k + width - 1, k_max) into one block,
+    once over the nodes x of every part (x, fill): for k = 0, BLOCK_COLUMNS, ...
+    it writes the rows j = k..min(k + BLOCK_COLUMNS - 1, k_max) into one block,
     reused, and hands each fill(k, rows), in order, the block's columns on its
     nodes, which the fill copies if it keeps them; no parts, no stream.
     P_j(x) and P_j(1) share one recurrence, which makes Q exactly 1 at x = 1."""
@@ -68,8 +54,8 @@ def _q_rows(k_max, lam, parts, width):
     ends = np.cumsum([0] + [len(x) for x, _ in parts])
     x = np.concatenate([x for x, _ in parts])
     steps = zip(_gegenbauer_steps(k_max, lam, x), _gegenbauer_steps(k_max, lam, 1.0))
-    block = np.empty((min(width, k_max + 1), x.size))
-    for k in range(0, k_max + 1, width):
+    block = np.empty((min(BLOCK_COLUMNS, k_max + 1), x.size))
+    for k in range(0, k_max + 1, BLOCK_COLUMNS):
         rows = block[:k_max + 1 - k]
         for row, (p, one) in zip(rows, steps):
             np.divide(p, one, out=row)
@@ -88,18 +74,18 @@ def q_table(k_max, lam, theta):
 
     def fill(k, rows):
         out[:, k:k + len(rows)] = rows.T
-    _q_rows(k_max, lam, [(np.cos(ta), fill)], 16)     # narrow: small blocks on many nodes
+    _q_rows(k_max, lam, [(np.cos(ta), fill)])
     return out
 
 
 def q_envelope(k, lam, theta):
     """Decay envelope min((k theta)^(-lam), 1) that dominates |Q_k^lam(cos theta)|
-    (up to a constant) on 0 < theta <= pi/2.
+    (up to a constant) on 0 < theta <= pi/2; k and theta broadcast.
     """
-    if k < 1:
+    if np.any(np.asarray(k) < 1):
         raise ValueError(f"q_envelope requires k >= 1, got {k}")
     ta = np.asarray(theta, dtype=float)
     if np.any(ta <= 0.0):
         raise ValueError("q_envelope requires theta > 0")
     vals = np.minimum((k * ta) ** (-lam), 1.0)
-    return float(vals) if ta.ndim == 0 else vals
+    return float(vals) if vals.ndim == 0 else vals

@@ -1,5 +1,6 @@
 """Shared test configuration."""
 
+import math
 import sys
 import warnings
 
@@ -32,16 +33,33 @@ def corpus_d3():
     return {member.tag: member for member in make_corpus(3)}
 
 
+def _harmonic_dim(k, d):
+    """Dimension of the space of degree-k spherical harmonics on S^{d-1}, in
+    exact integers; 2k+1 at d = 3."""
+    if k == 0:
+        return 1
+    # (2k+d-2)/(k+d-2) * C(k+d-2, k), split into two binomials so the
+    # division never appears.
+    return math.comb(k + d - 2, k) + math.comb(k + d - 3, k - 1)
+
+
+@pytest.fixture(scope="session")
+def harmonic_dim():
+    """harmonic_dim(k, d), d >= 3 and k >= 0: the exact oracle of the float
+    1 / N_k of `function_space._inverse_dims`."""
+    return _harmonic_dim
+
+
 @pytest.fixture
 def q_streams(monkeypatch):
     """The band limit of every Q_k stream, a `special._q_rows` call with
     parts, that a module of vpmeans runs during the test, in order."""
     streams, inner = [], vpmeans.special._q_rows
 
-    def counted(k_max, lam, parts, width):
+    def counted(k_max, lam, parts):
         if parts:
             streams.append(k_max)
-        return inner(k_max, lam, parts, width)
+        return inner(k_max, lam, parts)
     for name, module in list(sys.modules.items()):
         if name.partition(".")[0] == "vpmeans" and getattr(module, "_q_rows", None) is inner:
             monkeypatch.setattr(module, "_q_rows", counted)

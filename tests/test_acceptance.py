@@ -12,15 +12,15 @@ import pytest
 
 from vpmeans.experiments import (prepare_corpus, run_converse_suite, run_modulus_suite,
                                  run_multiplier_identity_suite)
-from vpmeans.function_space import (INF, ZonalSpectral, corpus_ids,
-                                    lp_norm_grid, lp_norm_zonal, make_corpus)
+from vpmeans.function_space import (INF, ZonalSpectral, corpus_ids, lp_norm_grid,
+                                    lp_norm_zonal, lp_norms_batch, make_corpus)
 from vpmeans.kernel import (alpha_voronovskaya, kernel_norm_constant,
                             lemma_integral, multiplier_sequence,
                             multiplier_via_quadrature, multiplier_weight,
                             vpm_kernel_eval)
 from vpmeans.operators import (sample_zonal_on_grid, translate_direct,
-                               translate_spectral, vpm_grid, vpm_iterated,
-                               vpm_means, zonal_point_function)
+                               translate_spectral, vpm_grid, vpm_means,
+                               zonal_point_function)
 from vpmeans.quadrature import integrate_theta, sphere_grid
 
 NORTH = np.array([0.0, 0.0, 1.0])
@@ -197,21 +197,19 @@ def test_c10_operator_laws():
     contraction_ok = True
     for f in prepare_corpus(corpus_ids(), 3, 16):
         for m, l in ((2, 3), (1, 7), (4, 4)):
-            once = vpm_iterated(f, 6, m + l).coeffs
-            twice = vpm_iterated(vpm_iterated(f, 6, l), 6, m).coeffs
+            once = vpm_means(f, 6, m + l).coeffs
+            twice = vpm_means(vpm_means(f, 6, l), 6, m).coeffs
             semigroup_worst = max(semigroup_worst, float(np.max(np.abs(once - twice))))
         for p in P_ALL:
-            base = lp_norm_zonal(
-                ZonalSpectral(lam=f.lam, coeffs=f.coeffs - vpm_means(f, 16).coeffs), p, 3)
+            base = lp_norms_batch(f.coeffs - vpm_means(f, 16).coeffs, f.lam, p)[0]
             for m in (2, 7):
-                err_m = lp_norm_zonal(
-                    ZonalSpectral(lam=f.lam, coeffs=f.coeffs - vpm_iterated(f, 16, m).coeffs), p, 3)
+                err_m = lp_norms_batch(f.coeffs - vpm_means(f, 16, m).coeffs, f.lam, p)[0]
                 chain_ok = chain_ok and err_m <= m * base + 1e-8
-            norm = lp_norm_zonal(f, p, 3)
+            norm = lp_norms_batch(f.coeffs, f.lam, p)[0]
             for theta in (0.05, 0.3, 1.0, 2.5):
                 shifted = translate_spectral(f, theta)
                 contraction_ok = contraction_ok and (
-                    lp_norm_zonal(shifted, p, 3) <= norm + 1e-8)
+                    lp_norms_batch(shifted.coeffs, f.lam, p)[0] <= norm + 1e-8)
     ok = semigroup_worst <= 1e-15 and chain_ok and contraction_ok
     verdict(10, ok,
             f"semigroup sup {semigroup_worst:.2e} <= 1e-15, chain bound: {chain_ok}, "

@@ -4,12 +4,13 @@ import json
 import re
 import types
 from collections import Counter
+from dataclasses import fields
 
 import pytest
 
 import vpmeans.cli
 import vpmeans.memo
-from vpmeans.cli import SUITES, ConfigError, build_parser, dispatch, main, parse_config
+from vpmeans.cli import SUITES, ConfigError, RunConfig, build_parser, dispatch, main, parse_config
 from vpmeans import experiments, quadrature
 from vpmeans.experiments import prepare_corpus, run_multiplier_identity_suite
 
@@ -94,14 +95,15 @@ def test_missing_file_rejected():
 def test_band_budget_validation():
     with pytest.raises(ConfigError, match="band budget"):
         parse_config(overrides={"n_list": "4,8,512"})
-    # at the default budget the corpus band limit 4 max(n_list) + 64 of the
-    # suites reaches 2048 at 496
-    assert parse_config().band_budget == 2048 == experiments.corpus_band_limit(496)
+    # the corpus band limit 4 max(n_list) + 64 of the suites reaches the
+    # budget 2048 at 496
+    assert experiments.BAND_BUDGET == 2048 == experiments.corpus_band_limit(496)
     assert parse_config(overrides={"n_list": "8,496"}).n_list == (8, 496)
-    with pytest.raises(ConfigError, match="requires a band limit of 2052 but band_budget=2048"):
+    with pytest.raises(ConfigError, match="requires a band limit of 2052 but the budget is 2048"):
         parse_config(overrides={"n_list": "8,497"})
-    config = parse_config(overrides={"n_list": "4,8,512", "band_budget": "4096"})
-    assert max(config.n_list) == 512
+    # the budget is a rule of `experiments`, not a key
+    with pytest.raises(ConfigError, match="unknown configuration key: 'band_budget'"):
+        parse_config(overrides={"n_list": "4,8,512", "band_budget": "4096"})
 
 
 # the keys and flags that once set the multiplier Gauss orders, the theta scan
@@ -126,12 +128,12 @@ def test_resolution_is_not_a_setting(tmp_path, capsys, key):
 
 def test_n_max_bounded_by_band_budget(tmp_path):
     # the multiplier suite reads Q_k up to k = n_max + 4: 2044 is the largest
-    # n_max at the default budget
-    budget = parse_config().band_budget
+    # n_max within the band budget
+    budget = experiments.BAND_BUDGET
     assert budget - experiments.MULTIPLIER_REACH == 2044
     assert parse_config(overrides={"n_max": str(budget - 4)}).n_max == budget - 4
     for n_max in (budget - 3, 10 ** 8):
-        with pytest.raises(ConfigError, match=rf"band_budget={budget}, got n_max={n_max}$"):
+        with pytest.raises(ConfigError, match=rf"band budget {budget}, got n_max={n_max}$"):
             parse_config(overrides={"n_max": str(n_max)})
     assert main(["multipliers", "--n-max", str(10 ** 8), "--out", str(tmp_path)]) == 2
     assert not any(tmp_path.iterdir())
@@ -348,6 +350,14 @@ def test_dispatch_rerun_byte_identical(tmp_path):
     assert dispatch(config2, "converse") == 0
     second = (tmp_path / "b" / "converse.csv").read_text().splitlines()[1:]
     assert first == second
+
+
+def test_every_config_key_is_one_flag():
+    # no setting exists only in config files: each RunConfig field is the
+    # dest of exactly one flag
+    dests = Counter(action.dest for action in build_parser()._actions)
+    assert {f.name: dests[f.name] for f in fields(RunConfig)} == \
+        {f.name: 1 for f in fields(RunConfig)}
 
 
 def test_parser_lists_all_suites():

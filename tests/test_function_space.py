@@ -18,8 +18,8 @@ from vpmeans.kernel import multiplier_sequence
 from vpmeans.memo import clear_run_memos, run_memo_stats
 from vpmeans.operators import sample_zonal_on_grid
 from vpmeans.quadrature import integrate_theta, mapped_rule, sphere_grid
-from vpmeans.smoothness import THETA_GRID_SIZE, _damping_table, _theta_scan
-from vpmeans.special import _gegenbauer_steps, harmonic_dim, q_table
+from vpmeans.smoothness import _damping_table, _theta_scans
+from vpmeans.special import _gegenbauer_steps, q_table
 
 
 def unit(k, size):
@@ -88,46 +88,38 @@ def test_projection_round_trip_pointwise():
 
 
 def test_norm_constants():
-    const = ZonalSpectral(lam=0.5, coeffs=np.array([1.0]))
-    assert lp_norm_zonal(const, 2.0, 3) == pytest.approx(math.sqrt(4 * math.pi), rel=1e-12)
-    assert lp_norm_zonal(const, 1.0, 3) == pytest.approx(4 * math.pi, rel=1e-12)
-    assert lp_norm_zonal(const, INF, 3) == pytest.approx(1.0, rel=1e-14)
+    one = np.array([1.0])
+    assert lp_norms_batch(one, 0.5, 2.0)[0] == pytest.approx(math.sqrt(4 * math.pi), rel=1e-12)
+    assert lp_norms_batch(one, 0.5, 1.0)[0] == pytest.approx(4 * math.pi, rel=1e-12)
+    assert lp_norms_batch(one, 0.5, INF)[0] == pytest.approx(1.0, rel=1e-14)
     for c, p in ((2.5, 1.0), (-3.0, 2.0), (0.25, 4.0)):
-        scaled = ZonalSpectral(lam=0.5, coeffs=np.array([c]))
-        assert lp_norm_zonal(scaled, p, 3) == pytest.approx(
+        assert lp_norms_batch(np.array([c]), 0.5, p)[0] == pytest.approx(
             abs(c) * (4 * math.pi) ** (1 / p), rel=1e-12)
 
 
 def test_norm_of_first_harmonic():
     # ||cos theta||_2^2 = 2 pi * 2/3
-    f = ZonalSpectral(lam=0.5, coeffs=unit(1, 2))
-    assert lp_norm_zonal(f, 2.0, 3) == pytest.approx(math.sqrt(4 * math.pi / 3), rel=1e-12)
+    assert lp_norms_batch(unit(1, 2), 0.5, 2.0)[0] == pytest.approx(
+        math.sqrt(4 * math.pi / 3), rel=1e-12)
 
 
 def test_norm_profile_and_spectral_consistency():
     # same quadrature order: the synthesis route and the direct callable
     # route sample identical nodes, so even the |cos| kink at p = 1 cancels
     profile = lambda t: np.cos(t)
-    spectral = ZonalSpectral(lam=0.5, coeffs=unit(1, 2))
     for p in (1.0, 2.0, INF):
         assert lp_norm_zonal(profile, p, 3, order=2048) == pytest.approx(
-            lp_norm_zonal(spectral, p, 3, order=2048), rel=1e-12)
+            lp_norms_batch(unit(1, 2), 0.5, p, order=2048)[0], rel=1e-12)
 
 
 def test_norm_argument_validation():
-    f = ZonalSpectral(lam=0.5, coeffs=np.ones(3))
     with pytest.raises(ValueError):
-        lp_norm_zonal(f, 0.5, 3)
-    with pytest.raises(TypeError):
+        lp_norm_zonal(np.cos, 0.5, 3)
+    with pytest.raises(TypeError, match="expected a callable profile, got float$"):
         lp_norm_zonal(3.0, 2.0, 3)
-    # a profile has no lam, so lp_norm_zonal takes d and checks it against
-    # the lam of spectral input before it delegates
-    for lam, d in ((0.5, 4), (0.5, 5), (1.0, 3), (1.5, 8)):
-        f = ZonalSpectral(lam=lam, coeffs=np.array([1.0, 0.5, -0.25]))
-        for p in (1.0, 2.0, INF):
-            with pytest.raises(ValueError, match=f"lam={lam}, inconsistent with d={d}$"):
-                lp_norm_zonal(f, p, d)
-            assert lp_norm_zonal(f, p, int(2 * lam + 2)) == lp_norms_batch(f.coeffs, lam, p)[0]
+    # the spectral form has its own route, lp_norms_batch
+    with pytest.raises(TypeError, match="expected a callable profile, got ZonalSpectral$"):
+        lp_norm_zonal(ZonalSpectral(lam=0.5, coeffs=np.ones(3)), 2.0, 3)
 
 
 @pytest.mark.parametrize("d", [3, 4, 5, 8])
@@ -147,7 +139,7 @@ def test_lp_norms_batch_matches_single():
     for p in (1.0, 2.0, INF):
         batch = lp_norms_batch(cols, 0.5, p)
         for j in range(5):
-            single = lp_norm_zonal(ZonalSpectral(lam=0.5, coeffs=cols[:, j]), p, 3)
+            single = lp_norms_batch(cols[:, j], 0.5, p)[0]
             assert batch[j] == pytest.approx(single, rel=1e-12)
 
 
@@ -199,7 +191,7 @@ def test_lp_norms_batch_parseval_matches_gauss(d, support, columns, k_max, seed)
 
 
 @pytest.mark.parametrize("d", [3, 4, 5, 7])
-def test_inverse_dims_match_harmonic_dim(d):
+def test_inverse_dims_match_harmonic_dim(harmonic_dim, d):
     k_max = 2048
     exact = np.array([1.0 / harmonic_dim(k, d) for k in range(k_max + 1)])
     np.testing.assert_allclose(_inverse_dims(k_max, (d - 2) / 2.0), exact, rtol=1e-13, atol=0.0)
@@ -410,14 +402,14 @@ def test_shared_stream_tables_equal_tables_built_alone(q_streams, k_max, lam):
     # against each built by its own
     profiles = [lambda t: np.exp(-4.0 * t ** 2), lambda t: t ** 0.5]
     scales = [0.5, 0.125, 0.05]
-    thetas = np.concatenate([_theta_scan(t, THETA_GRID_SIZE) for t in scales])
+    thetas, _ = _theta_scans(scales)
     gauss, dense = ("gauss", 2 * k_max + 32), ("dense", DENSE_GRID_SIZE)
     clear_run_memos()
     parts = []
     _context(lam, k_max, *gauss, parts)
     _context(lam, k_max, *dense, parts)
     _damping_table(k_max, lam, thetas, parts)
-    vpmeans.special._q_rows(k_max, lam, parts, BLOCK_COLUMNS)
+    vpmeans.special._q_rows(k_max, lam, parts)
     shared = zonal_project(profiles, k_max, lam)
     tables = [synthesis_context(lam, k_max, *gauss), synthesis_context(lam, k_max, *dense),
               _damping_table(k_max, lam, thetas, [])]
@@ -732,7 +724,7 @@ def test_parseval_consistency(d):
         lambda t, k=k: zonal_synthesis(unit(k, 14), lam, np.cos(t)) ** 2, lam, 60)
         for k in range(14)])
     from_coeffs = math.sqrt(surface_area(d - 1) * float(np.dot(coeffs ** 2, gram)))
-    direct = lp_norm_zonal(ZonalSpectral(lam=lam, coeffs=coeffs), 2.0, d)
+    direct = lp_norms_batch(coeffs, lam, 2.0)[0]
     assert direct == pytest.approx(from_coeffs, rel=1e-8)
 
 
@@ -749,9 +741,8 @@ def test_grid_vs_zonal_norm_band_limited(corpus_d3):
     grid = sphere_grid(48)
     member = corpus_d3["randband:seed42"]
     gf = sample_zonal_on_grid(member, grid)
-    spectral = ZonalSpectral(lam=0.5, coeffs=member.coeffs)
     assert lp_norm_grid(gf, 2.0) == pytest.approx(
-        lp_norm_zonal(spectral, 2.0, 3), rel=1e-8)
+        lp_norms_batch(member.coeffs, 0.5, 2.0)[0], rel=1e-8)
 
 
 def test_grid_function_length_check():

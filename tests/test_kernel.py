@@ -285,7 +285,7 @@ def test_selftest_alpha_cell_reads_only_nested_rungs():
     # nested ladder visits; the selftest cell is the nested ladder all the same
     clear_run_memos()
     fresh = vpmeans.experiments._refine(
-        lambda o: vpmeans.kernel._alpha_nested(32, 3, o), default_order(32) + 32, 1e-9, 8,
+        lambda o: vpmeans.kernel._alpha_nested(32, 3, o), default_order(32) + 32, 1e-9,
         32, 3, "alpha_nested")
     run_voronovskaya_suite(3, (32,))
     report = run_selftest_suite()
@@ -294,33 +294,37 @@ def test_selftest_alpha_cell_reads_only_nested_rungs():
     assert report.measured["alpha_route_gap"] == abs(alpha_voronovskaya(32, 3) - fresh) / fresh
 
 
-def test_refinement_without_budget_raises():
+def test_refinement_without_budget_raises(monkeypatch):
     # one iterate cannot show convergence
+    monkeypatch.setattr(vpmeans.kernel, "MAX_REFINEMENTS", 0)
     with pytest.raises(ConvergenceError) as info:
-        alpha_voronovskaya(8, 3, max_refinements=0)
+        alpha_voronovskaya(8, 3)
     err = info.value
     assert (err.n, err.d, err.kind, err.order) == (8, 3, "alpha_voronovskaya", 72)
     assert err.previous is None and err.last == pytest.approx(1.0 / 9.0, rel=1e-12)
     with pytest.raises(ConvergenceError) as info:
-        lemma_integral(8, 5, "neg_lambda", max_refinements=0)
+        lemma_integral(8, 5, "neg_lambda")
     assert (info.value.kind, info.value.previous) == ("neg_lambda", None)
 
 
-def test_refinement_budget_exhausted_raises():
+def test_refinement_budget_exhausted_raises(monkeypatch):
     # successive iterates differ by a few ulp (alpha) and by ~5e-9 relative
     # (the d = 5 inverse moment), so a tighter rtol exhausts one doubling
+    assert vpmeans.kernel.MAX_REFINEMENTS == 8
+    monkeypatch.setattr(vpmeans.kernel, "MAX_REFINEMENTS", 1)
     with pytest.raises(ConvergenceError) as info:
-        alpha_voronovskaya(8, 3, rtol=1e-17, max_refinements=1)
+        alpha_voronovskaya(8, 3, rtol=1e-17)
     err = info.value
     assert (err.n, err.d, err.order) == (8, 3, 144)
     assert err.previous != err.last
     assert isinstance(err, ArithmeticError)
     with pytest.raises(ConvergenceError) as info:
-        lemma_integral(8, 5, "neg_lambda", rtol=1e-12, max_refinements=1)
+        lemma_integral(8, 5, "neg_lambda", rtol=1e-12)
     err = info.value
     assert (err.n, err.d, err.kind, err.order) == (8, 5, "neg_lambda", 144)
     assert abs(err.last - err.previous) > 1e-12 * abs(err.last)
-    # the same call converges within the default budget
+    # the same call converges within the full budget
+    monkeypatch.undo()
     assert lemma_integral(8, 5, "neg_lambda", rtol=1e-12) == pytest.approx(err.last, rel=1e-8)
 
 
@@ -372,7 +376,7 @@ def test_refinement_ends_at_a_non_finite_rung_after_a_finite_one(monkeypatch, va
         return 1.0 if len(orders) == 1 else value
     clear_run_memos()
     with pytest.raises(ConvergenceError, match="not finite") as info:
-        vpmeans.kernel._refine(broken, 40, 1e-9, 8, 3, 5, "fourth_moment", 4.0)
+        vpmeans.kernel._refine(broken, 40, 1e-9, 3, 5, "fourth_moment", 4.0)
     assert orders == [40, 80]
     assert (info.value.order, info.value.previous) == (80, 1.0)
     last = vpmeans.memo._LADDERS[-1]

@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 
 import vpmeans.operators
 from vpmeans.experiments import prepare_corpus
-from vpmeans.function_space import INF, ZonalSpectral, lp_norm_zonal
+from vpmeans.function_space import INF, ZonalSpectral, lp_norms_batch
 from vpmeans.kernel import multiplier_sequence
 from vpmeans.operators import (means_columns, orthonormal_completion, sample_zonal_on_grid,
-                               translate_direct, translate_spectral, vpm_grid,
-                               vpm_iterated, vpm_means, zonal_point_function)
+                               translate_direct, translate_spectral, vpm_grid, vpm_means,
+                               zonal_point_function)
 from vpmeans.quadrature import sphere_grid
 from vpmeans.special import q_table
 
@@ -57,9 +57,8 @@ def test_vpm_iterated_semigroup(d, band, pad, n, l, m, seed):
     # power a correctly rounded pow, so a few ulps per power; the atol covers
     # coefficients that underflow to subnormals
     f = band_spectral(d, band, pad, seed)
-    assert np.array_equal(vpm_iterated(f, n, 1).coeffs, vpm_means(f, n).coeffs)
-    once = vpm_iterated(f, n, l + m).coeffs
-    twice = vpm_iterated(vpm_iterated(f, n, m), n, l).coeffs
+    once = vpm_means(f, n, l + m).coeffs
+    twice = vpm_means(vpm_means(f, n, m), n, l).coeffs
     np.testing.assert_allclose(twice, once, rtol=2 * (l + m) * np.finfo(float).eps,
                                atol=np.finfo(float).tiny)
 
@@ -67,10 +66,9 @@ def test_vpm_iterated_semigroup(d, band, pad, n, l, m, seed):
 @pytest.mark.parametrize("p", [1.0, 2.0, INF])
 def test_chain_bound_on_corpus(p):
     for f in prepare_corpus(("cusp:1.0", "bump", "randband:seed42"), 3, 16):
-        base = lp_norm_zonal(ZonalSpectral(lam=f.lam, coeffs=f.coeffs - vpm_means(f, 16).coeffs), p, 3)
+        base = lp_norms_batch(f.coeffs - vpm_means(f, 16).coeffs, f.lam, p)[0]
         for m in (2, 7):
-            iterated = vpm_iterated(f, 16, m)
-            lhs = lp_norm_zonal(ZonalSpectral(lam=f.lam, coeffs=f.coeffs - iterated.coeffs), p, 3)
+            lhs = lp_norms_batch(f.coeffs - vpm_means(f, 16, m).coeffs, f.lam, p)[0]
             assert lhs <= m * base + 1e-8
 
 
@@ -81,7 +79,8 @@ def test_chain_bound_on_corpus(p):
 def test_vpm_means_contraction_property(d, band, pad, n, p, seed):
     # V_n is convolution with a nonnegative kernel of unit mass
     f = band_spectral(d, band, pad, seed)
-    assert lp_norm_zonal(vpm_means(f, n), p, d) <= lp_norm_zonal(f, p, d) * (1.0 + 1e-12)
+    assert lp_norms_batch(vpm_means(f, n).coeffs, f.lam, p)[0] <= \
+        lp_norms_batch(f.coeffs, f.lam, p)[0] * (1.0 + 1e-12)
 
 
 def test_translate_spectral_diagonal_action():
@@ -110,18 +109,18 @@ def test_translation_contraction(p, d, band, pad, theta, seed):
     # S_theta is an average over a circle, so ||S_theta f||_p <= ||f||_p, up
     # to the documented 1e-8 rounding slack
     f = band_spectral(d, band, pad, seed)
-    assert lp_norm_zonal(translate_spectral(f, theta), p, d) <= lp_norm_zonal(f, p, d) + 1e-8
+    assert lp_norms_batch(translate_spectral(f, theta).coeffs, f.lam, p)[0] <= \
+        lp_norms_batch(f.coeffs, f.lam, p)[0] + 1e-8
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, INF])
 def test_translation_converges_to_identity(p):
     for f in prepare_corpus(("cusp:0.5", "bump", "randband:seed42"), 3, 16):
-        norm = lp_norm_zonal(f, p, 3)
+        norm = lp_norms_batch(f.coeffs, f.lam, p)[0]
         errs = []
         for j in (2, 6, 10, 14, 20):
             out = translate_spectral(f, 2.0 ** -j)
-            diff = ZonalSpectral(lam=f.lam, coeffs=f.coeffs - out.coeffs)
-            errs.append(lp_norm_zonal(diff, p, 3))
+            errs.append(lp_norms_batch(f.coeffs - out.coeffs, f.lam, p)[0])
         assert errs[-1] <= 1e-3 * norm
         assert errs[-1] <= errs[0]
 
@@ -223,14 +222,14 @@ def test_operator_multiplier_sequences():
     f = random_spectral(size=k_max + 1)
     cases = [
         (vpm_means(f, 5), multiplier_sequence(5, lam, k_max)),
-        (vpm_iterated(f, 5, 3), multiplier_sequence(5, lam, k_max) ** 3),
+        (vpm_means(f, 5, 3), multiplier_sequence(5, lam, k_max) ** 3),
         (translate_spectral(f, 0.6), q_table(k_max, lam, 0.6)[0]),
     ]
     for applied, expect in cases:
         assert applied.lam == lam
         assert np.max(np.abs(applied.coeffs - f.coeffs * expect)) <= 1e-12
     with pytest.raises(ValueError):
-        vpm_iterated(f, 5, 0)
+        vpm_means(f, 5, 0)
     with pytest.raises(ValueError):
         means_columns(f, [5, 6], (1, 0))
 

@@ -30,6 +30,10 @@ def _load_workloads():
 
 workloads = _load_workloads()
 
+# a numpy overflow, invalid-value or divide warning in any benchmark command
+# fails the case, with or without the suite-wide filters of pyproject.toml
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 @pytest.mark.parametrize("workload, seed", [
     pytest.param(workload, seed, id=workload if seed == 42 else f"{workload}-{seed}")

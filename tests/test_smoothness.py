@@ -10,7 +10,7 @@ import vpmeans.function_space
 import vpmeans.smoothness
 from vpmeans.experiments import _delayed_maxima, prepare_corpus
 from vpmeans.function_space import lp_norm_maxima
-from vpmeans.function_space import INF, ZonalSpectral, lp_norm_zonal, lp_norms_batch
+from vpmeans.function_space import INF, ZonalSpectral, lp_norms_batch
 from vpmeans.memo import clear_run_memos, run_memo_stats
 from vpmeans.smoothness import (_theta_scan, default_candidate_degrees,
                                 k_functional_estimate, modulus, modulus_many,
@@ -43,7 +43,7 @@ def test_modulus_single_harmonic_closed_form(p, k):
     # theta = t for small t
     f = ZonalSpectral(lam=0.5, coeffs=unit(k, k + 1))
     t = 0.2 / k
-    expect = (1.0 - q_table(k, 0.5, t)[0, k]) * lp_norm_zonal(f, p, 3)
+    expect = (1.0 - q_table(k, 0.5, t)[0, k]) * lp_norms_batch(f.coeffs, f.lam, p)[0]
     assert modulus(f, t, p) == pytest.approx(expect, rel=1e-10)
 
 
@@ -60,7 +60,7 @@ def test_modulus_bounded_by_twice_norm(spectral):
     for fid in ("harmonic:16", "cusp:0.5", "bump", "randband:seed42"):
         f = spectral(fid)
         for p in (1.0, 2.0, INF):
-            assert modulus(f, 0.5, p) <= 2.0 * lp_norm_zonal(f, p, 3) + 1e-10
+            assert modulus(f, 0.5, p) <= 2.0 * lp_norms_batch(f.coeffs, f.lam, p)[0] + 1e-10
 
 
 def test_modulus_subhomogeneous(spectral):
@@ -176,7 +176,7 @@ def test_translation_error_norms_batch(spectral):
     assert vals.shape == (2, thetas.size)
     np.testing.assert_allclose(vals, full_sweep(f, thetas, [2.0, INF]), rtol=1e-14, atol=0.0)
     for theta, val in zip(thetas, vals[0]):
-        expect = (1.0 - q_table(4, 0.5, theta)[0, 4]) * lp_norm_zonal(f, 2.0, 3)
+        expect = (1.0 - q_table(4, 0.5, theta)[0, 4]) * lp_norms_batch(f.coeffs, f.lam, 2.0)[0]
         assert val == pytest.approx(expect, rel=1e-10)
 
 
@@ -233,7 +233,7 @@ def test_default_candidate_degrees():
 def test_k_estimate_upper_bounds(spectral):
     f = spectral("cusp:1.0")
     for p in (1.0, 2.0, INF):
-        norm = lp_norm_zonal(f, p, 3)
+        norm = lp_norms_batch(f.coeffs, f.lam, p)[0]
         assert k_functional_estimate(f, [0.2], [p])[0][0] <= norm + 1e-12
 
 
@@ -246,7 +246,8 @@ def test_k_estimate_bounded_by_norm_property(d, band, pad, t, p, seed):
     coeffs = np.zeros(band + pad + 1)
     coeffs[:band + 1] = np.random.default_rng(seed).uniform(-1.0, 1.0, band + 1)
     f = ZonalSpectral(lam=(d - 2) / 2.0, coeffs=coeffs)
-    assert k_functional_estimate(f, [t], [p])[0][0] <= lp_norm_zonal(f, p, d) * (1.0 + 1e-12)
+    norm = lp_norms_batch(f.coeffs, f.lam, p)[0]
+    assert k_functional_estimate(f, [t], [p])[0][0] <= norm * (1.0 + 1e-12)
 
 
 def test_k_estimate_constant_is_zero():

@@ -6,35 +6,28 @@ import scipy.special as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vpmeans.special import harmonic_dim, q_envelope, q_table
+from vpmeans.special import q_envelope, q_table
 
 
-def test_harmonic_dim_d3_is_2k_plus_1():
+def test_harmonic_dim_d3_is_2k_plus_1(harmonic_dim):
     assert harmonic_dim(0, 3) == 1
     for k in range(1, 65):
         assert harmonic_dim(k, 3) == 2 * k + 1
 
 
-def test_harmonic_dim_known_values():
+def test_harmonic_dim_known_values(harmonic_dim):
     # d=3, k=2: (2*2+1)/(2+1) * C(3,2) = 5; d=4, k=1: four linear harmonics
     assert harmonic_dim(2, 3) == 5
     assert harmonic_dim(1, 4) == 4
 
 
-def test_harmonic_dim_difference_of_binomials():
+def test_harmonic_dim_difference_of_binomials(harmonic_dim):
     # independent route: dim = C(k+d-1, d-1) - C(k+d-3, d-1), counting degree-k
     # polynomials minus the divisible-by-|x|^2 ones
     for d in (3, 4, 5, 7):
         for k in range(0, 30):
             ref = math.comb(k + d - 1, d - 1) - math.comb(k + d - 3, d - 1)
             assert harmonic_dim(k, d) == ref
-
-
-def test_harmonic_dim_domain():
-    with pytest.raises(ValueError):
-        harmonic_dim(1, 2)
-    with pytest.raises(ValueError):
-        harmonic_dim(-1, 3)
 
 
 def test_gegenbauer_seeds_and_values():
@@ -151,6 +144,15 @@ def test_q_envelope_domain():
         q_envelope(4, 0.5, 0.0)
     with pytest.raises(ValueError):
         q_envelope(0, 0.5, 0.3)
+    with pytest.raises(ValueError):
+        q_envelope(np.arange(4), 0.5, 0.3)
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 1.5])
+def test_q_envelope_of_an_array_of_degrees_stacks_the_scalar_calls(lam):
+    theta = np.linspace(np.pi / 2 / 512, np.pi / 2, 512)
+    stacked = np.column_stack([q_envelope(k, lam, theta) for k in range(1, 129)])
+    assert np.array_equal(q_envelope(np.arange(1, 129), lam, theta[:, None]), stacked)
 
 
 def test_envelope_domination_first_quadrant():
