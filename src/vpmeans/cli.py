@@ -4,8 +4,8 @@ verification suites, and writes per-suite CSV reports plus a summary.json.
 Exit codes: 0 when every suite passes its windows, 1 on any suite failure (an
 ArithmeticError such as ConvergenceError fails only its suite, which then
 writes no CSV), 2 on a usage error (unknown key, invalid value, band budget
-exceeded).  A flat key=value file plus flags (flags win) sets what is
-computed; the windows are constants of `experiments`.
+exceeded, d above D_MAX).  Flags, or `@FILE` with one flag a line (a later
+flag wins), set what is computed; the windows are constants of `experiments`.
 """
 
 import argparse
@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .experiments import (_CORPUS_SPECTRAL, BAND_BUDGET, MULTIPLIER_REACH, corpus_band_limit,
+from .experiments import (_CORPUS_SPECTRAL, BAND_BUDGET, D_MAX, MULTIPLIER_REACH, corpus_band_limit,
                           run_converse_suite, run_delayed_max_suite, run_lemma_suite,
                           run_modulus_suite, run_multiplier_identity_suite,
                           run_selftest_suite, run_voronovskaya_suite)
@@ -104,25 +104,9 @@ _SYNTAX_PARSERS = {
 _FIELD_PARSERS = {f.name: _SYNTAX_PARSERS.get(f.name, f.type) for f in fields(RunConfig)}
 
 
-def _read_config_file(path):
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    raw = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#") or stripped.startswith(";"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected key = value, got {stripped!r}")
-            key, _, value = stripped.partition("=")
-            raw[key.strip()] = value.strip()
-    return raw
-
-
 def _validate(config):
-    if config.d < 3:
-        raise ConfigError(f"d must be >= 3, got {config.d}")
+    if not 3 <= config.d <= D_MAX:
+        raise ConfigError(f"d must be >= 3 and <= D_MAX = {D_MAX}, got {config.d}")
     if config.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {config.seed}")
     if not 0 <= config.n_max <= BAND_BUDGET - MULTIPLIER_REACH:
@@ -152,23 +136,21 @@ def _validate(config):
     return config
 
 
-def parse_config(path=None, overrides=None):
-    """Assemble the RunConfig from defaults, an optional flat key=value file,
-    and flag overrides (which take precedence).  Unknown keys are errors."""
+def parse_config(overrides=None):
+    """Assemble the RunConfig from defaults and the key -> text `overrides` (a
+    None value is unset); the one place a value is parsed and validated.
+    Unknown keys are errors."""
     values = {}
-    for source in (_read_config_file(path) if path else {}, overrides or {}):
-        for key, raw in source.items():
-            if raw is None:
-                continue
-            parser = _FIELD_PARSERS.get(key)
-            if parser is None:
-                raise ConfigError(f"unknown configuration key: {key!r}")
-            try:
-                values[key] = parser(raw)
-            except ConfigError:
-                raise
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"invalid value for {key!r}: {raw!r} ({exc})") from None
+    for key, raw in (overrides or {}).items():
+        if raw is None:
+            continue
+        parser = _FIELD_PARSERS.get(key)
+        if parser is None:
+            raise ConfigError(f"unknown configuration key: {key!r}")
+        try:
+            values[key] = parser(raw)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid value for {key!r}: {raw!r} ({exc})") from None
     config = replace(RunConfig(), **values)
     if not config.out_dir:
         config = replace(config, out_dir=os.environ.get("VPM_OUT_DIR", "vpm_out"))
@@ -323,22 +305,21 @@ def _blas():
 
 def build_parser():
     parser = argparse.ArgumentParser(
-        prog="vpm",
-        description="Verification suites for smoothing means, translation "
-                    "moduli, and kernel identities on the unit sphere.")
+        prog="vpm", fromfile_prefix_chars="@",
+        description="Verification suites for smoothing means, translation moduli, and kernel "
+                    "identities on the unit sphere; @FILE reads flags, one a line, from FILE.")
     parser.add_argument("suite", choices=SUITES + ("all",),
                         help="which verification suite to run")
-    parser.add_argument("--config", metavar="FILE", help="flat key=value configuration file")
-    parser.add_argument("--d", type=int, help="ambient dimension (>= 3)")
+    parser.add_argument("--d", help=f"ambient dimension (3 to {D_MAX})")
     parser.add_argument("--n-list", dest="n_list", metavar="CSV",
                         help="comma-separated operator degrees")
     parser.add_argument("--p", dest="p_list", metavar="LIST",
                         help="comma-separated norm indices from {1,2,inf}")
     parser.add_argument("--corpus", metavar="LIST", help="comma-separated corpus function ids")
-    parser.add_argument("--seed", type=int, help="seed for the random band-limited corpus member")
+    parser.add_argument("--seed", help="seed for the random band-limited corpus member")
     parser.add_argument("--out", dest="out_dir", metavar="DIR",
                         help="output directory (default $VPM_OUT_DIR or ./vpm_out)")
-    parser.add_argument("--n-max", dest="n_max", type=int,
+    parser.add_argument("--n-max", dest="n_max",
                         help="largest degree for the multiplier identity sweep")
     return parser
 
@@ -346,10 +327,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     # the flags carry the RunConfig field names as their dest
-    overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)
-                 if getattr(args, f.name, None) is not None}
     try:
-        config = parse_config(path=args.config, overrides=overrides)
+        config = parse_config({f.name: getattr(args, f.name) for f in fields(RunConfig)})
         return dispatch(config, args.suite)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

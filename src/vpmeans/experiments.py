@@ -50,6 +50,8 @@ RATIO_WINDOW = 25.0             # max/min of the converse and delayed-max ratios
 EQUIVALENCE_WINDOW = 50.0       # omega / K-estimate lies in [1/window, window]
 MULTIPLIER_REACH = 4            # the multiplier suite reads k <= n + 4 at each degree n
 BAND_BUDGET = 2048              # the largest band limit a run may ask for
+D_MAX = 40                      # the largest d a run may ask for: at the budget's top degree
+                                # n = 496, kernel._alpha_at_order's sin^-m overflows from d = 41
 REFINEMENT_RTOL = 1e-6          # lemma and alpha(n) refinement self-checks, relative
 MODULUS_GRID_RTOL = 0.02        # omega on the doubled theta grid, relative
 

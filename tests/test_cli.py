@@ -1,10 +1,14 @@
 import ctypes
 import datetime
 import json
+import os
 import re
+import subprocess
+import sys
 import types
 from collections import Counter
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -54,42 +58,56 @@ def test_unknown_corpus_id_is_usage_error():
         parse_config(overrides={"seed": "7", "corpus": "randband:seed42"})
 
 
-def test_file_and_flag_precedence(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("d = 3\nn_list = 4,8\nseed = 7\n# comment\n\n")
-    config = parse_config(path=str(cfg))
-    assert config.d == 3 and config.seed == 7 and config.n_list == (4, 8)
-    config = parse_config(path=str(cfg), overrides={"d": "4"})
-    assert config.d == 4
-    assert config.seed == 7
+def _usage_exit(argv, capsys):
+    """The stderr of a `main(argv)` that argparse ends with exit code 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
 
 
-def test_unknown_key_rejected(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("n_lists = 4,8\n")
-    with pytest.raises(ConfigError, match="n_lists"):
-        parse_config(path=str(cfg))
+def test_file_and_flag_precedence(tmp_path, monkeypatch):
+    # @FILE puts its flags, one a line, where it stands: a later flag wins
+    cfg = tmp_path / "run.args"
+    cfg.write_text("--d=3\n--n-list=4,8\n--seed\n7\n")
+    seen = []
+    monkeypatch.setattr(vpmeans.cli, "dispatch", lambda config, suite: seen.append(config) or 0)
+    assert main(["all", f"@{cfg}"]) == 0
+    assert (seen[-1].d, seen[-1].seed, seen[-1].n_list) == (3, 7, (4, 8))
+    assert main(["all", "--d", "5", f"@{cfg}", "--d", "4"]) == 0
+    assert (seen[-1].d, seen[-1].seed) == (4, 7)
+    assert main(["all", "--seed", "9", f"@{cfg}"]) == 0
+    assert seen[-1].seed == 7
+
+
+def test_unknown_key_rejected(tmp_path, capsys):
+    cfg = tmp_path / "run.args"
+    cfg.write_text("--n-lists=4,8\n")
+    assert "unrecognized arguments: --n-lists=4,8" in _usage_exit(["all", f"@{cfg}"], capsys)
 
 
 def test_threshold_key_is_usage_error(tmp_path, capsys):
     # the verdict windows are constants of `experiments`, not configuration
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("converse_window = 25\n")
-    assert main(["converse", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
-    assert "unknown configuration key: 'converse_window'" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="unknown configuration key: 'converse_window'"):
+        parse_config(overrides={"converse_window": "25"})
+    cfg = tmp_path / "run.args"
+    cfg.write_text("--converse-window=25\n")
+    err = _usage_exit(["converse", f"@{cfg}", "--out", str(tmp_path / "r")], capsys)
+    assert "unrecognized arguments: --converse-window=25" in err
     assert not (tmp_path / "r").exists()
 
 
-def test_malformed_line_rejected(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("just a line\n")
-    with pytest.raises(ConfigError):
-        parse_config(path=str(cfg))
+def test_malformed_line_rejected(tmp_path, capsys):
+    # a line is one argument: key = value lines, comments and blank lines are
+    # not flags
+    cfg = tmp_path / "run.args"
+    for line in ("just a line", "d = 3", "# comment", ""):
+        cfg.write_text(f"--seed=7\n{line}\n--d=3\n")
+        assert "unrecognized arguments" in _usage_exit(["all", f"@{cfg}"], capsys)
 
 
-def test_missing_file_rejected():
-    with pytest.raises(ConfigError):
-        parse_config(path="/nonexistent/vpm.cfg")
+def test_missing_file_rejected(capsys):
+    assert "No such file" in _usage_exit(["all", "@/nonexistent/vpm.args"], capsys)
 
 
 def test_band_budget_validation():
@@ -115,14 +133,10 @@ RESOLUTION_FLAGS = {"quadrature_order": "--quad-order", "theta_grid_size": "--th
 @pytest.mark.parametrize("key", RESOLUTION_FLAGS)
 def test_resolution_is_not_a_setting(tmp_path, capsys, key):
     flag = RESOLUTION_FLAGS[key]
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"{key} = 64\n")
-    assert main(["all", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
-    assert f"unknown configuration key: {key!r}" in capsys.readouterr().err
-    with pytest.raises(SystemExit) as exc:
-        main(["all", flag, "64", "--out", str(tmp_path / "r")])
-    assert exc.value.code == 2
-    assert f"unrecognized arguments: {flag} 64" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match=f"unknown configuration key: {key!r}"):
+        parse_config(overrides={key: "64"})
+    err = _usage_exit(["all", flag, "64", "--out", str(tmp_path / "r")], capsys)
+    assert f"unrecognized arguments: {flag} 64" in err
     assert not (tmp_path / "r").exists()
 
 
@@ -152,6 +166,26 @@ def test_invalid_values_rejected():
         parse_config(overrides={"n_max": "-1"})
     with pytest.raises(ConfigError, match="seed"):
         parse_config(overrides={"seed": "-3"})
+
+
+@pytest.mark.parametrize("key", ["d", "seed", "n_max"])
+def test_integer_flags_are_parsed_by_parse_config(tmp_path, capsys, key):
+    # argparse passes the text through; parse_config is the one parser
+    flag = "--" + key.replace("_", "-")
+    assert main(["multipliers", flag, "x", "--out", str(tmp_path / "r")]) == 2
+    assert f"error: invalid value for {key!r}: 'x'" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_d_bounded_by_d_max(tmp_path, capsys):
+    # above D_MAX the alpha(n) panel sums overflow at the band budget's top degree
+    assert experiments.D_MAX == 40
+    assert parse_config(overrides={"d": "40"}).d == 40
+    with pytest.raises(ConfigError, match=r"d must be >= 3 and <= D_MAX = 40, got 41$"):
+        parse_config(overrides={"d": "41"})
+    assert main(["all", "--d", "41", "--out", str(tmp_path / "r")]) == 2
+    assert "D_MAX = 40" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("key, text, repeated", [
@@ -539,6 +573,30 @@ def test_config_hash_ignores_out_dir(tmp_path):
             header = (tmp_path / name / f"{suite}.csv").read_text().split("\n", 1)[0]
             digests.add(re.search(r"config_hash=(\S+)", header).group(1))
     assert len(digests) == 1
+
+
+def test_config_hash_same_from_flags_and_file(tmp_path):
+    cfg = tmp_path / "run.args"
+    cfg.write_text("--d=4\n--n-max=4\n--seed=7\n")
+    assert main(["multipliers", "--d", "4", "--n-max", "4", "--seed", "7",
+                 "--out", str(tmp_path / "flags")]) == 0
+    assert main(["multipliers", f"@{cfg}", "--out", str(tmp_path / "file")]) == 0
+    summaries = [json.loads((tmp_path / name / "summary.json").read_text())
+                 for name in ("flags", "file")]
+    assert summaries[0]["config_hash"] == summaries[1]["config_hash"]
+
+
+def test_module_entry_reads_a_settings_file(tmp_path):
+    # `python -m vpmeans` runs the same `main` as the `vpm` console script
+    cfg = tmp_path / "run.args"
+    cfg.write_text("--seed=7\n--n-list=4,8\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(vpmeans.cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "vpmeans", "selftest", f"@{cfg}",
+                           "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["config"]["seed"] == "7" and summary["suites"]["selftest"]["passed"]
 
 
 def test_report_csv_floats_have_full_precision(tmp_path):

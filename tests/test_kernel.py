@@ -269,6 +269,18 @@ def test_alpha_matches_harmonic_closed_form(d):
         assert abs(alpha_voronovskaya(n, d) - closed) <= 1e-12 * closed
 
 
+def test_alpha_is_finite_up_to_d_max_at_the_band_budget_top_degree():
+    # D_MAX sits at the edge: at n = 496 the voronovskaya sweep's alpha and its
+    # self-check ladder run warning-free at d = 40 and overflow sin^-m at d = 41
+    n, d, check = 496, vpmeans.experiments.D_MAX, 3 * (default_order(496) + 32) // 2
+    closed = math.fsum(1.0 / (n + j) for j in range(1, d - 1)) / (d - 2)
+    for order, rtol in ((None, 1e-9), (check, 1e-11)):
+        assert abs(alpha_voronovskaya(n, d, order=order, rtol=rtol) - closed) <= 1e-12 * closed
+    with pytest.warns(RuntimeWarning) as caught, pytest.raises(ConvergenceError):
+        alpha_voronovskaya(n, d + 1, order=check, rtol=1e-11)
+    assert "overflow encountered in power" in str(caught[0].message)
+
+
 def test_alpha_rung_working_set_does_not_grow_with_order():
     vpmeans.kernel._alpha_at_order(496, 5, 1120)   # builds and caches the rules
     tracemalloc.start()
