@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .function_space import (INF, ZonalSpectral, _live_rows, _norm_context, lp_norm_maxima,
-                             lp_norms_batch, make_corpus, zonal_project, zonal_synthesis)
+from .function_space import (ZonalSpectral, _live_rows, lp_norm_maxima, lp_norms_batch,
+                             make_corpus, zonal_project, zonal_synthesis)
 from .kernel import (_alpha_nested, _multiplier_integrals, _multiplier_prefixes, _refine,
                      alpha_voronovskaya, default_order, kernel_norm_constant, lemma_integral,
                      multiplier_sequence, multiplier_via_quadrature, multiplier_weight,
@@ -23,9 +23,8 @@ from .memo import RunMemo
 from .operators import (means_columns, sample_zonal_on_grid, translate_direct,
                         translate_spectral, vpm_grid, vpm_means, zonal_point_function)
 from .quadrature import gauss_legendre, gauss_legendre_many, integrate_theta, sphere_grid
-from .smoothness import (THETA_GRID_SIZE, _damping_table, _theta_scans, k_functional_estimate,
-                         modulus, modulus_many)
-from .special import _q_rows, q_envelope, q_table
+from .smoothness import THETA_GRID_SIZE, k_functional_estimate, modulus, modulus_many
+from .special import q_envelope, q_table
 
 __all__ = [
     "ExperimentReport",
@@ -102,28 +101,18 @@ def corpus_band_limit(n_max):
     return 4 * n_max + 64
 
 
-def prepare_corpus(corpus, d, n_max, seed=42, p_list=(), scales=()):
+def prepare_corpus(corpus, d, n_max, seed=42):
     """The ids of `corpus`, in order, in spectral form on the band limit
     K = `corpus_band_limit(n_max)`: exact coefficients for band-limited
     members, quadrature projection for the rest, memoised per run on (d, K,
     seed, id).  The members not yet memoised come from one `make_corpus` call,
     the projected ones by `zonal_project`; nothing is built when all are
-    memoised.  Before projecting, one Q_k stream at K fills the projection's
-    Gauss context, the dense context of p = inf in `p_list` and the
-    theta-scan table of the moduli at `scales`.  An unknown id raises
-    KeyError, a LookupError."""
+    memoised.  An unknown id raises KeyError, a LookupError."""
     lam, band_limit = (d - 2) / 2.0, corpus_band_limit(n_max)
     keys = {fid: (d, band_limit, seed, fid) for fid in corpus}
     missing = [fid for fid, key in keys.items() if key not in _CORPUS_SPECTRAL]
     members = {member.tag: member for member in make_corpus(d, seed=seed)} if missing else {}
     projected = [fid for fid in missing if members[fid].coeffs is None]     # KeyError if unknown
-    if projected:
-        parts = []
-        for p in (1.0, INF) if INF in p_list else (1.0,):
-            _norm_context(lam, band_limit, p, parts=parts)
-        if scales:
-            _damping_table(band_limit, lam, _theta_scans(scales)[0], parts)
-        _q_rows(band_limit, lam, parts)
     resolved = dict(zip(projected, zonal_project([members[fid] for fid in projected],
                                                  band_limit, lam)))
     for fid in set(missing) - set(projected):       # the exact coefficients, padded to K
@@ -335,7 +324,7 @@ def run_converse_suite(corpus, p_list, n_list, d, seed=42):
     excluded.  The chain bound ||f - V_n^m f||_p <= m ||f - V_n f||_p is
     checked along the way."""
     n_list = sorted(n_list)
-    functions = prepare_corpus(corpus, d, n_list[-1], seed, p_list, [n ** -0.5 for n in n_list])
+    functions = prepare_corpus(corpus, d, n_list[-1], seed)
 
     def operator_errors(f, ps):     # ||V_n f - f||_p, the columns built once for every p
         means = means_columns(f, n_list)
@@ -381,7 +370,7 @@ def run_delayed_max_suite(corpus, p_list, n_list, d, seed=42):
     k_cap = 2 * n_list[-1]
     # the means of any degree act exactly on a band-limited representation,
     # so the band limit tracks the modulus scales, not k_cap
-    functions = prepare_corpus(corpus, d, n_list[-1], seed, p_list, [n ** -0.5 for n in n_list])
+    functions = prepare_corpus(corpus, d, n_list[-1], seed)
     rows, windows, pooled, passed = _ratio_sweep(
         corpus, functions, p_list, n_list,
         lambda f, ps: _delayed_maxima(f, n_list, k_cap, ps),
@@ -407,7 +396,7 @@ def run_modulus_suite(corpus, p_list, n_list, d, seed=42):
     worst = {"low": math.inf, "high": -math.inf}
     n_list = sorted(n_list)
     scales = [n ** -0.5 for n in n_list]
-    functions = prepare_corpus(corpus, d, n_list[-1], seed, p_list, scales)
+    functions = prepare_corpus(corpus, d, n_list[-1], seed)
     for fid, f in zip(corpus, functions):
         moduli_per_p = modulus_many(f, scales, p_list)
         estimates_per_p = k_functional_estimate(f, scales, p_list)

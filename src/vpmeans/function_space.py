@@ -6,8 +6,8 @@ Gegenbauer system Q_k (any d >= 3), and raw samples on the S^2 product grid
 Spectral L^2 norms come from Parseval; other L^p norms synthesise the even
 and odd degrees on half of a grid symmetric about pi/2 and mirror them, a
 reference once per grid and run, and the maxima of a sweep read only the rows
-where its columns can be non-zero.  The synthesis contexts fill from parts
-of one Q_k stream (`special._q_rows`); the projection reads one by parity.
+where its columns can be non-zero.  Each synthesis context fills from a Q_k
+stream of its own (`special._q_rows`); the projection reads one by parity.
 The test corpus (harmonics, geodesic cusps, a smooth bump, a seeded random
 band-limited function) lives here as well.
 """
@@ -97,7 +97,7 @@ def zonal_synthesis(coeffs, lam, x):
     def accumulate(k, rows):
         for c, q in zip(coeffs[k + (k == 0):k + len(rows)], rows[int(k == 0):]):
             np.add(acc, c * q, out=acc)
-    _q_rows(len(coeffs) - 1, lam, [(xa, accumulate)])
+    _q_rows(len(coeffs) - 1, lam, xa, accumulate)
     return acc
 
 
@@ -124,39 +124,26 @@ def synthesis_context(lam, k_max, kind, size):
     "dense" (uniform colatitudes including the endpoints, no weights).  Both
     grids are symmetric about pi/2, so the Q tables cover only the ceil(size/2)
     nodes with theta <= pi/2, split by the parity of k."""
-    parts = []
-    ctx = _context(lam, k_max, kind, size, parts)
-    _q_rows(k_max, lam, parts)
-    return ctx
-
-
-def _context(lam, k_max, kind, size, parts):
-    """`synthesis_context`, a new one unfilled: the part (x, fill) of a Q_k
-    stream in BLOCK_COLUMNS-degree blocks it appends to the list `parts`
-    fills it and stores it with the last block."""
     if kind not in ("gauss", "dense"):
         raise ValueError(f"unknown synthesis grid kind {kind!r}")
-    key = (float(lam), int(k_max), kind, int(size))
-    if key in _CONTEXTS:
-        return _CONTEXTS.lookup(key, None)
-    if kind == "gauss":
-        theta, w = mapped_rule(size)
-        weights = w * np.sin(theta) ** (2.0 * lam)
-    else:
-        theta, weights = np.linspace(0.0, np.pi, size), None
-    x = np.cos(theta[:(size + 1) // 2])
-    even, odd = np.empty((x.size, k_max // 2 + 1)), np.empty((x.size, (k_max + 1) // 2))
-    ctx = _SynthesisContext(theta=theta, weights=weights, even=even, odd=odd)
 
-    def fill(k, rows):      # k and BLOCK_COLUMNS even; the last block ends the tables
-        cols = slice(k // 2, (k + BLOCK_COLUMNS) // 2)
-        even[:, cols], odd[:, cols] = rows[0::2].T, rows[1::2].T
-        if k + len(rows) > k_max:
-            for arr in (theta, even, odd) + (() if weights is None else (weights,)):
-                arr.setflags(write=False)
-            _CONTEXTS.lookup(key, lambda: ctx)
-    parts.append((x, fill))
-    return ctx
+    def build():
+        if kind == "gauss":
+            theta, w = mapped_rule(size)
+            weights = w * np.sin(theta) ** (2.0 * lam)
+        else:
+            theta, weights = np.linspace(0.0, np.pi, size), None
+        x = np.cos(theta[:(size + 1) // 2])
+        even, odd = np.empty((x.size, k_max // 2 + 1)), np.empty((x.size, (k_max + 1) // 2))
+
+        def fill(k, rows):      # k and BLOCK_COLUMNS are even
+            cols = slice(k // 2, (k + BLOCK_COLUMNS) // 2)
+            even[:, cols], odd[:, cols] = rows[0::2].T, rows[1::2].T
+        _q_rows(k_max, lam, x, fill)
+        for arr in (theta, even, odd) + (() if weights is None else (weights,)):
+            arr.setflags(write=False)
+        return _SynthesisContext(theta=theta, weights=weights, even=even, odd=odd)
+    return _CONTEXTS.lookup((float(lam), int(k_max), kind, int(size)), build)
 
 
 def _profile_callable(f):     # a ZonalProfile calls its g
@@ -377,15 +364,15 @@ def _pruned_maxima(ctx, p, d, columns, starts, bound, prefix, rounding, ref_vals
     return np.maximum.reduceat(out, starts[:-1])
 
 
-def _norm_context(lam, k_max, p, reference=None, order=None, parts=None):
+def _norm_context(lam, k_max, p, reference=None, order=None):
     """(context, R's values): the synthesis context of an L^p norm, p != 2, at
     band limit k_max, and the `reference` column R synthesised on it, memoised
     per run on the grid and R's bytes (None without R): the dense grid at p =
     inf, else the Gauss rule of `order`, by default 2 k_max + 32 nodes, an even
-    count.  With a list `parts`, a new context is left to their stream."""
+    count."""
     key = (float(lam), int(k_max)) + (("dense", DENSE_GRID_SIZE) if p == INF else
                                       ("gauss", order if order is not None else 2 * k_max + 32))
-    ctx = synthesis_context(*key) if parts is None else _context(*key, parts)
+    ctx = synthesis_context(*key)
     if reference is None:
         return ctx, None
 

@@ -15,7 +15,7 @@ import numpy as np
 from .function_space import _live_rows, lp_norm_maxima, lp_norms_batch
 from .memo import RunMemo
 from .operators import means_columns
-from .special import _q_rows
+from .special import q_table
 
 __all__ = [
     "modulus",
@@ -39,33 +39,20 @@ def _theta_scan(t, size):
     return grid[grid < np.pi]
 
 
-def _theta_scans(scales, size=THETA_GRID_SIZE):
-    """(thetas, sizes): the scans of the distinct `scales`, in order, end to
-    end, and the length of each; the key of a sweep's theta-scan table."""
-    scans = [_theta_scan(t, size) for t in dict.fromkeys(scales)]
-    return np.concatenate(scans), [len(scan) for scan in scans]
-
-
 _DAMPING = RunMemo("theta_scan")
 _MODULUS = RunMemo("modulus")
 
 
-def _damping_table(k_max, lam, thetas, parts):
+def _damping_table(k_max, lam, thetas):
     """Read-only (T, k_max+1) table 1 - Q_k(cos theta), memoised per run on
     (k_max, lam, theta grid); for `modulus` the grid is fixed by t and the
-    grid size.  A new one fills as `function_space._context` does."""
-    key = (k_max, float(lam), thetas.tobytes())
-    if key in _DAMPING:
-        return _DAMPING.lookup(key, None)
-    table = np.empty((thetas.size, k_max + 1))
-
-    def fill(k, rows):
-        np.subtract(1.0, rows.T, out=table[:, k:k + len(rows)])
-        if k + len(rows) > k_max:       # the last block ends the table
-            table.setflags(write=False)
-            _DAMPING.lookup(key, lambda: table)
-    parts.append((np.cos(thetas), fill))
-    return table
+    grid size."""
+    def build():
+        table = q_table(k_max, lam, thetas)
+        np.subtract(1.0, table, out=table)
+        table.setflags(write=False)
+        return table
+    return _DAMPING.lookup((k_max, float(lam), thetas.tobytes()), build)
 
 
 def translation_error_norms(f, thetas, ps, sizes):
@@ -79,9 +66,7 @@ def translation_error_norms(f, thetas, ps, sizes):
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     if np.any((thetas <= 0.0) | (thetas >= np.pi)):
         raise ValueError("translation steps must lie in (0, pi)")
-    parts = []
-    damp = _damping_table(f.band_limit, f.lam, thetas, parts)     # (T, K+1)
-    _q_rows(f.band_limit, f.lam, parts)
+    damp = _damping_table(f.band_limit, f.lam, thetas)     # (T, K+1)
 
     def columns(steps, rows=_live_rows(f.coeffs)):     # C order synthesises faster
         return np.multiply(f.coeffs[:rows, None], damp[steps, :rows].T, order="C")
@@ -116,8 +101,9 @@ def modulus_many(f, ts, ps, theta_grid_size=THETA_GRID_SIZE):
     computed = {}
     if missing:
         scales, group = (list(dict.fromkeys(part)) for part in zip(*missing))
-        thetas, sizes = _theta_scans(scales, theta_grid_size)
-        maxima = translation_error_norms(f, thetas, group, sizes=sizes)
+        scans = [_theta_scan(t, theta_grid_size) for t in scales]
+        maxima = translation_error_norms(f, np.concatenate(scans), group,
+                                         sizes=[len(scan) for scan in scans])
         computed = {(t, p): cell for p, row in zip(group, maxima.tolist())
                     for t, cell in zip(scales, row)}
     return [[_MODULUS.lookup(keys[t, p], lambda cell=(t, p): computed[cell]) for t in ts]

@@ -8,9 +8,8 @@ P_1(x) = 2*lam*x, the normalization fixed by the generating function
     (1 - 2 r x + r^2)^(-lam) = sum_k r^k P_k(x).
 
 The recurrence lives in one place, `_gegenbauer_steps`, read by the Gauss rules
-and by `_q_rows`, the one stream of Q_k = P_k / P_k(1), in degree blocks over
-the nodes of all its parts at once: every Q table fills from it, a table built
-alone as a one-part stream, and one stream fills the tables of a run's band limit.
+and by `_q_rows`, the stream of Q_k = P_k / P_k(1) in degree blocks from which
+every Q table fills, each table in a stream of its own.
 """
 
 import numpy as np
@@ -42,25 +41,19 @@ def _gegenbauer_steps(k_max, lam, x):
         yield p
 
 
-def _q_rows(k_max, lam, parts):
-    """The one stream of Q_j^lam(x) = P_j^lam(x) / P_j^lam(1), j = 0..k_max, run
-    once over the nodes x of every part (x, fill): for k = 0, BLOCK_COLUMNS, ...
-    it writes the rows j = k..min(k + BLOCK_COLUMNS - 1, k_max) into one block,
-    reused, and hands each fill(k, rows), in order, the block's columns on its
-    nodes, which the fill copies if it keeps them; no parts, no stream.
+def _q_rows(k_max, lam, x, fill):
+    """The stream of Q_j^lam(x) = P_j^lam(x) / P_j^lam(1), j = 0..k_max, on the
+    nodes `x`: for k = 0, BLOCK_COLUMNS, ... it writes the rows
+    j = k..min(k + BLOCK_COLUMNS - 1, k_max) into one block, reused, and hands
+    each to fill(k, rows), in order, which copies what it keeps.
     P_j(x) and P_j(1) share one recurrence, which makes Q exactly 1 at x = 1."""
-    if not parts:
-        return
-    ends = np.cumsum([0] + [len(x) for x, _ in parts])
-    x = np.concatenate([x for x, _ in parts])
     steps = zip(_gegenbauer_steps(k_max, lam, x), _gegenbauer_steps(k_max, lam, 1.0))
-    block = np.empty((min(BLOCK_COLUMNS, k_max + 1), x.size))
+    block = np.empty((min(BLOCK_COLUMNS, k_max + 1), np.size(x)))
     for k in range(0, k_max + 1, BLOCK_COLUMNS):
         rows = block[:k_max + 1 - k]
         for row, (p, one) in zip(rows, steps):
             np.divide(p, one, out=row)
-        for (_, fill), start, stop in zip(parts, ends, ends[1:]):
-            fill(k, rows[:, start:stop])
+        fill(k, rows)
 
 
 def q_table(k_max, lam, theta):
@@ -74,7 +67,7 @@ def q_table(k_max, lam, theta):
 
     def fill(k, rows):
         out[:, k:k + len(rows)] = rows.T
-    _q_rows(k_max, lam, [(np.cos(ta), fill)])
+    _q_rows(k_max, lam, np.cos(ta), fill)
     return out
 
 

@@ -52,14 +52,13 @@ def harmonic_dim():
 
 @pytest.fixture
 def q_streams(monkeypatch):
-    """The band limit of every Q_k stream, a `special._q_rows` call with
-    parts, that a module of vpmeans runs during the test, in order."""
+    """The band limit of every Q_k stream, a `special._q_rows` call, that a
+    module of vpmeans runs during the test, in order."""
     streams, inner = [], vpmeans.special._q_rows
 
-    def counted(k_max, lam, parts):
-        if parts:
-            streams.append(k_max)
-        return inner(k_max, lam, parts)
+    def counted(k_max, lam, x, fill):
+        streams.append(k_max)
+        return inner(k_max, lam, x, fill)
     for name, module in list(sys.modules.items()):
         if name.partition(".")[0] == "vpmeans" and getattr(module, "_q_rows", None) is inner:
             monkeypatch.setattr(module, "_q_rows", counted)

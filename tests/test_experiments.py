@@ -19,13 +19,13 @@ from vpmeans.experiments import (_delayed_maxima, corpus_band_limit, measure_env
                                  run_lemma_suite, run_modulus_suite,
                                  run_multiplier_identity_suite,
                                  run_selftest_suite, run_voronovskaya_suite)
-from vpmeans.function_space import (BLOCK_COLUMNS, DENSE_GRID_SIZE, INF, ZonalSpectral, corpus_ids,
-                                    lp_norms_batch, make_corpus, synthesis_context, zonal_project)
+from vpmeans.function_space import (BLOCK_COLUMNS, INF, ZonalSpectral, corpus_ids,
+                                    lp_norms_batch, make_corpus, zonal_project)
 from vpmeans.kernel import (alpha_voronovskaya, default_order, multiplier_via_quadrature,
                             multiplier_weight)
 from vpmeans.memo import clear_run_memos, run_memo_stats
 from vpmeans.operators import means_columns
-from vpmeans.smoothness import THETA_GRID_SIZE, modulus_many
+from vpmeans.smoothness import modulus_many
 
 SMALL_CORPUS = ("harmonic:4", "cusp:1.0")
 SMALL_N = (4, 8, 16)
@@ -359,16 +359,11 @@ def test_prepare_corpus_builds_the_corpus_at_most_once(monkeypatch):
 
 
 def test_workspace_prepare_projects_once_and_builds_nothing_when_memoised(q_streams, corpus_d3):
-    # one Q_k stream at K fills the Gauss context, projects the four
-    # non-band-limited members and fills the dense context and the theta-scan
-    # table the sweeps read; none of them streams again
+    # one Q_k stream at K fills the Gauss context, which projects the four
+    # non-band-limited members as one batch; memoised, nothing streams again
     clear_run_memos()
-    corpus, scales = corpus_ids(), [n ** -0.5 for n in SMALL_N]
-    first = prepare_corpus(corpus, 3, 128, p_list=(1.0, 2.0, INF), scales=scales)     # K = 576
-    assert q_streams == [576]
-    synthesis_context(0.5, 576, "gauss", 2 * 576 + 32)
-    synthesis_context(0.5, 576, "dense", DENSE_GRID_SIZE)
-    modulus_many(first[0], scales, [2.0])
+    corpus = corpus_ids()
+    first = prepare_corpus(corpus, 3, 128)     # K = 576
     assert q_streams == [576]
     for fid, f in zip(corpus, first):
         if f.projection_residual:
@@ -377,7 +372,7 @@ def test_workspace_prepare_projects_once_and_builds_nothing_when_memoised(q_stre
     q_streams.clear()
     tracemalloc.start()
     try:
-        again = prepare_corpus(corpus, 3, 128, p_list=(1.0, 2.0, INF), scales=scales)
+        again = prepare_corpus(corpus, 3, 128)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -387,37 +382,33 @@ def test_workspace_prepare_projects_once_and_builds_nothing_when_memoised(q_stre
 
 
 def test_cold_converse_suite_streams_its_tables_once(q_streams):
-    # one stream at K for the run's tables, one for the doubled theta grid of
-    # the self-check, which streams alone
+    # each table at K streams once, when its owner first builds it: the Gauss
+    # and dense contexts, the theta-scan table and the self-check's doubled one
     clear_run_memos()
     report = run_converse_suite(list(SMALL_CORPUS), [1.0, 2.0, INF], list(SMALL_N), 3)
     band_limit = corpus_band_limit(max(SMALL_N))
     assert report.measured["refinement_check"]
-    assert [k for k in q_streams if k == band_limit] == [band_limit] * 2
+    assert [k for k in q_streams if k == band_limit] == [band_limit] * 4
     clear_run_memos()
 
 
-def test_cold_shared_build_holds_its_tables_and_one_row_block_per_part():
-    # at K = 2048 one stream fills both contexts and the theta-scan table, and
-    # two profiles are projected on the Gauss context by parity: the stream's
-    # one block holds 64 rows on the nodes of every part, the projection no
-    # block of its own, and the rest are vectors on some 4,000 nodes; a
-    # transposed copy of a context's half table adds 16.5 MiB
-    scales = [n ** -0.5 for n in (8, 32, 128, 496)]
+def test_cold_prepare_holds_its_context_and_one_row_block():
+    # at K = 2048 the Gauss context fills from one stream and two profiles are
+    # projected on it by parity: the stream's one block holds 64 rows on the
+    # half grid, the projection no block of its own, and the rest are vectors
+    # on some 4,000 nodes; a transposed copy of a half table adds 16.5 MiB
     clear_run_memos()
     make_corpus(3)
     tracemalloc.start()
     try:
-        prepare_corpus(["cusp:0.5", "bump"], 3, 496, p_list=(1.0, 2.0, INF), scales=scales)
+        prepare_corpus(["cusp:0.5", "bump"], 3, 496)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     stats = run_memo_stats()
-    kept = sum(stats[name]["bytes"] for name in ("synthesis_context", "theta_scan",
-                                                 "corpus_spectral"))
-    gauss, scan = 2 * 2048 + 32, 4 * THETA_GRID_SIZE
-    row_block = BLOCK_COLUMNS * 8 * (gauss // 2 + DENSE_GRID_SIZE // 2 + scan)
-    assert stats["theta_scan"]["entries"] == 1 and stats["synthesis_context"]["entries"] == 2
+    kept = sum(stats[name]["bytes"] for name in ("synthesis_context", "corpus_spectral"))
+    row_block = BLOCK_COLUMNS * 8 * (2 * 2048 + 32) // 2
+    assert stats["theta_scan"]["entries"] == 0 and stats["synthesis_context"]["entries"] == 1
     assert peak <= kept + row_block + 2 ** 20
     clear_run_memos()
 

@@ -7,18 +7,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vpmeans.function_space
-import vpmeans.special
 from vpmeans.function_space import (BLOCK_COLUMNS, DENSE_GRID_SIZE, INF, NEGLIGIBLE,
-                                    GridFunction, ZonalProfile, ZonalSpectral, _context,
-                                    _inverse_dims,
+                                    GridFunction, ZonalProfile, ZonalSpectral, _inverse_dims,
                                     corpus_ids, lp_norm_grid, lp_norm_maxima, lp_norm_zonal,
                                     lp_norms_batch, make_corpus, surface_area,
                                     synthesis_context, zonal_project, zonal_synthesis)
+from vpmeans.experiments import D_MAX
 from vpmeans.kernel import multiplier_sequence
 from vpmeans.memo import clear_run_memos, run_memo_stats
 from vpmeans.operators import sample_zonal_on_grid
 from vpmeans.quadrature import integrate_theta, mapped_rule, sphere_grid
-from vpmeans.smoothness import _damping_table, _theta_scans
+from vpmeans.smoothness import _damping_table, _theta_scan
 from vpmeans.special import _gegenbauer_steps, q_table
 
 
@@ -181,16 +180,17 @@ def test_lp_norms_batch_trimmed_matches_full_product(d, support, columns, k_max,
 
 
 @settings(max_examples=30, deadline=None, database=None)
-@given(d=st.sampled_from([3, 4, 5]), support=st.integers(0, 300),
+@given(d=st.sampled_from([3, 4, 5, D_MAX]), support=st.integers(0, 300),
        columns=st.integers(1, 2 * BLOCK_COLUMNS + 2), k_max=st.sampled_from([64, 300]),
        seed=st.integers(0, 2 ** 32 - 1))
+@example(d=D_MAX, support=300, columns=2 * BLOCK_COLUMNS + 2, k_max=300, seed=0)
 def test_lp_norms_batch_parseval_matches_gauss(d, support, columns, k_max, seed):
     padded = banded_columns(np.random.default_rng(seed), k_max, min(support, k_max), columns)
     np.testing.assert_allclose(lp_norms_batch(padded, (d - 2) / 2.0, 2.0),
                                untrimmed_norms(padded, 2.0, d), rtol=1e-13, atol=0.0)
 
 
-@pytest.mark.parametrize("d", [3, 4, 5, 7])
+@pytest.mark.parametrize("d", [3, 4, 5, 7, D_MAX])
 def test_inverse_dims_match_harmonic_dim(harmonic_dim, d):
     k_max = 2048
     exact = np.array([1.0 / harmonic_dim(k, d) for k in range(k_max + 1)])
@@ -383,8 +383,9 @@ def test_zonal_project_batch_equals_single_projections(q_streams):
     clear_run_memos()
     batch = zonal_project(profiles, k_max, lam)
     assert q_streams == [k_max]     # one stream fills the context and serves the whole batch
-    for profile, out in zip(profiles, batch):
-        single, = zonal_project([profile], k_max, lam)
+    # each member alone, and the batch again, on the memoised context
+    for out, single in zip(batch, [zonal_project([g], k_max, lam)[0] for g in profiles] +
+                           zonal_project(profiles, k_max, lam)):
         assert np.array_equal(out.coeffs, single.coeffs)
         assert out.projection_residual == single.projection_residual
     q_streams.clear()
@@ -397,35 +398,22 @@ def test_zonal_project_batch_equals_single_projections(q_streams):
 @pytest.mark.parametrize("k_max", [1, 63, 64, 65, 130])
 @pytest.mark.parametrize("lam", [0.5, 1.5])
 def test_shared_stream_tables_equal_tables_built_alone(q_streams, k_max, lam):
-    # the Gauss and dense contexts and the theta-scan table filled by one
-    # stream, as prepare_corpus fills them, and the projection on them,
-    # against each built by its own
+    # the tables the sweeps share through the run memo, the Gauss and dense
+    # contexts and the theta-scan table: each streams once, when its owner
+    # first builds it, and equals the table built alone
     profiles = [lambda t: np.exp(-4.0 * t ** 2), lambda t: t ** 0.5]
-    scales = [0.5, 0.125, 0.05]
-    thetas, _ = _theta_scans(scales)
+    thetas = np.concatenate([_theta_scan(t, 64) for t in (0.5, 0.125, 0.05)])
     gauss, dense = ("gauss", 2 * k_max + 32), ("dense", DENSE_GRID_SIZE)
     clear_run_memos()
-    parts = []
-    _context(lam, k_max, *gauss, parts)
-    _context(lam, k_max, *dense, parts)
-    _damping_table(k_max, lam, thetas, parts)
-    vpmeans.special._q_rows(k_max, lam, parts)
-    shared = zonal_project(profiles, k_max, lam)
+    zonal_project(profiles, k_max, lam)
     tables = [synthesis_context(lam, k_max, *gauss), synthesis_context(lam, k_max, *dense),
-              _damping_table(k_max, lam, thetas, [])]
-    assert q_streams == [k_max]     # one stream filled them all; the projection streams none
-    clear_run_memos()
-    alone = [synthesis_context(lam, k_max, *gauss), synthesis_context(lam, k_max, *dense),
-             1.0 - q_table(k_max, lam, thetas)]
-    for ctx, ref in zip(tables[:2], alone[:2]):
-        assert np.array_equal(ctx.even, ref.even) and np.array_equal(ctx.odd, ref.odd)
-    assert np.array_equal(tables[2], alone[2])
-    # the projection with its context memoised, then cold
-    for projection in (zonal_project(profiles, k_max, lam),
-                       clear_run_memos() or zonal_project(profiles, k_max, lam)):
-        for out, ref in zip(shared, projection):
-            assert np.array_equal(out.coeffs, ref.coeffs)
-            assert out.projection_residual == ref.projection_residual
+              _damping_table(k_max, lam, thetas)]
+    assert _damping_table(k_max, lam, thetas) is tables[2]
+    assert q_streams == [k_max] * 3
+    full = [column_q_table(k_max, lam, np.cos(ctx.theta[:len(ctx.even)])) for ctx in tables[:2]]
+    for ctx, ref in zip(tables[:2], full):
+        assert np.array_equal(ctx.even, ref[:, 0::2]) and np.array_equal(ctx.odd, ref[:, 1::2])
+    assert np.array_equal(tables[2], 1.0 - column_q_table(k_max, lam, np.cos(thetas)))
     clear_run_memos()
 
 
@@ -713,7 +701,7 @@ def test_lp_norms_batch_grid_follows_input_shape():
     assert (stats["entries"], stats["hits"], stats["misses"]) == (1, 1, 1)
 
 
-@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("d", [3, 4, D_MAX])
 def test_parseval_consistency(d):
     # L2 norm from coefficients (diagonal Gram of the Q system) must match the
     # quadrature norm

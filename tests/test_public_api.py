@@ -108,3 +108,15 @@ def test_benchmark_suite_map_matches_cli_suites():
         obj = getattr(experiments, name, None)
         assert name in experiments.__all__ and inspect.isfunction(obj)
         assert obj.__module__ == experiments.__name__
+
+
+# ROADMAP's ceiling on the size of the package
+SRC_LINE_CEILING = 2450
+
+
+def test_package_stays_within_line_ceiling():
+    # counted as the benchmark's src_lines() counts, every .py of the package
+    package = Path(__file__).parents[1] / "src" / "vpmeans"
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines())
+                for path in sorted(package.glob("*.py")))
+    assert 0 < lines <= SRC_LINE_CEILING

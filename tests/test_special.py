@@ -6,6 +6,7 @@ import scipy.special as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vpmeans.experiments import BAND_BUDGET, D_MAX
 from vpmeans.special import q_envelope, q_table
 
 
@@ -89,8 +90,8 @@ def test_q_normalized_values():
 
 def test_q_normalized_bounded_by_one():
     theta = np.linspace(0.0, np.pi, 257)
-    for lam in (0.5, 1.0, 1.5):
-        tab = q_table(64, lam, theta)
+    for lam, k_max in ((0.5, 64), (1.0, 64), (1.5, 64), ((D_MAX - 2) / 2.0, BAND_BUDGET)):
+        tab = q_table(k_max, lam, theta)
         assert np.max(np.abs(tab)) <= 1.0 + 1e-12
 
 
