@@ -16,13 +16,13 @@ import numpy as np
 from .function_space import (ZonalSpectral, _live_rows, lp_norm_maxima, lp_norms_batch,
                              make_corpus, zonal_project, zonal_synthesis)
 from .kernel import (_alpha_nested, _multiplier_integrals, _multiplier_prefixes, _refine,
-                     alpha_voronovskaya, default_order, kernel_norm_constant, lemma_integral,
-                     multiplier_sequence, multiplier_via_quadrature, multiplier_weight,
-                     vpm_kernel_eval)
+                     alpha_voronovskaya, default_order, kernel_norm_constant, ladder_order,
+                     lemma_integral, multiplier_sequence, multiplier_via_quadrature,
+                     multiplier_weight, vpm_kernel_eval)
 from .memo import RunMemo
 from .operators import (means_columns, sample_zonal_on_grid, translate_direct,
                         translate_spectral, vpm_grid, vpm_means, zonal_point_function)
-from .quadrature import gauss_legendre, gauss_legendre_many, integrate_theta, sphere_grid
+from .quadrature import gauss_legendre, integrate_theta, sphere_grid
 from .smoothness import THETA_GRID_SIZE, k_functional_estimate, modulus, modulus_many
 from .special import q_envelope, q_table
 
@@ -129,24 +129,17 @@ def prepare_corpus(corpus, d, n_max, seed=42):
 
 def run_multiplier_identity_suite(d, n_max):
     """Closed-form weights, one `_multiplier_prefixes` batch, against their
-    quadrature route, multiplier_via_quadrature(n, k, d) at Gauss order
-    default_order(n, k) from one `_multiplier_integrals` call by order, for
-    all n <= n_max and k <= n + MULTIPLIER_REACH, including the exact zeros
-    at k > n."""
+    quadrature route, multiplier_via_quadrature(n, k, d) at its default Gauss
+    order from one `_multiplier_integrals` call, for all n <= n_max and
+    k <= n + MULTIPLIER_REACH, including the exact zeros at k > n."""
     lam = (d - 2) / 2.0
-    by_order = {}
-    for n in range(n_max + 1):
-        for k in range(n + MULTIPLIER_REACH + 1):
-            by_order.setdefault(default_order(n, k), []).append((n, k))
-    gauss_legendre_many(list(by_order))
+    cells = [(n, k) for n in range(n_max + 1) for k in range(n + MULTIPLIER_REACH + 1)]
     closed = _multiplier_prefixes(range(n_max + 1), lam, n_max + MULTIPLIER_REACH)
-    cells = [cell for group in by_order.values() for cell in group]
     rows = []
-    for (n, k), quad in zip(cells, _multiplier_integrals(by_order, d)):
+    for (n, k), quad in zip(cells, _multiplier_integrals(cells, d)):
         omega = float(closed[n][k]) if k <= n else 0.0
         rows.append({"d": d, "n": n, "k": k, "closed_form": omega,
                      "quadrature": quad, "abs_diff": abs(omega - quad)})
-    rows.sort(key=lambda r: (r["n"], r["k"]))
     worst = max(rows, key=lambda r: r["abs_diff"])
     max_diff = worst["abs_diff"]
     # refinement self-check on the most sensitive cell
@@ -165,28 +158,24 @@ def run_multiplier_identity_suite(d, n_max):
     )
 
 
-_LEMMA_QUANTITIES = ("fourth_moment", "neg_lambda", "neg_two_over_m_7", "norm_constant")
-
-
 def run_lemma_suite(d, n_list):
-    """Kernel moment scalings: n^2 * fourth moment, n^(-lam/2) * inverse-power
-    moment, n^(-1/7) * the m = 7 variant, and n^((d-1)/2) * I_{n,d}.  Each
-    normalized sequence must stay in a max/min window over the upper half of
-    n_list."""
+    """Kernel moment scalings: n^2, n^(-lam/2) and n^(-1/7) times the moments
+    `lemma_integral` of exponents s = 4, -lam and -2/7, and n^((d-1)/2) *
+    I_{n,d}.  Each normalized sequence must stay in a max/min window over the
+    upper half of n_list."""
     lam = (d - 2) / 2.0
     n_list = sorted(n_list)
-    rows = []
-    series = {q: [] for q in _LEMMA_QUANTITIES}
+    rows, series = [], {}
     for n in n_list:
         vals = {
-            "fourth_moment": (lemma_integral(n, d, "fourth_moment"), n ** 2),
-            "neg_lambda": (lemma_integral(n, d, "neg_lambda"), n ** (-lam / 2.0)),
-            "neg_two_over_m_7": (lemma_integral(n, d, "neg_two_over_m", m=7), n ** (-1.0 / 7.0)),
+            "fourth_moment": (lemma_integral(n, d, 4.0), n ** 2),
+            "neg_lambda": (lemma_integral(n, d, -lam), n ** (-lam / 2.0)),
+            "neg_two_over_m_7": (lemma_integral(n, d, -2.0 / 7), n ** (-1.0 / 7.0)),
             "norm_constant": (math.exp(kernel_norm_constant(n, d)), n ** ((d - 1) / 2.0)),
         }
         for quantity, (value, scale) in vals.items():
             normalized = value * scale
-            series[quantity].append(normalized)
+            series.setdefault(quantity, []).append(normalized)
             rows.append({"d": d, "n": n, "quantity": quantity,
                          "value": value, "normalized": normalized})
     windows = {quantity: _window(seq[len(n_list) // 2:]) for quantity, seq in series.items()}
@@ -194,7 +183,7 @@ def run_lemma_suite(d, n_list):
     # refinement self-check: largest n, most singular moment, the sweep's last,
     # on a ladder from 3/2 the sweep's first order, so that no rung is shared
     n_top, coarse = n_list[-1], vals["neg_lambda"][0]
-    fine = lemma_integral(n_top, d, "neg_lambda", order=3 * (default_order(n_top) + 32) // 2)
+    fine = lemma_integral(n_top, d, -lam, order=3 * ladder_order(n_top) // 2)
     refine_ok = abs(fine - coarse) <= REFINEMENT_RTOL * abs(coarse)
     passed = passed and refine_ok
     return ExperimentReport(
@@ -236,7 +225,7 @@ def run_voronovskaya_suite(d, n_list):
     # refinement self-check: alpha(n_top), the sweep's last, at a tighter
     # tolerance on a ladder from 3/2 the sweep's first order, as in the lemmas
     n_top = max(n_list)
-    a2 = alpha_voronovskaya(n_top, d, order=3 * (default_order(n_top) + 32) // 2, rtol=1e-11)
+    a2 = alpha_voronovskaya(n_top, d, order=3 * ladder_order(n_top) // 2, rtol=1e-11)
     refine_ok = abs(alpha - a2) <= REFINEMENT_RTOL * abs(a2)
     closed = sum(1.0 / (n_top + j) for j in range(1, d - 1)) / (d - 2)
     passed = window["ratio"] <= VORONOVSKAYA_WINDOW and alpha_ok and refine_ok
@@ -476,8 +465,7 @@ def run_selftest_suite(seed=42):
     record("multiplier_identity_spot", diff, 1e-9)
 
     # alpha collapse at d = 3, on the nested oracle's own ladder
-    a = _refine(lambda o: _alpha_nested(32, 3, o), default_order(32) + 32, 1e-9,
-                32, 3, "alpha_nested")
+    a = _refine(lambda o: _alpha_nested(32, 3, o), ladder_order(32), 1e-9, 32, 3, "alpha_nested")
     record("alpha_closed_form_d3", abs(a * 33.0 - 1.0), 1e-8)
 
     # operator laws on a small random function

@@ -1,10 +1,10 @@
 """The de la Vallee Poussin kernel v_n(t) = cos(t/2)^(2n) / I_{n,d} on S^{d-1}.
 
-Provides the closed-form normalization constant I_{n,d}, pointwise kernel
-evaluation, the multiplier weights of the induced convolution operator (in
-closed form and, independently, by quadrature), the concentration coefficient
-alpha(n) of the second-order expansion of the means, and the weighted kernel
-moments behind the smoothing estimates.
+Provides I_{n,d} in closed form, v_n pointwise, the multipliers of the means
+(in closed form and, independently, by quadrature over a list of cells), the
+coefficient alpha(n) of their second-order expansion and the moments of
+theta^s v_n.  It owns their Gauss orders: default_order(n, k) of a multiplier
+cell, and ladder_order(n), where the alpha(n) and moment ladders start.
 """
 
 import math
@@ -12,7 +12,8 @@ import math
 import numpy as np
 
 from .memo import _LADDERS, RunMemo
-from .quadrature import ConvergenceError, gauss_legendre, integrate_theta, mapped_rule
+from .quadrature import (ConvergenceError, gauss_legendre, gauss_legendre_many, integrate_theta,
+                         mapped_rule)
 from .special import q_table
 
 __all__ = [
@@ -25,6 +26,7 @@ __all__ = [
     "alpha_voronovskaya",
     "lemma_integral",
     "default_order",
+    "ladder_order",
 ]
 
 # Gauss order padding: integrands v_n * Q_k * sin^{2 lam} are trigonometric
@@ -36,6 +38,11 @@ ORDER_PAD = 32
 def default_order(n, k=0):
     """Default Gauss order for integrals involving v_n and Q_k."""
     return n + k + ORDER_PAD
+
+
+def ladder_order(n):
+    """Start order of the alpha(n) and kernel moment refinement ladders."""
+    return n + 2 * ORDER_PAD
 
 
 def kernel_norm_constant(n, d):
@@ -121,33 +128,38 @@ def multiplier_sequence(n, lam, k_max):
 _TABLE_NODES, _BLOCK_CELLS = 512, 2 ** 15   # nodes per shared Q table, entries per matrix
 
 
-def _multiplier_integrals(groups, d):
-    """integral_0^pi v_n Q_k sin^(2 lam) for each (n, k) of the cells of
-    `groups` = {order: cells}, in order, by the order-point rule mapped to
-    [0, pi], each integrate_theta(vpm_kernel_eval(v_n) * Q_k) bit for bit.
-    Consecutive orders share a Q table of up to _TABLE_NODES nodes; an order's
-    cells are C-ordered rows Q_k, _BLOCK_CELLS entries at a time, each scaled
-    in place by its v_n, then by w and sin^(2 lam), and summed alone."""
-    lam, out, orders = (d - 2) / 2.0, [], list(groups)
+def _multiplier_integrals(cells, d, order=None):
+    """integral_0^pi v_n Q_k sin^(2 lam) for each (n, k) of `cells`, in order,
+    each integrate_theta(vpm_kernel_eval(v_n) * Q_k) bit for bit on the rule of
+    order default_order(n, k), or `order` if given, mapped to [0, pi]; all the
+    rules come from one gauss_legendre_many call.  Consecutive orders share a Q
+    table of up to _TABLE_NODES nodes; an order's cells are C-ordered rows Q_k,
+    _BLOCK_CELLS entries at a time, each scaled in place by its v_n, then by w
+    and sin^(2 lam), and summed alone."""
+    lam, out, groups = (d - 2) / 2.0, np.empty(len(cells)), {}
+    for i, (n, k) in enumerate(cells):
+        groups.setdefault(default_order(n, k) if order is None else order, []).append((i, n, k))
+    orders = sorted(groups)
+    gauss_legendre_many(orders)
     while orders:
         run = orders[:1]
         while len(run) < len(orders) and sum(run) + orders[len(run)] <= _TABLE_NODES:
             run.append(orders[len(run)])
         del orders[:len(run)]
-        rules = [mapped_rule(order) for order in run]
-        k_max = max(k for order in run for _, k in groups[order])
+        rules = [mapped_rule(o) for o in run]
+        k_max = max(k for o in run for _, _, k in groups[o])
         table, start = q_table(k_max, lam, np.concatenate([t for t, _ in rules])).T, 0
-        for order, (theta, w) in zip(run, rules):
+        for o, (theta, w) in zip(run, rules):
             s, sinpow = 0.5 + 0.5 * np.cos(theta), np.sin(theta) ** (2.0 * lam)
-            q, start = table[:, start:start + order], start + order
-            step = max(1, _BLOCK_CELLS // order)
-            for lo in range(0, len(groups[order]), step):
-                ns, ks = zip(*groups[order][lo:lo + step])
+            q, start = table[:, start:start + o], start + o
+            step = max(1, _BLOCK_CELLS // o)
+            for lo in range(0, len(groups[o]), step):
+                picked, ns, ks = zip(*groups[o][lo:lo + step])
                 rows = np.ascontiguousarray(q[list(ks)])
                 for row, n in zip(rows, ns):
                     row *= s ** n * math.exp(-kernel_norm_constant(n, d))
-                out.extend(np.sum(rows * w * sinpow, axis=1).tolist())
-    return out
+                out[list(picked)] = np.sum(rows * w * sinpow, axis=1)
+    return out.tolist()
 
 
 def multiplier_via_quadrature(n, k, d, order=None):
@@ -157,7 +169,7 @@ def multiplier_via_quadrature(n, k, d, order=None):
 
     This is the oracle against which the closed form is checked.
     """
-    return _multiplier_integrals({default_order(n, k) if order is None else order: [(n, k)]}, d)[0]
+    return _multiplier_integrals([(n, k)], d, order)[0]
 
 
 # fixed Gauss orders of the smooth inner integrals (refinement is on the outer
@@ -224,14 +236,14 @@ def alpha_voronovskaya(n, d, order=None, rtol=1e-9):
 
     A rung takes the inner integrals at its outer nodes from one pass over the
     panels between them; the nested quadrature `_alpha_nested` is its oracle.
-    The outer rule, `order` points (default n + 64), is doubled until two
+    The outer rule, `order` points (default ladder_order(n)), is doubled until two
     successive refinements agree to `rtol` relative; ConvergenceError is
     raised when MAX_REFINEMENTS doublings do not get there.  alpha(n) ~ 1/n;
     at d = 3 it is exactly 1/(n+1).
     """
     if n < 1:
         raise ValueError(f"alpha_voronovskaya requires n >= 1, got {n}")
-    base = order if order is not None else default_order(n) + 32
+    base = order if order is not None else ladder_order(n)
     return _refine(lambda o: _alpha_at_order(n, d, o), base, rtol, n, d, "alpha_voronovskaya")
 
 
@@ -256,32 +268,21 @@ def _refine(evaluate, order, rtol, n, d, kind, s=None):
     return cur
 
 
-_LEMMA_KINDS = ("neg_lambda", "neg_two_over_m", "fourth_moment")
-
-
-def lemma_integral(n, d, kind, m=None, order=None, rtol=1e-8):
+def lemma_integral(n, d, s, order=None, rtol=1e-8):
     """Weighted kernel moment integral_0^pi theta^s v_n(theta) sin^(2 lam) theta dtheta.
 
-    kind selects the exponent s: "neg_lambda" -> -lam (grows like n^(lam/2)),
-    "neg_two_over_m" -> -2/m (grows like n^(1/m)), "fourth_moment" -> 4
-    (decays like n^-2).  The mapped Gauss rule is doubled until two successive
-    refinements agree to `rtol` relative, at most MAX_REFINEMENTS times, else
-    ConvergenceError is raised; the combined integrand is continuous at 0
-    because theta^(-lam) sin^(2 lam) theta ~ theta^lam.
+    The moment lemmas read s = -lam (grows like n^(lam/2)), s = -2/m (grows
+    like n^(1/m)) and s = 4 (decays like n^-2).  theta^s sin^(2 lam) theta is
+    integrable at 0 for s > -(2 lam + 1) only, and any other s raises
+    ValueError.  The mapped Gauss rule, `order` points (default ladder_order(n)),
+    is doubled until two successive refinements agree to `rtol` relative, at
+    most MAX_REFINEMENTS times, else ConvergenceError is raised.
     """
     if n < 1:
         raise ValueError(f"lemma_integral requires n >= 1, got {n}")
     lam = (d - 2) / 2.0
-    if kind == "neg_lambda":
-        s = -lam
-    elif kind == "neg_two_over_m":
-        if m is None or m < 1:
-            raise ValueError("kind='neg_two_over_m' requires an integer m >= 1")
-        s = -2.0 / m
-    elif kind == "fourth_moment":
-        s = 4.0
-    else:
-        raise ValueError(f"unknown lemma_integral kind {kind!r}; expected one of {_LEMMA_KINDS}")
-    base = order if order is not None else default_order(n) + 32
+    if not s > -(2.0 * lam + 1.0):
+        raise ValueError(f"lemma_integral requires s > -(2 lam + 1) = {-(d - 1)}, got {s}")
+    base = order if order is not None else ladder_order(n)
     return _refine(lambda o: integrate_theta(lambda t: t ** s * vpm_kernel_eval(n, d, t), lam, o),
-                   base, rtol, n, d, kind, s)
+                   base, rtol, n, d, "lemma_integral", s)

@@ -74,7 +74,7 @@ def test_c03_norm_constant_closed_form_d3():
 def test_c04_fourth_moment_scaling():
     worst = 0.0
     for d in (3, 4, 5):
-        vals = [n ** 2 * lemma_integral(n, d, "fourth_moment")
+        vals = [n ** 2 * lemma_integral(n, d, 4.0)
                 for n in (32, 64, 128, 256, 512)]
         worst = max(worst, max(vals) / min(vals))
     verdict(4, worst <= 2.0,
@@ -85,9 +85,9 @@ def test_c05_inverse_moment_scalings():
     worst = 0.0
     for d in (3, 4, 5):
         lam = (d - 2) / 2.0
-        neg = [n ** (-lam / 2.0) * lemma_integral(n, d, "neg_lambda")
+        neg = [n ** (-lam / 2.0) * lemma_integral(n, d, -lam)
                for n in (32, 64, 128, 256, 512)]
-        m7 = [n ** (-1.0 / 7.0) * lemma_integral(n, d, "neg_two_over_m", m=7)
+        m7 = [n ** (-1.0 / 7.0) * lemma_integral(n, d, -2.0 / 7)
               for n in (32, 64, 128, 256, 512)]
         worst = max(worst, max(neg) / min(neg), max(m7) / min(m7))
     verdict(5, worst <= 2.0,

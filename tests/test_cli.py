@@ -17,6 +17,7 @@ import vpmeans.memo
 from vpmeans.cli import SUITES, ConfigError, RunConfig, build_parser, dispatch, main, parse_config
 from vpmeans import experiments, quadrature
 from vpmeans.experiments import prepare_corpus, run_multiplier_identity_suite
+from vpmeans.kernel import ladder_order
 
 INF = float("inf")
 SPECTRAL_SUITES = ("converse", "delayed-max", "modulus")
@@ -340,17 +341,17 @@ def test_dispatch_rejects_an_unknown_suite_before_running(tmp_path):
 
 def test_non_convergence_leaves_other_suites_running(tmp_path, monkeypatch, capsys):
     def stalled(*args, **kwargs):
-        raise quadrature.ConvergenceError(8, 3, "fourth_moment", 320, 1.0, 2.0)
+        raise quadrature.ConvergenceError(8, 3, "lemma_integral", 320, 1.0, 2.0)
     monkeypatch.setattr(vpmeans.cli, "run_lemma_suite", stalled)
     config = parse_config(overrides={"n_list": "4,8", "corpus": "cusp:1.0",
                                      "out_dir": str(tmp_path)})
     assert dispatch(config, "all") == 1
-    assert capsys.readouterr().err.count("error: lemmas: fourth_moment") == 1
+    assert capsys.readouterr().err.count("error: lemmas: lemma_integral") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         [f"{name}.csv" for name in SUITES if name != "lemmas"] + ["summary.json"])
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["suites"]["lemmas"] == {"passed": False, "error": {
-        "kind": "fourth_moment", "n": 8, "d": 3, "order": 320, "previous": 1.0, "last": 2.0}}
+        "kind": "lemma_integral", "n": 8, "d": 3, "order": 320, "previous": 1.0, "last": 2.0}}
     assert all(summary["suites"][name]["passed"] for name in SUITES if name != "lemmas")
 
 
@@ -503,7 +504,10 @@ def test_summary_reports_refinement_ladders(small_all_run):
     summary = json.loads((small_all_run / "summary.json").read_text())
     ladders = summary["diagnostics"]["refinements"]
     assert {rec["kind"] for rec in ladders} == {
-        "alpha_voronovskaya", "alpha_nested", "neg_lambda", "neg_two_over_m", "fourth_moment"}
+        "alpha_voronovskaya", "alpha_nested", "lemma_integral"}
+    # the lemma ladders read s = 4, -lam and -2/7 at d = 3
+    lemma_s = {rec["s"] for rec in ladders if rec["kind"] == "lemma_integral"}
+    assert lemma_s == {4.0, -0.5, -2.0 / 7}
     for rec in ladders:
         assert set(rec) == {"kind", "n", "d", "s", "order", "evaluated",
                             "previous", "last", "converged"}
@@ -515,14 +519,16 @@ def test_summary_reports_refinement_ladders(small_all_run):
     assert alpha == {4: 1, 8: 1, 16: 2, 32: 1}
     # the lemma self-check takes n_top's value from the sweep and climbs one
     # ladder
-    neg_lambda = Counter(rec["n"] for rec in ladders if rec["kind"] == "neg_lambda")
+    neg_lambda = Counter(rec["n"] for rec in ladders
+                         if (rec["kind"], rec["s"]) == ("lemma_integral", -0.5))
     assert neg_lambda == {4: 1, 8: 1, 16: 2}
-    # each self-check starts at 3/2 (n_top + 64), the sweep's first order, and
-    # climbs no order of the sweep's ladder
-    for kind in ("alpha_voronovskaya", "neg_lambda"):
-        sweep, check = [rec for rec in ladders if (rec["kind"], rec["n"]) == (kind, 16)]
+    # each self-check starts at 3/2 ladder_order(n_top), the sweep's first
+    # order, and climbs no order of the sweep's ladder
+    for kind, s in (("alpha_voronovskaya", None), ("lemma_integral", -0.5)):
+        sweep, check = [rec for rec in ladders
+                        if (rec["kind"], rec["n"], rec["s"]) == (kind, 16, s)]
         orders = [{rec["order"] >> j for j in range(rec["evaluated"])} for rec in (sweep, check)]
-        assert min(orders[0]) == 16 + 64 and min(orders[1]) == 3 * (16 + 64) // 2
+        assert min(orders[0]) == ladder_order(16) and min(orders[1]) == 3 * ladder_order(16) // 2
         assert orders[0].isdisjoint(orders[1])
 
 

@@ -21,7 +21,7 @@ from vpmeans.experiments import (_delayed_maxima, corpus_band_limit, measure_env
                                  run_selftest_suite, run_voronovskaya_suite)
 from vpmeans.function_space import (BLOCK_COLUMNS, INF, ZonalSpectral, corpus_ids,
                                     lp_norms_batch, make_corpus, zonal_project)
-from vpmeans.kernel import (alpha_voronovskaya, default_order, multiplier_via_quadrature,
+from vpmeans.kernel import (alpha_voronovskaya, ladder_order, multiplier_via_quadrature,
                             multiplier_weight)
 from vpmeans.memo import clear_run_memos, run_memo_stats
 from vpmeans.operators import means_columns
@@ -81,7 +81,7 @@ def test_multiplier_suite_explicit_order_holds_a_bounded_peak():
     quadrature.gauss_legendre(2048)
     tracemalloc.start()
     try:
-        values = vpmeans.kernel._multiplier_integrals({2048: cells}, 3)
+        values = vpmeans.kernel._multiplier_integrals(cells, 3, order=2048)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -149,8 +149,8 @@ SELF_CHECK_N = (8, 32, 128, 496)   # the ceiling n_list
 def _drift_off_the_sweep(monkeypatch, name):
     """Patch the rung evaluator `name` where the suites look it up to drift by
     1e-3 at every order (its third argument) that no sweep ladder of
-    SELF_CHECK_N climbs: those are (default_order(n) + 32) 2^j."""
-    sweep = {(default_order(n) + 32) << j for n in SELF_CHECK_N for j in range(9)}
+    SELF_CHECK_N climbs: those are ladder_order(n) 2^j."""
+    sweep = {ladder_order(n) << j for n in SELF_CHECK_N for j in range(9)}
     exact = getattr(vpmeans.kernel, name)
 
     def drifting(*args):
@@ -159,10 +159,11 @@ def _drift_off_the_sweep(monkeypatch, name):
         monkeypatch.setattr(module, name, drifting, raising=False)
 
 
-def _ladder_orders(kind, n):
-    """The orders of each ladder of `kind` at n in the run's ladder records."""
+def _ladder_orders(kind, n, s=None):
+    """The orders of each ladder of `kind` at n, and exponent s, in the run's
+    ladder records."""
     return [{rec["order"] >> j for j in range(rec["evaluated"])}
-            for rec in vpmeans.memo._LADDERS if (rec["kind"], rec["n"]) == (kind, n)]
+            for rec in vpmeans.memo._LADDERS if (rec["kind"], rec["n"], rec["s"]) == (kind, n, s)]
 
 
 @pytest.mark.parametrize("d", [3, 5])
@@ -171,7 +172,7 @@ def test_lemma_self_check_sees_a_drift_off_the_sweep(monkeypatch, d):
     _drift_off_the_sweep(monkeypatch, "integrate_theta")
     clear_run_memos()
     assert run_lemma_suite(d, SELF_CHECK_N).measured["refinement_check"] is False
-    sweep, check = _ladder_orders("neg_lambda", 496)
+    sweep, check = _ladder_orders("lemma_integral", 496, -(d - 2) / 2.0)
     assert sweep.isdisjoint(check)
 
 

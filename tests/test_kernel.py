@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 import vpmeans.experiments
 import vpmeans.kernel
 import vpmeans.memo
+from vpmeans import quadrature
 from vpmeans.experiments import (run_delayed_max_suite, run_selftest_suite,
                                  run_voronovskaya_suite)
 from vpmeans.kernel import (ConvergenceError, alpha_voronovskaya,
-                            default_order, kernel_norm_constant,
+                            default_order, kernel_norm_constant, ladder_order,
                             lemma_integral, multiplier_sequence,
                             multiplier_via_quadrature, multiplier_weight,
                             vpm_kernel_eval)
@@ -188,9 +189,10 @@ def test_multiplier_via_quadrature_values():
 
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_multiplier_integrals_equal_per_cell_integrate_theta(monkeypatch, d):
-    # orders 40 + 200 share one Q table (up to _TABLE_NODES = 512 nodes), 300
-    # would overflow it and starts the next, 600 takes one alone; the 130
-    # cells of order 300 fill more than one matrix block
+    # cells of default orders 40 + 200 share one Q table (up to _TABLE_NODES =
+    # 512 nodes), 300 would overflow it and starts the next, 600 takes one
+    # alone; the 130 cells of order 300 fill more than one matrix block.  The
+    # cells come interleaved, and their values come back in the order given
     lam = (d - 2) / 2.0
     tables = []
     inner = vpmeans.kernel.q_table
@@ -199,15 +201,36 @@ def test_multiplier_integrals_equal_per_cell_integrate_theta(monkeypatch, d):
         tables.append(len(theta))
         return inner(k_max, lam, theta)
     monkeypatch.setattr(vpmeans.kernel, "q_table", counted)
-    groups = {40: [(0, 0), (3, 5)], 200: [(50, 2), (7, 7), (120, 9)],
-              300: [(n % 97, n % 11) for n in range(130)], 600: [(250, 3), (0, 12)]}
-    got = vpmeans.kernel._multiplier_integrals(groups, d)
-    assert tables == [240, 300, 600]
+    by_order = [[(3, 5), (8, 0)], [(160, 8), (84, 84), (168, 0)],
+                [(268 - k, k) for k in range(130)], [(560, 8), (500, 68)]]
+    cells = [cell for group in by_order for cell in group]
+    cells = [cells[i] for i in np.random.default_rng(0).permutation(len(cells))]
+    orders = [default_order(n, k) for n, k in cells]
+    assert sorted(set(orders)) == [40, 200, 300, 600] and orders != sorted(orders)
     assert 130 > vpmeans.kernel._BLOCK_CELLS // 300
+    got = vpmeans.kernel._multiplier_integrals(cells, d)
+    assert tables == [240, 300, 600]
     expect = [integrate_theta(lambda t: vpm_kernel_eval(n, d, t) * q_table(k, lam, t)[:, k],
-                              lam, order)
-              for order, cells in groups.items() for n, k in cells]
+                              lam, default_order(n, k))
+              for n, k in cells]
     assert got == expect
+
+
+def test_multiplier_integrals_build_their_rules_in_one_batch(monkeypatch):
+    # the multiplier suite's 2405 cells at n_max = 64 read 133 Gauss orders
+    # (32-164): a cold oracle builds them all in one lock-step Newton batch
+    batches = []
+    newton = quadrature._newton_x_rules
+
+    def counted(orders):
+        batches.append(sorted(orders))
+        return newton(orders)
+    monkeypatch.setattr(quadrature, "_newton_x_rules", counted)
+    monkeypatch.setattr(quadrature, "_RULE_CACHE", {})
+    cells = [(n, k) for n in range(65) for k in range(n + 5)]
+    values = vpmeans.kernel._multiplier_integrals(cells, 3)
+    assert len(values) == 2405
+    assert batches == [list(range(32, 165))]
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
@@ -272,7 +295,7 @@ def test_alpha_matches_harmonic_closed_form(d):
 def test_alpha_is_finite_up_to_d_max_at_the_band_budget_top_degree():
     # D_MAX sits at the edge: at n = 496 the voronovskaya sweep's alpha and its
     # self-check ladder run warning-free at d = 40 and overflow sin^-m at d = 41
-    n, d, check = 496, vpmeans.experiments.D_MAX, 3 * (default_order(496) + 32) // 2
+    n, d, check = 496, vpmeans.experiments.D_MAX, 3 * ladder_order(496) // 2
     closed = math.fsum(1.0 / (n + j) for j in range(1, d - 1)) / (d - 2)
     for order, rtol in ((None, 1e-9), (check, 1e-11)):
         assert abs(alpha_voronovskaya(n, d, order=order, rtol=rtol) - closed) <= 1e-12 * closed
@@ -297,7 +320,7 @@ def test_selftest_alpha_cell_reads_only_nested_rungs():
     # nested ladder visits; the selftest cell is the nested ladder all the same
     clear_run_memos()
     fresh = vpmeans.experiments._refine(
-        lambda o: vpmeans.kernel._alpha_nested(32, 3, o), default_order(32) + 32, 1e-9,
+        lambda o: vpmeans.kernel._alpha_nested(32, 3, o), ladder_order(32), 1e-9,
         32, 3, "alpha_nested")
     run_voronovskaya_suite(3, (32,))
     report = run_selftest_suite()
@@ -315,8 +338,8 @@ def test_refinement_without_budget_raises(monkeypatch):
     assert (err.n, err.d, err.kind, err.order) == (8, 3, "alpha_voronovskaya", 72)
     assert err.previous is None and err.last == pytest.approx(1.0 / 9.0, rel=1e-12)
     with pytest.raises(ConvergenceError) as info:
-        lemma_integral(8, 5, "neg_lambda")
-    assert (info.value.kind, info.value.previous) == ("neg_lambda", None)
+        lemma_integral(8, 5, -1.5)
+    assert (info.value.kind, info.value.previous) == ("lemma_integral", None)
 
 
 def test_refinement_budget_exhausted_raises(monkeypatch):
@@ -331,13 +354,13 @@ def test_refinement_budget_exhausted_raises(monkeypatch):
     assert err.previous != err.last
     assert isinstance(err, ArithmeticError)
     with pytest.raises(ConvergenceError) as info:
-        lemma_integral(8, 5, "neg_lambda", rtol=1e-12)
+        lemma_integral(8, 5, -1.5, rtol=1e-12)
     err = info.value
-    assert (err.n, err.d, err.kind, err.order) == (8, 5, "neg_lambda", 144)
+    assert (err.n, err.d, err.kind, err.order) == (8, 5, "lemma_integral", 144)
     assert abs(err.last - err.previous) > 1e-12 * abs(err.last)
     # the same call converges within the full budget
     monkeypatch.undo()
-    assert lemma_integral(8, 5, "neg_lambda", rtol=1e-12) == pytest.approx(err.last, rel=1e-8)
+    assert lemma_integral(8, 5, -1.5, rtol=1e-12) == pytest.approx(err.last, rel=1e-8)
 
 
 def test_alpha_ladder_starts_at_the_given_order(monkeypatch):
@@ -370,7 +393,7 @@ def test_refinement_ends_at_the_first_non_finite_rung(monkeypatch, value):
     with pytest.raises(ConvergenceError, match="not finite") as info:
         alpha_voronovskaya(8, 4)
     err = info.value
-    assert orders == [default_order(8) + 32]
+    assert orders == [ladder_order(8)]
     assert (err.kind, err.n, err.d, err.order, err.previous) == (
         "alpha_voronovskaya", 8, 4, orders[0], None)
     log = vpmeans.memo._LADDERS
@@ -388,7 +411,7 @@ def test_refinement_ends_at_a_non_finite_rung_after_a_finite_one(monkeypatch, va
         return 1.0 if len(orders) == 1 else value
     clear_run_memos()
     with pytest.raises(ConvergenceError, match="not finite") as info:
-        vpmeans.kernel._refine(broken, 40, 1e-9, 3, 5, "fourth_moment", 4.0)
+        vpmeans.kernel._refine(broken, 40, 1e-9, 3, 5, "lemma_integral", 4.0)
     assert orders == [40, 80]
     assert (info.value.order, info.value.previous) == (80, 1.0)
     last = vpmeans.memo._LADDERS[-1]
@@ -396,20 +419,25 @@ def test_refinement_ends_at_a_non_finite_rung_after_a_finite_one(monkeypatch, va
     clear_run_memos()
 
 
-def test_lemma_integral_kinds_and_errors():
-    with pytest.raises(ValueError):
-        lemma_integral(8, 3, "sixth_moment")
-    with pytest.raises(ValueError):
-        lemma_integral(8, 3, "neg_two_over_m")
-    assert lemma_integral(8, 3, "neg_two_over_m", m=7) > 0
-    assert lemma_integral(8, 3, "neg_lambda") > 0
-    assert lemma_integral(8, 3, "fourth_moment") > 0
+def test_lemma_integral_exponents_and_domain():
+    # theta^s sin^(2 lam) theta is integrable at 0 for s > -(2 lam + 1) only;
+    # the lemma suite's exponents -lam, -2/7 and 4 give these values exactly
+    expect = {3: (1.5060709568739599, 1.2444133602019258, 0.35399453482604937),
+              5: (1.8953035066713864, 1.0922472866702122, 0.7715219554277436)}
+    for d, values in expect.items():
+        lam = (d - 2) / 2.0
+        for s in (-(2.0 * lam + 1.0), -(2.0 * lam + 1.5), -math.inf, math.nan):
+            with pytest.raises(ValueError, match="requires s > -"):
+                lemma_integral(8, d, s)
+        assert tuple(lemma_integral(8, d, s) for s in (-lam, -2.0 / 7, 4.0)) == values
+    with pytest.raises(ValueError, match="requires n >= 1"):
+        lemma_integral(0, 3, 4.0)
 
 
 def test_fourth_moment_stabilizes_near_32_at_d3():
     # Gaussian surrogate e^{-n theta^2 / 4} gives n^2 J_4 -> 32; quadrature at
     # increasing n must approach it monotonically from below
-    vals = {n: n ** 2 * lemma_integral(n, 3, "fourth_moment") for n in (256, 512, 1024)}
+    vals = {n: n ** 2 * lemma_integral(n, 3, 4.0) for n in (256, 512, 1024)}
     assert abs(vals[1024] - 32.0) / 32.0 < 0.15
     assert abs(vals[1024] - 32.0) < abs(vals[512] - 32.0) < abs(vals[256] - 32.0)
 
@@ -417,10 +445,9 @@ def test_fourth_moment_stabilizes_near_32_at_d3():
 def test_inverse_moment_scalings():
     for d in (3, 4):
         lam = (d - 2) / 2.0
-        neg = [n ** (-lam / 2.0) * lemma_integral(n, d, "neg_lambda") for n in (32, 128, 512)]
+        neg = [n ** (-lam / 2.0) * lemma_integral(n, d, -lam) for n in (32, 128, 512)]
         assert max(neg) / min(neg) <= 2.0
-        m7 = [n ** (-1.0 / 7.0) * lemma_integral(n, d, "neg_two_over_m", m=7)
-              for n in (32, 128, 512)]
+        m7 = [n ** (-1.0 / 7.0) * lemma_integral(n, d, -2.0 / 7) for n in (32, 128, 512)]
         assert max(m7) / min(m7) <= 2.0
 
 
