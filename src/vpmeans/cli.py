@@ -21,12 +21,12 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .experiments import (_CORPUS_SPECTRAL, BAND_BUDGET, D_MAX, MULTIPLIER_REACH, corpus_band_limit,
+from .experiments import (BAND_BUDGET, D_MAX, MULTIPLIER_REACH, corpus_band_limit,
                           run_converse_suite, run_delayed_max_suite, run_lemma_suite,
                           run_modulus_suite, run_multiplier_identity_suite,
                           run_selftest_suite, run_voronovskaya_suite)
-from .function_space import _CONTEXTS, corpus_ids
-from .memo import _LADDERS, run_memo_stats, run_scope
+from .function_space import corpus_ids
+from .memo import RUN_RECORDS, run_memo_stats, run_scope
 
 try:
     from resource import RUSAGE_SELF, getrusage
@@ -76,13 +76,6 @@ def config_hash(config_mapping):
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
 
 
-def _parse_int_list(text):
-    try:
-        return tuple(int(part) for part in str(text).split(",") if part.strip())
-    except ValueError:
-        raise ConfigError(f"expected a comma-separated integer list, got {text!r}") from None
-
-
 _P_VALUES = {"inf": INF, "Infinity": INF, "oo": INF, "1": 1.0, "1.0": 1.0, "2": 2.0, "2.0": 2.0}
 
 
@@ -97,7 +90,7 @@ def _parse_p_list(text):
 # every RunConfig field is a configuration key; its type parses its value
 # unless the field needs the list syntax below
 _SYNTAX_PARSERS = {
-    "n_list": _parse_int_list,
+    "n_list": lambda text: tuple(int(part) for part in str(text).split(",") if part.strip()),
     "p_list": _parse_p_list,
     "corpus": lambda text: tuple(part.strip() for part in str(text).split(",") if part.strip()),
 }
@@ -200,7 +193,7 @@ def _write_atomic(path, text):
 
 
 def _pruning(log):
-    """p -> column counts, summed over `lp_norm_maxima` records (p, synthesised, skipped)."""
+    """p -> column counts, summed over the pruning records (p, synthesised, skipped)."""
     out = {}
     for p, synthesised, skipped in log:
         counts = out.setdefault(str(p), {"synthesised": 0, "skipped": 0})
@@ -220,11 +213,9 @@ def _summary(snapshot, digest, reports, errors, timings, pruning):
         "suites": {**{r.suite: {"passed": r.passed, "measured": r.measured} for r in reports},
                    **{name: {"passed": False, "error": error} for name, error in errors.items()}},
         "constants": constants,
-        "diagnostics": {"blas": _blas(), "caches": run_memo_stats(), "refinements": _LADDERS,
-                        # d|K|function id -> relative L^2 residual, 0.0 if exact
-                        "projection_residuals": {
-                            f"{d}|{k}|{fid}": spectral.projection_residual
-                            for (d, k, _, fid), spectral in _CORPUS_SPECTRAL.items()},
+        "diagnostics": {"blas": _blas(), "caches": run_memo_stats(),
+                        "refinements": RUN_RECORDS["refinements"],
+                        "projection_residuals": RUN_RECORDS["projection_residuals"],
                         "pruning": {name: _pruning(log) for name, log in pruning.items()},
                         "suites": timings},
     }
@@ -250,7 +241,7 @@ def dispatch(config, suite):
         names = SUITES if suite == "all" else (suite,)
         reports, errors, timings, pruning = [], {}, {}, {}
         for name in names:
-            start, logged, rss = time.perf_counter(), len(_CONTEXTS.log), _max_rss_mb()
+            start, logged, rss = time.perf_counter(), len(RUN_RECORDS["pruning"]), _max_rss_mb()
             try:
                 report = _RUNNERS[name](config)
             except ArithmeticError as exc:
@@ -265,7 +256,7 @@ def dispatch(config, suite):
             finally:
                 timings[name] = {"wall_s": time.perf_counter() - start,
                                  "rss_growth_mb": None if rss is None else _max_rss_mb() - rss}
-                pruning[name] = _CONTEXTS.log[logged:]     # (p, synthesised, skipped)
+                pruning[name] = RUN_RECORDS["pruning"][logged:]
             generated = datetime.datetime.now(datetime.timezone.utc).isoformat()
             _write_atomic(os.path.join(config.out_dir, f"{name}.csv"),
                           f"# suite={name} config_hash={digest} generated={generated}\n"

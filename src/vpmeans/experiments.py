@@ -19,7 +19,7 @@ from .kernel import (_alpha_nested, _multiplier_integrals, _multiplier_prefixes,
                      alpha_voronovskaya, default_order, kernel_norm_constant, ladder_order,
                      lemma_integral, multiplier_sequence, multiplier_via_quadrature,
                      multiplier_weight, vpm_kernel_eval)
-from .memo import RunMemo
+from .memo import RUN_RECORDS, RunMemo
 from .operators import (means_columns, sample_zonal_on_grid, translate_direct,
                         translate_spectral, vpm_grid, vpm_means, zonal_point_function)
 from .quadrature import gauss_legendre, integrate_theta, sphere_grid
@@ -106,8 +106,9 @@ def prepare_corpus(corpus, d, n_max, seed=42):
     K = `corpus_band_limit(n_max)`: exact coefficients for band-limited
     members, quadrature projection for the rest, memoised per run on (d, K,
     seed, id).  The members not yet memoised come from one `make_corpus` call,
-    the projected ones by `zonal_project`; nothing is built when all are
-    memoised.  An unknown id raises KeyError, a LookupError."""
+    the projected ones by `zonal_project`, and each records its residual in
+    RUN_RECORDS; nothing is built when all are memoised.  An unknown id raises
+    KeyError, a LookupError."""
     lam, band_limit = (d - 2) / 2.0, corpus_band_limit(n_max)
     keys = {fid: (d, band_limit, seed, fid) for fid in corpus}
     missing = [fid for fid, key in keys.items() if key not in _CORPUS_SPECTRAL]
@@ -119,6 +120,8 @@ def prepare_corpus(corpus, d, n_max, seed=42):
         coeffs = np.pad(members[fid].coeffs, (0, band_limit + 1 - len(members[fid].coeffs)))
         coeffs.setflags(write=False)
         resolved[fid] = ZonalSpectral(lam, coeffs, projection_residual=0.0)
+    for fid, member in resolved.items():
+        RUN_RECORDS["projection_residuals"][f"{d}|{band_limit}|{fid}"] = member.projection_residual
     return [_CORPUS_SPECTRAL.lookup(keys[fid], lambda fid=fid: resolved[fid])
             for fid in corpus]
 
@@ -457,7 +460,7 @@ def run_selftest_suite(seed=42):
 
     # kernel normalization at a representative pair
     for d, n in ((3, 64), (5, 128)):
-        norm = integrate_theta(lambda t: vpm_kernel_eval(n, d, t), (d - 2) / 2.0, n + 64)
+        norm = integrate_theta(lambda t: vpm_kernel_eval(n, d, t), (d - 2) / 2.0, ladder_order(n))
         record(f"kernel_normalization_d{d}_n{n}", abs(norm - 1.0), 1e-10)
 
     # multiplier identity spot check

@@ -5,11 +5,11 @@ Gegenbauer system Q_k (any d >= 3), and raw samples on the S^2 product grid
 (d = 3 only), which serve as an independent oracle for the spectral route.
 Spectral L^2 norms come from Parseval; other L^p norms synthesise the even
 and odd degrees on half of a grid symmetric about pi/2 and mirror them, a
-reference once per grid and run, and the maxima of a sweep read only the rows
-where its columns can be non-zero.  Each synthesis context fills from a Q_k
-stream of its own (`special._q_rows`); the projection reads one by parity.
-The test corpus (harmonics, geodesic cusps, a smooth bump, a seeded random
-band-limited function) lives here as well.
+reference once per grid and run; the maxima of a sweep read only the rows
+where its columns can be non-zero and count their pruning in RUN_RECORDS.
+Each synthesis context fills from a Q_k stream of its own (`special._q_rows`);
+the projection reads one by parity.  The test corpus (harmonics, geodesic
+cusps, a smooth bump, a seeded random band-limited function) lives here too.
 """
 
 import math
@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .memo import RunMemo
+from .memo import RUN_RECORDS, RunMemo
 from .quadrature import SphereGrid, mapped_rule
 from .special import BLOCK_COLUMNS, _q_rows
 
@@ -103,8 +103,7 @@ def zonal_synthesis(coeffs, lam, x):
 
 # ---------------------------------------------------------------------------
 # synthesis contexts: Q_k tables over the quadrature nodes used by norms and
-# projections, memoised per run on (lam, band limit, grid kind, size); the
-# memo's run log holds (p, synthesised, skipped) per p != 2 of lp_norm_maxima
+# projections, memoised per run on (lam, band limit, grid kind, size)
 
 _CONTEXTS = RunMemo("synthesis_context")
 _REFERENCES = RunMemo("reference_synthesis")
@@ -192,7 +191,7 @@ def lp_norm_zonal(f, p, d, order=None):
     on the mapped Gauss rule of `order` (default DENSE_GRID_SIZE) points; for
     p = infinity, the max of |g| over a dense colatitude grid.
     """
-    if p != INF and p < 1:
+    if not p >= 1:      # NaN fails
         raise ValueError(f"p must satisfy 1 <= p <= inf, got {p}")
     lam = (d - 2) / 2.0
     g = _profile_callable(f)
@@ -228,7 +227,7 @@ def lp_norms_batch(coeff_matrix, lam, p, order=None, reference=None):
     dropped and the trailing rows left all zero are skipped in the synthesis
     product; a NaN or inf entry keeps its row.
     """
-    if p != INF and p < 1:
+    if not p >= 1:      # NaN fails
         raise ValueError(f"p must satisfy 1 <= p <= inf, got {p}")
     coeff_matrix = np.asarray(coeff_matrix, dtype=float)
     if coeff_matrix.ndim == 1:
@@ -289,12 +288,12 @@ def lp_norm_maxima(columns, sizes, lam, ps, k_max, reference=None):
     synthesis rounding of the columns they involve and of the prefix sums,
     times (1 + PRUNE_SLACK); see README.md.  p other than 1, 2, inf and NaN
     bounds prune nothing; past a NaN step the coefficient bounds prune alone;
-    p = 2 is Parseval.  Each p != 2 logs (p, columns synthesised, columns
-    skipped) in the synthesis contexts' log.  The norms come from the block
-    loop of lp_norms_batch and equal its norms up to rounding: BLAS may round
-    a column differently next to other columns.
+    p = 2 is Parseval.  Each p != 2 appends (p, columns synthesised, columns
+    skipped) to RUN_RECORDS["pruning"] (`vpmeans.memo`).  The norms come from
+    the block loop of lp_norms_batch and equal its norms up to rounding: BLAS
+    may round a column differently next to other columns.
     """
-    if any(p != INF and p < 1 for p in ps):
+    if any(not p >= 1 for p in ps):
         raise ValueError(f"p must satisfy 1 <= p <= inf, got {list(ps)}")
     if min(sizes, default=0) < 1:
         raise ValueError(f"run sizes must be positive, got {list(sizes)}")
@@ -360,7 +359,7 @@ def _pruned_maxima(ctx, p, d, columns, starts, bound, prefix, rounding, ref_vals
     # fmin: each bound holds alone, so a NaN chain leaves the coefficient bound
     smaller = np.fmin(bound[alive], (chain + rounding[alive]) * (1.0 + PRUNE_SLACK))
     synthesise(alive[~(smaller <= run_max[alive])])
-    _CONTEXTS.log.append((p, int(done.sum()), int(done.size - done.sum())))
+    RUN_RECORDS["pruning"].append((p, int(done.sum()), int(done.size - done.sum())))
     return np.maximum.reduceat(out, starts[:-1])
 
 
@@ -423,7 +422,7 @@ def lp_norm_grid(f, p):
     """Weighted L^p norm of a GridFunction (max of |values| for p = inf)."""
     if p == INF:
         return float(np.max(np.abs(f.values)))
-    if p < 1:
+    if not p >= 1:
         raise ValueError(f"p must satisfy 1 <= p <= inf, got {p}")
     return float(np.dot(f.grid.point_weights, np.abs(f.values) ** p) ** (1.0 / p))
 

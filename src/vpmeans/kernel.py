@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .memo import _LADDERS, RunMemo
+from .memo import RUN_RECORDS, RunMemo
 from .quadrature import (ConvergenceError, gauss_legendre, gauss_legendre_many, integrate_theta,
                          mapped_rule)
 from .special import q_table
@@ -66,7 +66,7 @@ def vpm_kernel_eval(n, d, theta):
     for n >= 1 and is 1/I at theta = 0.
     """
     ta = np.asarray(theta, dtype=float)
-    if np.any((ta < 0.0) | (ta > np.pi)):
+    if not np.all((ta >= 0.0) & (ta <= np.pi)):     # NaN fails
         raise ValueError("vpm_kernel_eval requires theta in [0, pi]")
     s = 0.5 + 0.5 * np.cos(ta)          # = cos^2(theta/2), exactly 0 at pi
     vals = s ** n * math.exp(-kernel_norm_constant(n, d))
@@ -250,8 +250,8 @@ def alpha_voronovskaya(n, d, order=None, rtol=1e-9):
 def _refine(evaluate, order, rtol, n, d, kind, s=None):
     """Double `order` until two successive evaluate(order) agree to `rtol`
     relative; raise ConvergenceError at the first rung that is not finite or
-    after MAX_REFINEMENTS doublings.  Every ladder is appended to the run's ladder
-    records, with the number of rungs it `evaluated`."""
+    after MAX_REFINEMENTS doublings.  Every ladder is appended to the run's
+    refinement records, with the number of rungs it `evaluated`."""
     prev, cur, evaluated = None, evaluate(order), 1
     converged = False
     for _ in range(MAX_REFINEMENTS if math.isfinite(cur) else 0):
@@ -260,9 +260,9 @@ def _refine(evaluate, order, rtol, n, d, kind, s=None):
         converged = math.isfinite(cur) and abs(cur - prev) <= rtol * abs(cur)
         if converged or not math.isfinite(cur):
             break
-    _LADDERS.append({"kind": kind, "n": n, "d": d, "s": s, "order": order,
-                     "evaluated": evaluated, "previous": prev, "last": cur,
-                     "converged": converged})
+    RUN_RECORDS["refinements"].append({"kind": kind, "n": n, "d": d, "s": s, "order": order,
+                                       "evaluated": evaluated, "previous": prev, "last": cur,
+                                       "converged": converged})
     if not converged:
         raise ConvergenceError(n, d, kind, order, prev, cur)
     return cur

@@ -6,9 +6,9 @@ the same theta-scan table.  Each such layer keeps one RunMemo.  A CLI run is
 one `run_scope`, which clears them all when it starts and ends, and reports
 their traffic in summary.json.  A memo only ever returns what was stored for
 an identical key, so a hit is exactly what recomputing the same request
-would give; a modulus cell computed in another batch agrees to rounding.  A
-memo's `log` holds run-scoped records a layer appends; it is cleared with the values.
-`_LADDERS`, the run's refinement ladder records (`kernel._refine`), is cleared too.
+would give; a modulus cell computed in another batch agrees to rounding.
+RUN_RECORDS holds what the run's summary reports beyond the values, each kind
+written by the layer that makes it, and is emptied with the memos.
 """
 
 from contextlib import contextmanager
@@ -16,10 +16,13 @@ from dataclasses import fields, is_dataclass
 
 import numpy as np
 
-__all__ = ["RunMemo", "clear_run_memos", "run_memo_stats", "run_scope"]
+__all__ = ["RUN_RECORDS", "RunMemo", "clear_run_memos", "run_memo_stats", "run_scope"]
 
 _REGISTRY = {}
-_LADDERS = []
+# refinement ladders in call order (kernel._refine), (p, synthesised, skipped)
+# per pruned p (function_space._pruned_maxima), and d|K|function id -> the
+# relative L^2 residual of each corpus member built (experiments.prepare_corpus)
+RUN_RECORDS = {"refinements": [], "pruning": [], "projection_residuals": {}}
 
 
 class RunMemo:
@@ -31,7 +34,6 @@ class RunMemo:
             # a replaced memo would never be cleared per run nor reported
             raise ValueError(f"a run memo named {name!r} already exists")
         self._values = {}
-        self.log = []
         self.hits = 0
         self.misses = 0
         _REGISTRY[name] = self
@@ -50,12 +52,8 @@ class RunMemo:
     def __contains__(self, key):
         return key in self._values
 
-    def items(self):
-        return list(self._values.items())
-
     def clear(self):
         self._values.clear()
-        self.log.clear()
         self.hits = 0
         self.misses = 0
 
@@ -75,15 +73,16 @@ def _array_bytes(value):
 
 
 def clear_run_memos():
-    """Empty every run memo and the ladder records, and reset the counters."""
+    """Empty every run memo and RUN_RECORDS, and reset the counters."""
     for memo in _REGISTRY.values():
         memo.clear()
-    _LADDERS.clear()
+    for records in RUN_RECORDS.values():
+        records.clear()
 
 
 @contextmanager
 def run_scope():
-    """One run: the run memos and ladder records are emptied on entry and exit."""
+    """One run: the run memos and RUN_RECORDS are emptied on entry and exit."""
     clear_run_memos()
     try:
         yield

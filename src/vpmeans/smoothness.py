@@ -64,7 +64,7 @@ def translation_error_norms(f, thetas, ps, sizes):
     if np.ndim(ps) != 1:
         raise TypeError(f"ps must be a sequence of p, got {ps!r}")
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    if np.any((thetas <= 0.0) | (thetas >= np.pi)):
+    if not np.all((thetas > 0.0) & (thetas < np.pi)):      # NaN fails
         raise ValueError("translation steps must lie in (0, pi)")
     damp = _damping_table(f.band_limit, f.lam, thetas)     # (T, K+1)
 

@@ -203,6 +203,13 @@ def test_repeated_list_values_are_usage_errors(tmp_path, capsys, key, text, repe
     assert not (tmp_path / "r").exists()
 
 
+def test_n_list_values_are_parsed_by_parse_config(tmp_path, capsys):
+    # n_list's parser raises a plain ValueError, which parse_config reports
+    assert main(["converse", "--n-list", "a,b", "--out", str(tmp_path / "r")]) == 2
+    assert "error: invalid value for 'n_list': 'a,b'" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_p_list_parsing():
     config = parse_config(overrides={"p_list": "1,inf"})
     assert config.p_list == (1.0, INF)

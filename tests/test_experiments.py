@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import vpmeans.experiments
 import vpmeans.function_space
 import vpmeans.kernel
-import vpmeans.memo
 import vpmeans.smoothness
 from vpmeans import quadrature
 from vpmeans.cli import config_hash
@@ -23,7 +22,7 @@ from vpmeans.function_space import (BLOCK_COLUMNS, INF, ZonalSpectral, corpus_id
                                     lp_norms_batch, make_corpus, zonal_project)
 from vpmeans.kernel import (alpha_voronovskaya, ladder_order, multiplier_via_quadrature,
                             multiplier_weight)
-from vpmeans.memo import clear_run_memos, run_memo_stats
+from vpmeans.memo import RUN_RECORDS, clear_run_memos, run_memo_stats
 from vpmeans.operators import means_columns
 from vpmeans.smoothness import modulus_many
 
@@ -162,8 +161,9 @@ def _drift_off_the_sweep(monkeypatch, name):
 def _ladder_orders(kind, n, s=None):
     """The orders of each ladder of `kind` at n, and exponent s, in the run's
     ladder records."""
+    ladders = RUN_RECORDS["refinements"]
     return [{rec["order"] >> j for j in range(rec["evaluated"])}
-            for rec in vpmeans.memo._LADDERS if (rec["kind"], rec["n"], rec["s"]) == (kind, n, s)]
+            for rec in ladders if (rec["kind"], rec["n"], rec["s"]) == (kind, n, s)]
 
 
 @pytest.mark.parametrize("d", [3, 5])

@@ -14,7 +14,7 @@ from vpmeans.function_space import (BLOCK_COLUMNS, DENSE_GRID_SIZE, INF, NEGLIGI
                                     synthesis_context, zonal_project, zonal_synthesis)
 from vpmeans.experiments import D_MAX
 from vpmeans.kernel import multiplier_sequence
-from vpmeans.memo import clear_run_memos, run_memo_stats
+from vpmeans.memo import RUN_RECORDS, clear_run_memos, run_memo_stats
 from vpmeans.operators import sample_zonal_on_grid
 from vpmeans.quadrature import integrate_theta, mapped_rule, sphere_grid
 from vpmeans.smoothness import _damping_table, _theta_scan
@@ -114,6 +114,13 @@ def test_norm_profile_and_spectral_consistency():
 def test_norm_argument_validation():
     with pytest.raises(ValueError):
         lp_norm_zonal(np.cos, 0.5, 3)
+    # a NaN p fails every p check instead of giving a NaN norm
+    grid = sphere_grid(4)
+    gf = GridFunction(grid=grid, values=np.ones(len(grid.points)))
+    for norm in (lambda p: lp_norm_zonal(np.cos, p, 3),
+                 lambda p: lp_norms_batch(unit(1, 3), 0.5, p), lambda p: lp_norm_grid(gf, p)):
+        with pytest.raises(ValueError, match="p must"):
+            norm(math.nan)
     with pytest.raises(TypeError, match="expected a callable profile, got float$"):
         lp_norm_zonal(3.0, 2.0, 3)
     # the spectral form has its own route, lp_norms_batch
@@ -521,7 +528,7 @@ def test_lp_norm_maxima_prunes_logs_and_validates():
     cols = rng.uniform(-1.0, 1.0, (129, 100)) * np.geomspace(1.0, 1e-3, 100)
     cols[:, 70] = np.nan
     clear_run_memos()
-    log = vpmeans.function_space._CONTEXTS.log
+    log = RUN_RECORDS["pruning"]
     got = lp_norm_maxima(builder(cols), [60, 40], 0.5, [1.0, 2.0, INF], 128)
     for p, row in zip((1.0, 2.0, INF), got):
         full = lp_norms_batch(cols, 0.5, p)
@@ -536,6 +543,8 @@ def test_lp_norm_maxima_prunes_logs_and_validates():
             lp_norm_maxima(builder(cols), sizes, 0.5, [INF], 128)
     with pytest.raises(ValueError, match="p must"):
         lp_norm_maxima(builder(cols), [100], 0.5, [INF, 0.5], 128)
+    with pytest.raises(ValueError, match="p must"):
+        lp_norm_maxima(builder(cols), [100], 0.5, [INF, math.nan], 128)
 
 
 @pytest.mark.parametrize("p", [1.0, INF])
@@ -559,7 +568,7 @@ def test_lp_norm_maxima_chain_bounds_are_tight(p):
     assert got == pytest.approx(5.5 * unit_norm, rel=1e-14)
     # decoy, the two anchors and the max; the 1.5 columns fall to their
     # coefficient bounds once the anchors raise the run max to 5
-    assert vpmeans.function_space._CONTEXTS.log == [(p, 4, 6)]
+    assert RUN_RECORDS["pruning"] == [(p, 4, 6)]
     # a NaN column in an earlier run makes every later step sum NaN: its run
     # is synthesised whole, and the coefficient bounds alone still prune the
     # 1.5 columns (its 8 finite columns keep the anchors of the run above)
@@ -567,7 +576,7 @@ def test_lp_norm_maxima_chain_bounds_are_tight(p):
     clear_run_memos()
     got = lp_norm_maxima(builder(np.hstack([nan_run, cols])), [9, 10], 0.5, [p], k_max)[0]
     assert np.isnan(got[0]) and got[1] == pytest.approx(5.5 * unit_norm, rel=1e-14)
-    assert vpmeans.function_space._CONTEXTS.log == [(p, 13, 6)]
+    assert RUN_RECORDS["pruning"] == [(p, 13, 6)]
 
 
 def test_lp_norm_maxima_bounds_cover_rounding():
@@ -585,7 +594,7 @@ def test_lp_norm_maxima_bounds_cover_rounding():
         for p in (1.0, INF):
             clear_run_memos()
             lp_norm_maxima(builder(cols), [100, 100], 0.5, [p], 300, reference=ref)
-            assert vpmeans.function_space._CONTEXTS.log == [(p, 200, 0)]
+            assert RUN_RECORDS["pruning"] == [(p, 200, 0)]
 
 
 def test_lp_norm_maxima_bounds_equal_on_live_rows(monkeypatch):
@@ -630,7 +639,7 @@ def test_lp_norm_maxima_builds_columns_in_blocks():
     got = lp_norm_maxima(columns, [10, 90, k_max + 1 - 100], 0.5, [1.0, 2.0, INF], k_max,
                          reference=f)
     assert max(asked) <= BLOCK_COLUMNS < cols.shape[1]
-    synthesised = sum(rec[1] for rec in vpmeans.function_space._CONTEXTS.log)
+    synthesised = sum(rec[1] for rec in RUN_RECORDS["pruning"])
     assert sum(asked) == cols.shape[1] + synthesised
     for p, row in zip((1.0, 2.0, INF), got):
         full = lp_norms_batch(cols, 0.5, p, reference=f)

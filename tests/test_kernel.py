@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import vpmeans.experiments
 import vpmeans.kernel
-import vpmeans.memo
 from vpmeans import quadrature
 from vpmeans.experiments import (run_delayed_max_suite, run_selftest_suite,
                                  run_voronovskaya_suite)
@@ -19,7 +18,7 @@ from vpmeans.kernel import (ConvergenceError, alpha_voronovskaya,
                             multiplier_via_quadrature, multiplier_weight,
                             vpm_kernel_eval)
 from vpmeans.function_space import ZonalSpectral
-from vpmeans.memo import clear_run_memos
+from vpmeans.memo import RUN_RECORDS, clear_run_memos
 from vpmeans.operators import means_columns
 from vpmeans.quadrature import integrate_theta
 from vpmeans.special import q_table
@@ -63,6 +62,9 @@ def test_kernel_eval_domain():
         vpm_kernel_eval(3, 3, -0.1)
     with pytest.raises(ValueError):
         vpm_kernel_eval(3, 3, 3.5)
+    for theta in (math.nan, np.array([0.5, math.nan])):
+        with pytest.raises(ValueError, match=r"\[0, pi\]"):
+            vpm_kernel_eval(8, 3, theta)
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
@@ -157,7 +159,7 @@ def test_multiplier_sequence_weight_traffic():
     n_list = (4, 12)
     run_delayed_max_suite(("bump", "randband:seed42"), (2.0, float("inf")), n_list, 3)
     prefixes = vpmeans.kernel._PREFIXES
-    built = sorted(n for (n, _, _), _ in prefixes.items())
+    built = sorted(n for n, _, _ in prefixes._values)
     assert built == list(range(min(n_list), 2 * max(n_list) + 1))     # the cap, 24
     assert prefixes.misses == len(built) and prefixes.hits > 0
     clear_run_memos()
@@ -275,7 +277,7 @@ def test_alpha_panel_route_matches_nested_oracle(d):
         alpha_voronovskaya(n, d, rtol=1e-11)
     # every rung of every ladder: the last order of each, halved
     rungs = [(rec["n"], rec["order"] >> j)
-             for rec in vpmeans.memo._LADDERS for j in range(rec["evaluated"])]
+             for rec in RUN_RECORDS["refinements"] for j in range(rec["evaluated"])]
     assert {n for n, _ in rungs} == set(LADDER_N) and len(rungs) >= 2 * len(LADDER_N)
     for n, order in rungs:
         value = vpmeans.kernel._alpha_at_order(n, d, order)
@@ -376,7 +378,7 @@ def test_alpha_ladder_starts_at_the_given_order(monkeypatch):
         orders.clear()
         alpha = alpha_voronovskaya(16, 3, order=start)
         assert orders == [first << j for j in range(len(orders))] and len(orders) >= 2
-        assert vpmeans.memo._LADDERS[-1]["order"] == orders[-1]
+        assert RUN_RECORDS["refinements"][-1]["order"] == orders[-1]
         assert abs(17 * alpha - 1.0) <= 1e-9
     clear_run_memos()
 
@@ -396,7 +398,7 @@ def test_refinement_ends_at_the_first_non_finite_rung(monkeypatch, value):
     assert orders == [ladder_order(8)]
     assert (err.kind, err.n, err.d, err.order, err.previous) == (
         "alpha_voronovskaya", 8, 4, orders[0], None)
-    log = vpmeans.memo._LADDERS
+    log = RUN_RECORDS["refinements"]
     assert len(log) == 1 and not log[0]["converged"] and log[0]["evaluated"] == 1
     clear_run_memos()
 
@@ -414,7 +416,7 @@ def test_refinement_ends_at_a_non_finite_rung_after_a_finite_one(monkeypatch, va
         vpmeans.kernel._refine(broken, 40, 1e-9, 3, 5, "lemma_integral", 4.0)
     assert orders == [40, 80]
     assert (info.value.order, info.value.previous) == (80, 1.0)
-    last = vpmeans.memo._LADDERS[-1]
+    last = RUN_RECORDS["refinements"][-1]
     assert (last["converged"], last["evaluated"]) == (False, 2)
     clear_run_memos()
 

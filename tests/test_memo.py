@@ -3,7 +3,7 @@ import pytest
 
 import vpmeans.memo
 from vpmeans.experiments import run_modulus_suite, run_voronovskaya_suite
-from vpmeans.memo import RunMemo, clear_run_memos, run_memo_stats, run_scope
+from vpmeans.memo import RUN_RECORDS, RunMemo, clear_run_memos, run_memo_stats, run_scope
 
 
 @pytest.fixture
@@ -28,12 +28,12 @@ def test_memo_traffic_and_clear(registry):
     for _ in range(3):
         value = memo.lookup(("key", 1), lambda: calls.append(1) or np.ones(4))
     assert calls == [1] and np.array_equal(value, np.ones(4))
-    memo.log.append({"note": 1})
+    RUN_RECORDS["pruning"].append((1.0, 1, 0))
     assert ("key", 1) in memo and ("key", 2) not in memo
     assert run_memo_stats()["test_memo"] == {"entries": 1, "hits": 2, "misses": 1, "bytes": 32}
     clear_run_memos()
     assert run_memo_stats()["test_memo"] == {"entries": 0, "hits": 0, "misses": 0, "bytes": 0}
-    assert memo.log == []
+    assert RUN_RECORDS["pruning"] == []
 
 
 def test_run_scope_leaves_every_memo_empty():
@@ -44,6 +44,6 @@ def test_run_scope_leaves_every_memo_empty():
         run_modulus_suite(["cusp:1.0"], [2.0], [4, 8], 3)
         run_voronovskaya_suite(3, [4, 8])
         stats = run_memo_stats()
-        assert stats["modulus"]["entries"] > 0 and vpmeans.memo._LADDERS
+        assert stats["modulus"]["entries"] > 0 and RUN_RECORDS["refinements"]
     assert all(stats == empty for stats in run_memo_stats().values())
-    assert vpmeans.memo._LADDERS == []
+    assert RUN_RECORDS["refinements"] == []

@@ -110,6 +110,17 @@ def test_benchmark_suite_map_matches_cli_suites():
         assert obj.__module__ == experiments.__name__
 
 
+def test_cli_imports_no_private_name_of_the_package():
+    # the summary reads the run's records from memo.RUN_RECORDS, which the
+    # layers write, not another module's private state
+    source = (Path(__file__).parents[1] / "src" / "vpmeans" / "cli.py").read_text()
+    private = [alias.name for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or (node.module or "").split(".")[0] == "vpmeans")
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
+
+
 # ROADMAP's ceiling on the size of the package
 SRC_LINE_CEILING = 2450
 

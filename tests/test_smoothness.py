@@ -11,7 +11,7 @@ import vpmeans.smoothness
 from vpmeans.experiments import _delayed_maxima, prepare_corpus
 from vpmeans.function_space import lp_norm_maxima
 from vpmeans.function_space import INF, ZonalSpectral, lp_norms_batch
-from vpmeans.memo import clear_run_memos, run_memo_stats
+from vpmeans.memo import RUN_RECORDS, clear_run_memos, run_memo_stats
 from vpmeans.smoothness import (_theta_scan, default_candidate_degrees,
                                 k_functional_estimate, modulus, modulus_many,
                                 translation_error_norms)
@@ -167,6 +167,11 @@ def test_modulus_domain():
         modulus(f, 3.5, 2.0)
     with pytest.raises(ValueError):
         modulus_many(f, [0.5, 0.0], [2.0])
+    with pytest.raises(ValueError, match="p must"):
+        modulus(f, 0.3, math.nan)
+    for theta in (0.0, math.pi, math.nan):
+        with pytest.raises(ValueError, match=r"\(0, pi\)"):
+            translation_error_norms(f, [0.2, theta], [2.0], [2])
 
 
 def test_translation_error_norms_batch(spectral):
@@ -290,7 +295,7 @@ def test_live_row_builders_equal_full_height_builders(monkeypatch, d):
     # column can be non-zero; padded back to K + 1 rows, they must give the
     # same bounds, maxima and pruning records, bit for bit (a delayed-max cap
     # of 2 max(n) + 4 leaves a one-column block)
-    log, heights, bounds = vpmeans.function_space._CONTEXTS.log, [], []
+    log, heights, bounds = RUN_RECORDS["pruning"], [], []
     pruned = vpmeans.function_space._pruned_maxima
 
     def recorded(ctx, p, d, columns, starts, bound, prefix, rounding, ref_vals):
