@@ -12,12 +12,12 @@ from .function_space import (GridFunction, ZonalProfile, ZonalSpectral,
                              corpus_ids, lp_norm_grid, lp_norm_maxima,
                              lp_norm_zonal, lp_norms_batch, make_corpus,
                              surface_area, zonal_project, zonal_synthesis)
-from .kernel import (ConvergenceError, alpha_voronovskaya, kernel_norm_constant,
-                     lemma_integral, multiplier_sequence, multiplier_via_quadrature,
-                     multiplier_weight, vpm_kernel_eval)
+from .kernel import (alpha_voronovskaya, kernel_norm_constant, lemma_integral,
+                     multiplier_sequence, multiplier_via_quadrature, multiplier_weight,
+                     vpm_kernel_eval)
 from .operators import (means_columns, translate_direct, translate_spectral,
                         vpm_grid, vpm_means, zonal_point_function)
-from .quadrature import (QuadratureRule, SphereGrid, gauss_legendre,
+from .quadrature import (ConvergenceError, QuadratureRule, SphereGrid, gauss_legendre,
                          integrate_theta, sphere_grid)
 from .smoothness import k_functional_estimate, modulus, modulus_many
 from .special import q_envelope, q_table

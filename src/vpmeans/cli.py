@@ -2,10 +2,11 @@
 verification suites, and writes per-suite CSV reports plus a summary.json.
 
 Exit codes: 0 when every suite passes its windows, 1 on any suite failure (an
-ArithmeticError such as ConvergenceError fails only its suite, which then
-writes no CSV), 2 on a usage error (unknown key, invalid value, band budget
-exceeded, d above D_MAX).  Flags, or `@FILE` with one flag a line (a later
-flag wins), set what is computed; the windows are constants of `experiments`.
+ArithmeticError, such as ConvergenceError or a floating overflow, invalid
+operation or division by zero, fails only its suite, which writes no CSV), 2
+on a usage error (unknown key, invalid value, band budget exceeded, d above
+D_MAX).  Flags, or `@FILE` with one flag a line (a later flag wins), set what
+is computed; the windows are constants of `experiments`.
 """
 
 import argparse
@@ -33,7 +34,8 @@ try:
 except ImportError:     # not on every platform: the per-suite RSS growth is then null
     getrusage = None
 
-__all__ = ["RunConfig", "ConfigError", "config_hash", "parse_config", "dispatch", "main"]
+__all__ = ["RunConfig", "ConfigError", "config_hash", "parse_config", "dispatch", "build_parser",
+           "main"]
 
 INF = float("inf")
 
@@ -243,14 +245,14 @@ def dispatch(config, suite):
         for name in names:
             start, logged, rss = time.perf_counter(), len(RUN_RECORDS["pruning"]), _max_rss_mb()
             try:
-                report = _RUNNERS[name](config)
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    report = _RUNNERS[name](config)
             except ArithmeticError as exc:
                 # no CSV: a partial table must not look like a result
                 errors[name] = {key: getattr(exc, key, None)
                                 for key in ("n", "d", "order", "previous", "last")}
                 errors[name]["kind"] = getattr(exc, "kind", type(exc).__name__)
-                if errors[name]["d"] is None:     # a Gauss rule or an overflow: the suite's d
-                    errors[name]["d"] = config.d
+                errors[name]["d"] = errors[name]["d"] or config.d    # else the suite's
                 print(f"error: {name}: {exc}", file=sys.stderr)
                 continue
             finally:

@@ -13,12 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .function_space import (ZonalSpectral, _live_rows, lp_norm_maxima, lp_norms_batch,
-                             make_corpus, zonal_project, zonal_synthesis)
-from .kernel import (_alpha_nested, _multiplier_integrals, _multiplier_prefixes, _refine,
-                     alpha_voronovskaya, default_order, kernel_norm_constant, ladder_order,
-                     lemma_integral, multiplier_sequence, multiplier_via_quadrature,
-                     multiplier_weight, vpm_kernel_eval)
+from .function_space import (ZonalSpectral, lp_norm_maxima, lp_norms_batch, make_corpus,
+                             zonal_project, zonal_synthesis)
+from .kernel import (alpha_nested, alpha_voronovskaya, default_order, kernel_norm_constant,
+                     ladder_order, lemma_integral, multiplier_sequence,
+                     multiplier_via_quadrature, multiplier_weight, vpm_kernel_eval)
 from .memo import RUN_RECORDS, RunMemo
 from .operators import (means_columns, sample_zonal_on_grid, translate_direct,
                         translate_spectral, vpm_grid, vpm_means, zonal_point_function)
@@ -28,6 +27,7 @@ from .special import q_envelope, q_table
 
 __all__ = [
     "ExperimentReport",
+    "corpus_band_limit",
     "prepare_corpus",
     "run_multiplier_identity_suite",
     "run_lemma_suite",
@@ -131,16 +131,14 @@ def prepare_corpus(corpus, d, n_max, seed=42):
 
 
 def run_multiplier_identity_suite(d, n_max):
-    """Closed-form weights, one `_multiplier_prefixes` batch, against their
-    quadrature route, multiplier_via_quadrature(n, k, d) at its default Gauss
-    order from one `_multiplier_integrals` call, for all n <= n_max and
-    k <= n + MULTIPLIER_REACH, including the exact zeros at k > n."""
+    """Closed-form weights `multiplier_weight` against their quadrature route,
+    one `multiplier_via_quadrature` call at the default Gauss orders, for all
+    n <= n_max and k <= n + MULTIPLIER_REACH, including the exact zeros at k > n."""
     lam = (d - 2) / 2.0
     cells = [(n, k) for n in range(n_max + 1) for k in range(n + MULTIPLIER_REACH + 1)]
-    closed = _multiplier_prefixes(range(n_max + 1), lam, n_max + MULTIPLIER_REACH)
     rows = []
-    for (n, k), quad in zip(cells, _multiplier_integrals(cells, d)):
-        omega = float(closed[n][k]) if k <= n else 0.0
+    for (n, k), quad in zip(cells, multiplier_via_quadrature(cells, d)):
+        omega = multiplier_weight(n, k, lam)
         rows.append({"d": d, "n": n, "k": k, "closed_form": omega,
                      "quadrature": quad, "abs_diff": abs(omega - quad)})
     worst = max(rows, key=lambda r: r["abs_diff"])
@@ -149,7 +147,7 @@ def run_multiplier_identity_suite(d, n_max):
     refine_ok = True
     if max_diff > 0:
         n, k = worst["n"], worst["k"]
-        doubled = multiplier_via_quadrature(n, k, d, order=2 * default_order(n, k))
+        doubled = multiplier_via_quadrature([(n, k)], d, order=2 * default_order(n, k))[0]
         refine_ok = abs(doubled - multiplier_weight(n, k, lam)) <= MULTIPLIER_TOL
     passed = max_diff <= MULTIPLIER_TOL and refine_ok
     return ExperimentReport(
@@ -251,7 +249,7 @@ def _delayed_maxima(f, n_list, k_cap, ps):
     it asks `means_columns` for a block of degrees at a time, whatever k_cap is,
     on the rows up to the block's top degree or f's own band, whichever is less."""
     cuts = sorted(set(n_list)) + [k_cap + 1]
-    degrees, live = range(cuts[0], k_cap + 1), _live_rows(f.coeffs)
+    degrees, live = range(cuts[0], k_cap + 1), f.live_rows
     segments = lp_norm_maxima(
         lambda picked: means_columns(f, [degrees[i] for i in picked],
                                      rows=min(degrees[max(picked)] + 1, live)),
@@ -464,11 +462,11 @@ def run_selftest_suite(seed=42):
         record(f"kernel_normalization_d{d}_n{n}", abs(norm - 1.0), 1e-10)
 
     # multiplier identity spot check
-    diff = abs(multiplier_weight(8, 3, 1.5) - multiplier_via_quadrature(8, 3, 5))
+    diff = abs(multiplier_weight(8, 3, 1.5) - multiplier_via_quadrature([(8, 3)], 5)[0])
     record("multiplier_identity_spot", diff, 1e-9)
 
     # alpha collapse at d = 3, on the nested oracle's own ladder
-    a = _refine(lambda o: _alpha_nested(32, 3, o), ladder_order(32), 1e-9, 32, 3, "alpha_nested")
+    a = alpha_nested(32, 3)
     record("alpha_closed_form_d3", abs(a * 33.0 - 1.0), 1e-8)
 
     # operator laws on a small random function

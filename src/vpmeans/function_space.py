@@ -3,13 +3,13 @@
 Two pathways coexist: zonal spectral coefficients against the normalized
 Gegenbauer system Q_k (any d >= 3), and raw samples on the S^2 product grid
 (d = 3 only), which serve as an independent oracle for the spectral route.
-Spectral L^2 norms come from Parseval; other L^p norms synthesise the even
-and odd degrees on half of a grid symmetric about pi/2 and mirror them, a
-reference once per grid and run; the maxima of a sweep read only the rows
-where its columns can be non-zero and count their pruning in RUN_RECORDS.
-Each synthesis context fills from a Q_k stream of its own (`special._q_rows`);
-the projection reads one by parity.  The test corpus (harmonics, geodesic
-cusps, a smooth bump, a seeded random band-limited function) lives here too.
+Spectral L^2 norms come from Parseval; other L^p norms synthesise the even and
+odd degrees on half of a grid symmetric about pi/2 and mirror them, a reference
+once per grid and run; the maxima of a sweep read only the rows where its
+columns can be non-zero (`ZonalSpectral.live_rows`) and count their pruning in
+RUN_RECORDS.  Each synthesis context fills from a private Q_k stream of its own
+(`special._q_rows`); the projection reads one by parity.  The test corpus
+(harmonics, cusps, a bump, a random band-limited function) lives here too.
 """
 
 import math
@@ -63,6 +63,12 @@ class ZonalSpectral:
     @property
     def band_limit(self):
         return len(self.coeffs) - 1
+
+    @property
+    def live_rows(self):
+        """The rows of `coeffs` up to its last non-zero one."""
+        nonzero = np.flatnonzero(self.coeffs)
+        return int(nonzero[-1]) + 1 if nonzero.size else 0
 
 
 @dataclass(frozen=True)
@@ -300,7 +306,7 @@ def lp_norm_maxima(columns, sizes, lam, ps, k_max, reference=None):
     starts, d = np.cumsum([0, *sizes]), 2.0 * lam + 2.0
     count = int(starts[-1])
     ref = np.zeros(k_max + 1) if reference is None else np.asarray(reference, dtype=float)
-    ref_rows, ref = _live_rows(ref), ref[:, None]
+    ref_rows, ref = ZonalSpectral(lam, ref).live_rows, ref[:, None]
     area, eps, inverse_dims = surface_area(d), np.finfo(float).eps, _inverse_dims(k_max, lam)
     sums, l2, mass = np.empty(count), np.empty(count), np.full(count, np.sum(np.abs(ref)))
     steps, left = {INF: np.empty(count), 1: np.empty(count)}, None
@@ -380,12 +386,6 @@ def _norm_context(lam, k_max, p, reference=None, order=None):
         vals.setflags(write=False)
         return vals
     return ctx, _REFERENCES.lookup(key + (reference.tobytes(),), compute)
-
-
-def _live_rows(coeffs):
-    """The rows of a coefficient vector up to its last non-zero one."""
-    nonzero = np.flatnonzero(coeffs)
-    return int(nonzero[-1]) + 1 if nonzero.size else 0
 
 
 # below 2^-960 a coefficient moves no synthesised value (|Q_k| <= 1); as a

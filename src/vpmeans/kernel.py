@@ -1,10 +1,10 @@
 """The de la Vallee Poussin kernel v_n(t) = cos(t/2)^(2n) / I_{n,d} on S^{d-1}.
 
 Provides I_{n,d} in closed form, v_n pointwise, the multipliers of the means
-(in closed form and, independently, by quadrature over a list of cells), the
-coefficient alpha(n) of their second-order expansion and the moments of
-theta^s v_n.  It owns their Gauss orders: default_order(n, k) of a multiplier
-cell, and ladder_order(n), where the alpha(n) and moment ladders start.
+(in closed form, per degree or in batches, and by quadrature over a list of
+cells), alpha(n) of their second-order expansion (and its nested oracle) and
+the moments of theta^s v_n.  It owns their Gauss orders: default_order(n, k)
+of a multiplier cell, and ladder_order(n), where every ladder starts.
 """
 
 import math
@@ -17,13 +17,14 @@ from .quadrature import (ConvergenceError, gauss_legendre, gauss_legendre_many, 
 from .special import q_table
 
 __all__ = [
-    "ConvergenceError",
     "kernel_norm_constant",
     "vpm_kernel_eval",
     "multiplier_weight",
+    "multiplier_prefixes",
     "multiplier_sequence",
     "multiplier_via_quadrature",
     "alpha_voronovskaya",
+    "alpha_nested",
     "lemma_integral",
     "default_order",
     "ladder_order",
@@ -92,7 +93,7 @@ def multiplier_weight(n, k, lam):
 _PREFIXES = RunMemo("multiplier_prefix")
 
 
-def _multiplier_prefixes(degrees, lam, k_max):
+def multiplier_prefixes(degrees, lam, k_max):
     """multiplier_weight(n, k, lam) for k = 0..min(n, k_max), one array per
     degree n of `degrees`, bit for bit, memoised per run on (n, lam, top).  The
     missing ones take the same lgamma arguments, each evaluated once over the
@@ -103,7 +104,7 @@ def _multiplier_prefixes(degrees, lam, k_max):
     if missing:     # n - top and n + top grow with n
         (first, _, first_top), (last, _, last_top) = missing[0], missing[-1]
         if first < 0 or k_max < 0:
-            raise ValueError("multiplier_sequence requires n >= 0 and k_max >= 0")
+            raise ValueError("multiplier_prefixes requires n >= 0 and k_max >= 0")
         base = first - first_top
         fact = np.array([math.lgamma(m + 1.0) for m in range(base, last + 1)])
         shifted = np.array([math.lgamma((m + 2.0 * lam) + 1.0)
@@ -118,19 +119,20 @@ def _multiplier_prefixes(degrees, lam, k_max):
 
 def multiplier_sequence(n, lam, k_max):
     """A new array of the multiplier weights for k = 0..k_max: the memoised
-    closed-form prefix k <= min(n, k_max) of `_multiplier_prefixes`, in
+    closed-form prefix k <= min(n, k_max) of `multiplier_prefixes`, in
     O(min(n, k_max)) work whatever n is, then the exact zeros of k > n."""
     out = np.zeros(k_max + 1)
-    out[:min(n, k_max) + 1] = _multiplier_prefixes([n], lam, k_max)[0]
+    out[:min(n, k_max) + 1] = multiplier_prefixes([n], lam, k_max)[0]
     return out
 
 
 _TABLE_NODES, _BLOCK_CELLS = 512, 2 ** 15   # nodes per shared Q table, entries per matrix
 
 
-def _multiplier_integrals(cells, d, order=None):
-    """integral_0^pi v_n Q_k sin^(2 lam) for each (n, k) of `cells`, in order,
-    each integrate_theta(vpm_kernel_eval(v_n) * Q_k) bit for bit on the rule of
+def multiplier_via_quadrature(cells, d, order=None):
+    """The quadrature oracle of the closed-form multipliers: a list of the
+    integral_0^pi v_n Q_k sin^(2 lam) of each (n, k) of `cells`, in order, each
+    integrate_theta(vpm_kernel_eval(v_n) * Q_k) bit for bit on the rule of
     order default_order(n, k), or `order` if given, mapped to [0, pi]; all the
     rules come from one gauss_legendre_many call.  Consecutive orders share a Q
     table of up to _TABLE_NODES nodes; an order's cells are C-ordered rows Q_k,
@@ -160,16 +162,6 @@ def _multiplier_integrals(cells, d, order=None):
                     row *= s ** n * math.exp(-kernel_norm_constant(n, d))
                 out[list(picked)] = np.sum(rows * w * sinpow, axis=1)
     return out.tolist()
-
-
-def multiplier_via_quadrature(n, k, d, order=None):
-    """Independent route to the multiplier weight:
-
-        integral_0^pi v_n(theta) Q_k(cos theta) sin(theta)^(2 lam) dtheta.
-
-    This is the oracle against which the closed form is checked.
-    """
-    return _multiplier_integrals([(n, k)], d, order)[0]
 
 
 # fixed Gauss orders of the smooth inner integrals (refinement is on the outer
@@ -206,7 +198,7 @@ def _alpha_at_order(n, d, order):
     return float(np.dot(outer, big_f))
 
 
-def _alpha_nested(n, d, order):
+def _alpha_nested_at_order(n, d, order):
     """alpha(n) by nested rules under each outer node: `_alpha_at_order`'s oracle."""
     lam = (d - 2) / 2.0
     theta, w_outer = mapped_rule(order)
@@ -235,7 +227,7 @@ def alpha_voronovskaya(n, d, order=None, rtol=1e-9):
                    integral_0^t sin^(2 lam) u du.
 
     A rung takes the inner integrals at its outer nodes from one pass over the
-    panels between them; the nested quadrature `_alpha_nested` is its oracle.
+    panels between them; the nested quadrature `alpha_nested` is its oracle.
     The outer rule, `order` points (default ladder_order(n)), is doubled until two
     successive refinements agree to `rtol` relative; ConvergenceError is
     raised when MAX_REFINEMENTS doublings do not get there.  alpha(n) ~ 1/n;
@@ -245,6 +237,13 @@ def alpha_voronovskaya(n, d, order=None, rtol=1e-9):
         raise ValueError(f"alpha_voronovskaya requires n >= 1, got {n}")
     base = order if order is not None else ladder_order(n)
     return _refine(lambda o: _alpha_at_order(n, d, o), base, rtol, n, d, "alpha_voronovskaya")
+
+
+def alpha_nested(n, d):
+    """alpha(n) by nested rules, the oracle of alpha_voronovskaya's panel route,
+    on a ladder of its own from ladder_order(n) to 1e-9 relative."""
+    return _refine(lambda o: _alpha_nested_at_order(n, d, o), ladder_order(n), 1e-9, n, d,
+                   "alpha_nested")
 
 
 def _refine(evaluate, order, rtol, n, d, kind, s=None):
@@ -268,14 +267,14 @@ def _refine(evaluate, order, rtol, n, d, kind, s=None):
     return cur
 
 
-def lemma_integral(n, d, s, order=None, rtol=1e-8):
+def lemma_integral(n, d, s, order=None):
     """Weighted kernel moment integral_0^pi theta^s v_n(theta) sin^(2 lam) theta dtheta.
 
     The moment lemmas read s = -lam (grows like n^(lam/2)), s = -2/m (grows
     like n^(1/m)) and s = 4 (decays like n^-2).  theta^s sin^(2 lam) theta is
     integrable at 0 for s > -(2 lam + 1) only, and any other s raises
     ValueError.  The mapped Gauss rule, `order` points (default ladder_order(n)),
-    is doubled until two successive refinements agree to `rtol` relative, at
+    is doubled until two successive refinements agree to 1e-8 relative, at
     most MAX_REFINEMENTS times, else ConvergenceError is raised.
     """
     if n < 1:
@@ -285,4 +284,4 @@ def lemma_integral(n, d, s, order=None, rtol=1e-8):
         raise ValueError(f"lemma_integral requires s > -(2 lam + 1) = {-(d - 1)}, got {s}")
     base = order if order is not None else ladder_order(n)
     return _refine(lambda o: integrate_theta(lambda t: t ** s * vpm_kernel_eval(n, d, t), lam, o),
-                   base, rtol, n, d, "lemma_integral", s)
+                   base, 1e-8, n, d, "lemma_integral", s)

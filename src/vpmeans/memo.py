@@ -19,9 +19,9 @@ import numpy as np
 __all__ = ["RUN_RECORDS", "RunMemo", "clear_run_memos", "run_memo_stats", "run_scope"]
 
 _REGISTRY = {}
-# refinement ladders in call order (kernel._refine), (p, synthesised, skipped)
-# per pruned p (function_space._pruned_maxima), and d|K|function id -> the
-# relative L^2 residual of each corpus member built (experiments.prepare_corpus)
+# the kernel's ladders in call order (alpha_voronovskaya, alpha_nested,
+# lemma_integral), (p, synthesised, skipped) per pruned p (lp_norm_maxima), and
+# d|K|function id -> the L^2 residual of each corpus member built (prepare_corpus)
 RUN_RECORDS = {"refinements": [], "pruning": [], "projection_residuals": {}}
 
 

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .function_space import GridFunction, ZonalSpectral, zonal_synthesis
-from .kernel import _multiplier_prefixes, kernel_norm_constant
+from .kernel import kernel_norm_constant, multiplier_prefixes
 from .special import q_table
 
 __all__ = [
@@ -28,12 +28,12 @@ __all__ = [
 
 def means_columns(f, degrees, powers=(1,), rows=None):
     """The coefficients of V_n^m f, a_k -> (omega_{n,k})^m a_k, one column per
-    (n, m), the powers of one degree side by side, from `_multiplier_prefixes`;
+    (n, m), the powers of one degree side by side, from `multiplier_prefixes`;
     with `rows`, only their first rows k < rows."""
     if min(powers) < 1:
         raise ValueError(f"operator powers must be >= 1, got {tuple(powers)}")
     cols = np.zeros((f.band_limit + 1 if rows is None else rows, len(degrees) * len(powers)))
-    for j, w in enumerate(_multiplier_prefixes(degrees, f.lam, f.band_limit)):
+    for j, w in enumerate(multiplier_prefixes(degrees, f.lam, f.band_limit)):
         w = w[:len(cols)]
         for i, m in enumerate(powers):
             # w ** 1 equals w but costs a pow per entry

@@ -19,6 +19,7 @@ import numpy as np
 from .special import _gegenbauer_steps
 
 __all__ = [
+    "ConvergenceError",
     "QuadratureRule",
     "SphereGrid",
     "gauss_legendre",

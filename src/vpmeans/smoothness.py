@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .function_space import _live_rows, lp_norm_maxima, lp_norms_batch
+from .function_space import lp_norm_maxima, lp_norms_batch
 from .memo import RunMemo
 from .operators import means_columns
 from .special import q_table
@@ -68,7 +68,7 @@ def translation_error_norms(f, thetas, ps, sizes):
         raise ValueError("translation steps must lie in (0, pi)")
     damp = _damping_table(f.band_limit, f.lam, thetas)     # (T, K+1)
 
-    def columns(steps, rows=_live_rows(f.coeffs)):     # C order synthesises faster
+    def columns(steps, rows=f.live_rows):     # C order synthesises faster
         return np.multiply(f.coeffs[:rows, None], damp[steps, :rows].T, order="C")
     return lp_norm_maxima(columns, sizes, f.lam, ps, f.band_limit)
 

@@ -45,7 +45,7 @@ def test_c01_multiplier_identity():
                 closed = multiplier_weight(n, k, lam)
                 if k > n:
                     assert closed == 0.0
-                quad = multiplier_via_quadrature(n, k, d)
+                quad = multiplier_via_quadrature([(n, k)], d)[0]
                 worst = max(worst, abs(closed - quad))
     verdict(1, worst <= 1e-9,
             f"closed form vs quadrature multiplier, max |diff| = {worst:.3e} <= 1e-9")

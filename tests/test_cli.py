@@ -6,10 +6,12 @@ import re
 import subprocess
 import sys
 import types
+import warnings
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import vpmeans.cli
@@ -380,6 +382,40 @@ def test_arithmetic_error_fails_only_its_suite(tmp_path, monkeypatch, capsys):
         "kind": "OverflowError", "n": None, "d": 3, "order": None, "previous": None,
         "last": None}}
     assert all(summary["suites"][name]["passed"] for name in SUITES if name != "modulus")
+
+
+def test_floating_fault_fails_only_its_suite(tmp_path, monkeypatch, capsys):
+    # each suite runs with numpy's overflow, invalid and divide raising: an
+    # overflow is then a FloatingPointError that fails its suite alone, with
+    # no warning, and numpy's settings outside the run are left as they were
+    overrides = {"d": "4", "n_list": "4,8", "corpus": "cusp:1.0"}
+
+    def run_all(out):
+        return dispatch(parse_config({**overrides, "out_dir": str(tmp_path / out)}), "all")
+    assert run_all("clean") == 0
+    run_lemma_suite, settings = vpmeans.cli.run_lemma_suite, np.geterr()
+
+    def overflowing(*args):
+        np.array([1e308]) * 10.0
+        return run_lemma_suite(*args)
+    monkeypatch.setattr(vpmeans.cli, "run_lemma_suite", overflowing)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_all("fault") == 1
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert np.geterr() == settings
+    err = capsys.readouterr().err
+    assert err.startswith("error: lemmas: ") and err.count("\n") == 1
+    others = [name for name in SUITES if name != "lemmas"]
+    assert sorted(p.name for p in (tmp_path / "fault").iterdir()) == sorted(
+        [f"{name}.csv" for name in others] + ["summary.json"])
+    assert _csv_bodies(tmp_path / "fault", others) == _csv_bodies(tmp_path / "clean", others)
+    summary = json.loads((tmp_path / "fault" / "summary.json").read_text())
+    assert summary["suites"]["lemmas"] == {"passed": False, "error": {
+        "kind": "FloatingPointError", "n": None, "d": 4, "order": None, "previous": None,
+        "last": None}}
+    assert all(summary["suites"][name]["passed"] for name in others)
 
 
 def test_dispatch_rerun_byte_identical(tmp_path):

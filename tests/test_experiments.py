@@ -60,7 +60,7 @@ def test_multiplier_suite_quadrature_equals_per_cell_oracle(d):
     assert [(r["n"], r["k"]) for r in report.rows] == [
         (n, k) for n in range(17) for k in range(n + 5)]
     for row in report.rows:
-        assert row["quadrature"] == multiplier_via_quadrature(row["n"], row["k"], d)
+        assert row["quadrature"] == multiplier_via_quadrature([(row["n"], row["k"])], d)[0]
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
@@ -80,7 +80,7 @@ def test_multiplier_suite_explicit_order_holds_a_bounded_peak():
     quadrature.gauss_legendre(2048)
     tracemalloc.start()
     try:
-        values = vpmeans.kernel._multiplier_integrals(cells, 3, order=2048)
+        values = multiplier_via_quadrature(cells, 3, order=2048)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

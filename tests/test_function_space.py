@@ -597,6 +597,11 @@ def test_lp_norm_maxima_bounds_cover_rounding():
             assert RUN_RECORDS["pruning"] == [(p, 200, 0)]
 
 
+def test_live_rows_end_at_the_last_nonzero_coefficient():
+    for coeffs, rows in (([0.0, 0.0], 0), ([1.0, 0.0, -2.0, 0.0], 3), ([0.0, 5e-324], 2)):
+        assert ZonalSpectral(0.5, np.array(coeffs)).live_rows == rows
+
+
 def test_lp_norm_maxima_bounds_equal_on_live_rows(monkeypatch):
     # a builder that gives only the live rows moves no bound, prefix sum or
     # rounding term, also in a one-column block, which numpy sums pairwise

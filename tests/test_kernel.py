@@ -12,7 +12,7 @@ import vpmeans.kernel
 from vpmeans import quadrature
 from vpmeans.experiments import (run_delayed_max_suite, run_selftest_suite,
                                  run_voronovskaya_suite)
-from vpmeans.kernel import (ConvergenceError, alpha_voronovskaya,
+from vpmeans.kernel import (ConvergenceError, alpha_nested, alpha_voronovskaya,
                             default_order, kernel_norm_constant, ladder_order,
                             lemma_integral, multiplier_sequence,
                             multiplier_via_quadrature, multiplier_weight,
@@ -184,9 +184,9 @@ def test_means_columns_prefixes_share_one_lgamma_window(monkeypatch):
 
 
 def test_multiplier_via_quadrature_values():
-    assert multiplier_via_quadrature(9, 0, 4) == pytest.approx(1.0, abs=1e-12)
-    assert multiplier_via_quadrature(2, 1, 3) == pytest.approx(0.5, abs=1e-10)
-    assert abs(multiplier_via_quadrature(5, 7, 3)) <= 1e-10
+    assert multiplier_via_quadrature([(9, 0)], 4)[0] == pytest.approx(1.0, abs=1e-12)
+    assert multiplier_via_quadrature([(2, 1)], 3)[0] == pytest.approx(0.5, abs=1e-10)
+    assert abs(multiplier_via_quadrature([(5, 7)], 3)[0]) <= 1e-10
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
@@ -210,7 +210,7 @@ def test_multiplier_integrals_equal_per_cell_integrate_theta(monkeypatch, d):
     orders = [default_order(n, k) for n, k in cells]
     assert sorted(set(orders)) == [40, 200, 300, 600] and orders != sorted(orders)
     assert 130 > vpmeans.kernel._BLOCK_CELLS // 300
-    got = vpmeans.kernel._multiplier_integrals(cells, d)
+    got = multiplier_via_quadrature(cells, d)
     assert tables == [240, 300, 600]
     expect = [integrate_theta(lambda t: vpm_kernel_eval(n, d, t) * q_table(k, lam, t)[:, k],
                               lam, default_order(n, k))
@@ -230,7 +230,7 @@ def test_multiplier_integrals_build_their_rules_in_one_batch(monkeypatch):
     monkeypatch.setattr(quadrature, "_newton_x_rules", counted)
     monkeypatch.setattr(quadrature, "_RULE_CACHE", {})
     cells = [(n, k) for n in range(65) for k in range(n + 5)]
-    values = vpmeans.kernel._multiplier_integrals(cells, 3)
+    values = multiplier_via_quadrature(cells, 3)
     assert len(values) == 2405
     assert batches == [list(range(32, 165))]
 
@@ -241,7 +241,7 @@ def test_multiplier_oracle_equivalence(d):
     for n in range(13):
         for k in range(n + 5):
             closed = multiplier_weight(n, k, lam)
-            quad = multiplier_via_quadrature(n, k, d)
+            quad = multiplier_via_quadrature([(n, k)], d)[0]
             assert abs(closed - quad) <= 1e-9
 
 
@@ -281,7 +281,7 @@ def test_alpha_panel_route_matches_nested_oracle(d):
     assert {n for n, _ in rungs} == set(LADDER_N) and len(rungs) >= 2 * len(LADDER_N)
     for n, order in rungs:
         value = vpmeans.kernel._alpha_at_order(n, d, order)
-        nested = vpmeans.kernel._alpha_nested(n, d, order)
+        nested = vpmeans.kernel._alpha_nested_at_order(n, d, order)
         assert abs(value - nested) <= 1e-14 * nested
 
 
@@ -321,9 +321,7 @@ def test_selftest_alpha_cell_reads_only_nested_rungs():
     # the voronovskaya sweep climbs panel rungs at the orders the selftest's
     # nested ladder visits; the selftest cell is the nested ladder all the same
     clear_run_memos()
-    fresh = vpmeans.experiments._refine(
-        lambda o: vpmeans.kernel._alpha_nested(32, 3, o), ladder_order(32), 1e-9,
-        32, 3, "alpha_nested")
+    fresh = alpha_nested(32, 3)
     run_voronovskaya_suite(3, (32,))
     report = run_selftest_suite()
     cell = next(row for row in report.rows if row["check"] == "alpha_closed_form_d3")
@@ -345,8 +343,9 @@ def test_refinement_without_budget_raises(monkeypatch):
 
 
 def test_refinement_budget_exhausted_raises(monkeypatch):
-    # successive iterates differ by a few ulp (alpha) and by ~5e-9 relative
-    # (the d = 5 inverse moment), so a tighter rtol exhausts one doubling
+    # alpha's successive iterates differ by a few ulp, so a tighter rtol
+    # exhausts one doubling; the d = 5 inverse moment from order 16 moves by
+    # 8.3e-6 relative at its first doubling, beyond its fixed 1e-8
     assert vpmeans.kernel.MAX_REFINEMENTS == 8
     monkeypatch.setattr(vpmeans.kernel, "MAX_REFINEMENTS", 1)
     with pytest.raises(ConvergenceError) as info:
@@ -356,13 +355,14 @@ def test_refinement_budget_exhausted_raises(monkeypatch):
     assert err.previous != err.last
     assert isinstance(err, ArithmeticError)
     with pytest.raises(ConvergenceError) as info:
-        lemma_integral(8, 5, -1.5, rtol=1e-12)
+        lemma_integral(8, 5, -1.5, order=16)
     err = info.value
-    assert (err.n, err.d, err.kind, err.order) == (8, 5, "lemma_integral", 144)
-    assert abs(err.last - err.previous) > 1e-12 * abs(err.last)
-    # the same call converges within the full budget
+    assert (err.n, err.d, err.kind, err.order) == (8, 5, "lemma_integral", 32)
+    assert abs(err.last - err.previous) > 1e-8 * abs(err.last)
+    # the same call converges within the full budget, to the default ladder's value
     monkeypatch.undo()
-    assert lemma_integral(8, 5, -1.5, rtol=1e-12) == pytest.approx(err.last, rel=1e-8)
+    assert lemma_integral(8, 5, -1.5, order=16) == pytest.approx(lemma_integral(8, 5, -1.5),
+                                                                 rel=1e-8)
 
 
 def test_alpha_ladder_starts_at_the_given_order(monkeypatch):
@@ -461,7 +461,7 @@ def test_higher_dimension_pathway():
     assert abs(val - 1.0) <= 1e-10
     for k in (0, 1, 3, 14):
         closed = multiplier_weight(12, k, lam)
-        quad = multiplier_via_quadrature(12, k, d)
+        quad = multiplier_via_quadrature([(12, k)], d)[0]
         assert abs(closed - quad) <= 1e-9
     a = alpha_voronovskaya(24, d)
     assert 0.5 <= 24 * a <= 2.0
