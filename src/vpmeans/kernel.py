@@ -94,10 +94,10 @@ _PREFIXES = RunMemo("multiplier_prefix")
 
 
 def multiplier_prefixes(degrees, lam, k_max):
-    """multiplier_weight(n, k, lam) for k = 0..min(n, k_max), one array per
-    degree n of `degrees`, bit for bit, memoised per run on (n, lam, top).  The
-    missing ones take the same lgamma arguments, each evaluated once over the
-    window those degrees span, and the same float operations."""
+    """multiplier_weight(n, k, lam), k = 0..min(n, k_max), within 1 ulp (1 at k = 0),
+    per degree n of `degrees`, memoised per run on (n, lam, top): per missing n one
+    np.exp of the lgamma differences, each lgamma read once over their window.  Read
+    by the spectral suites (`means_columns`); printed closed forms read the scalar."""
     keys = [(n, float(lam), min(n, k_max)) for n in degrees]
     missing = sorted({key for key in keys if key not in _PREFIXES})
     computed = {}
@@ -112,14 +112,13 @@ def multiplier_prefixes(degrees, lam, k_max):
     for key in missing:
         n, _, top = key
         f, s = fact[n - top - base:n - base + 1], shifted[n - first:n - first + top + 1]
-        # math.exp per entry: np.exp differs from it in the last bit on some
-        computed[key] = np.array(list(map(math.exp, ((f[-1] - f[::-1]) + (s[0] - s)).tolist())))
+        computed[key] = np.exp((f[-1] - f[::-1]) + (s[0] - s))
     return [_PREFIXES.lookup(key, lambda key=key: computed[key]) for key in keys]
 
 
 def multiplier_sequence(n, lam, k_max):
-    """A new array of the multiplier weights for k = 0..k_max: the memoised
-    closed-form prefix k <= min(n, k_max) of `multiplier_prefixes`, in
+    """A new array of the weights for k = 0..k_max: the memoised prefix k <=
+    min(n, k_max) of `multiplier_prefixes` (1 ulp of `multiplier_weight`), in
     O(min(n, k_max)) work whatever n is, then the exact zeros of k > n."""
     out = np.zeros(k_max + 1)
     out[:min(n, k_max) + 1] = multiplier_prefixes([n], lam, k_max)[0]

@@ -28,8 +28,8 @@ __all__ = [
 
 def means_columns(f, degrees, powers=(1,), rows=None):
     """The coefficients of V_n^m f, a_k -> (omega_{n,k})^m a_k, one column per
-    (n, m), the powers of one degree side by side, from `multiplier_prefixes`;
-    with `rows`, only their first rows k < rows."""
+    (n, m), powers of a degree side by side, from the batch `multiplier_prefixes`
+    (1 ulp of `multiplier_weight`); with `rows`, only their first rows k < rows."""
     if min(powers) < 1:
         raise ValueError(f"operator powers must be >= 1, got {tuple(powers)}")
     cols = np.zeros((f.band_limit + 1 if rows is None else rows, len(degrees) * len(powers)))

@@ -14,7 +14,7 @@ from vpmeans.experiments import (run_delayed_max_suite, run_selftest_suite,
                                  run_voronovskaya_suite)
 from vpmeans.kernel import (ConvergenceError, alpha_nested, alpha_voronovskaya,
                             default_order, kernel_norm_constant, ladder_order,
-                            lemma_integral, multiplier_sequence,
+                            lemma_integral, multiplier_prefixes, multiplier_sequence,
                             multiplier_via_quadrature, multiplier_weight,
                             vpm_kernel_eval)
 from vpmeans.function_space import ZonalSpectral
@@ -111,16 +111,41 @@ def test_multiplier_sequence_in_unit_interval_nonincreasing(n, d, k_max):
     assert np.all(np.diff(seq) <= 0.0)
 
 
+def _assert_within_one_ulp(got, expect):
+    expect = np.asarray(expect, dtype=float)
+    assert np.all(np.abs(np.asarray(got) - expect) <= np.spacing(np.abs(expect)))
+
+
 @pytest.mark.parametrize("lam", [0.5, 1.0, 1.5, 2.5, 3.7])
 def test_multiplier_sequence_equals_scalar_closed_form(lam):
-    # the table-driven, memoised prefix and the zero tail reproduce the scalar
-    # closed form bit for bit, below, at and beyond n, on a miss and on a hit
+    # the table-driven, memoised prefix stays within 1 ulp of the scalar
+    # closed form, is exactly 1 at k = 0 and exactly 0 beyond n, below, at and
+    # beyond n, on a miss and on a hit
     clear_run_memos()
     for n in (0, 1, 9, 64, 255, 496, 1000, 2047):
         for k_max in (max(n - 3, 0), n, min(n + 7, 2048)):
             expect = [multiplier_weight(n, k, lam) for k in range(k_max + 1)]
             for _ in range(2):
-                assert np.array_equal(multiplier_sequence(n, lam, k_max), expect)
+                got = multiplier_sequence(n, lam, k_max)
+                assert got[0] == 1.0 and np.all(got[n + 1:] == 0.0)
+                _assert_within_one_ulp(got, expect)
+
+
+def test_multiplier_prefixes_are_one_exp_of_the_scalar_exponents():
+    # each prefix is exactly np.exp of the lgamma differences that
+    # multiplier_weight hands to math.exp, so the two routes part by at most
+    # the 1 ulp in which the two exps may round apart
+    lg = math.lgamma
+    degrees = (0, 1, 9, 64, 255, 496, 1000, 2047)
+    for lam in (0.5, 1.0, 1.5, 2.5, 3.7):
+        clear_run_memos()
+        for n, got in zip(degrees, multiplier_prefixes(degrees, lam, 2047)):
+            exponents = [(lg(n + 1.0) - lg(n - k + 1.0))
+                         + (lg(n + 2.0 * lam + 1.0) - lg(n + k + 2.0 * lam + 1.0))
+                         for k in range(n + 1)]
+            assert np.array_equal(got, np.exp(exponents))
+            _assert_within_one_ulp(got, [multiplier_weight(n, k, lam) for k in range(n + 1)])
+    clear_run_memos()
 
 
 def test_multiplier_sequence_prefix_costs_its_own_length():
@@ -135,7 +160,7 @@ def test_multiplier_sequence_prefix_costs_its_own_length():
     finally:
         tracemalloc.stop()
         clear_run_memos()
-    assert np.array_equal(got, [multiplier_weight(n, k, lam) for k in range(k_max + 1)])
+    _assert_within_one_ulp(got, [multiplier_weight(n, k, lam) for k in range(k_max + 1)])
     assert peak < 1 << 16
 
 
@@ -168,7 +193,8 @@ def test_multiplier_sequence_weight_traffic():
 def test_means_columns_prefixes_share_one_lgamma_window(monkeypatch):
     # the missing prefixes of a batch of degrees read one window of lgamma
     # values, lgamma(m + 1.0) for m <= 69 and lgamma((m + 2 lam) + 1.0) for
-    # 40 <= m <= 69 + 69, not one window per degree; the weights keep their bits
+    # 40 <= m <= 69 + 69, not one window per degree; the columns are the
+    # coefficients times those prefixes, which stay within 1 ulp of the scalar
     args = []
     patched = SimpleNamespace(**vars(math))
     patched.lgamma = lambda x: args.append(x) or math.lgamma(x)
@@ -177,9 +203,10 @@ def test_means_columns_prefixes_share_one_lgamma_window(monkeypatch):
     f = ZonalSpectral(lam=0.5, coeffs=np.linspace(1.0, 2.0, 101))
     cols = means_columns(f, range(40, 70))
     assert len(args) == 70 + 99
-    for j, n in enumerate(range(40, 70)):
-        weights = [multiplier_weight(n, k, 0.5) for k in range(101)]
-        assert np.array_equal(cols[:, j], f.coeffs * weights)
+    prefixes = multiplier_prefixes(range(40, 70), 0.5, 100)
+    for j, (n, w) in enumerate(zip(range(40, 70), prefixes)):
+        assert np.array_equal(cols[:, j], np.r_[f.coeffs[:n + 1] * w, np.zeros(100 - n)])
+        _assert_within_one_ulp(w, [multiplier_weight(n, k, 0.5) for k in range(n + 1)])
     clear_run_memos()
 
 
