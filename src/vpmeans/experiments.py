@@ -105,25 +105,26 @@ def prepare_corpus(corpus, d, n_max, seed=42):
     """The ids of `corpus`, in order, in spectral form on the band limit
     K = `corpus_band_limit(n_max)`: exact coefficients for band-limited
     members, quadrature projection for the rest, memoised per run on (d, K,
-    seed, id).  The members not yet memoised come from one `make_corpus` call,
-    the projected ones by `zonal_project`, and each records its residual in
-    RUN_RECORDS; nothing is built when all are memoised.  An unknown id raises
-    KeyError, a LookupError."""
+    seed, id).  The members missed are built together: one `make_corpus`
+    call, the projected ones by one `zonal_project`, and each records its
+    residual in RUN_RECORDS; nothing is built when all are memoised.  An
+    unknown id raises KeyError, a LookupError."""
     lam, band_limit = (d - 2) / 2.0, corpus_band_limit(n_max)
-    keys = {fid: (d, band_limit, seed, fid) for fid in corpus}
-    missing = [fid for fid, key in keys.items() if key not in _CORPUS_SPECTRAL]
-    members = {member.tag: member for member in make_corpus(d, seed=seed)} if missing else {}
-    projected = [fid for fid in missing if members[fid].coeffs is None]     # KeyError if unknown
-    resolved = dict(zip(projected, zonal_project([members[fid] for fid in projected],
-                                                 band_limit, lam)))
-    for fid in set(missing) - set(projected):       # the exact coefficients, padded to K
-        coeffs = np.pad(members[fid].coeffs, (0, band_limit + 1 - len(members[fid].coeffs)))
-        coeffs.setflags(write=False)
-        resolved[fid] = ZonalSpectral(lam, coeffs, projection_residual=0.0)
-    for fid, member in resolved.items():
-        RUN_RECORDS["projection_residuals"][f"{d}|{band_limit}|{fid}"] = member.projection_residual
-    return [_CORPUS_SPECTRAL.lookup(keys[fid], lambda fid=fid: resolved[fid])
-            for fid in corpus]
+
+    def build(missing):
+        fids = [fid for *_, fid in missing]
+        members = {member.tag: member for member in make_corpus(d, seed=seed)}
+        projected = [fid for fid in fids if members[fid].coeffs is None]    # KeyError if unknown
+        resolved = dict(zip(projected, zonal_project([members[fid] for fid in projected],
+                                                     band_limit, lam)))
+        for fid in set(fids) - set(projected):      # the exact coefficients, padded to K
+            coeffs = np.pad(members[fid].coeffs, (0, band_limit + 1 - len(members[fid].coeffs)))
+            coeffs.setflags(write=False)
+            resolved[fid] = ZonalSpectral(lam, coeffs, projection_residual=0.0)
+        RUN_RECORDS["projection_residuals"].update(
+            {f"{d}|{band_limit}|{fid}": m.projection_residual for fid, m in resolved.items()})
+        return [resolved[fid] for fid in fids]
+    return _CORPUS_SPECTRAL.lookup([(d, band_limit, seed, fid) for fid in corpus], build)
 
 
 # ---------------------------------------------------------------------------

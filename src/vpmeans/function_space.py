@@ -132,7 +132,7 @@ def synthesis_context(lam, k_max, kind, size):
     if kind not in ("gauss", "dense"):
         raise ValueError(f"unknown synthesis grid kind {kind!r}")
 
-    def build():
+    def build(_):
         if kind == "gauss":
             theta, w = mapped_rule(size)
             weights = w * np.sin(theta) ** (2.0 * lam)
@@ -147,8 +147,8 @@ def synthesis_context(lam, k_max, kind, size):
         _q_rows(k_max, lam, x, fill)
         for arr in (theta, even, odd) + (() if weights is None else (weights,)):
             arr.setflags(write=False)
-        return _SynthesisContext(theta=theta, weights=weights, even=even, odd=odd)
-    return _CONTEXTS.lookup((float(lam), int(k_max), kind, int(size)), build)
+        return [_SynthesisContext(theta=theta, weights=weights, even=even, odd=odd)]
+    return _CONTEXTS.lookup([(float(lam), int(k_max), kind, int(size))], build)[0]
 
 
 def _profile_callable(f):     # a ZonalProfile calls its g
@@ -381,11 +381,11 @@ def _norm_context(lam, k_max, p, reference=None, order=None):
     if reference is None:
         return ctx, None
 
-    def compute():      # read-only, as a memo stores it
+    def build(_):      # read-only, as a memo stores it
         vals = _synthesise(ctx, reference)
         vals.setflags(write=False)
-        return vals
-    return ctx, _REFERENCES.lookup(key + (reference.tobytes(),), compute)
+        return [vals]
+    return ctx, _REFERENCES.lookup([key + (reference.tobytes(),)], build)[0]
 
 
 # below 2^-960 a coefficient moves no synthesised value (|Q_k| <= 1); as a

@@ -95,25 +95,21 @@ _PREFIXES = RunMemo("multiplier_prefix")
 
 def multiplier_prefixes(degrees, lam, k_max):
     """multiplier_weight(n, k, lam), k = 0..min(n, k_max), within 1 ulp (1 at k = 0),
-    per degree n of `degrees`, memoised per run on (n, lam, top): per missing n one
-    np.exp of the lgamma differences, each lgamma read once over their window.  Read
-    by the spectral suites (`means_columns`); printed closed forms read the scalar."""
-    keys = [(n, float(lam), min(n, k_max)) for n in degrees]
-    missing = sorted({key for key in keys if key not in _PREFIXES})
-    computed = {}
-    if missing:     # n - top and n + top grow with n
-        (first, _, first_top), (last, _, last_top) = missing[0], missing[-1]
+    per degree n of `degrees`, memoised per run on (n, lam, top): the missed n share one
+    lgamma window, each lgamma read once, and take one np.exp of their differences each.
+    Read by the spectral suites (`means_columns`); printed closed forms read the scalar."""
+    def build(missing):     # n - top and n + top grow with n
+        (first, _, first_top), (last, _, last_top) = min(missing), max(missing)
         if first < 0 or k_max < 0:
             raise ValueError("multiplier_prefixes requires n >= 0 and k_max >= 0")
         base = first - first_top
         fact = np.array([math.lgamma(m + 1.0) for m in range(base, last + 1)])
         shifted = np.array([math.lgamma((m + 2.0 * lam) + 1.0)
                             for m in range(first, last + last_top + 1)])
-    for key in missing:
-        n, _, top = key
-        f, s = fact[n - top - base:n - base + 1], shifted[n - first:n - first + top + 1]
-        computed[key] = np.exp((f[-1] - f[::-1]) + (s[0] - s))
-    return [_PREFIXES.lookup(key, lambda key=key: computed[key]) for key in keys]
+        windows = ((fact[n - top - base:n - base + 1], shifted[n - first:n - first + top + 1])
+                   for n, _, top in missing)
+        return [np.exp((f[-1] - f[::-1]) + (s[0] - s)) for f, s in windows]
+    return _PREFIXES.lookup([(n, float(lam), min(n, k_max)) for n in degrees], build)
 
 
 def multiplier_sequence(n, lam, k_max):

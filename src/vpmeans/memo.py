@@ -2,11 +2,12 @@
 
 The spectral layers are asked for the same quantity many times in one `vpm`
 run: the same multiplier prefix, the same modulus cell omega(f, n^(-1/2))_p,
-the same theta-scan table.  Each such layer keeps one RunMemo.  A CLI run is
-one `run_scope`, which clears them all when it starts and ends, and reports
-their traffic in summary.json.  A memo only ever returns what was stored for
-an identical key, so a hit is exactly what recomputing the same request
-would give; a modulus cell computed in another batch agrees to rounding.
+the same theta-scan table.  Each such layer keeps one RunMemo and reads it
+one way, `lookup(keys, build)`, which builds the keys it misses in one call.
+A CLI run is one `run_scope`, which clears them all when it starts and ends,
+and reports their traffic in summary.json.  A memo returns only what was
+stored for an identical key, so a hit is exactly what recomputing the same
+request would give; a modulus cell built in another batch agrees to rounding.
 RUN_RECORDS holds what the run's summary reports beyond the values, each kind
 written by the layer that makes it, and is emptied with the memos.
 """
@@ -38,19 +39,19 @@ class RunMemo:
         self.misses = 0
         _REGISTRY[name] = self
 
-    def lookup(self, key, compute):
-        """The stored value for `key`, or compute(), stored, on a miss."""
-        value = self._values.get(key)
-        if value is None:
-            self.misses += 1
-            value = compute()
-            self._values[key] = value
-        else:
-            self.hits += 1
-        return value
-
-    def __contains__(self, key):
-        return key in self._values
+    def lookup(self, keys, build):
+        """The stored value of each of `keys`, in order.  The keys not stored go
+        once each, in first-seen order, to one build(missing) call, which returns
+        their values in that order; each counts a miss, every other key a hit.  A
+        build that raises or returns a wrong count stores and counts nothing."""
+        missing = [key for key in dict.fromkeys(keys) if key not in self._values]
+        values = list(build(missing)) if missing else []
+        if len(values) != len(missing):
+            raise ValueError(f"build gave {len(values)} values for {len(missing)} keys")
+        self._values.update(zip(missing, values))
+        self.misses += len(missing)
+        self.hits += len(keys) - len(missing)
+        return [self._values[key] for key in keys]
 
     def clear(self):
         self._values.clear()

@@ -96,10 +96,13 @@ def translate_direct(f_eval, theta, point, circle_order):
     (exact for band-limited f once circle_order exceeds the band limit).
 
     `f_eval` evaluates f at an (m, 3) array of unit vectors; corpus functions
-    supply it through `zonal_point_function`.
+    supply it through `zonal_point_function`.  A `circle_order` below 1, which
+    leaves no station to average, raises ValueError.
     """
     if not 0.0 < theta < np.pi:
         raise ValueError(f"translation requires 0 < theta < pi, got {theta}")
+    if circle_order < 1:
+        raise ValueError(f"translate_direct requires circle_order >= 1, got {circle_order}")
     mu = np.asarray(point, dtype=float)
     nrm = np.linalg.norm(mu)
     if abs(nrm - 1.0) > 1e-10:

@@ -47,12 +47,12 @@ def _damping_table(k_max, lam, thetas):
     """Read-only (T, k_max+1) table 1 - Q_k(cos theta), memoised per run on
     (k_max, lam, theta grid); for `modulus` the grid is fixed by t and the
     grid size."""
-    def build():
+    def build(_):
         table = q_table(k_max, lam, thetas)
         np.subtract(1.0, table, out=table)
         table.setflags(write=False)
-        return table
-    return _DAMPING.lookup((k_max, float(lam), thetas.tobytes()), build)
+        return [table]
+    return _DAMPING.lookup([(k_max, float(lam), thetas.tobytes())], build)[0]
 
 
 def translation_error_norms(f, thetas, ps, sizes):
@@ -87,7 +87,7 @@ def modulus(f, t, p, theta_grid_size=THETA_GRID_SIZE):
 
 def modulus_many(f, ts, ps, theta_grid_size=THETA_GRID_SIZE):
     """`modulus` at each scale of `ts` for each p of `ps`: one list of cells
-    per p.  The cells not memoised are computed in one
+    per p.  The cells missed, keyed scale by scale, are computed in one
     `translation_error_norms` call over the p and scales they miss, one run
     of steps per scale, so one set of translation columns and one bound pass
     of `lp_norm_maxima` serve every p."""
@@ -96,18 +96,15 @@ def modulus_many(f, ts, ps, theta_grid_size=THETA_GRID_SIZE):
             raise ValueError(f"modulus scale must be in (0, pi], got {t}")
     base = (f.coeffs.dtype.str, f.coeffs.shape, f.coeffs.tobytes(), float(f.lam),
             int(theta_grid_size))
-    keys = {(t, p): base + (float(t), float(p)) for t in ts for p in ps}
-    missing = [cell for cell, key in keys.items() if key not in _MODULUS]
-    computed = {}
-    if missing:
-        scales, group = (list(dict.fromkeys(part)) for part in zip(*missing))
+
+    def build(missing):     # a key ends in (t, p)
+        scales, group = (list(dict.fromkeys(part)) for part in zip(*(key[-2:] for key in missing)))
         scans = [_theta_scan(t, theta_grid_size) for t in scales]
         maxima = translation_error_norms(f, np.concatenate(scans), group,
                                          sizes=[len(scan) for scan in scans])
-        computed = {(t, p): cell for p, row in zip(group, maxima.tolist())
-                    for t, cell in zip(scales, row)}
-    return [[_MODULUS.lookup(keys[t, p], lambda cell=(t, p): computed[cell]) for t in ts]
-            for p in ps]
+        return [float(maxima[group.index(p), scales.index(t)]) for *_, t, p in missing]
+    values = _MODULUS.lookup([base + (float(t), float(p)) for t in ts for p in ps], build)
+    return [values[i::len(ps)] for i in range(len(ps))]
 
 
 def default_candidate_degrees(t):

@@ -11,7 +11,7 @@ import vpmeans.function_space
 import vpmeans.kernel
 import vpmeans.smoothness
 from vpmeans import quadrature
-from vpmeans.cli import config_hash
+from vpmeans.cli import DEFAULT_N_LIST, config_hash
 from vpmeans.experiments import (_delayed_maxima, corpus_band_limit, measure_envelope_constant,
                                  prepare_corpus,
                                  run_converse_suite, run_delayed_max_suite,
@@ -24,7 +24,8 @@ from vpmeans.kernel import (alpha_voronovskaya, ladder_order, multiplier_via_qua
                             multiplier_weight)
 from vpmeans.memo import RUN_RECORDS, clear_run_memos, run_memo_stats
 from vpmeans.operators import means_columns
-from vpmeans.smoothness import modulus_many
+from vpmeans.smoothness import THETA_GRID_SIZE, _theta_scan, modulus_many
+from vpmeans.special import q_table
 
 SMALL_CORPUS = ("harmonic:4", "cusp:1.0")
 SMALL_N = (4, 8, 16)
@@ -208,6 +209,43 @@ def test_converse_harmonic_error_closed_form():
     norm = lp_norms_batch(coeffs, 0.5, 2.0)[0]
     expect = (1.0 - multiplier_weight(8, 4, 0.5)) * norm
     assert row["e_n"] == pytest.approx(expect, rel=1e-10)
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_converse_harmonic_ratio_closed_form_at_p2_and_inf(d):
+    # V_n Q_k = omega_{n,k} Q_k and S_theta Q_k = Q_k(cos theta) Q_k, so both
+    # errors are multiples of ||Q_k||_p and the ratio is exactly
+    # (1 - omega_{n,k}) / max_theta |1 - Q_k(cos theta)| over the scan of n^(-1/2).
+    # Rounding: the batch omega is within 1 ulp of the scalar and the means
+    # column rounds once more, 1.5 eps omega absolute in 1 - omega; the two
+    # error columns, two norms and the two quotients add at most 6.5 eps
+    # relative; with 1 - omega <= 1 both fit in 8 eps / (1 - omega).
+    lam, eps = (d - 2) / 2.0, np.finfo(float).eps
+    harmonics = ("harmonic:1", "harmonic:4", "harmonic:16")
+    report = run_converse_suite(harmonics, (2.0, INF), DEFAULT_N_LIST, d)
+    assert len(report.rows) == 2 * len(harmonics) * len(DEFAULT_N_LIST)
+    for row in report.rows:
+        n, k = row["n"], int(row["function_id"].split(":")[1])
+        gap = 1.0 - multiplier_weight(n, k, lam)
+        scan = _theta_scan(n ** -0.5, THETA_GRID_SIZE)
+        expect = gap / np.max(np.abs(1.0 - q_table(k, lam, scan)[:, k]))
+        assert abs(row["ratio"] - expect) <= 8.0 * eps / gap * expect, (row, expect)
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_delayed_max_p2_equals_converse_error(d):
+    # omega_{n,k} grows with n for every k, so ||V_k f - f||_2 never grows with
+    # k and the delayed max over k >= n is the converse error at n; the two
+    # p = 2 norms sum the K + 1 coefficients of different column sets
+    corpus, eps = corpus_ids(42), np.finfo(float).eps
+    band = corpus_band_limit(max(DEFAULT_N_LIST))
+    converse = run_converse_suite(corpus, (2.0,), DEFAULT_N_LIST, d)
+    e_n = {(row["function_id"], row["n"]): row["e_n"] for row in converse.rows}
+    delayed = run_delayed_max_suite(corpus, (2.0,), DEFAULT_N_LIST, d)
+    assert len(delayed.rows) == len(e_n) == len(corpus) * len(DEFAULT_N_LIST)
+    for row in delayed.rows:
+        expect = e_n[row["function_id"], row["n"]]
+        assert abs(row["max_err"] - expect) <= (band + 1) * eps * expect, row
 
 
 def test_delayed_max_suite_band_limited_max_at_first_degree():

@@ -179,6 +179,9 @@ def test_translate_direct_validation():
         translate_direct(f_eval, 0.0, NORTH, 16)
     with pytest.raises(ValueError):
         translate_direct(f_eval, 0.5, np.array([0.0, 0.0, 2.0]), 16)
+    for circle_order in (0, -3):    # no station to average, not a nan mean
+        with pytest.raises(ValueError, match="circle_order >= 1"):
+            translate_direct(f_eval, 0.5, NORTH, circle_order)
 
 
 def test_vpm_grid_constant_and_band_limited(corpus_d3):
